@@ -59,7 +59,7 @@ COVER_PKGS = . \
 
 .PHONY: all build test race vet lint lint-drill bench fuzz cover check \
 	bench-json bench-gate bench-baseline load-smoke stream-smoke chaos \
-	archive-smoke
+	archive-smoke perfbench-check
 
 all: check
 
@@ -170,4 +170,11 @@ chaos:
 archive-smoke:
 	./scripts/archive_smoke.sh
 
-check: build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke
+# The repo benchmark (perfbench/, run by perfbench/run.sh) is its own Go
+# module built against this one, so `go test ./...` never compiles it.
+# Vet and short-test it so a change to an API it uses fails the check.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -short ./...
+
+check: build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check

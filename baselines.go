@@ -3,13 +3,11 @@ package rpm
 import (
 	"context"
 
-	"rpm/internal/bop"
 	"rpm/internal/fastshapelets"
 	"rpm/internal/learnshapelets"
 	"rpm/internal/nn"
 	"rpm/internal/parallel"
 	"rpm/internal/saxvsm"
-	"rpm/internal/shapelettransform"
 )
 
 // Model is the interface every classifier in this package satisfies —
@@ -119,25 +117,5 @@ func TrainFastShapelets(train Dataset, seed int64) (Model, error) {
 func TrainLearningShapelets(train Dataset, seed int64) (Model, error) {
 	return baselineModel("TrainLearningShapelets", train, func() Model {
 		return learnshapelets.Train(toInternal(train), learnshapelets.Config{Seed: seed})
-	})
-}
-
-// TrainBagOfPatterns trains the Bag-of-Patterns classifier (Lin et al.
-// 2012): SAX-word histograms compared by 1-nearest-neighbor, with
-// cross-validated SAX parameter selection.
-func TrainBagOfPatterns(train Dataset, seed int64) (Model, error) {
-	return baselineModel("TrainBagOfPatterns", train, func() Model {
-		t := toInternal(train)
-		return bop.Train(t, saxvsm.SelectParams(t, seed))
-	})
-}
-
-// TrainShapeletTransform trains the Shapelet Transform classifier (Lines
-// et al. 2012), RPM's closest methodological relative from the paper's
-// related work: top-K shapelets by information gain, distance transform,
-// linear SVM.
-func TrainShapeletTransform(train Dataset, seed int64) (Model, error) {
-	return baselineModel("TrainShapeletTransform", train, func() Model {
-		return shapelettransform.Train(toInternal(train), shapelettransform.Config{Seed: seed})
 	})
 }

@@ -60,20 +60,27 @@ type Match struct {
 // transform stage where every pattern is matched against every instance.
 type Matcher struct {
 	zp []float64
-	// zpSq is Σzp², accumulated in index order — the exact distance the
-	// kernel's constant-window branch computes, precomputed once so the
-	// Query path (bestMatchZStats) can compare it without re-summing.
+	// zpSq is Σzp², accumulated in index order: the distance of any
+	// constant window, whose z-normalization is the zero vector.
 	zpSq float64
 }
 
 // NewMatcher prepares a matcher for the given pattern (which is copied and
-// z-normalized).
+// z-normalized). It is small enough to inline, so a caller that keeps
+// the matcher local (ClosestMatch, Best's role swap) keeps it on the
+// stack.
 func NewMatcher(pattern []float64) *Matcher {
-	m := &Matcher{zp: ts.ZNorm(pattern)}
-	for _, x := range m.zp {
-		m.zpSq += x * x
+	m := newMatcher(pattern)
+	return &m
+}
+
+func newMatcher(pattern []float64) Matcher {
+	zp := ts.ZNorm(pattern)
+	var zpSq float64
+	for _, x := range zp {
+		zpSq += x * x
 	}
-	return m
+	return Matcher{zp: zp, zpSq: zpSq}
 }
 
 // Len returns the pattern length.
@@ -82,21 +89,19 @@ func (m *Matcher) Len() int { return len(m.zp) }
 // Best returns the closest match of the pattern in series, with the same
 // semantics as ClosestMatch. If the series is shorter than the pattern
 // the roles are swapped: the z-normalized query slides over the
-// precomputed z-normalized pattern directly, without routing through
-// ClosestMatch's general path (which would redo the role swap and its
-// length checks per call — a cost the serving layer exposes to arbitrary
-// query lengths). Per-window z-normalization makes the swapped search
-// invariant to the pattern's global normalization, so sliding over the
-// stored zp is equivalent to sliding over the raw pattern.
+// precomputed z-normalized pattern directly. Per-window z-normalization
+// makes the swapped search invariant to the pattern's global
+// normalization, so sliding over the stored zp is equivalent to sliding
+// over the raw pattern.
 func (m *Matcher) Best(series []float64) Match {
 	if len(m.zp) == 0 || len(series) == 0 {
 		return Match{Dist: math.Inf(1), Pos: -1}
 	}
 	if len(m.zp) > len(series) {
 		// Short query: hoisted swap — zp is reused as the haystack.
-		return bestMatchZ(ts.ZNorm(series), m.zp)
+		return NewMatcher(series).scan(m.zp)
 	}
-	return bestMatchZ(m.zp, series)
+	return m.scan(series)
 }
 
 // ClosestMatch slides pattern over series and returns the minimal
@@ -116,85 +121,55 @@ func ClosestMatch(pattern, series []float64) Match {
 	if len(pattern) > len(series) {
 		pattern, series = series, pattern
 	}
-	if len(pattern) == 0 || len(series) == 0 {
-		return Match{Dist: math.Inf(1), Pos: -1}
-	}
-	return bestMatchZ(ts.ZNorm(pattern), series)
+	return NewMatcher(pattern).Best(series)
 }
 
-// bestMatchZ is the closest-match core: zp is already z-normalized and no
-// longer than series.
-func bestMatchZ(zp, series []float64) Match {
-	n := len(zp)
-	best := math.Inf(1)
-	bestPos := -1
-	// Running sums for O(1) per-window mean/std.
-	var sum, sumsq float64
-	for _, x := range series[:n] {
-		sum += x
-		sumsq += x * x
-	}
+// scan is the sequential closest-match scan (0 < m.Len() <=
+// len(series)): windows in position order, each one's statistics from
+// windowSums, its distance from windowDist and a strict-improvement
+// update — the steps the stream Detector runs sample by sample through
+// RollingStats and StreamEval, so Best and a stream fed the same samples
+// agree by construction.
+func (m *Matcher) scan(series []float64) Match {
+	n := len(m.zp)
 	fn := float64(n)
+	var sums windowSums
+	for _, x := range series[:n] {
+		sums = sums.add(x)
+	}
+	best, bestPos := math.Inf(1), -1
 	for i := 0; ; i++ {
-		mean := sum / fn
-		variance := sumsq/fn - mean*mean
-		var d float64
-		if variance < ts.ZNormThreshold*ts.ZNormThreshold {
-			// constant window: z-norm is the zero vector
-			d = 0
-			for _, x := range zp {
-				d += x * x
-				if d > best {
-					d = math.Inf(1)
-					break
-				}
-			}
-		} else {
-			inv := 1 / math.Sqrt(variance)
-			d = 0
-			w := series[i : i+n]
-			for j, x := range w {
-				diff := (x-mean)*inv - zp[j]
-				d += diff * diff
-				if d > best {
-					d = math.Inf(1)
-					break
-				}
-			}
-		}
-		if d < best {
-			best = d
-			bestPos = i
+		mean, inv := sums.stats(fn)
+		if d := m.windowDist(series[i:i+n], mean, inv, best); d < best {
+			best, bestPos = d, i
 		}
 		if i+n >= len(series) {
 			break
 		}
-		out := series[i]
-		in := series[i+n]
-		sum += in - out
-		sumsq += in*in - out*out
+		sums = sums.slide(series[i+n], series[i])
 	}
 	return Match{Dist: math.Sqrt(best / fn), Pos: bestPos}
 }
 
-// ClosestMatchRaw is ClosestMatch without per-window z-normalization: the
-// pattern and the windows are compared as-is. Used where the caller has
-// already normalized the data or wants amplitude sensitivity.
-func ClosestMatchRaw(pattern, series []float64) Match {
-	n := len(pattern)
-	if n == 0 || n > len(series) {
-		return Match{Dist: math.Inf(1), Pos: -1}
+// windowDist is the one exact window evaluator: the squared distance
+// between the z-normalized pattern and window (m.Len() raw samples with
+// the recurrence's mean and inv), accumulated in index order. It stops
+// as soon as the partial sum exceeds limit; the result then exceeds
+// limit but is not the full distance. A constant window (inv == 0)
+// z-normalizes to the zero vector, so its distance is Σzp².
+func (m *Matcher) windowDist(window []float64, mean, inv, limit float64) (d float64) {
+	if inv == 0 {
+		return m.zpSq
 	}
-	best := math.Inf(1)
-	bestPos := -1
-	for i := 0; i+n <= len(series); i++ {
-		d := SqEuclideanEarly(pattern, series[i:i+n], best)
-		if d < best {
-			best = d
-			bestPos = i
+	zp := m.zp
+	for j, x := range window[:len(zp)] { // BCE hint: len(window) == m.Len() by contract
+		diff := (x-mean)*inv - zp[j]
+		d += diff * diff
+		if d > limit {
+			break
 		}
 	}
-	return Match{Dist: math.Sqrt(best / float64(n)), Pos: bestPos}
+	return d
 }
 
 // DTW returns the dynamic-time-warping distance between a and b constrained

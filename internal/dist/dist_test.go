@@ -170,25 +170,16 @@ func TestClosestMatchDegenerate(t *testing.T) {
 	}
 }
 
-func TestClosestMatchRaw(t *testing.T) {
-	series := []float64{0, 0, 1, 2, 3, 0, 0}
-	m := ClosestMatchRaw([]float64{1, 2, 3}, series)
-	if m.Pos != 2 || m.Dist != 0 {
-		t.Errorf("raw match: %v", m)
-	}
-	if m := ClosestMatchRaw(make([]float64, 10), make([]float64, 3)); !math.IsInf(m.Dist, 1) {
-		t.Errorf("pattern longer than series should be +Inf, got %v", m)
-	}
-}
-
+// TestMatcherAgreesWithClosestMatch: the reusable Matcher and the
+// one-shot ClosestMatch both equal the oracle kernel bit for bit.
 func TestMatcherAgreesWithClosestMatch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		series := makeSeries(rng, 80)
 		pat := makeSeries(rng, 1+rng.Intn(30))
-		want := ClosestMatch(pat, series)
-		got := NewMatcher(pat).Best(series)
-		return got.Pos == want.Pos && math.Abs(got.Dist-want.Dist) < 1e-12
+		want := oracleClosestMatch(pat, series)
+		return sameMatch(NewMatcher(pat).Best(series), want) &&
+			sameMatch(ClosestMatch(pat, series), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -203,8 +194,8 @@ func TestMatcherSwapsWhenSeriesShorter(t *testing.T) {
 	got := m.Best(short)
 	// the matcher's pattern is z-normalized, so compare against the
 	// equivalent explicit call
-	want := ClosestMatch(ts.ZNorm(long), short)
-	if math.Abs(got.Dist-want.Dist) > 1e-12 {
+	want := oracleClosestMatch(ts.ZNorm(long), short)
+	if !sameMatch(got, want) {
 		t.Errorf("swap path: %v vs %v", got, want)
 	}
 	if m.Len() != 50 {
@@ -218,6 +209,79 @@ func TestMatcherDegenerate(t *testing.T) {
 	}
 	if got := NewMatcher([]float64{1, 2}).Best(nil); !math.IsInf(got.Dist, 1) {
 		t.Errorf("empty series: %v", got)
+	}
+}
+
+// closestMatchInput draws one (pattern, series) pair for the oracle
+// property: smooth, constant-heavy, tie-heavy and NaN-bearing series;
+// patterns as short as one sample (below the Query scan's four-element
+// prepass); and patterns longer than the series (the role swap).
+func closestMatchInput(rng *rand.Rand) (pat, series []float64) {
+	gen := func(n int) []float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return makeSeries(rng, n)
+		case 1: // constant-heavy: a few levels held for long stretches
+			v := make([]float64, n)
+			level := float64(rng.Intn(3))
+			for i := range v {
+				if rng.Intn(12) == 0 {
+					level = float64(rng.Intn(3)) + rng.NormFloat64()
+				}
+				v[i] = level
+			}
+			return v
+		default:
+			return genStreamSeries(rng, n)
+		}
+	}
+	series = gen(1 + rng.Intn(80))
+	switch rng.Intn(3) {
+	case 0:
+		pat = gen(1 + rng.Intn(3))
+	case 1:
+		pat = gen(1 + rng.Intn(len(series)))
+	default:
+		pat = gen(len(series) + 1 + rng.Intn(20))
+	}
+	return pat, series
+}
+
+// TestPropBestClosestMatchOracle pins both closest-match entry points
+// to the oracle kernel, Dist and Pos bits, in both role orders.
+func TestPropBestClosestMatchOracle(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pat, series := closestMatchInput(rng)
+		for _, c := range [][2][]float64{{pat, series}, {series, pat}} {
+			p, s := c[0], c[1]
+			if got, want := NewMatcher(p).Best(s), oracleBest(NewMatcher(p), s); !sameMatch(got, want) {
+				t.Logf("seed %d: Best(len %d over len %d) %+v != oracle %+v", seed, len(p), len(s), got, want)
+				return false
+			}
+			if got, want := ClosestMatch(p, s), oracleClosestMatch(p, s); !sameMatch(got, want) {
+				t.Logf("seed %d: ClosestMatch(len %d, len %d) %+v != oracle %+v", seed, len(p), len(s), got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMatcherBestZeroAlloc: Best on a series at least as long as the
+// pattern allocates nothing (the training hot path calls it per
+// candidate and instance).
+func TestMatcherBestZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	m := NewMatcher(makeSeries(rng, 32))
+	series := makeSeries(rng, 200)
+	for _, s := range [][]float64{series, series[:32]} {
+		if a := testing.AllocsPerRun(50, func() { m.Best(s) }); a != 0 {
+			t.Errorf("Best over %d samples: %v allocs/op, want 0", len(s), a)
+		}
 	}
 }
 

@@ -106,10 +106,12 @@ func TestPropMatcherAgreesWithClosestMatch(t *testing.T) {
 		ns := np + rng.Intn(40)
 		p := randSeries(rng, np)
 		s := randSeries(rng, ns)
-		want := ClosestMatch(p, s)
-		got := NewMatcher(p).Best(s)
-		if got != want {
-			t.Fatalf("it %d: Matcher %+v != ClosestMatch %+v", it, got, want)
+		want := oracleClosestMatch(p, s)
+		if got := NewMatcher(p).Best(s); got != want {
+			t.Fatalf("it %d: Matcher %+v != oracle %+v", it, got, want)
+		}
+		if got := ClosestMatch(p, s); got != want {
+			t.Fatalf("it %d: ClosestMatch %+v != oracle %+v", it, got, want)
 		}
 	}
 }

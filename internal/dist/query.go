@@ -1,25 +1,20 @@
 package dist
 
-import (
-	"math"
-
-	"rpm/internal/ts"
-)
+import "math"
 
 // WindowStats is the precomputed per-window normalization state of one
 // series at one window length: Mean[i] and Inv[i] (1/std, or 0 for a
-// constant window) for the window starting at position i. The values are
-// produced by the exact rolling-sum recurrence bestMatchZ uses, so a scan
-// that reads them computes bit-identical distances to a scan that derives
-// them inline — the property that lets every pattern of one length share
-// a single stats pass (paper §5.3: the early-abandoned ED matching is the
-// classification hot path; this removes its per-pattern redundancy).
+// constant window) for the window starting at position i, from the
+// package's one recurrence (windowSums). Every pattern of one length
+// then shares a single stats pass (paper §5.3: the early-abandoned ED
+// matching is the classification hot path; this removes its per-pattern
+// redundancy).
 type WindowStats struct {
 	n    int
 	mean []float64
 	inv  []float64
 	// lb is per-scan scratch for the streaming first-elements prepass
-	// (see bestMatchZStats); its contents are pattern-specific and valid
+	// (see scanStats); its contents are pattern-specific and valid
 	// only within one scan.
 	lb []float64
 }
@@ -32,9 +27,6 @@ func (w *WindowStats) Windows() int { return len(w.mean) }
 
 // compute fills the stats for series at window length n (0 < n <=
 // len(series)), reusing the existing backing arrays when large enough.
-// The recurrence — initial sum over series[:n], then sum += in-out per
-// step — mirrors bestMatchZ exactly; do not "simplify" it to prefix-sum
-// differences, which round differently and break bit-identity.
 func (w *WindowStats) compute(series []float64, n int) {
 	nw := len(series) - n + 1
 	w.n = n
@@ -46,28 +38,16 @@ func (w *WindowStats) compute(series []float64, n int) {
 	}
 	w.mean = w.mean[:nw]
 	w.inv = w.inv[:nw]
-	var sum, sumsq float64
-	for _, x := range series[:n] {
-		sum += x
-		sumsq += x * x
-	}
 	fn := float64(n)
-	for i := 0; ; i++ {
-		mean := sum / fn
-		variance := sumsq/fn - mean*mean
-		w.mean[i] = mean
-		if variance < ts.ZNormThreshold*ts.ZNormThreshold {
-			w.inv[i] = 0 // constant window sentinel: z-norm is the zero vector
-		} else {
-			w.inv[i] = 1 / math.Sqrt(variance)
+	var sums windowSums
+	for _, x := range series[:n] {
+		sums = sums.add(x)
+	}
+	for i := range w.mean {
+		w.mean[i], w.inv[i] = sums.stats(fn)
+		if i+n < len(series) {
+			sums = sums.slide(series[i+n], series[i])
 		}
-		if i+n >= len(series) {
-			break
-		}
-		out := series[i]
-		in := series[i+n]
-		sum += in - out
-		sumsq += in*in - out*out
 	}
 }
 
@@ -161,12 +141,14 @@ func (m *Matcher) BestQuerySeeded(q *Query, seedPos int) Match {
 		//rpmlint:ignore hotpathalloc degenerate short-query fallback copies once; production queries are longer than every pattern
 		return m.Best(series)
 	}
-	return bestMatchZStats(m.zp, series, q.Stats(len(m.zp)), m.zpSq, seedPos)
+	return m.scanStats(series, q.Stats(len(m.zp)), seedPos)
 }
 
-// bestMatchZStats is bestMatchZ reading precomputed window stats, with
-// optional seeding. Invariant (pinned by quick.Check in query_test.go):
-// for any seedPos the result is bit-identical to bestMatchZ(zp, series).
+// scanStats is the filtered counterpart of the sequential scan: it reads
+// precomputed window stats and visits windows in a stride order behind a
+// cheap filter, with optional seeding. Invariant (pinned by quick.Check
+// in query_test.go): for any seedPos the result is bit-identical to
+// Best(series).
 //
 // Why seeding preserves the result: the scan updates on d < best, plus a
 // tie rule (d == best && i < bestPos) that only the seed can trigger —
@@ -177,17 +159,15 @@ func (m *Matcher) BestQuerySeeded(q *Query, seedPos int) Match {
 // is strictly d > best. The scan skips the seed position itself: its
 // exact distance is already in hand and, since best <= that value
 // throughout, re-evaluating it can never update best or bestPos.
-//
-// zpSq is the precomputed Σzp² (the exact value the constant-window
-// branch would accumulate; see NewMatcher).
-func bestMatchZStats(zp, series []float64, st *WindowStats, zpSq float64, seedPos int) Match {
+func (m *Matcher) scanStats(series []float64, st *WindowStats, seedPos int) Match {
+	zp := m.zp
 	n := len(zp)
 	fn := float64(n)
 	nw := len(series) - n + 1
 	best := math.Inf(1)
 	bestPos := -1
 	if seedPos >= 0 && seedPos < nw {
-		best = windowDistStats(zp, series, st, seedPos, math.Inf(1))
+		best = m.windowDist(series[seedPos:seedPos+n], st.mean[seedPos], st.inv[seedPos], math.Inf(1))
 		bestPos = seedPos
 	} else {
 		seedPos = -1
@@ -217,13 +197,13 @@ func bestMatchZStats(zp, series []float64, st *WindowStats, zpSq float64, seedPo
 	// non-decreasing, fl(d+t) ≥ d for t ≥ 0 — exceeds best too: the
 	// window can neither update best nor tie it, so rejecting it cannot
 	// change the result. NaN inputs compare false and fall through to
-	// phase 2, which handles them exactly as the naive kernel does.
+	// phase 2, which handles them exactly as the sequential scan does.
 	//
 	// Phase 2 — exact evaluation: survivors (near-optimal windows and
 	// ties; the margin makes false rejection impossible, false survival
 	// merely costs this re-evaluation) are re-accumulated in strict
-	// index order with the per-element abandon test, the bit-identical
-	// arithmetic of bestMatchZ. Only phase 2 updates best/bestPos.
+	// index order with the per-element abandon test by windowDist, the
+	// sequential scan's evaluator. Only phase 2 updates best/bestPos.
 	relMargin := 1 + 1e-12 + float64(n)*1e-15
 	thresh := best * relMargin
 	// Streaming prepass: the filter's first four terms are computed for
@@ -274,58 +254,44 @@ func bestMatchZStats(zp, series []float64, st *WindowStats, zpSq float64, seedPo
 			if i == seedPos {
 				continue // exact distance known: best <= it, no update possible
 			}
-			var d float64
-			inv := invs[i]
-			if inv == 0 {
-				// Constant window: z-norm is the zero vector, so the
-				// distance is Σzp² — precomputed with the identical
-				// accumulation order, so comparing it IS the exact
-				// phase-2 comparison.
-				d = zpSq
-			} else {
-				mean := means[i]
-				w := series[i : i+n]
+			mean, inv := means[i], invs[i]
+			w := series[i : i+n]
+			if inv != 0 && !math.IsInf(thresh, 1) {
+				// Phase 1 on a non-constant window (a constant one goes
+				// straight to phase 2, which returns the precomputed
+				// Σzp²). An infinite thresh (no best yet) can never
+				// reject; skip straight to the exact pass in that case
+				// rather than paying both.
 				zpw := zp[:len(w)] // BCE hint: len(zpw) == len(w)
-				if !math.IsInf(thresh, 1) {
-					// An infinite thresh (no best yet) can never reject;
-					// skip straight to the exact pass in that case rather
-					// than paying both.
-					var s0, s1, s2, s3 float64
-					j := 0
-					if lb != nil {
-						s0 = lb[i]
-						j = preN
-					}
-					for ; j+3 < len(w); j += 4 {
-						e0 := (w[j]-mean)*inv - zpw[j]
-						s0 += e0 * e0
-						e1 := (w[j+1]-mean)*inv - zpw[j+1]
-						s1 += e1 * e1
-						e2 := (w[j+2]-mean)*inv - zpw[j+2]
-						s2 += e2 * e2
-						e3 := (w[j+3]-mean)*inv - zpw[j+3]
-						s3 += e3 * e3
-						if s0+s1+s2+s3 > thresh {
-							continue scan
-						}
-					}
-					for ; j < len(w); j++ {
-						et := (w[j]-mean)*inv - zpw[j]
-						s0 += et * et
-					}
+				var s0, s1, s2, s3 float64
+				j := 0
+				if lb != nil {
+					s0 = lb[i]
+					j = preN
+				}
+				for ; j+3 < len(w); j += 4 {
+					e0 := (w[j]-mean)*inv - zpw[j]
+					s0 += e0 * e0
+					e1 := (w[j+1]-mean)*inv - zpw[j+1]
+					s1 += e1 * e1
+					e2 := (w[j+2]-mean)*inv - zpw[j+2]
+					s2 += e2 * e2
+					e3 := (w[j+3]-mean)*inv - zpw[j+3]
+					s3 += e3 * e3
 					if s0+s1+s2+s3 > thresh {
 						continue scan
 					}
 				}
-				// Survivor: exact in-order re-evaluation.
-				for k, x := range w {
-					diff := (x-mean)*inv - zpw[k]
-					d += diff * diff
-					if d > best {
-						continue scan
-					}
+				for ; j < len(w); j++ {
+					et := (w[j]-mean)*inv - zpw[j]
+					s0 += et * et
+				}
+				if s0+s1+s2+s3 > thresh {
+					continue scan
 				}
 			}
+			// Survivor: exact in-order evaluation.
+			d := m.windowDist(w, mean, inv, best)
 			if d < best {
 				best = d
 				bestPos = i
@@ -386,33 +352,4 @@ func BestQueryGroup(ms []*Matcher, q *Query, seeds []int, out []Match) {
 		}
 		out[k] = m.BestQuerySeeded(q, sp)
 	}
-}
-
-// windowDistStats is one window's squared z-normalized distance against
-// zp, early-abandoning above limit, with mean/inv read from st. The
-// arithmetic matches bestMatchZ's inner loop exactly. It is the seed
-// evaluator of bestMatchZStats (limit +Inf ⇒ always the full distance).
-func windowDistStats(zp, series []float64, st *WindowStats, i int, limit float64) float64 {
-	var d float64
-	if inv := st.inv[i]; inv == 0 {
-		// constant window: z-norm is the zero vector
-		for _, x := range zp {
-			d += x * x
-			if d > limit {
-				return math.Inf(1)
-			}
-		}
-	} else {
-		mean := st.mean[i]
-		w := series[i : i+len(zp)]
-		zpw := zp[:len(w)]
-		for j, x := range w {
-			diff := (x-mean)*inv - zpw[j]
-			d += diff * diff
-			if d > limit {
-				return math.Inf(1)
-			}
-		}
-	}
-	return d
 }

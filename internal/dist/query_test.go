@@ -7,10 +7,10 @@ import (
 	"testing/quick"
 )
 
-// TestBestQueryBitIdentical pins the tentpole contract: for random
-// series and patterns, Matcher.BestQuery through shared WindowStats is
-// bit-identical (Dist AND Pos) to the per-matcher Best sweep, seeded or
-// not, for every seed position including invalid ones.
+// TestBestQueryBitIdentical pins the Query contract: for random series
+// and patterns, Matcher.BestQuery through shared WindowStats is
+// bit-identical (Dist AND Pos) to the oracle kernel, seeded or not, for
+// every seed position including invalid ones.
 func TestBestQueryBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -19,15 +19,15 @@ func TestBestQueryBitIdentical(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			pat := makeSeries(rng, 2+rng.Intn(len(series)-2))
 			m := NewMatcher(pat)
-			want := m.Best(series)
+			want := oracleBest(m, series)
 			if got := m.BestQuery(q); got != want {
-				t.Logf("seed %d: unseeded BestQuery %+v != Best %+v", seed, got, want)
+				t.Logf("seed %d: unseeded BestQuery %+v != oracle %+v", seed, got, want)
 				return false
 			}
 			// Every seed, valid or not, must leave the result untouched.
 			for _, sp := range []int{-1, 0, 1, len(series) / 2, len(series) - len(pat), len(series) + 3, want.Pos} {
 				if got := m.BestQuerySeeded(q, sp); got != want {
-					t.Logf("seed %d pos %d: seeded %+v != Best %+v", seed, sp, got, want)
+					t.Logf("seed %d pos %d: seeded %+v != oracle %+v", seed, sp, got, want)
 					return false
 				}
 			}
@@ -67,9 +67,9 @@ func TestBestQueryAffineInvariance(t *testing.T) {
 	}
 }
 
-// TestBestQueryAgreesWithClosestMatch: the Query path must agree with
-// the package-level ClosestMatch entry point to the bit (same kernel
-// arithmetic, shared stats notwithstanding).
+// TestBestQueryAgreesWithClosestMatch: the Query path must agree to the
+// bit with ClosestMatch's contract as the oracle kernel computes it,
+// pattern lengths from 1 (no lb prepass) up to the series length.
 func TestBestQueryAgreesWithClosestMatch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -77,9 +77,9 @@ func TestBestQueryAgreesWithClosestMatch(t *testing.T) {
 		pat := makeSeries(rng, 1+rng.Intn(len(series)))
 		m := NewMatcher(pat)
 		got := m.BestQuery(NewQuery(series))
-		want := m.Best(series)
+		want := oracleClosestMatch(pat, series)
 		if got != want {
-			t.Logf("seed %d: BestQuery %+v != Best %+v", seed, got, want)
+			t.Logf("seed %d: BestQuery %+v != oracle %+v", seed, got, want)
 			return false
 		}
 		return true
@@ -90,7 +90,7 @@ func TestBestQueryAgreesWithClosestMatch(t *testing.T) {
 }
 
 // TestBestQueryConstantWindows: series with constant stretches exercise
-// the inv==0 sentinel path; the result must still match the inline
+// the inv==0 sentinel path; the result must still match the oracle
 // kernel bit-for-bit and stay finite.
 func TestBestQueryConstantWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -106,7 +106,7 @@ func TestBestQueryConstantWindows(t *testing.T) {
 	q := NewQuery(series)
 	for _, n := range []int{4, 10, 19, 40} {
 		m := NewMatcher(makeSeries(rng, n))
-		want := m.Best(series)
+		want := oracleBest(m, series)
 		for _, sp := range []int{-1, 0, 5, 70} {
 			if got := m.BestQuerySeeded(q, sp); got != want {
 				t.Fatalf("n=%d seed %d: %+v != %+v", n, sp, got, want)
@@ -119,24 +119,25 @@ func TestBestQueryConstantWindows(t *testing.T) {
 	// Fully constant series: every window is constant.
 	flat := NewQuery(make([]float64, 30))
 	m := NewMatcher(makeSeries(rng, 8))
-	if got, want := m.BestQuery(flat), m.Best(flat.Series()); got != want {
+	if got, want := m.BestQuery(flat), oracleBest(m, flat.Series()); got != want {
 		t.Fatalf("constant series: %+v != %+v", got, want)
 	}
 }
 
 // TestBestQueryShortQuery: a series shorter than the pattern routes
-// through the swapped Best path and must agree with it exactly; Stats
-// must not be consulted (it would panic on n > len(series)).
+// through the swapped Best path and must agree with the oracle's swap
+// exactly; Stats must not be consulted (it would panic on n >
+// len(series)).
 func TestBestQueryShortQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pat := makeSeries(rng, 50)
 	m := NewMatcher(pat)
 	short := makeSeries(rng, 12)
 	q := NewQuery(short)
-	if got, want := m.BestQuery(q), m.Best(short); got != want {
-		t.Fatalf("short query: BestQuery %+v != Best %+v", got, want)
+	if got, want := m.BestQuery(q), oracleBest(m, short); got != want {
+		t.Fatalf("short query: BestQuery %+v != oracle %+v", got, want)
 	}
-	if got, want := m.BestQuerySeeded(q, 3), m.Best(short); got != want {
+	if got, want := m.BestQuerySeeded(q, 3), oracleBest(m, short); got != want {
 		t.Fatalf("short query seeded: %+v != %+v", got, want)
 	}
 	// Empty series and empty pattern degenerate cases.
@@ -149,7 +150,7 @@ func TestBestQueryShortQuery(t *testing.T) {
 }
 
 // TestBestQuerySeededTieHeavy is the fixed-seed fuzz-style comparison of
-// the seeded-abandon scan against the naive scan order on tie-heavy
+// the seeded-abandon scan against the oracle's scan order on tie-heavy
 // inputs. Two regimes: a periodic series, where many positions attain
 // near-identical minima (exact ties up to rolling-sum rounding drift),
 // and a series with separated constant stretches, where every constant
@@ -180,7 +181,7 @@ func TestBestQuerySeededTieHeavy(t *testing.T) {
 			start := rng.Intn(len(series) - n)
 			pat := series[start : start+n]
 			m := NewMatcher(pat)
-			want := m.Best(series)
+			want := oracleBest(m, series)
 			for sp := -1; sp <= len(series)-n; sp += 1 + rng.Intn(7) {
 				if got := m.BestQuerySeeded(q, sp); got != want {
 					t.Fatalf("trial %d seed %d: %+v != %+v", trial, sp, got, want)
@@ -193,7 +194,7 @@ func TestBestQuerySeededTieHeavy(t *testing.T) {
 	// a later tying position.
 	m := NewMatcher(make([]float64, 8)) // constant pattern: zp is the zero vector, d=0 on constant windows
 	q := NewQuery(flatty)
-	want := m.Best(flatty)
+	want := oracleBest(m, flatty)
 	if want.Pos != 10 {
 		t.Fatalf("constant pattern should match the first constant window, got %+v", want)
 	}
@@ -204,9 +205,9 @@ func TestBestQuerySeededTieHeavy(t *testing.T) {
 	}
 }
 
-// TestBestQueryGroupBitIdentical pins the group entry point: it must
-// equal a hand-rolled loop of per-matcher BestQuerySeeded calls bit for
-// bit (same delegation, shared stats), with nil seeds meaning all
+// TestBestQueryGroupBitIdentical pins the group entry point: every
+// matcher's result must equal the oracle kernel's bit for bit, whatever
+// its seed (valid, invalid or -1) and with nil seeds meaning all
 // unseeded.
 func TestBestQueryGroupBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
@@ -223,22 +224,16 @@ func TestBestQueryGroupBitIdentical(t *testing.T) {
 		q := NewQuery(series)
 		want := make([]Match, k)
 		for i, m := range ms {
-			want[i] = m.BestQuerySeeded(q, seeds[i])
+			want[i] = oracleBest(m, series)
 		}
 		got := make([]Match, k)
-		BestQueryGroup(ms, q, seeds, got)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Logf("seed %d matcher %d: group %+v != seeded %+v", seed, i, got[i], want[i])
-				return false
-			}
-		}
-		// nil seeds ⇒ every matcher unseeded.
-		BestQueryGroup(ms, q, nil, got)
-		for i, m := range ms {
-			if w := m.BestQuery(q); got[i] != w {
-				t.Logf("seed %d matcher %d: nil-seed group %+v != BestQuery %+v", seed, i, got[i], w)
-				return false
+		for _, sd := range [][]int{seeds, nil} {
+			BestQueryGroup(ms, q, sd, got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Logf("seed %d matcher %d (seeds %v): group %+v != oracle %+v", seed, i, sd, got[i], want[i])
+					return false
+				}
 			}
 		}
 		return true
@@ -282,7 +277,7 @@ func TestBestQueryGroupPanics(t *testing.T) {
 
 // TestQueryResetReuse: a Reset query recomputes stats for the new series
 // (no stale cache) while reusing backing arrays; results stay identical
-// to fresh queries.
+// to the oracle's.
 func TestQueryResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := NewQuery(makeSeries(rng, 64))
@@ -293,10 +288,10 @@ func TestQueryResetReuse(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		series := makeSeries(rng, 32+rng.Intn(64))
 		q.Reset(series)
-		if got, want := m1.BestQuery(q), m1.Best(series); got != want {
+		if got, want := m1.BestQuery(q), oracleBest(m1, series); got != want {
 			t.Fatalf("iter %d: m1 %+v != %+v", i, got, want)
 		}
-		if got, want := m2.BestQuery(q), m2.Best(series); got != want {
+		if got, want := m2.BestQuery(q), oracleBest(m2, series); got != want {
 			t.Fatalf("iter %d: m2 %+v != %+v", i, got, want)
 		}
 	}
@@ -318,34 +313,22 @@ func TestQueryStatsPanics(t *testing.T) {
 }
 
 // TestWindowStatsRecurrence: the cached mean/inv must be the exact
-// values the inline rolling recurrence produces (bit equality), window
-// by window.
+// values the oracle kernel's inline recurrence produces (bit equality),
+// window by window, on series with constant stretches and NaNs.
 func TestWindowStatsRecurrence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	series := makeSeries(rng, 96)
+	series := genStreamSeries(rng, 96)
 	for _, n := range []int{1, 2, 7, 33, 96} {
 		st := NewQuery(series).Stats(n)
-		var sum, sumsq float64
-		for _, x := range series[:n] {
-			sum += x
-			sumsq += x * x
+		means, invs := oracleStats(series, n)
+		if st.Len() != n || st.Windows() != len(means) {
+			t.Fatalf("n=%d: Len/Windows %d/%d, want %d windows", n, st.Len(), st.Windows(), len(means))
 		}
-		fn := float64(n)
-		for i := 0; ; i++ {
-			mean := sum / fn
-			if st.mean[i] != mean {
-				t.Fatalf("n=%d window %d: mean %v != %v", n, i, st.mean[i], mean)
+		for i := range means {
+			if math.Float64bits(st.mean[i]) != math.Float64bits(means[i]) ||
+				math.Float64bits(st.inv[i]) != math.Float64bits(invs[i]) {
+				t.Fatalf("n=%d window %d: (%v,%v) != oracle (%v,%v)", n, i, st.mean[i], st.inv[i], means[i], invs[i])
 			}
-			if i+n >= len(series) {
-				break
-			}
-			out := series[i]
-			in := series[i+n]
-			sum += in - out
-			sumsq += in*in - out*out
-		}
-		if st.Len() != n || st.Windows() != len(series)-n+1 {
-			t.Fatalf("n=%d: Len/Windows %d/%d", st.Len(), st.Windows(), n)
 		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 
 // TestMatcherBestShortEquivalence pins the hoisted short-query path of
 // Matcher.Best: for every query shorter than the pattern the result is
-// byte-identical to the old routing through ClosestMatch on the stored
-// z-normalized pattern, and agrees with ClosestMatch on the raw pattern
-// up to floating point (per-window z-normalization is invariant to the
-// pattern's global normalization).
+// bit-identical to the oracle kernel sliding the z-normalized query over
+// the stored z-normalized pattern, and agrees with ClosestMatch on the
+// raw pattern up to floating point (per-window z-normalization is
+// invariant to the pattern's global normalization).
 func TestMatcherBestShortEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -22,19 +22,18 @@ func TestMatcherBestShortEquivalence(t *testing.T) {
 		q := makeSeries(rng, 1+rng.Intn(len(pat)-1)) // strictly shorter
 		m := NewMatcher(pat)
 		got := m.Best(q)
-		// Old routing, spelled out: swap roles, z-normalize the query,
-		// slide it over the stored zp.
-		old := ClosestMatch(ts.ZNorm(pat), q)
-		if got.Pos != old.Pos || got.Dist != old.Dist {
-			t.Logf("seed %d: hoisted %+v != old routing %+v", seed, got, old)
+		// Swap roles, z-normalize the query, slide it over the stored zp.
+		old := bestMatchZ(ts.ZNorm(q), ts.ZNorm(pat))
+		if !sameMatch(got, old) {
+			t.Logf("seed %d: hoisted %+v != oracle %+v", seed, got, old)
 			return false
 		}
 		// Raw-pattern agreement (affine invariance of per-window z-norm).
 		// Distances must agree to fp tolerance; positions may differ when
 		// several windows tie, since tie-breaking is fp-noise sensitive.
-		raw := ClosestMatch(pat, q)
+		raw := oracleClosestMatch(pat, q)
 		if math.Abs(got.Dist-raw.Dist) > 1e-9 {
-			t.Logf("seed %d: hoisted %+v != raw ClosestMatch %+v", seed, got, raw)
+			t.Logf("seed %d: hoisted %+v != raw-pattern oracle %+v", seed, got, raw)
 			return false
 		}
 		return true

@@ -6,37 +6,59 @@ import (
 	"rpm/internal/ts"
 )
 
-// This file is the incremental (streaming) counterpart of the batch
-// closest-match scan: the same arithmetic as bestMatchZ, re-cut so a
-// caller that receives a series one sample at a time pays O(1) rolling
-// mean/variance work per (sample, window length) and one early-abandoned
-// window evaluation per (sample, pattern) — and ends up with a Match
-// that is bit-identical to Matcher.Best over the fully assembled series
-// (pinned by quick.Check in stream_test.go).
+// Every closest-match scan takes its window statistics from windowSums,
+// the one rolling mean/variance recurrence, and its exact window
+// distances from Matcher.windowDist (dist.go), the one window evaluator.
+// The sequential scan (Matcher.Best), the stream Detector (through
+// RollingStats and StreamEval), WindowStats and the filtered Query scan
+// are drivers around these two, which is what makes their results
+// bit-identical to each other.
 //
-// The split of responsibilities mirrors the Query path: RollingStats is
-// the per-length normalization state every same-length pattern shares
-// (the WindowStats recurrence, kept as running sums instead of a
-// precomputed array), StreamScan is the tens-of-bytes per-pattern state
-// (current best squared distance and its position), and the caller —
-// internal/stream's Detector — owns the one ring buffer of raw samples
-// all lengths read their windows from.
+// For a caller that receives a series one sample at a time,
+// RollingStats is the per-length normalization state every same-length
+// pattern shares, StreamScan the per-pattern state (current best squared
+// distance and its position), and the caller — internal/stream's
+// Detector — owns the one ring buffer of raw samples all lengths read
+// their windows from.
+
+// windowSums is the state of the one rolling recurrence: the running sum
+// and sum of squares of one window. The first window's sums accumulate
+// element by element (add), each later window slides them by
+// sum += in - out (slide), and stats derives (mean, inv) from them with
+// inv == 0 marking a constant window. Prefix-sum differences or any other
+// reassociation round differently, so every window statistic in the
+// package comes from these three methods. They work on values, so a scan
+// keeps the sums in registers.
+type windowSums struct{ sum, sumq float64 }
+
+// add folds the next sample of the first window in.
+func (w windowSums) add(x float64) windowSums {
+	return windowSums{w.sum + x, w.sumq + x*x}
+}
+
+// slide moves the window one sample on: in enters, out leaves.
+func (w windowSums) slide(in, out float64) windowSums {
+	return windowSums{w.sum + (in - out), w.sumq + (in*in - out*out)}
+}
+
+// stats returns the mean and inverse standard deviation of the fn-sample
+// window, with inv 0 for a constant window (its z-norm is the zero
+// vector).
+func (w windowSums) stats(fn float64) (mean, inv float64) {
+	mean = w.sum / fn
+	if variance := w.sumq/fn - mean*mean; !(variance < ts.ZNormThreshold*ts.ZNormThreshold) {
+		inv = 1 / math.Sqrt(variance)
+	}
+	return mean, inv
+}
 
 // RollingStats is the O(1)-per-sample rolling z-normalization state of
-// one window length over an append-only series: the running sum and
-// sum-of-squares of the most recent n samples. Push folds one sample in
-// using the exact recurrence of bestMatchZ / WindowStats.compute —
-// initial element-by-element accumulation over the first n samples,
-// then sum += in - out per slide — so the (mean, inv) pair it yields
-// for window i is bit-identical to the batch scan's, including the
-// inv == 0 constant-window sentinel. Do not "simplify" the update
-// arithmetic: any reassociation rounds differently and breaks the
-// streaming-vs-batch equivalence contract.
+// one window length over an append-only series: the windowSums of the
+// most recent n samples, advanced one pushed sample at a time.
 type RollingStats struct {
 	n    int
 	fn   float64
-	sum  float64
-	sumq float64
+	sums windowSums
 	seen int
 }
 
@@ -59,37 +81,27 @@ func (r *RollingStats) Seen() int { return r.seen }
 func (r *RollingStats) Full() bool { return r.seen >= r.n }
 
 // Push folds the next sample in and, once a full window exists, returns
-// that window's (mean, inv) — inv 0 for a constant window, mirroring
-// WindowStats — with ok true. out must be the sample leaving the window
-// (the one pushed n samples ago); it is ignored while the first window
-// is still filling, so callers may pass 0 until Full reports true
-// before the push.
+// that window's (mean, inv) — inv 0 for a constant window — with ok
+// true. out must be the sample leaving the window (the one pushed n
+// samples ago); it is ignored while the first window is still filling,
+// so callers may pass 0 until Full reports true before the push.
 func (r *RollingStats) Push(in, out float64) (mean, inv float64, ok bool) {
 	if r.seen < r.n {
-		// First window still filling: the element-by-element accumulation
-		// of bestMatchZ's initial loop, one element per call.
-		r.sum += in
-		r.sumq += in * in
-		r.seen++
-		if r.seen < r.n {
-			return 0, 0, false
-		}
+		r.sums = r.sums.add(in)
 	} else {
-		r.seen++
-		r.sum += in - out
-		r.sumq += in*in - out*out
+		r.sums = r.sums.slide(in, out)
 	}
-	mean = r.sum / r.fn
-	variance := r.sumq/r.fn - mean*mean
-	if variance < ts.ZNormThreshold*ts.ZNormThreshold {
-		return mean, 0, true // constant window sentinel: z-norm is the zero vector
+	r.seen++
+	if r.seen < r.n {
+		return 0, 0, false
 	}
-	return mean, 1 / math.Sqrt(variance), true
+	mean, inv = r.sums.stats(r.fn)
+	return mean, inv, true
 }
 
 // Reset returns the stats to their initial (empty) state.
 func (r *RollingStats) Reset() {
-	r.sum, r.sumq, r.seen = 0, 0, 0
+	r.sums, r.seen = windowSums{}, 0
 }
 
 // StreamScan is the per-pattern state of a streaming closest-match
@@ -116,39 +128,12 @@ func NewStreamScan() StreamScan {
 
 // StreamEval folds one window into the scan: window is the raw samples
 // series[pos : pos+m.Len()], (mean, inv) its RollingStats output. The
-// body is bestMatchZ's window evaluation verbatim — the constant-window
-// Σzp² branch, the per-element early abandon against the current best,
-// the strict d < best update — so evaluating windows 0..i in order
-// leaves the scan bit-identical to a batch scan over series[:pos+m.Len()].
-// Ties need no explicit rule: positions only grow, so the first strict
-// improvement wins, exactly as in the batch scan.
+// window is evaluated by windowDist against the current best and kept
+// on a strict improvement; positions only grow, so the first of tied
+// windows wins: the sequential scan's per-window step.
 func (m *Matcher) StreamEval(s *StreamScan, window []float64, mean, inv float64, pos int) {
-	best := s.best
-	var d float64
-	if inv == 0 {
-		// constant window: z-norm is the zero vector
-		for _, x := range m.zp {
-			d += x * x
-			if d > best {
-				d = math.Inf(1)
-				break
-			}
-		}
-	} else {
-		zp := m.zp
-		w := window[:len(zp)] // BCE hint + contract check: len(window) == m.Len()
-		for j, x := range w {
-			diff := (x-mean)*inv - zp[j]
-			d += diff * diff
-			if d > best {
-				d = math.Inf(1)
-				break
-			}
-		}
-	}
-	if d < best {
-		s.best = d
-		s.bestPos = pos
+	if d := m.windowDist(window, mean, inv, s.best); d < s.best {
+		*s = StreamScan{d, pos}
 	}
 }
 

@@ -73,8 +73,8 @@ func genStreamSeries(rng *rand.Rand, n int) []float64 {
 
 // TestStreamBitIdenticalToBest pins the streaming contract: feeding a
 // series sample-by-sample yields bit-identical Dist AND Pos to the
-// batch Matcher.Best scan, across smooth, constant, tie-heavy and
-// NaN-bearing regimes.
+// batch Best contract as the oracle kernel computes it, across smooth,
+// constant, tie-heavy and NaN-bearing regimes.
 func TestStreamBitIdenticalToBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	f := func() bool {
@@ -83,15 +83,9 @@ func TestStreamBitIdenticalToBest(t *testing.T) {
 		pat := genStreamSeries(rng, n)
 		series := genStreamSeries(rng, sn)
 		m := NewMatcher(pat)
-		want := m.Best(series)
-		got := feedStream(m, series)
-		if got.Pos != want.Pos {
-			t.Logf("pos: got %d want %d (n=%d sn=%d)", got.Pos, want.Pos, n, sn)
-			return false
-		}
-		// Bit-identical: compare raw bits so NaN==NaN and -0 != 0.
-		if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
-			t.Logf("dist: got %x want %x", math.Float64bits(got.Dist), math.Float64bits(want.Dist))
+		want := oracleBest(m, series)
+		if got := feedStream(m, series); !sameMatch(got, want) {
+			t.Logf("got %+v want %+v (n=%d sn=%d)", got, want, n, sn)
 			return false
 		}
 		return true
@@ -117,15 +111,19 @@ func TestStreamShortSeries(t *testing.T) {
 }
 
 // TestRollingStatsMatchesWindowStats pins that the rolling recurrence
-// yields exactly the (mean, inv) sequence WindowStats.compute produces —
-// the shared foundation both equivalence proofs stand on.
+// and WindowStats.compute both yield exactly the oracle kernel's
+// (mean, inv) sequence — the foundation every equivalence stands on.
 func TestRollingStatsMatchesWindowStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for iter := 0; iter < 50; iter++ {
 		n := 1 + rng.Intn(16)
 		series := genStreamSeries(rng, n+rng.Intn(80))
+		means, invs := oracleStats(series, n)
 		var ws WindowStats
 		ws.compute(series, n)
+		if ws.Windows() != len(means) {
+			t.Fatalf("batch yielded %d windows, oracle %d", ws.Windows(), len(means))
+		}
 		rs := NewRollingStats(n)
 		w := 0
 		for t2, x := range series {
@@ -137,15 +135,17 @@ func TestRollingStatsMatchesWindowStats(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if math.Float64bits(mean) != math.Float64bits(ws.mean[w]) ||
-				math.Float64bits(inv) != math.Float64bits(ws.inv[w]) {
-				t.Fatalf("window %d (n=%d): rolling (%v,%v) != batch (%v,%v)",
-					w, n, mean, inv, ws.mean[w], ws.inv[w])
+			for _, got := range [][2]float64{{mean, inv}, {ws.mean[w], ws.inv[w]}} {
+				if math.Float64bits(got[0]) != math.Float64bits(means[w]) ||
+					math.Float64bits(got[1]) != math.Float64bits(invs[w]) {
+					t.Fatalf("window %d (n=%d): (%v,%v) != oracle (%v,%v)",
+						w, n, got[0], got[1], means[w], invs[w])
+				}
 			}
 			w++
 		}
-		if w != ws.Windows() {
-			t.Fatalf("rolling yielded %d windows, batch %d", w, ws.Windows())
+		if w != len(means) {
+			t.Fatalf("rolling yielded %d windows, oracle %d", w, len(means))
 		}
 	}
 }

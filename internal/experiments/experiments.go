@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"rpm/internal/bop"
 	"rpm/internal/core"
 	"rpm/internal/datagen"
 	"rpm/internal/dataset"
@@ -25,14 +24,11 @@ import (
 	"rpm/internal/obs"
 	"rpm/internal/parallel"
 	"rpm/internal/saxvsm"
-	"rpm/internal/shapelettransform"
 	"rpm/internal/stats"
 	"rpm/internal/ts"
 )
 
-// Method names, in the paper's column order. MethodST (Shapelet
-// Transform) is an extension not present in the paper's tables; request it
-// explicitly via Config.Methods.
+// Method names, in the paper's column order.
 const (
 	MethodNNED   = "NN-ED"
 	MethodNNDTWB = "NN-DTWB"
@@ -40,8 +36,6 @@ const (
 	MethodFS     = "FS"
 	MethodLS     = "LS"
 	MethodRPM    = "RPM"
-	MethodST     = "ST"
-	MethodBOP    = "BOP"
 )
 
 // AllMethods is the paper's Table 1 column order.
@@ -183,10 +177,6 @@ func TrainMethod(name string, train ts.Dataset, cfg Config) (predictor, time.Dur
 		p = learnshapelets.Train(train, lsCfg)
 	case MethodRPM:
 		p, err = core.TrainContext(cfg.Context, train, rpmOptions(cfg))
-	case MethodST:
-		p = shapelettransform.Train(train, shapelettransform.Config{Seed: cfg.Seed})
-	case MethodBOP:
-		p = bop.Train(train, saxvsm.SelectParams(train, cfg.Seed))
 	default:
 		err = fmt.Errorf("experiments: unknown method %q", name)
 	}

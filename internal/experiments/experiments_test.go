@@ -253,21 +253,3 @@ func TestAblationRunAndFormat(t *testing.T) {
 		t.Errorf("ablation format:\n%s", out)
 	}
 }
-
-func TestExtensionMethodsRun(t *testing.T) {
-	split := datagen.MustByName("SynItalyPower").Generate(1)
-	cfg := Config{Seed: 1, Quick: true, Methods: []string{MethodST, MethodBOP}}
-	res, err := RunDataset(split, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range cfg.Methods {
-		r, ok := res.Results[m]
-		if !ok {
-			t.Fatalf("method %s missing", m)
-		}
-		if r.Err > 0.45 {
-			t.Errorf("%s error = %v", m, r.Err)
-		}
-	}
-}

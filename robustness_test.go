@@ -356,8 +356,6 @@ func TestBaselineConstructorValidation(t *testing.T) {
 		"TrainSAXVSM":            func(d Dataset) (Model, error) { return TrainSAXVSM(d, 1) },
 		"TrainFastShapelets":     func(d Dataset) (Model, error) { return TrainFastShapelets(d, 1) },
 		"TrainLearningShapelets": func(d Dataset) (Model, error) { return TrainLearningShapelets(d, 1) },
-		"TrainBagOfPatterns":     func(d Dataset) (Model, error) { return TrainBagOfPatterns(d, 1) },
-		"TrainShapeletTransform": func(d Dataset) (Model, error) { return TrainShapeletTransform(d, 1) },
 	}
 	hostile := map[string]Dataset{
 		"empty":     {},

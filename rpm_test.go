@@ -84,9 +84,7 @@ func TestBaselinesSatisfyModel(t *testing.T) {
 func TestExtensionBaselines(t *testing.T) {
 	split := GenerateDataset("SynItalyPower", 5)
 	models := map[string]func() (Model, error){
-		"ST":  func() (Model, error) { return TrainShapeletTransform(split.Train, 1) },
-		"BOP": func() (Model, error) { return TrainBagOfPatterns(split.Train, 1) },
-		"LS":  func() (Model, error) { return TrainLearningShapelets(split.Train, 1) },
+		"LS": func() (Model, error) { return TrainLearningShapelets(split.Train, 1) },
 	}
 	for name, build := range models {
 		m, err := build()
