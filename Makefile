@@ -59,7 +59,7 @@ COVER_PKGS = . \
 
 .PHONY: all build test race vet lint lint-drill bench fuzz cover check \
 	bench-json bench-gate bench-baseline load-smoke stream-smoke chaos \
-	archive-smoke perfbench-check
+	archive-smoke perfbench-check bench-smoke
 
 all: check
 
@@ -170,6 +170,13 @@ chaos:
 archive-smoke:
 	./scripts/archive_smoke.sh
 
+# Paper-artifact smoke: every table/figure benchmark of bench_test.go
+# (Tables 1–4, Figs. 7–9, the §6.2 case study) runs once, so the
+# experiments' wiring through the archive runner is exercised on every
+# check, not only when someone regenerates the paper's results.
+bench-smoke:
+	$(GO) test -run xxx -bench '^Benchmark(Table[1-4]|Fig[789]|AlarmCase)$$' -benchtime 1x .
+
 # The repo benchmark (perfbench/, run by perfbench/run.sh) is its own Go
 # module built against this one, so `go test ./...` never compiles it.
 # Vet and short-test it so a change to an API it uses fails the check.
@@ -177,4 +184,4 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -short ./...
 
-check: build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check
+check: build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check bench-smoke

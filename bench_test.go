@@ -7,6 +7,8 @@
 package rpm_test
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"rpm/internal/datagen"
 	"rpm/internal/dist"
 	"rpm/internal/experiments"
+	"rpm/internal/experiments/archive"
 	"rpm/internal/sax"
 	"rpm/internal/sequitur"
 	"rpm/internal/stats"
@@ -23,20 +26,28 @@ import (
 // benchSubset keeps table benches fast; cmd/benchtab runs the full suite.
 var benchSubset = []string{"SynItalyPower", "SynECGFiveDays", "SynMoteStrain"}
 
-func benchConfig(seed int64) experiments.Config {
-	return experiments.Config{Seed: seed, Quick: true, Datasets: benchSubset}
+var benchCfg = experiments.Config{Seed: 1, Quick: true}
+
+// benchRun evaluates methods on the named datasets of src (the synthetic
+// suite when nil) through the archive runner.
+func benchRun(b *testing.B, src archive.Source, datasets []string, methods []archive.Method) []archive.Outcome {
+	if src == nil {
+		src = archive.SyntheticSource{Seed: 1}
+	}
+	rows, err := experiments.Evaluate(context.Background(), archive.Config{Source: src, Seed: 1, Datasets: datasets, Methods: methods})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
 }
 
 // BenchmarkTable1 regenerates Table 1 (classification error, six methods)
 // on the benchmark subset, reporting each method's mean error.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunSuite(benchConfig(1), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRun(b, nil, benchSubset, experiments.Methods(benchCfg, experiments.AllMethods()...))
 		if i == b.N-1 {
-			reportMeanErrors(b, results, experiments.AllMethods())
+			reportMeanErrors(b, rows)
 		}
 	}
 }
@@ -44,27 +55,16 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates Table 2 (runtime of LS, FS, RPM), reporting
 // the mean LS/RPM speedup.
 func BenchmarkTable2(b *testing.B) {
-	cfg := benchConfig(1)
-	cfg.Methods = []string{experiments.MethodLS, experiments.MethodFS, experiments.MethodRPM}
+	methods := experiments.Methods(benchCfg, experiments.MethodLS, experiments.MethodFS, experiments.MethodRPM)
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunSuite(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRun(b, nil, benchSubset, methods)
 		if i == b.N-1 {
+			// Rows are (LS, FS, RPM) per dataset.
 			var speedup float64
-			n := 0
-			for _, dr := range results {
-				ls := dr.Results[experiments.MethodLS]
-				rpmRes := dr.Results[experiments.MethodRPM]
-				if rpmRes.Total() > 0 {
-					speedup += ls.Total().Seconds() / rpmRes.Total().Seconds()
-					n++
-				}
+			for j := 0; j < len(rows); j += 3 {
+				speedup += experiments.TimeMetric(rows[j]) / experiments.TimeMetric(rows[j+2])
 			}
-			if n > 0 {
-				b.ReportMetric(speedup/float64(n), "LS/RPM-speedup")
-			}
+			b.ReportMetric(speedup/float64(len(rows)/3), "LS/RPM-speedup")
 		}
 	}
 }
@@ -72,45 +72,29 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates Table 3 (τ sensitivity) on one dataset,
 // reporting the error spread across τ settings.
 func BenchmarkTable3(b *testing.B) {
-	cfg := experiments.Config{Seed: 1, Quick: true, Datasets: []string{"SynItalyPower"}}
 	for i := 0; i < b.N; i++ {
-		sweep, err := experiments.RunTauSweep(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRun(b, nil, []string{"SynItalyPower"}, experiments.TauMethods(benchCfg))
+		_ = experiments.FormatTable3(rows)
 		if i == b.N-1 {
 			lo, hi := 1.0, 0.0
-			for _, p := range sweep[0].Points {
-				if p.Err < lo {
-					lo = p.Err
-				}
-				if p.Err > hi {
-					hi = p.Err
-				}
+			for _, r := range rows {
+				lo, hi = math.Min(lo, r.ErrorRate()), math.Max(hi, r.ErrorRate())
 			}
 			b.ReportMetric(hi-lo, "err-spread")
 		}
 	}
 }
 
-// BenchmarkTable4 regenerates Table 4 (rotated-test error) on one shape
-// dataset, reporting RPM's and NN-ED's errors under rotation.
+// BenchmarkTable4 regenerates Table 4 (rotated-test error) for
+// rotation-invariant RPM on one shape dataset, reporting its error under
+// rotation.
 func BenchmarkTable4(b *testing.B) {
-	split := datagen.MustByName("SynGunPoint").Generate(1)
-	rng := rand.New(rand.NewSource(8))
-	rotated := experiments.RotateDataset(split.Test, rng)
+	methods := experiments.RotationMethods(benchCfg)
 	for i := 0; i < b.N; i++ {
-		o := core.DefaultOptions()
-		o.Splits = 2
-		o.MaxEvals = 16
-		o.RotationInvariant = true
-		clf, err := core.Train(split.Train, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eRPM := stats.ErrorRate(clf.PredictBatch(rotated), rotated.Labels())
+		rows := benchRun(b, experiments.RotationSource(1), []string{"SynGunPoint"}, methods[len(methods)-1:])
+		_ = experiments.FormatTable4(rows)
 		if i == b.N-1 {
-			b.ReportMetric(eRPM, "err/RPM-rot")
+			b.ReportMetric(rows[0].ErrorRate(), "err/RPM-rot")
 		}
 	}
 }
@@ -119,13 +103,10 @@ func BenchmarkTable4(b *testing.B) {
 // Wilcoxon p-values), reporting the RPM-vs-NN-ED p-value.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunSuite(benchConfig(1), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = experiments.FormatFig7(results, experiments.AllMethods())
+		rows := benchRun(b, nil, benchSubset, experiments.Methods(benchCfg, experiments.AllMethods()...))
+		_ = experiments.FormatFig7(rows, experiments.AllMethods())
 		if i == b.N-1 {
-			b.ReportMetric(experiments.Wilcoxon(results, experiments.MethodRPM, experiments.MethodNNED), "p/RPM-vs-NNED")
+			b.ReportMetric(experiments.Wilcoxon(rows, experiments.MethodRPM, experiments.MethodNNED), "p/RPM-vs-NNED")
 		}
 	}
 }
@@ -133,49 +114,39 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig8 regenerates the Figure 8 runtime scatter, reporting the
 // fraction of datasets where RPM is faster than LS.
 func BenchmarkFig8(b *testing.B) {
-	cfg := benchConfig(1)
-	cfg.Methods = []string{experiments.MethodLS, experiments.MethodFS, experiments.MethodRPM}
+	methods := experiments.Methods(benchCfg, experiments.MethodLS, experiments.MethodFS, experiments.MethodRPM)
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunSuite(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = experiments.FormatFig8(results)
+		rows := benchRun(b, nil, benchSubset, methods)
+		_ = experiments.FormatFig8(rows)
 		if i == b.N-1 {
+			// Rows are (LS, FS, RPM) per dataset.
 			faster := 0
-			for _, dr := range results {
-				if dr.Results[experiments.MethodRPM].Total() < dr.Results[experiments.MethodLS].Total() {
+			for j := 0; j < len(rows); j += 3 {
+				if experiments.TimeMetric(rows[j+2]) < experiments.TimeMetric(rows[j]) {
 					faster++
 				}
 			}
-			b.ReportMetric(float64(faster)/float64(len(results)), "frac-RPM-faster-than-LS")
+			b.ReportMetric(float64(faster)/float64(len(rows)/3), "frac-RPM-faster-than-LS")
 		}
 	}
 }
 
 // BenchmarkFig9 regenerates the Figure 9 τ series on one dataset.
 func BenchmarkFig9(b *testing.B) {
-	cfg := experiments.Config{Seed: 1, Quick: true, Datasets: []string{"SynECGFiveDays"}}
 	for i := 0; i < b.N; i++ {
-		sweep, err := experiments.RunTauSweep(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = experiments.FormatFig9(sweep)
+		rows := benchRun(b, nil, []string{"SynECGFiveDays"}, experiments.TauMethods(benchCfg))
+		_ = experiments.FormatFig9(rows)
 	}
 }
 
 // BenchmarkAlarmCase regenerates the §6.2 medical-alarm case study with
 // RPM only, reporting its error.
 func BenchmarkAlarmCase(b *testing.B) {
-	cfg := experiments.Config{Seed: 1, Quick: true, Methods: []string{experiments.MethodRPM}}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAlarmCase(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRun(b, experiments.AlarmSource(1), nil, experiments.Methods(benchCfg, experiments.MethodRPM))
+		_ = experiments.FormatAlarmCase(rows, []string{experiments.MethodRPM})
 		if i == b.N-1 {
-			b.ReportMetric(res.Results[experiments.MethodRPM].Err, "err/RPM")
+			b.ReportMetric(rows[0].ErrorRate(), "err/RPM")
 		}
 	}
 }
@@ -411,18 +382,14 @@ func BenchmarkRPMPredict(b *testing.B) {
 	}
 }
 
-func reportMeanErrors(b *testing.B, results []experiments.DatasetResult, methods []string) {
-	for _, m := range methods {
-		var sum float64
-		n := 0
-		for _, dr := range results {
-			if r, ok := dr.Results[m]; ok {
-				sum += r.Err
-				n++
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(sum/float64(n), "err/"+m)
-		}
+func reportMeanErrors(b *testing.B, rows []archive.Outcome) {
+	sums := map[string]float64{}
+	counts := map[string]int{}
+	for _, r := range rows {
+		sums[r.Method] += r.ErrorRate()
+		counts[r.Method]++
+	}
+	for m, n := range counts {
+		b.ReportMetric(sums[m]/float64(n), "err/"+m)
 	}
 }

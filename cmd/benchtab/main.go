@@ -21,8 +21,11 @@
 // -workers 1 when the per-method wall-clock times themselves are the
 // experiment (Table 2), since concurrent datasets share the machine.
 //
-// -report json|text instruments every dataset run and appends the
-// per-dataset training reports (stage timings, pipeline counters,
+// Every experiment is a method list run by the archive runner
+// (internal/experiments/archive) in strict mode, with checkpoints in a
+// temporary directory that is removed afterwards. Each dataset's
+// methods record into one instrumentation registry; -report json|text
+// appends those per-dataset reports (stage timings, pipeline counters,
 // worker-pool usage) after the experiment output. -debug-addr starts an
 // HTTP debug server for the duration of the run serving /debug/pprof/*
 // (CPU, heap, goroutine profiles), /debug/vars (expvar, including the
@@ -33,6 +36,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"expvar"
 	"flag"
@@ -43,6 +47,7 @@ import (
 	"strings"
 
 	"rpm/internal/experiments"
+	"rpm/internal/experiments/archive"
 	"rpm/internal/obs"
 )
 
@@ -63,18 +68,15 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers}
+	suite := archive.Config{Source: archive.SyntheticSource{Seed: *seed}, Seed: *seed, Workers: *workers}
 	if *datasets != "" {
-		cfg.Datasets = strings.Split(*datasets, ",")
-	}
-	if *report != "" {
-		cfg.Instrument = true
+		suite.Datasets = strings.Split(*datasets, ",")
 	}
 	if *debugAddr != "" {
 		// One shared live registry for the whole run: the debug endpoints
 		// watch training progress while it happens.
 		shared := obs.NewRegistry()
-		cfg.Instrument = true
-		cfg.Obs = shared
+		suite.Obs = shared
 		http.Handle("/debug/obs", obs.Handler(shared))
 		expvar.Publish("rpm_obs", expvar.Func(func() any { return shared.Snapshot() }))
 		go func() {
@@ -87,29 +89,32 @@ func main() {
 	progress := func(string) {}
 	if *verbose {
 		progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+		suite.Progress = progress
 	}
 
-	if err := run(*exp, cfg, *svgDir, *report, progress); err != nil {
+	if err := run(context.Background(), *exp, cfg, suite, *svgDir, *report, progress); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
 }
 
 // emitReports prints the per-dataset instrumentation snapshots in the
-// requested format ("" = off).
-func emitReports(results []experiments.DatasetResult, format string) error {
+// requested format ("" = off). A dataset's rows share one snapshot.
+func emitReports(rows []archive.Outcome, format string) error {
+	type item struct {
+		Dataset string        `json:"dataset"`
+		Report  *obs.Snapshot `json:"report"`
+	}
+	var items []item
+	for i, r := range rows {
+		if i == 0 || rows[i-1].Dataset != r.Dataset {
+			items = append(items, item{Dataset: r.Dataset, Report: r.Report})
+		}
+	}
 	switch format {
 	case "":
 		return nil
 	case "json":
-		type item struct {
-			Dataset string        `json:"dataset"`
-			Report  *obs.Snapshot `json:"report"`
-		}
-		items := make([]item, 0, len(results))
-		for _, r := range results {
-			items = append(items, item{Dataset: r.Name, Report: r.Report})
-		}
 		b, err := json.MarshalIndent(items, "", "  ")
 		if err != nil {
 			return err
@@ -117,8 +122,8 @@ func emitReports(results []experiments.DatasetResult, format string) error {
 		fmt.Println(string(b))
 		return nil
 	case "text":
-		for _, r := range results {
-			fmt.Printf("== %s ==\n%s", r.Name, r.Report.Text())
+		for _, it := range items {
+			fmt.Printf("== %s ==\n%s", it.Dataset, it.Report.Text())
 		}
 		return nil
 	default:
@@ -126,7 +131,18 @@ func emitReports(results []experiments.DatasetResult, format string) error {
 	}
 }
 
-func run(exp string, cfg experiments.Config, svgDir, reportFmt string, progress func(string)) error {
+// run evaluates and prints one experiment. suite is the runner
+// configuration of the suite-driven experiments; Table 4 and the case
+// study swap in their own sources.
+func run(ctx context.Context, exp string, cfg experiments.Config, suite archive.Config, svgDir, reportFmt string, progress func(string)) error {
+	evaluate := func(methods []archive.Method, src archive.Source) ([]archive.Outcome, error) {
+		r := suite
+		r.Methods = methods
+		if src != nil {
+			r.Source, r.Datasets = src, nil
+		}
+		return experiments.Evaluate(ctx, r)
+	}
 	emitSVG := func(write func() ([]string, error)) error {
 		if svgDir == "" {
 			return nil
@@ -141,16 +157,16 @@ func run(exp string, cfg experiments.Config, svgDir, reportFmt string, progress 
 		return nil
 	}
 	needSuite := map[string]bool{"table1": true, "table2": true, "fig7": true, "fig8": true, "all": true, "main": true}
-	var suite []experiments.DatasetResult
+	var rows []archive.Outcome
 	var err error
 	if needSuite[exp] {
-		suite, err = experiments.RunSuite(cfg, progress)
+		rows, err = evaluate(experiments.Methods(cfg, experiments.AllMethods()...), nil)
 		if err != nil {
 			return err
 		}
 		defer func() {
 			// Reports print after the experiment's own artifacts.
-			if err := emitReports(suite, reportFmt); err != nil {
+			if err := emitReports(rows, reportFmt); err != nil {
 				fmt.Fprintln(os.Stderr, "benchtab: reports:", err)
 			}
 		}()
@@ -158,40 +174,40 @@ func run(exp string, cfg experiments.Config, svgDir, reportFmt string, progress 
 	switch exp {
 	case "main":
 		// the four suite-driven artifacts from a single run
-		fmt.Println(experiments.FormatTable1(suite, experiments.AllMethods()))
-		fmt.Println(experiments.FormatTable2(suite))
-		fmt.Println(experiments.FormatFig7(suite, experiments.AllMethods()))
-		fmt.Println(experiments.FormatFig8(suite))
+		fmt.Println(experiments.FormatTable1(rows, experiments.AllMethods()))
+		fmt.Println(experiments.FormatTable2(rows))
+		fmt.Println(experiments.FormatFig7(rows, experiments.AllMethods()))
+		fmt.Println(experiments.FormatFig8(rows))
 		if err := emitSVG(func() ([]string, error) {
-			p1, err := experiments.WriteFig7SVG(svgDir, suite, experiments.AllMethods())
+			p1, err := experiments.WriteFig7SVG(svgDir, rows, experiments.AllMethods())
 			if err != nil {
 				return p1, err
 			}
-			p2, err := experiments.WriteFig8SVG(svgDir, suite)
+			p2, err := experiments.WriteFig8SVG(svgDir, rows)
 			return append(p1, p2...), err
 		}); err != nil {
 			return err
 		}
 	case "table1":
-		fmt.Println(experiments.FormatTable1(suite, experiments.AllMethods()))
+		fmt.Println(experiments.FormatTable1(rows, experiments.AllMethods()))
 	case "table2":
-		fmt.Println(experiments.FormatTable2(suite))
+		fmt.Println(experiments.FormatTable2(rows))
 	case "fig7":
-		fmt.Println(experiments.FormatFig7(suite, experiments.AllMethods()))
+		fmt.Println(experiments.FormatFig7(rows, experiments.AllMethods()))
 		if err := emitSVG(func() ([]string, error) {
-			return experiments.WriteFig7SVG(svgDir, suite, experiments.AllMethods())
+			return experiments.WriteFig7SVG(svgDir, rows, experiments.AllMethods())
 		}); err != nil {
 			return err
 		}
 	case "fig8":
-		fmt.Println(experiments.FormatFig8(suite))
+		fmt.Println(experiments.FormatFig8(rows))
 		if err := emitSVG(func() ([]string, error) {
-			return experiments.WriteFig8SVG(svgDir, suite)
+			return experiments.WriteFig8SVG(svgDir, rows)
 		}); err != nil {
 			return err
 		}
 	case "table3", "fig9":
-		sweep, err := experiments.RunTauSweep(cfg, progress)
+		sweep, err := evaluate(experiments.TauMethods(cfg), nil)
 		if err != nil {
 			return err
 		}
@@ -206,40 +222,40 @@ func run(exp string, cfg experiments.Config, svgDir, reportFmt string, progress 
 			}
 		}
 	case "table4":
-		rot, err := experiments.RunTable4(cfg, progress)
+		rot, err := evaluate(experiments.RotationMethods(cfg), experiments.RotationSource(cfg.Seed))
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.FormatTable4(rot))
 	case "alarm":
-		res, err := experiments.RunAlarmCase(cfg)
+		alarm, err := evaluate(experiments.Methods(cfg, experiments.AllMethods()...), experiments.AlarmSource(cfg.Seed))
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatAlarmCase(res, experiments.AllMethods()))
+		fmt.Println(experiments.FormatAlarmCase(alarm, experiments.AllMethods()))
 	case "ablate":
-		abl, err := experiments.RunAblation(cfg, progress)
+		abl, err := evaluate(experiments.AblationMethods(cfg), nil)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.FormatAblation(abl))
 	case "all":
-		fmt.Println(experiments.FormatTable1(suite, experiments.AllMethods()))
-		fmt.Println(experiments.FormatTable2(suite))
-		fmt.Println(experiments.FormatFig7(suite, experiments.AllMethods()))
-		fmt.Println(experiments.FormatFig8(suite))
-		sweep, err := experiments.RunTauSweep(cfg, progress)
+		fmt.Println(experiments.FormatTable1(rows, experiments.AllMethods()))
+		fmt.Println(experiments.FormatTable2(rows))
+		fmt.Println(experiments.FormatFig7(rows, experiments.AllMethods()))
+		fmt.Println(experiments.FormatFig8(rows))
+		sweep, err := evaluate(experiments.TauMethods(cfg), nil)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.FormatTable3(sweep))
 		fmt.Println(experiments.FormatFig9(sweep))
-		rot, err := experiments.RunTable4(cfg, progress)
+		rot, err := evaluate(experiments.RotationMethods(cfg), experiments.RotationSource(cfg.Seed))
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.FormatTable4(rot))
-		alarm, err := experiments.RunAlarmCase(cfg)
+		alarm, err := evaluate(experiments.Methods(cfg, experiments.AllMethods()...), experiments.AlarmSource(cfg.Seed))
 		if err != nil {
 			return err
 		}

@@ -63,7 +63,6 @@ func main() {
 		Timeout: *timeout,
 		Resume:  *resume && !*force,
 		Strict:  *strict,
-		Options: rpm.DefaultOptions(),
 	}
 	if *datasets != "" {
 		for _, n := range strings.Split(*datasets, ",") {
@@ -85,20 +84,22 @@ func main() {
 		cfg.Shard, cfg.Shards = k, n
 	}
 
-	cfg.Options.Seed = *seed
+	opts := rpm.DefaultOptions()
+	opts.Seed = *seed
 	switch *mode {
 	case "direct":
-		cfg.Options.Mode = rpm.ParamDIRECT
+		opts.Mode = rpm.ParamDIRECT
 	case "grid":
-		cfg.Options.Mode = rpm.ParamGrid
+		opts.Mode = rpm.ParamGrid
 	case "fixed":
-		cfg.Options.Mode = rpm.ParamFixed
-		cfg.Options.Params = rpm.SAXParams{Window: *window, PAA: *paa, Alphabet: *alpha}
+		opts.Mode = rpm.ParamFixed
+		opts.Params = rpm.SAXParams{Window: *window, PAA: *paa, Alphabet: *alpha}
 	default:
 		fatal(fmt.Errorf("unknown -mode %q (direct, grid, fixed)", *mode))
 	}
-	cfg.Options.Sample = rpm.SampleOptions{Rate: *sampleRate, Seed: *sampleSeed}
-	cfg.Options.Bags = *bags
+	opts.Sample = rpm.SampleOptions{Rate: *sampleRate, Seed: *sampleSeed}
+	opts.Bags = *bags
+	cfg.Methods = []archive.Method{archive.RPM(opts)}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -194,20 +194,6 @@ func WriteFile(path string, d ts.Dataset) error {
 	return f.Close()
 }
 
-// ReadSplit loads <dir>/<name>_TRAIN and <dir>/<name>_TEST, the UCR archive
-// layout.
-func ReadSplit(dir, name string) (Split, error) {
-	train, err := ReadFile(dir + "/" + name + "_TRAIN")
-	if err != nil {
-		return Split{}, err
-	}
-	test, err := ReadFile(dir + "/" + name + "_TEST")
-	if err != nil {
-		return Split{}, err
-	}
-	return Split{Name: name, Train: train, Test: test}, nil
-}
-
 // WriteSplit writes s in the UCR archive layout.
 func WriteSplit(dir string, s Split) error {
 	if err := WriteFile(dir+"/"+s.Name+"_TRAIN", s.Train); err != nil {

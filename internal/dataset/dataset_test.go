@@ -109,12 +109,16 @@ func TestFileAndSplitRoundTrip(t *testing.T) {
 	if err := WriteSplit(dir, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSplit(dir, "Foo")
-	if err != nil {
+	got := Split{Name: "Foo"}
+	var err error
+	if got.Train, err = ReadFile(filepath.Join(dir, "Foo_TRAIN")); err != nil {
+		t.Fatal(err)
+	}
+	if got.Test, err = ReadFile(filepath.Join(dir, "Foo_TEST")); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, s) {
-		t.Errorf("ReadSplit = %+v", got)
+		t.Errorf("read back %+v", got)
 	}
 	if got.NumClasses() != 2 {
 		t.Errorf("NumClasses = %d", got.NumClasses())

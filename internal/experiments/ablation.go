@@ -3,113 +3,43 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"text/tabwriter"
-	"time"
 
 	"rpm/internal/core"
-	"rpm/internal/datagen"
-	"rpm/internal/parallel"
-	"rpm/internal/sax"
-	"rpm/internal/stats"
+	"rpm/internal/experiments/archive"
 )
 
-// AblationResult is one RPM variant's outcome on one dataset.
-type AblationResult struct {
-	Dataset string
-	Variant string
-	Err     float64
-	Time    time.Duration
-	// Patterns is the number of representative patterns selected.
-	Patterns int
-}
-
-// AblationVariant names one configuration knob setting.
-type AblationVariant struct {
-	Name   string
-	Mutate func(*core.Options)
-}
-
-// AblationVariants returns the design-choice sweep DESIGN.md calls out:
-// the paper's defaults against each single-knob change.
-func AblationVariants() []AblationVariant {
-	return []AblationVariant{
-		{Name: "default", Mutate: func(o *core.Options) {}},
-		{Name: "no-numerosity", Mutate: func(o *core.Options) { o.NumerosityReduction = false }},
-		{Name: "medoid", Mutate: func(o *core.Options) { o.UseMedoid = true }},
-		{Name: "repair-gi", Mutate: func(o *core.Options) { o.GI = core.GIRePair }},
-		{Name: "rot-invariant", Mutate: func(o *core.Options) { o.RotationInvariant = true }},
-		{Name: "gamma-0.1", Mutate: func(o *core.Options) { o.Gamma = 0.1 }},
-		{Name: "gamma-0.4", Mutate: func(o *core.Options) { o.Gamma = 0.4 }},
-		{Name: "grid-search", Mutate: func(o *core.Options) { o.Mode = core.ParamGrid }},
-		{Name: "fixed-params", Mutate: func(o *core.Options) { o.Mode = core.ParamFixed }},
+// AblationMethods returns the design-choice sweep DESIGN.md calls out:
+// the paper's defaults against each single-knob change, one RPM method
+// per variant, named after the variant. The runner trains a dataset's
+// variants back to back, so their times compare.
+func AblationMethods(cfg Config) []archive.Method {
+	variant := func(name string, mutate func(*core.Options)) archive.Method {
+		o := rpmOptions(cfg)
+		mutate(&o)
+		return rpmMethod(name, o)
 	}
-}
-
-// RunAblation evaluates every variant on the configured datasets,
-// fanning the datasets out over cfg.Workers goroutines. Variants within a
-// dataset stay sequential (their times are compared against each other);
-// results come back in (dataset, variant) order as before.
-func RunAblation(cfg Config, progress func(string)) ([]AblationResult, error) {
-	cfg = cfg.withDefaults()
-	var progressMu sync.Mutex
-	type outcome struct {
-		results []AblationResult
-		err     error
+	return []archive.Method{
+		variant("default", func(o *core.Options) {}),
+		variant("no-numerosity", func(o *core.Options) { o.NumerosityReduction = false }),
+		variant("medoid", func(o *core.Options) { o.UseMedoid = true }),
+		variant("repair-gi", func(o *core.Options) { o.GI = core.GIRePair }),
+		variant("rot-invariant", func(o *core.Options) { o.RotationInvariant = true }),
+		variant("gamma-0.1", func(o *core.Options) { o.Gamma = 0.1 }),
+		variant("gamma-0.4", func(o *core.Options) { o.Gamma = 0.4 }),
+		variant("grid-search", func(o *core.Options) { o.Mode = core.ParamGrid }),
+		variant("fixed-params", func(o *core.Options) { o.Mode = core.ParamFixed }),
 	}
-	outcomes := parallel.Map(len(cfg.Datasets), cfg.Workers, func(i int) outcome {
-		name := cfg.Datasets[i]
-		g, ok := datagen.ByName(name)
-		if !ok {
-			return outcome{err: fmt.Errorf("experiments: unknown dataset %q", name)}
-		}
-		split := g.Generate(cfg.Seed)
-		var results []AblationResult
-		for _, v := range AblationVariants() {
-			o := rpmOptions(cfg)
-			if o.Mode == core.ParamFixed {
-				o.Params = sax.Params{} // heuristic defaults
-			}
-			v.Mutate(&o)
-			start := time.Now()
-			clf, err := core.Train(split.Train, o)
-			if err != nil {
-				return outcome{err: fmt.Errorf("variant %s on %s: %w", v.Name, name, err)}
-			}
-			preds := clf.PredictBatch(split.Test)
-			results = append(results, AblationResult{
-				Dataset:  name,
-				Variant:  v.Name,
-				Err:      stats.ErrorRate(preds, split.Test.Labels()),
-				Time:     time.Since(start),
-				Patterns: clf.NumPatterns(),
-			})
-			if progress != nil {
-				progressMu.Lock()
-				progress(fmt.Sprintf("ablation %-14s %-14s err=%.3f", name, v.Name, results[len(results)-1].Err))
-				progressMu.Unlock()
-			}
-		}
-		return outcome{results: results}
-	})
-	var out []AblationResult
-	for _, o := range outcomes {
-		if o.err != nil {
-			return nil, o.err
-		}
-		out = append(out, o.results...)
-	}
-	return out, nil
 }
 
 // FormatAblation renders the ablation study grouped by dataset.
-func FormatAblation(results []AblationResult) string {
+func FormatAblation(rows []archive.Outcome) string {
 	var b strings.Builder
 	b.WriteString("Ablation study: RPM design choices (error / seconds / #patterns)\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Dataset\tVariant\tError\tTime (s)\t#Patterns\n")
-	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%d\n", r.Dataset, r.Variant, r.Err, r.Time.Seconds(), r.Patterns)
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%d\n", r.Dataset, r.Method, r.ErrorRate(), TimeMetric(r), r.Patterns)
 	}
 	w.Flush()
 	return b.String()

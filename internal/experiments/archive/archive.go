@@ -9,14 +9,17 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"text/tabwriter"
 	"time"
 
 	"rpm"
+	"rpm/internal/obs"
 	"rpm/internal/parallel"
 )
 
@@ -120,6 +123,58 @@ func (s DirSource) readUCR(path string) (rpm.Dataset, error) {
 	return rpm.LoadUCR(f)
 }
 
+// Method is one classifier configuration Run trains and scores on
+// every dataset.
+type Method struct {
+	// Name labels the method's rows; it must be unique within a run.
+	Name string
+	// Settings holds every value that can change the method's outcomes.
+	// Run hashes its JSON encoding into the checkpoint fingerprint, so
+	// values that change only wall-clock time (worker counts) stay out:
+	// resuming at a different worker count is legal.
+	Settings any
+	// Train fits the method on a training split. reg is the dataset's
+	// instrumentation registry (Config.Obs, or one per dataset); a
+	// method records its stage spans and counters into it or ignores it.
+	Train func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (Model, error)
+}
+
+// Model is a trained method as Run scores it.
+type Model struct {
+	// Predict labels every series of a test split.
+	Predict func(ctx context.Context, test rpm.Dataset) ([]int, error)
+	// Patterns and Bags size the model for the table (0 when the
+	// method has no patterns or members).
+	Patterns, Bags int
+	// TrainReport, when non-nil, is the training run's instrumentation;
+	// the row keeps its worker-independent counters (tableCounters).
+	TrainReport *rpm.TrainReport
+}
+
+// RPM is the RPM method trained through the public API: one
+// classifier, or a bagged ensemble when opts.Bags > 1. Training is
+// always instrumented so the rows carry the pipeline counters; Workers
+// and Instrument stay out of the fingerprint.
+func RPM(opts rpm.Options) Method {
+	settings := opts
+	settings.Workers, settings.Instrument = 0, false
+	opts.Instrument = true
+	return Method{Name: "RPM", Settings: settings, Train: func(ctx context.Context, train rpm.Dataset, _ *obs.Registry) (Model, error) {
+		if opts.Bags > 1 {
+			e, err := rpm.TrainEnsembleContext(ctx, train, opts)
+			if err != nil {
+				return Model{}, err
+			}
+			return Model{Predict: e.PredictBatchContext, Patterns: e.NumPatterns(), Bags: e.Bags(), TrainReport: e.TrainReport()}, nil
+		}
+		c, err := rpm.TrainContext(ctx, train, opts)
+		if err != nil {
+			return Model{}, err
+		}
+		return Model{Predict: c.PredictBatchContext, Patterns: len(c.Patterns()), Bags: 1, TrainReport: c.TrainReport()}, nil
+	}}
+}
+
 // Config configures one archive run.
 type Config struct {
 	// OutDir receives the per-dataset checkpoint files. Created if
@@ -134,14 +189,15 @@ type Config struct {
 	// cooperating runs: this run takes every name whose index ≡ Shard
 	// (mod Shards). Shards 0 means a single shard.
 	Shard, Shards int
-	// Seed seeds synthetic data generation and defaults Options.Seed.
+	// Seed is the seed the Source's data derives from; it is part of
+	// the checkpoint fingerprint.
 	Seed int64
 	// Workers bounds the dataset-level fan-out (0 = GOMAXPROCS). Worker
 	// count never changes any outcome, only wall-clock time.
 	Workers int
-	// Timeout bounds each dataset's train+evaluate wall time; 0 means
-	// unbounded. A dataset that exceeds it is recorded as status
-	// "timeout" and the run continues.
+	// Timeout bounds each dataset's train+evaluate wall time over all
+	// methods; 0 means unbounded. A dataset that exceeds it records
+	// status "timeout" rows and the run continues.
 	Timeout time.Duration
 	// Resume skips datasets with a valid checkpoint from an identical
 	// configuration instead of retraining them.
@@ -149,19 +205,26 @@ type Config struct {
 	// Strict turns per-dataset failures (and corrupt checkpoints) into
 	// a Run error instead of error rows in the table.
 	Strict bool
-	// Options is the training configuration. Options.Bags > 1 trains a
-	// bagged ensemble per dataset; Workers and Instrument are managed by
-	// the runner and excluded from the checkpoint config hash.
-	Options rpm.Options
+	// Methods are trained and scored on every dataset, in order; each
+	// dataset yields one row per method.
+	Methods []Method
+	// Obs, when non-nil, is the one registry every dataset records
+	// into (a live view of the whole run); nil gives each dataset its
+	// own registry.
+	Obs *obs.Registry
+	// Progress, when non-nil, receives one line per finished dataset
+	// (serialized, in completion order).
+	Progress func(string)
 }
 
-// Outcome is one dataset's row: identity, status, correctness, cost,
-// and the worker-independent pipeline counters. Wall times are real
-// milliseconds and therefore vary run to run; every other field is a
-// pure function of (config, dataset), which is what makes the
-// deterministic table projection byte-comparable across runs.
+// Outcome is one (dataset, method) row: identity, status,
+// correctness, cost, and the worker-independent pipeline counters.
+// Wall times vary run to run; every other persisted field is a pure
+// function of (config, dataset), which is what makes the deterministic
+// table projection byte-comparable across runs.
 type Outcome struct {
 	Dataset string `json:"dataset"`
+	Method  string `json:"method"`
 	// Status is "ok", "error", or "timeout".
 	Status string `json:"status"`
 	// ErrKind is the taxonomy bucket of a failure ("bad_input",
@@ -176,8 +239,10 @@ type Outcome struct {
 	// Accuracy is the fraction of test instances classified correctly.
 	Accuracy float64 `json:"accuracy"`
 
-	TrainMillis   int64 `json:"trainMillis"`
-	PredictMillis int64 `json:"predictMillis"`
+	// TrainMillis and PredictMillis are wall times in (fractional)
+	// milliseconds.
+	TrainMillis   float64 `json:"trainMillis"`
+	PredictMillis float64 `json:"predictMillis"`
 
 	// Counters carries the worker-independent per-stage observability
 	// counters (candidates, γ/τ pruning, CFS selection, sampling);
@@ -185,10 +250,25 @@ type Outcome struct {
 	// are deliberately excluded.
 	Counters map[string]int64 `json:"counters,omitempty"`
 
-	// Resumed marks rows served from a checkpoint. In-memory only: it
-	// must not reach the checkpoint or the deterministic table, where
-	// interrupted and uninterrupted runs have to agree byte for byte.
-	Resumed bool `json:"-"`
+	// Resumed marks rows served from a checkpoint, and Report is the
+	// snapshot of the registry the dataset's methods recorded into.
+	// Both are in-memory only: they must not reach the checkpoint or
+	// the deterministic table, where interrupted and uninterrupted runs
+	// have to agree byte for byte.
+	Resumed bool          `json:"-"`
+	Report  *obs.Snapshot `json:"-"`
+}
+
+// ErrorRate is the fraction of test instances misclassified,
+// bit-identical to stats.ErrorRate over the row's predictions:
+// Accuracy×TestSize recovers the exact correct count, and the rate is
+// then computed with the same division.
+func (o Outcome) ErrorRate() float64 {
+	if o.TestSize == 0 {
+		return 0
+	}
+	correct := int(math.Round(o.Accuracy * float64(o.TestSize)))
+	return float64(o.TestSize-correct) / float64(o.TestSize)
 }
 
 // tableCounters is the allowlist of counters copied into each Outcome:
@@ -210,7 +290,8 @@ var tableCounters = []string{
 }
 
 // Result is one archive run's output: the configuration fingerprint
-// and one Outcome per dataset of this shard, in sorted dataset order.
+// and one Outcome per (dataset, method) of this shard, in sorted
+// dataset order and method order within a dataset.
 type Result struct {
 	ConfigHash string    `json:"configHash"`
 	Shard      int       `json:"shard"`
@@ -221,11 +302,11 @@ type Result struct {
 	Resumed int `json:"resumed,omitempty"`
 }
 
-// Run executes the archive: it trains and evaluates every dataset of
-// the configured shard, checkpointing each as it finishes, and returns
-// the collected table. Per-dataset failures become error rows (strict
-// mode excepted); Run itself fails only on bad configuration, an
-// unusable source, or context cancellation.
+// Run executes the archive: it trains and evaluates every method on
+// every dataset of the configured shard, checkpointing each dataset as
+// it finishes, and returns the collected table. Per-dataset failures
+// become error rows (strict mode excepted); Run itself fails only on
+// bad configuration, an unusable source, or context cancellation.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	const op = "Run"
 	if err := cfg.validate(); err != nil {
@@ -234,6 +315,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	hash, err := cfg.hash()
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
 		return nil, archErr(op, ErrBadConfig, err)
 	}
@@ -241,38 +326,48 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hash := cfg.hash()
-	outcomes, err := runShard(ctx, cfg, names, hash)
-	if err != nil {
-		return nil, err
+	// Dataset-level concurrency is safe because every outcome is a pure
+	// function of (config, dataset) and checkpoints are per-dataset files.
+	var progressMu sync.Mutex
+	perDataset, canceled := parallel.MapCtx(ctx, len(names), cfg.Workers, func(i int) []Outcome {
+		rows := cfg.runDataset(ctx, names[i], hash)
+		if cfg.Progress != nil {
+			progressMu.Lock()
+			cfg.Progress(summarize(names[i], rows))
+			progressMu.Unlock()
+		}
+		return rows
+	})
+	if canceled != nil {
+		return nil, ctx.Err() // surface the context error unwrapped
 	}
-	res := &Result{ConfigHash: hash, Shard: cfg.Shard, Shards: max(1, cfg.Shards), Outcomes: outcomes}
-	for _, oc := range outcomes {
+	res := &Result{ConfigHash: hash, Shard: cfg.Shard, Shards: max(1, cfg.Shards)}
+	for _, rows := range perDataset {
+		res.Outcomes = append(res.Outcomes, rows...)
+	}
+	for _, oc := range res.Outcomes {
 		if oc.Resumed {
 			res.Resumed++
 		}
-	}
-	if cfg.Strict {
-		for _, oc := range outcomes {
-			if oc.Status != "ok" {
-				return nil, archErrf(op, ErrRunFailed, "dataset %s: %s: %s", oc.Dataset, oc.Status, oc.ErrMsg)
-			}
+		if cfg.Strict && oc.Status != "ok" {
+			return nil, archErrf(op, ErrRunFailed, "dataset %s, method %s: %s: %s", oc.Dataset, oc.Method, oc.Status, oc.ErrMsg)
 		}
 	}
 	return res, nil
 }
 
-// runShard fans the shard's datasets out over the configured workers.
-// Dataset-level concurrency is safe because every outcome is a pure
-// function of (config, dataset) and checkpoints are per-dataset files.
-func runShard(ctx context.Context, cfg Config, names []string, hash string) ([]Outcome, error) {
-	outcomes, err := parallel.MapCtx(ctx, len(names), cfg.Workers, func(i int) Outcome {
-		return cfg.runDataset(ctx, names[i], hash)
-	})
-	if err != nil {
-		return nil, err // context error: surface unwrapped
+// summarize is the progress line of one finished dataset.
+func summarize(name string, rows []Outcome) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "done %-18s", name)
+	for _, oc := range rows {
+		if oc.Status == "ok" {
+			fmt.Fprintf(&b, " %s=%.3f", oc.Method, oc.ErrorRate())
+		} else {
+			fmt.Fprintf(&b, " %s=%s", oc.Method, oc.Status)
+		}
 	}
-	return outcomes, nil
+	return b.String()
 }
 
 // validate rejects unusable configurations up front.
@@ -292,6 +387,16 @@ func (cfg Config) validate() error {
 	}
 	if cfg.Timeout < 0 {
 		return archErrf(op, ErrBadConfig, "negative timeout %v", cfg.Timeout)
+	}
+	if len(cfg.Methods) == 0 {
+		return archErrf(op, ErrBadConfig, "Methods is required")
+	}
+	seen := map[string]bool{}
+	for _, m := range cfg.Methods {
+		if m.Name == "" || m.Train == nil || seen[m.Name] {
+			return archErrf(op, ErrBadConfig, "method %q: need a unique name and a Train function", m.Name)
+		}
+		seen[m.Name] = true
 	}
 	return nil
 }
@@ -346,87 +451,121 @@ func wrapSourceErr(op string, err error) error {
 	return archErr(op, ErrBadConfig, err)
 }
 
-// hash fingerprints every result-affecting knob: the run seed and the
-// training options minus Workers and Instrument, which change only
-// wall-clock time and observability, never an outcome. Two runs with
-// equal hashes produce interchangeable checkpoints.
-func (cfg Config) hash() string {
+// hash fingerprints every result-affecting knob: the run seed and each
+// method's name and settings. Two runs with equal hashes produce
+// interchangeable checkpoints. Settings that do not encode as JSON
+// (NaN or ±Inf floats, funcs, channels) are a configuration error.
+func (cfg Config) hash() (string, error) {
+	type method struct {
+		Name     string `json:"name"`
+		Settings any    `json:"settings"`
+	}
 	key := struct {
-		Version int         `json:"version"`
-		Seed    int64       `json:"seed"`
-		Options rpm.Options `json:"options"`
-	}{Version: checkpointVersion, Seed: cfg.Seed, Options: cfg.Options}
-	key.Options.Workers = 0
-	key.Options.Instrument = false
+		Version int      `json:"version"`
+		Seed    int64    `json:"seed"`
+		Methods []method `json:"methods"`
+	}{Version: checkpointVersion, Seed: cfg.Seed}
+	for _, m := range cfg.Methods {
+		key.Methods = append(key.Methods, method{m.Name, m.Settings})
+	}
 	blob, err := json.Marshal(key)
 	if err != nil {
-		// rpm.Options is a plain struct of scalar fields; Marshal cannot
-		// fail on it. Guard anyway so a future field breaks loudly.
-		panic(fmt.Sprintf("archive: hashing config: %v", err))
+		return "", archErrf("Run", ErrBadConfig, "method settings do not encode: %v", err)
 	}
 	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:16])
+	return hex.EncodeToString(sum[:16]), nil
 }
 
-// runDataset produces one dataset's outcome, serving it from a valid
-// checkpoint when resuming and checkpointing it after computing. A
+// runDataset produces one dataset's rows, serving them from a valid
+// checkpoint when resuming and checkpointing them after computing. A
 // corrupt or mismatched checkpoint is recomputed and overwritten
-// (strict mode instead reports it as an error row).
-func (cfg Config) runDataset(ctx context.Context, name, hash string) Outcome {
+// (strict mode instead reports it as error rows).
+func (cfg Config) runDataset(ctx context.Context, name, hash string) []Outcome {
 	if cfg.Resume {
-		oc, err := readCheckpoint(cfg.OutDir, name, hash)
+		rows, err := readCheckpoint(cfg.OutDir, name, hash, cfg.Methods)
 		switch {
 		case err == nil:
-			oc.Resumed = true
-			return oc
+			for i := range rows {
+				rows[i].Resumed = true
+			}
+			return rows
 		case errors.Is(err, fs.ErrNotExist):
 			// No checkpoint yet: compute below.
 		case cfg.Strict:
-			return Outcome{Dataset: name, Status: "error", ErrKind: kindOf(err), ErrMsg: err.Error()}
+			return cfg.failAll(name, err)
 		}
 	}
-	oc := cfg.evaluate(ctx, name)
+	rows := cfg.evaluate(ctx, name)
 	if ctx.Err() != nil {
-		// Run is being canceled: don't persist a row that reflects an
-		// aborted training as if it were the dataset's true outcome.
-		return oc
+		// Run is being canceled: don't persist rows that reflect an
+		// aborted training as if they were the dataset's true outcome.
+		return rows
 	}
-	if err := writeCheckpoint(cfg.OutDir, hash, oc); err != nil {
-		oc.Status = "error"
-		oc.ErrKind = "io"
-		oc.ErrMsg = err.Error()
+	if err := writeCheckpoint(cfg.OutDir, hash, name, rows); err != nil {
+		for i := range rows {
+			rows[i].Status, rows[i].ErrKind, rows[i].ErrMsg = "error", "io", err.Error()
+		}
 	}
-	return oc
+	return rows
 }
 
-// evaluate trains on one dataset and scores the test split.
-func (cfg Config) evaluate(ctx context.Context, name string) Outcome {
-	oc := Outcome{Dataset: name, Status: "ok"}
+// failAll returns one failed row per method of dataset name.
+func (cfg Config) failAll(name string, err error) []Outcome {
+	rows := make([]Outcome, len(cfg.Methods))
+	for i, m := range cfg.Methods {
+		rows[i] = failed(Outcome{Dataset: name, Method: m.Name}, err)
+	}
+	return rows
+}
+
+// evaluate loads one dataset and runs every method on it in order, so
+// the methods' times are measured back to back, all recording into one
+// registry.
+func (cfg Config) evaluate(ctx context.Context, name string) []Outcome {
 	split, err := cfg.Source.Load(name)
 	if err != nil {
-		return failed(oc, err)
+		return cfg.failAll(name, err)
 	}
-	oc.TrainSize, oc.TestSize = len(split.Train), len(split.Test)
-
-	opts := cfg.Options
-	opts.Instrument = true
-	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed
-	}
-	tctx := ctx
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	rows := make([]Outcome, len(cfg.Methods))
+	for i, m := range cfg.Methods {
+		rows[i] = trainEval(ctx, Outcome{Dataset: name, Method: m.Name}, split, m, reg)
+	}
+	report := reg.Snapshot()
+	for i := range rows {
+		rows[i].Report = report
+	}
+	return rows
+}
 
-	preds, patterns, bags, report, trainTime, predictTime, err := trainEval(tctx, split, opts)
+// trainEval trains one method on a split, predicts the test split and
+// scores the predictions, timing the two phases.
+func trainEval(ctx context.Context, oc Outcome, split rpm.Split, m Method, reg *obs.Registry) Outcome {
+	oc.Status = "ok"
+	oc.TrainSize, oc.TestSize = len(split.Train), len(split.Test)
+	t0 := time.Now()
+	model, err := m.Train(ctx, split.Train, reg)
+	trainTime := time.Since(t0)
 	if err != nil {
 		return failed(oc, err)
 	}
-	oc.Bags, oc.Patterns = bags, patterns
-	oc.TrainMillis = trainTime.Milliseconds()
-	oc.PredictMillis = predictTime.Milliseconds()
+	t1 := time.Now()
+	preds, err := model.Predict(ctx, split.Test)
+	predictTime := time.Since(t1)
+	if err != nil {
+		return failed(oc, err)
+	}
+	oc.Bags, oc.Patterns = model.Bags, model.Patterns
+	oc.TrainMillis = float64(trainTime) / float64(time.Millisecond)
+	oc.PredictMillis = float64(predictTime) / float64(time.Millisecond)
 	correct := 0
 	for i, p := range preds {
 		if p == split.Test[i].Label {
@@ -436,45 +575,15 @@ func (cfg Config) evaluate(ctx context.Context, name string) Outcome {
 	if len(preds) > 0 {
 		oc.Accuracy = float64(correct) / float64(len(preds))
 	}
-	if report != nil {
-		counters := map[string]int64{}
-		for _, name := range tableCounters {
-			if v := report.Counters[name]; v != 0 {
-				counters[name] = v
+	for _, name := range tableCounters {
+		if v := model.TrainReport.Counter(name); v != 0 {
+			if oc.Counters == nil {
+				oc.Counters = map[string]int64{}
 			}
-		}
-		if len(counters) > 0 {
-			oc.Counters = counters
+			oc.Counters[name] = v
 		}
 	}
 	return oc
-}
-
-// trainEval trains a single model or a bagged ensemble (Options.Bags)
-// and predicts the test split, timing both phases.
-func trainEval(ctx context.Context, split rpm.Split, opts rpm.Options) (preds []int, patterns, bags int, report *rpm.TrainReport, trainTime, predictTime time.Duration, err error) {
-	if opts.Bags > 1 {
-		t0 := time.Now()
-		e, terr := rpm.TrainEnsembleContext(ctx, split.Train, opts)
-		trainTime = time.Since(t0)
-		if terr != nil {
-			return nil, 0, 0, nil, trainTime, 0, terr
-		}
-		t1 := time.Now()
-		preds, err = e.PredictBatchContext(ctx, split.Test)
-		predictTime = time.Since(t1)
-		return preds, e.NumPatterns(), e.Bags(), e.TrainReport(), trainTime, predictTime, err
-	}
-	t0 := time.Now()
-	c, terr := rpm.TrainContext(ctx, split.Train, opts)
-	trainTime = time.Since(t0)
-	if terr != nil {
-		return nil, 0, 0, nil, trainTime, 0, terr
-	}
-	t1 := time.Now()
-	preds, err = c.PredictBatchContext(ctx, split.Test)
-	predictTime = time.Since(t1)
-	return preds, len(c.Patterns()), 1, c.TrainReport(), trainTime, predictTime, err
 }
 
 // failed fills the error fields of an outcome.
@@ -526,6 +635,7 @@ func (r *Result) Deterministic() *Result {
 		oc.TrainMillis = 0
 		oc.PredictMillis = 0
 		oc.Resumed = false
+		oc.Report = nil
 		out.Outcomes[i] = oc
 	}
 	return &out
@@ -545,19 +655,19 @@ func (r *Result) JSON() ([]byte, error) {
 func (r *Result) WriteTable(w io.Writer, deterministic bool) error {
 	const op = "WriteTable"
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "DATASET\tSTATUS\tBAGS\tPATTERNS\tACC\tTRAIN_MS\tPREDICT_MS\tCANDIDATES\tNOTE")
+	fmt.Fprintln(tw, "DATASET\tMETHOD\tSTATUS\tBAGS\tPATTERNS\tACC\tTRAIN_MS\tPREDICT_MS\tCANDIDATES\tNOTE")
 	for _, oc := range r.Outcomes {
 		trainMS, predictMS := "-", "-"
 		if !deterministic {
-			trainMS = fmt.Sprintf("%d", oc.TrainMillis)
-			predictMS = fmt.Sprintf("%d", oc.PredictMillis)
+			trainMS = fmt.Sprintf("%.0f", oc.TrainMillis)
+			predictMS = fmt.Sprintf("%.0f", oc.PredictMillis)
 		}
 		note := oc.ErrKind
 		if oc.Resumed && !deterministic {
 			note = "resumed"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.4f\t%s\t%s\t%d\t%s\n",
-			oc.Dataset, oc.Status, oc.Bags, oc.Patterns, oc.Accuracy,
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%.4f\t%s\t%s\t%d\t%s\n",
+			oc.Dataset, oc.Method, oc.Status, oc.Bags, oc.Patterns, oc.Accuracy,
 			trainMS, predictMS, oc.Counters["train.candidates"], note)
 	}
 	if err := tw.Flush(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"rpm"
+	"rpm/internal/obs"
+	"rpm/internal/stats"
 )
 
 // smokeDatasets is the 3-dataset mini-archive the tests (and the CI
@@ -18,20 +21,35 @@ import (
 // well under a second each.
 var smokeDatasets = []string{"SynCoffee", "SynECGFiveDays", "SynItalyPower"}
 
-// testConfig returns a fast archive configuration over the mini
-// archive: fixed SAX parameters (no search) keep each dataset cheap.
-func testConfig(t *testing.T) Config {
-	t.Helper()
+// testOptions are fixed SAX parameters (no search), which keep each
+// dataset cheap.
+func testOptions() rpm.Options {
 	opts := rpm.DefaultOptions()
 	opts.Mode = rpm.ParamFixed
 	opts.Params = rpm.SAXParams{Window: 12, PAA: 4, Alphabet: 4}
+	return opts
+}
+
+// testConfig returns a fast archive configuration over the mini
+// archive with the RPM method on testOptions.
+func testConfig(t *testing.T) Config {
+	t.Helper()
 	return Config{
 		OutDir:  t.TempDir(),
 		Source:  SyntheticSource{Seed: 3, Subset: smokeDatasets},
 		Seed:    3,
 		Workers: 2,
-		Options: opts,
+		Methods: []Method{RPM(testOptions())},
 	}
+}
+
+func mustHash(t *testing.T, cfg Config) string {
+	t.Helper()
+	h, err := cfg.hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func mustRun(t *testing.T, cfg Config) *Result {
@@ -154,7 +172,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, corrupted, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readCheckpoint(cfg.OutDir, "SynCoffee", cfg.hash()); !errors.Is(err, ErrCheckpointCorrupt) {
+	if _, err := readCheckpoint(cfg.OutDir, "SynCoffee", mustHash(t, cfg), cfg.Methods); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("corrupt checkpoint err = %v, want ErrCheckpointCorrupt", err)
 	}
 
@@ -170,7 +188,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	if res.Resumed != 2 {
 		t.Fatalf("resumed %d, want 2 (the corrupt dataset must retrain)", res.Resumed)
 	}
-	if _, err := readCheckpoint(cfg.OutDir, "SynCoffee", cfg.hash()); err != nil {
+	if _, err := readCheckpoint(cfg.OutDir, "SynCoffee", mustHash(t, cfg), cfg.Methods); err != nil {
 		t.Fatalf("rewritten checkpoint fails verification: %v", err)
 	}
 }
@@ -182,19 +200,23 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	mustRun(t, cfg)
 
 	changed := cfg
-	changed.Options.Gamma = 0.3
-	if cfg.hash() == changed.hash() {
+	opts := testOptions()
+	opts.Gamma = 0.3
+	changed.Methods = []Method{RPM(opts)}
+	if mustHash(t, cfg) == mustHash(t, changed) {
 		t.Fatal("config hash ignores Gamma")
 	}
-	if _, err := readCheckpoint(cfg.OutDir, "SynCoffee", changed.hash()); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := readCheckpoint(cfg.OutDir, "SynCoffee", mustHash(t, changed), changed.Methods); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("mismatched checkpoint err = %v, want ErrCheckpointMismatch", err)
 	}
 	// Workers and Instrument must NOT change the hash: they never change
 	// an outcome, and a resume at a different worker count is legal.
 	rewired := cfg
-	rewired.Options.Workers = 7
-	rewired.Options.Instrument = true
-	if cfg.hash() != rewired.hash() {
+	opts = testOptions()
+	opts.Workers = 7
+	opts.Instrument = true
+	rewired.Methods = []Method{RPM(opts)}
+	if mustHash(t, cfg) != mustHash(t, rewired) {
 		t.Fatal("config hash depends on Workers/Instrument")
 	}
 	changed.Resume = true
@@ -255,6 +277,9 @@ func TestBadConfig(t *testing.T) {
 		{"negative timeout", func(c *Config) { c.Timeout = -time.Second }},
 		{"unknown dataset", func(c *Config) { c.Datasets = []string{"NoSuch"} }},
 		{"unsafe name", func(c *Config) { c.Source = SyntheticSource{Subset: []string{"../evil"}} }},
+		{"no methods", func(c *Config) { c.Methods = nil }},
+		{"duplicate method", func(c *Config) { c.Methods = append(c.Methods, c.Methods[0]) }},
+		{"method without Train", func(c *Config) { c.Methods = []Method{{Name: "x"}} }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -270,11 +295,13 @@ func TestBadConfig(t *testing.T) {
 // checks the ensemble columns land in the rows.
 func TestBaggedArchive(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.Options.Mode = rpm.ParamDIRECT
-	cfg.Options.Splits = 2
-	cfg.Options.MaxEvals = 8
-	cfg.Options.Sample = rpm.SampleOptions{Rate: 0.2, Seed: 5}
-	cfg.Options.Bags = 3
+	opts := testOptions()
+	opts.Mode = rpm.ParamDIRECT
+	opts.Splits = 2
+	opts.MaxEvals = 8
+	opts.Sample = rpm.SampleOptions{Rate: 0.2, Seed: 5}
+	opts.Bags = 3
+	cfg.Methods = []Method{RPM(opts)}
 	cfg.Datasets = []string{"SynItalyPower"}
 	res := mustRun(t, cfg)
 	oc := res.Outcomes[0]
@@ -357,5 +384,89 @@ func TestRunCancel(t *testing.T) {
 		if strings.HasSuffix(e.Name(), ".ckpt.json") {
 			t.Fatalf("canceled run left checkpoint %s", e.Name())
 		}
+	}
+}
+
+// TestBadConfigNonFinite asserts settings that cannot be fingerprinted
+// — NaN or ±Inf in an RPM option or in any method's settings — fail Run
+// with ErrBadConfig instead of panicking.
+func TestBadConfigNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		opts := testOptions()
+		opts.Gamma = v
+		sampled := testOptions()
+		sampled.Sample.Rate = v
+		custom := RPM(testOptions())
+		custom.Settings = struct{ Threshold float64 }{v}
+		for name, m := range map[string]Method{"gamma": RPM(opts), "sample rate": RPM(sampled), "method settings": custom} {
+			cfg := testConfig(t)
+			cfg.Methods = []Method{m}
+			if _, err := Run(context.Background(), cfg); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%s = %v: err = %v, want ErrBadConfig", name, v, err)
+			}
+		}
+	}
+}
+
+// TestErrorRateMatchesStats pins Outcome.ErrorRate to stats.ErrorRate
+// bit for bit: the experiments' Wilcoxon ranks depend on the exact float.
+func TestErrorRateMatchesStats(t *testing.T) {
+	for n := 1; n <= 400; n++ {
+		truth := make([]int, n)
+		preds := make([]int, n)
+		for correct := 0; correct <= n; correct++ {
+			for i := range preds {
+				preds[i] = 0
+				if i >= correct {
+					preds[i] = 1
+				}
+			}
+			oc := Outcome{TestSize: n, Accuracy: float64(correct) / float64(n)}
+			if got, want := oc.ErrorRate(), stats.ErrorRate(preds, truth); got != want {
+				t.Fatalf("n=%d correct=%d: ErrorRate %v, stats.ErrorRate %v", n, correct, got, want)
+			}
+		}
+	}
+}
+
+// TestMethodRows runs two methods per dataset: one row per (dataset,
+// method) in dataset-major, method-list order, each dataset's methods
+// recording into one registry, and a byte-identical resume.
+func TestMethodRows(t *testing.T) {
+	cfg := testConfig(t)
+	other := testOptions()
+	other.Gamma = 0.4
+	second := RPM(other)
+	second.Name = "RPM-gamma-0.4"
+	var lines []string
+	recording := Method{Name: "recording", Train: func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (Model, error) {
+		reg.Counter("test.trained").Add(1)
+		return Model{Predict: func(_ context.Context, test rpm.Dataset) ([]int, error) {
+			return make([]int, len(test)), nil
+		}}, nil
+	}}
+	cfg.Methods = append(cfg.Methods, second, recording)
+	cfg.Workers = 1
+	cfg.Progress = func(s string) { lines = append(lines, s) }
+	res := mustRun(t, cfg)
+	if len(res.Outcomes) != 3*len(smokeDatasets) || len(lines) != len(smokeDatasets) {
+		t.Fatalf("%d rows, %d progress lines", len(res.Outcomes), len(lines))
+	}
+	for i, oc := range res.Outcomes {
+		wantDS, wantM := smokeDatasets[i/3], cfg.Methods[i%3].Name
+		if oc.Dataset != wantDS || oc.Method != wantM || oc.Status != "ok" {
+			t.Fatalf("row %d = (%s, %s, %s), want (%s, %s, ok)", i, oc.Dataset, oc.Method, oc.Status, wantDS, wantM)
+		}
+		if oc.Report == nil || len(oc.Report.Counters) != 1 || oc.Report.Counters[0].Value != 1 {
+			t.Fatalf("row %d: dataset report %+v, want the recording method's one counter", i, oc.Report)
+		}
+	}
+	cfg.Resume = true
+	if got, want := detJSON(t, mustRun(t, cfg)), detJSON(t, res); !bytes.Equal(got, want) {
+		t.Fatalf("resumed multi-method table differs:\n%s\n---\n%s", got, want)
+	}
+	// A checkpoint whose rows do not match the method list is corrupt.
+	if _, err := readCheckpoint(cfg.OutDir, "SynCoffee", mustHash(t, cfg), cfg.Methods[:2]); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("row/method mismatch err = %v, want ErrCheckpointCorrupt", err)
 	}
 }

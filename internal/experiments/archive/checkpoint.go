@@ -11,8 +11,9 @@ import (
 	"path/filepath"
 )
 
-// checkpointVersion guards the on-disk checkpoint format.
-const checkpointVersion = 1
+// checkpointVersion guards the on-disk checkpoint format: a payload of
+// one row per method of the dataset.
+const checkpointVersion = 2
 
 // checkpointFile is the JSON shape of one per-dataset checkpoint. The
 // payload is kept as raw bytes so the recorded SHA-256 can be verified
@@ -36,15 +37,15 @@ func CheckpointPath(dir, name string) string {
 	return filepath.Join(dir, name+".ckpt.json")
 }
 
-// writeCheckpoint atomically persists one finished dataset's outcome:
+// writeCheckpoint atomically persists one finished dataset's rows:
 // the bytes are written to a temp file in the same directory and
 // renamed over the final path, so a crash at any instant leaves either
 // the previous checkpoint or a complete new one — never a torn file
 // the resume pass could half-trust.
-func writeCheckpoint(dir, configHash string, oc Outcome) error {
-	payload, err := json.Marshal(oc)
+func writeCheckpoint(dir, configHash, name string, rows []Outcome) error {
+	payload, err := json.Marshal(rows)
 	if err != nil {
-		return fmt.Errorf("encoding outcome %s: %w", oc.Dataset, err)
+		return fmt.Errorf("encoding outcomes %s: %w", name, err)
 	}
 	sum := sha256.Sum256(payload)
 	// Compact marshal throughout: an indenting encoder would reformat
@@ -57,9 +58,9 @@ func writeCheckpoint(dir, configHash string, oc Outcome) error {
 		Payload:    payload,
 	})
 	if err != nil {
-		return fmt.Errorf("encoding checkpoint %s: %w", oc.Dataset, err)
+		return fmt.Errorf("encoding checkpoint %s: %w", name, err)
 	}
-	tmp, err := os.CreateTemp(dir, "."+oc.Dataset+".ckpt-*")
+	tmp, err := os.CreateTemp(dir, "."+name+".ckpt-*")
 	if err != nil {
 		return err
 	}
@@ -72,7 +73,7 @@ func writeCheckpoint(dir, configHash string, oc Outcome) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := os.Rename(tmp.Name(), CheckpointPath(dir, oc.Dataset)); err != nil {
+	if err := os.Rename(tmp.Name(), CheckpointPath(dir, name)); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -83,36 +84,42 @@ func writeCheckpoint(dir, configHash string, oc Outcome) error {
 // distinguishes three non-success cases: (fs.ErrNotExist) no checkpoint
 // yet, (ErrCheckpointCorrupt) a file that fails structural or byte
 // verification, and (ErrCheckpointMismatch) a valid checkpoint from a
-// run with different result-affecting configuration.
-func readCheckpoint(dir, name, configHash string) (Outcome, error) {
+// run with different result-affecting configuration. The rows must name
+// the dataset and the run's methods, in order.
+func readCheckpoint(dir, name, configHash string, methods []Method) ([]Outcome, error) {
 	const op = "readCheckpoint"
 	blob, err := os.ReadFile(CheckpointPath(dir, name))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return Outcome{}, err
+			return nil, err
 		}
-		return Outcome{}, archErr(op, ErrCheckpointCorrupt, err)
+		return nil, archErr(op, ErrCheckpointCorrupt, err)
 	}
 	var f checkpointFile
 	if err := json.Unmarshal(blob, &f); err != nil {
-		return Outcome{}, archErrf(op, ErrCheckpointCorrupt, "%s: %v", name, err)
+		return nil, archErrf(op, ErrCheckpointCorrupt, "%s: %v", name, err)
 	}
 	if f.Version != checkpointVersion {
-		return Outcome{}, archErrf(op, ErrCheckpointCorrupt, "%s: version %d (want %d)", name, f.Version, checkpointVersion)
+		return nil, archErrf(op, ErrCheckpointCorrupt, "%s: version %d (want %d)", name, f.Version, checkpointVersion)
 	}
 	sum := sha256.Sum256(f.Payload)
 	if hex.EncodeToString(sum[:]) != f.PayloadSHA {
-		return Outcome{}, archErrf(op, ErrCheckpointCorrupt, "%s: payload digest mismatch", name)
+		return nil, archErrf(op, ErrCheckpointCorrupt, "%s: payload digest mismatch", name)
 	}
 	if f.ConfigHash != configHash {
-		return Outcome{}, archErrf(op, ErrCheckpointMismatch, "%s: checkpoint written under config %s, current run is %s", name, f.ConfigHash, configHash)
+		return nil, archErrf(op, ErrCheckpointMismatch, "%s: checkpoint written under config %s, current run is %s", name, f.ConfigHash, configHash)
 	}
-	var oc Outcome
-	if err := json.Unmarshal(f.Payload, &oc); err != nil {
-		return Outcome{}, archErrf(op, ErrCheckpointCorrupt, "%s: payload: %v", name, err)
+	var rows []Outcome
+	if err := json.Unmarshal(f.Payload, &rows); err != nil {
+		return nil, archErrf(op, ErrCheckpointCorrupt, "%s: payload: %v", name, err)
 	}
-	if oc.Dataset != name {
-		return Outcome{}, archErrf(op, ErrCheckpointCorrupt, "%s: payload names dataset %q", name, oc.Dataset)
+	if len(rows) != len(methods) {
+		return nil, archErrf(op, ErrCheckpointCorrupt, "%s: %d rows for %d methods", name, len(rows), len(methods))
 	}
-	return oc, nil
+	for i, oc := range rows {
+		if oc.Dataset != name || oc.Method != methods[i].Name {
+			return nil, archErrf(op, ErrCheckpointCorrupt, "%s: row %d names (%q, %q)", name, i, oc.Dataset, oc.Method)
+		}
+	}
+	return rows, nil
 }

@@ -1,11 +1,11 @@
-// Package archive is the resumable sharded archive runner behind
-// cmd/rpmarchive (DESIGN.md §15): it trains and evaluates an RPM
-// classifier (or bagged ensemble) on every dataset of a source,
-// checkpointing each finished dataset to an atomic, byte-verified file
-// so a killed run resumes exactly where it stopped, and emits a
-// correctness+efficiency table whose deterministic projection is
-// byte-identical between an interrupted-and-resumed run and an
-// uninterrupted one.
+// Package archive is the repo's one evaluation runner, behind
+// cmd/rpmarchive and every cmd/benchtab experiment (DESIGN.md §15): it
+// trains, predicts and scores a list of methods on every dataset of a
+// source, checkpointing each finished dataset to an atomic,
+// byte-verified file so a killed run resumes exactly where it stopped,
+// and emits a correctness+efficiency table with one row per (dataset,
+// method) whose deterministic projection is byte-identical between an
+// interrupted-and-resumed run and an uninterrupted one.
 package archive
 
 import (
@@ -19,8 +19,9 @@ import (
 // enforces for package rpm.
 var (
 	// ErrBadConfig marks Run configurations rejected up front: missing
-	// output directory or source, an out-of-range shard index, a dataset
-	// name that is not filesystem-safe.
+	// output directory, source or methods, an out-of-range shard index,
+	// a dataset name that is not filesystem-safe, method settings that
+	// do not encode (NaN or ±Inf).
 	ErrBadConfig = errors.New("bad archive config")
 	// ErrCheckpointCorrupt marks checkpoint files that fail structural
 	// or byte verification: undecodable JSON, an unknown version, or a

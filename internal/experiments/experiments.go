@@ -4,25 +4,29 @@
 // and RPM), Table 3 / Figure 9 (sensitivity to the similarity threshold
 // τ), Table 4 (error on rotated test data), Figures 7 and 8 (pairwise
 // comparison scatters with Wilcoxon p-values), and the §6.2 medical-alarm
-// case study. cmd/benchtab is the command-line front end; bench_test.go
-// exposes the same runs as testing.B benchmarks.
+// case study.
+//
+// Every experiment is a list of methods run by the archive runner
+// (internal/experiments/archive); this package supplies the method
+// constructors, the in-memory sources of Table 4 and the case study, and
+// the formatters and SVG writers over the runner's rows. cmd/benchtab is
+// the command-line front end; bench_test.go exposes the same runs as
+// testing.B benchmarks.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"os"
 	"sort"
-	"sync"
-	"time"
 
+	"rpm"
 	"rpm/internal/core"
-	"rpm/internal/datagen"
-	"rpm/internal/dataset"
+	"rpm/internal/experiments/archive"
 	"rpm/internal/fastshapelets"
 	"rpm/internal/learnshapelets"
 	"rpm/internal/nn"
 	"rpm/internal/obs"
-	"rpm/internal/parallel"
 	"rpm/internal/saxvsm"
 	"rpm/internal/stats"
 	"rpm/internal/ts"
@@ -43,85 +47,83 @@ func AllMethods() []string {
 	return []string{MethodNNED, MethodNNDTWB, MethodSAXVSM, MethodFS, MethodLS, MethodRPM}
 }
 
-// predictor is the minimal classifier interface the harness drives.
-type predictor interface {
-	Predict(values []float64) int
-}
-
-// MethodResult is one classifier's outcome on one dataset.
-type MethodResult struct {
-	Err          float64
-	TrainTime    time.Duration
-	ClassifyTime time.Duration
-}
-
-// Total returns train + classify time.
-func (r MethodResult) Total() time.Duration { return r.TrainTime + r.ClassifyTime }
-
-// DatasetResult bundles every method's result on one dataset. Report is
-// non-nil only under Config.Instrument: a snapshot of the dataset's obs
-// registry, carrying the RPM training stage spans and counters plus the
-// NN-DTWB leave-one-out sweep spans.
-type DatasetResult struct {
-	Name    string
-	Results map[string]MethodResult
-	Report  *obs.Snapshot `json:",omitempty"`
-}
-
-// Config tunes the harness.
+// Config sets what the method constructors build.
 type Config struct {
-	// Seed drives data generation and every stochastic component.
+	// Seed drives every stochastic component of the methods.
 	Seed int64
 	// Quick shrinks the RPM parameter search (fewer splits and
-	// evaluations) for fast benchmark iterations.
+	// evaluations) and LS training for fast benchmark iterations.
 	Quick bool
-	// Methods restricts which classifiers run (default AllMethods()).
-	Methods []string
-	// Datasets restricts which suite datasets run (default all).
-	Datasets []string
-	// Workers bounds the harness's concurrency: the per-dataset fan-out
-	// of RunSuite/RunTauSweep/RunAblation and, passed through to
-	// core.Options.Workers and the 1NN baselines, every parallel stage
-	// inside each run (the parallel.Workers convention: 0 ⇒ GOMAXPROCS,
-	// 1 ⇒ fully sequential). Result values are identical for any
-	// setting; reported wall-clock timings overlap when datasets run
-	// concurrently, so use Workers: 1 for paper-faithful Table 2 times.
+	// Workers bounds every parallel stage inside RPM and the 1NN
+	// baselines (the parallel.Workers convention: 0 ⇒ GOMAXPROCS, 1 ⇒
+	// fully sequential). Result values are identical for any setting.
 	Workers int
-	// Context, when non-nil, bounds the whole run: RunSuite stops
-	// scheduling datasets, the RPM parameter search and the NN-DTWB
-	// window sweep stop scheduling evaluations, and the harness returns
-	// Context.Err(). nil means context.Background() (never canceled).
-	// With a non-canceled context, results are identical to a run
-	// without one.
-	Context context.Context
-	// Instrument gives every dataset run its own obs.Registry: RPM
-	// training records its stage spans, counters and worker pools, and
-	// the NN-DTWB window search its per-window LOOCV spans, into
-	// DatasetResult.Report. Off by default (zero overhead); recording
-	// never changes any result value.
-	Instrument bool
-	// Obs, when non-nil, is the registry the run records into. RunDataset
-	// fills it per dataset under Instrument; set it directly to share one
-	// registry across a custom single-dataset harness.
-	Obs *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Context == nil {
-		c.Context = context.Background()
-	}
-	if len(c.Methods) == 0 {
-		c.Methods = AllMethods()
-	}
-	if len(c.Datasets) == 0 {
-		for _, g := range datagen.Suite() {
-			c.Datasets = append(c.Datasets, g.Name)
+// predictor is what every method's trained classifier provides.
+type predictor interface {
+	PredictBatch(test ts.Dataset) []int
+}
+
+// Methods returns the named Table 1 classifiers (see AllMethods) as
+// runner methods. Training a name that is not a Method* constant fails.
+func Methods(cfg Config, names ...string) []archive.Method {
+	out := make([]archive.Method, 0, len(names))
+	for _, name := range names {
+		if name == MethodRPM {
+			out = append(out, rpmMethod(MethodRPM, rpmOptions(cfg)))
+			continue
 		}
+		out = append(out, archive.Method{
+			Name: name,
+			Settings: struct {
+				Seed  int64
+				Quick bool
+			}{cfg.Seed, cfg.Quick},
+			Train: func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (archive.Model, error) {
+				if err := ctx.Err(); err != nil {
+					return archive.Model{}, err
+				}
+				p, err := trainBaseline(ctx, name, toTS(train), cfg, reg)
+				if err != nil {
+					return archive.Model{}, err
+				}
+				return model(p, 0), nil
+			},
+		})
 	}
-	return c
+	return out
+}
+
+// trainBaseline trains one of the Table 1 rivals of RPM. ctx cancels
+// the NN-DTWB window search mid-flight; the other baselines run to
+// completion once started.
+func trainBaseline(ctx context.Context, name string, train ts.Dataset, cfg Config, reg *obs.Registry) (predictor, error) {
+	switch name {
+	case MethodNNED:
+		ed := nn.NewED(train)
+		ed.Workers = cfg.Workers
+		return ed, nil
+	case MethodNNDTWB:
+		w, err := nn.BestWindowObs(ctx, train, 0.2, cfg.Workers, reg)
+		if err != nil {
+			return nil, err
+		}
+		dtw := nn.NewDTW(train, w)
+		dtw.Workers = cfg.Workers
+		return dtw, nil
+	case MethodSAXVSM:
+		return saxvsm.TrainAuto(train, cfg.Seed), nil
+	case MethodFS:
+		return fastshapelets.Train(train, fastshapelets.Config{Seed: cfg.Seed}), nil
+	case MethodLS:
+		lsCfg := learnshapelets.Config{Seed: cfg.Seed}
+		if cfg.Quick {
+			lsCfg.Epochs = 100
+		}
+		return learnshapelets.Train(train, lsCfg), nil
+	}
+	return nil, fmt.Errorf("experiments: unknown method %q", name)
 }
 
 // rpmOptions returns the RPM configuration used throughout the harness.
@@ -136,167 +138,98 @@ func rpmOptions(cfg Config) core.Options {
 		o.MaxEvals = 40
 	}
 	o.Workers = cfg.Workers
-	o.Obs = cfg.Obs
 	return o
 }
 
-// TrainMethod trains one named classifier and returns it with the elapsed
-// training time. cfg.Context cancels the two long-running searches (the
-// RPM parameter search, the NN-DTWB window sweep) mid-flight; the other
-// baselines are checked before training starts.
-func TrainMethod(name string, train ts.Dataset, cfg Config) (predictor, time.Duration, error) {
-	cfg = cfg.withDefaults()
-	start := time.Now()
-	if err := cfg.Context.Err(); err != nil {
-		return nil, time.Since(start), err
-	}
-	var p predictor
-	var err error
-	switch name {
-	case MethodNNED:
-		ed := nn.NewED(train)
-		ed.Workers = cfg.Workers
-		p = ed
-	case MethodNNDTWB:
-		w, werr := nn.BestWindowObs(cfg.Context, train, 0.2, cfg.Workers, cfg.Obs)
-		if werr != nil {
-			return nil, time.Since(start), werr
-		}
-		dtw := nn.NewDTW(train, w)
-		dtw.Workers = cfg.Workers
-		p = dtw
-	case MethodSAXVSM:
-		p = saxvsm.TrainAuto(train, cfg.Seed)
-	case MethodFS:
-		p = fastshapelets.Train(train, fastshapelets.Config{Seed: cfg.Seed})
-	case MethodLS:
-		lsCfg := learnshapelets.Config{Seed: cfg.Seed}
-		if cfg.Quick {
-			lsCfg.Epochs = 100
-		}
-		p = learnshapelets.Train(train, lsCfg)
-	case MethodRPM:
-		p, err = core.TrainContext(cfg.Context, train, rpmOptions(cfg))
-	default:
-		err = fmt.Errorf("experiments: unknown method %q", name)
-	}
-	return p, time.Since(start), err
-}
-
-// batchPredictor is implemented by classifiers with a native (possibly
-// parallel) batch path — RPM and the 1NN baselines.
-type batchPredictor interface {
-	PredictBatch(test ts.Dataset) []int
-}
-
-// predictAll classifies the test set, using the classifier's parallel
-// batch path when it has one and the sequential query loop otherwise.
-func predictAll(p predictor, test ts.Dataset) []int {
-	if bp, ok := p.(batchPredictor); ok {
-		return bp.PredictBatch(test)
-	}
-	preds := make([]int, len(test))
-	for i, in := range test {
-		preds[i] = p.Predict(in.Values)
-	}
-	return preds
-}
-
-// RunDataset evaluates the configured methods on one dataset split.
-// cfg.Context aborts between (and, for RPM and NN-DTWB, inside) methods.
-func RunDataset(split dataset.Split, cfg Config) (res DatasetResult, err error) {
-	cfg = cfg.withDefaults()
-	if cfg.Instrument && cfg.Obs == nil {
-		cfg.Obs = obs.NewRegistry() // one registry per dataset run
-	}
-	res = DatasetResult{Name: split.Name, Results: map[string]MethodResult{}}
-	// Named return: the snapshot is attached on every exit path, so a
-	// partially evaluated dataset still reports what it measured.
-	defer func() { res.Report = cfg.Obs.Snapshot() }()
-	for _, m := range cfg.Methods {
-		if err := cfg.Context.Err(); err != nil {
-			return res, err
-		}
-		p, trainDur, err := TrainMethod(m, split.Train, cfg)
+// rpmMethod trains RPM with o, recording into the dataset's registry.
+func rpmMethod(name string, o core.Options) archive.Method {
+	settings := o
+	settings.Workers = 0
+	return archive.Method{Name: name, Settings: settings, Train: func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (archive.Model, error) {
+		o := o
+		o.Obs = reg
+		clf, err := core.TrainContext(ctx, toTS(train), o)
 		if err != nil {
-			return res, fmt.Errorf("%s on %s: %w", m, split.Name, err)
+			return archive.Model{}, err
 		}
-		start := time.Now()
-		preds := predictAll(p, split.Test)
-		classifyDur := time.Since(start)
-		res.Results[m] = MethodResult{
-			Err:          stats.ErrorRate(preds, split.Test.Labels()),
-			TrainTime:    trainDur,
-			ClassifyTime: classifyDur,
-		}
-	}
-	return res, nil
+		return model(clf, clf.NumPatterns()), nil
+	}}
 }
 
-// RunSuite evaluates the configured methods on every configured dataset,
-// fanning the datasets out over cfg.Workers goroutines (each dataset's
-// run is fully independent: its own generated split and its own trained
-// models). Results are returned in cfg.Datasets order regardless of
-// completion order. progress, if non-nil, receives one line per completed
-// dataset (serialized, but in completion order when Workers != 1).
-func RunSuite(cfg Config, progress func(string)) ([]DatasetResult, error) {
-	cfg = cfg.withDefaults()
-	var progressMu sync.Mutex
-	type outcome struct {
-		res DatasetResult
-		err error
+// model wraps a trained classifier for the runner.
+func model(p predictor, patterns int) archive.Model {
+	return archive.Model{Patterns: patterns, Predict: func(_ context.Context, test rpm.Dataset) ([]int, error) {
+		return p.PredictBatch(toTS(test)), nil
+	}}
+}
+
+// toTS views a public dataset as the internal type, sharing the value
+// slices.
+func toTS(d rpm.Dataset) ts.Dataset {
+	out := make(ts.Dataset, len(d))
+	for i, in := range d {
+		out[i] = ts.Instance(in)
 	}
-	outcomes, err := parallel.MapCtx(cfg.Context, len(cfg.Datasets), cfg.Workers, func(i int) outcome {
-		name := cfg.Datasets[i]
-		g, ok := datagen.ByName(name)
-		if !ok {
-			return outcome{err: fmt.Errorf("experiments: unknown dataset %q", name)}
-		}
-		split := g.Generate(cfg.Seed)
-		res, err := RunDataset(split, cfg)
-		if err != nil {
-			return outcome{err: err}
-		}
-		if progress != nil {
-			progressMu.Lock()
-			progress(fmt.Sprintf("done %-18s %s", name, summarize(res, cfg.Methods)))
-			progressMu.Unlock()
-		}
-		return outcome{res: res}
-	})
+	return out
+}
+
+// Evaluate runs an experiment through the archive runner: strict (the
+// first failed row fails the run), with checkpoints in a scratch
+// directory it removes. Rows come back in run.Datasets order (the
+// source's own order when empty) instead of the runner's sorted order,
+// methods in list order within a dataset.
+func Evaluate(ctx context.Context, run archive.Config) ([]archive.Outcome, error) {
+	dir, err := os.MkdirTemp("", "experiments-")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DatasetResult, 0, len(outcomes))
-	for _, o := range outcomes {
-		if o.err != nil {
-			return nil, o.err
-		}
-		out = append(out, o.res)
+	defer os.RemoveAll(dir)
+	run.OutDir, run.Strict = dir, true
+	res, err := archive.Run(ctx, run)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	order := run.Datasets
+	if len(order) == 0 {
+		if order, err = run.Source.Names(); err != nil {
+			return nil, err
+		}
+	}
+	rank := make(map[string]int, len(order))
+	for i, name := range order {
+		rank[name] = i
+	}
+	rows := res.Outcomes
+	sort.SliceStable(rows, func(i, j int) bool { return rank[rows[i].Dataset] < rank[rows[j].Dataset] })
+	return rows, nil
 }
 
-func summarize(res DatasetResult, methods []string) string {
-	s := ""
-	for _, m := range methods {
-		r, ok := res.Results[m]
-		if !ok {
-			continue
+// datasetRows is one dataset's rows keyed by method name.
+type datasetRows struct {
+	name string
+	rows map[string]archive.Outcome
+}
+
+// byDataset groups runner rows by dataset, keeping the rows' order.
+func byDataset(rows []archive.Outcome) []datasetRows {
+	var out []datasetRows
+	for _, oc := range rows {
+		if len(out) == 0 || out[len(out)-1].name != oc.Dataset {
+			out = append(out, datasetRows{name: oc.Dataset, rows: map[string]archive.Outcome{}})
 		}
-		s += fmt.Sprintf("%s=%.3f ", m, r.Err)
+		out[len(out)-1].rows[oc.Method] = oc
 	}
-	return s
+	return out
 }
 
 // BestCounts returns, per method, in how many datasets it achieved the
-// lowest error (ties included), the "# of best" row of Table 1.
-func BestCounts(results []DatasetResult, methods []string, metric func(MethodResult) float64) map[string]int {
+// lowest metric (ties included), the "# of best" row of Tables 1 and 2.
+func BestCounts(rows []archive.Outcome, methods []string, metric func(archive.Outcome) float64) map[string]int {
 	counts := map[string]int{}
-	for _, dr := range results {
+	for _, dr := range byDataset(rows) {
 		best := bestValue(dr, methods, metric)
 		for _, m := range methods {
-			if r, ok := dr.Results[m]; ok && metric(r) <= best+1e-12 {
+			if r, ok := dr.rows[m]; ok && metric(r) <= best+1e-12 {
 				counts[m]++
 			}
 		}
@@ -304,10 +237,10 @@ func BestCounts(results []DatasetResult, methods []string, metric func(MethodRes
 	return counts
 }
 
-func bestValue(dr DatasetResult, methods []string, metric func(MethodResult) float64) float64 {
+func bestValue(dr datasetRows, methods []string, metric func(archive.Outcome) float64) float64 {
 	best := -1.0
 	for _, m := range methods {
-		if r, ok := dr.Results[m]; ok {
+		if r, ok := dr.rows[m]; ok {
 			v := metric(r)
 			if best < 0 || v < best {
 				best = v
@@ -317,37 +250,30 @@ func bestValue(dr DatasetResult, methods []string, metric func(MethodResult) flo
 	return best
 }
 
-// ErrMetric and TimeMetric are the metrics Tables 1 and 2 rank by.
-func ErrMetric(r MethodResult) float64  { return r.Err }
-func TimeMetric(r MethodResult) float64 { return r.Total().Seconds() }
+// ErrMetric and TimeMetric are the metrics Tables 1 and 2 rank by: the
+// error rate and the train + classify seconds.
+func ErrMetric(r archive.Outcome) float64 { return r.ErrorRate() }
+func TimeMetric(r archive.Outcome) float64 {
+	return (r.TrainMillis + r.PredictMillis) / 1000
+}
 
 // PairedErrors extracts the aligned per-dataset error vectors of two
 // methods, for Wilcoxon tests and scatter plots.
-func PairedErrors(results []DatasetResult, a, b string) (va, vb []float64, names []string) {
-	for _, dr := range results {
-		ra, oka := dr.Results[a]
-		rb, okb := dr.Results[b]
+func PairedErrors(rows []archive.Outcome, a, b string) (va, vb []float64, names []string) {
+	for _, dr := range byDataset(rows) {
+		ra, oka := dr.rows[a]
+		rb, okb := dr.rows[b]
 		if oka && okb {
-			va = append(va, ra.Err)
-			vb = append(vb, rb.Err)
-			names = append(names, dr.Name)
+			va = append(va, ra.ErrorRate())
+			vb = append(vb, rb.ErrorRate())
+			names = append(names, dr.name)
 		}
 	}
 	return va, vb, names
 }
 
 // Wilcoxon runs the signed-rank test on two methods' per-dataset errors.
-func Wilcoxon(results []DatasetResult, a, b string) float64 {
-	va, vb, _ := PairedErrors(results, a, b)
+func Wilcoxon(rows []archive.Outcome, a, b string) float64 {
+	va, vb, _ := PairedErrors(rows, a, b)
 	return stats.WilcoxonSignedRank(va, vb)
-}
-
-// SortedDatasetNames returns the result names in deterministic order.
-func SortedDatasetNames(results []DatasetResult) []string {
-	out := make([]string, len(results))
-	for i, r := range results {
-		out[i] = r.Name
-	}
-	sort.Strings(out)
-	return out
 }

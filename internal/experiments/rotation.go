@@ -5,13 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"text/tabwriter"
-	"time"
 
-	"rpm/internal/core"
-	"rpm/internal/datagen"
-	"rpm/internal/dataset"
-	"rpm/internal/stats"
-	"rpm/internal/ts"
+	"rpm"
+	"rpm/internal/experiments/archive"
 )
 
 // RotationDatasets are the shape-like datasets used in the paper's
@@ -20,133 +16,96 @@ func RotationDatasets() []string {
 	return []string{"SynCoffee", "SynFaceFour", "SynGunPoint", "SynSwedishLeaf", "SynOSULeaf"}
 }
 
-// RotationMethods are the Table 4 columns.
-func RotationMethods() []string {
-	return []string{MethodNNED, MethodNNDTWB, MethodSAXVSM, MethodLS, MethodRPM}
+// rotationColumns are the Table 4 columns.
+var rotationColumns = []string{MethodNNED, MethodNNDTWB, MethodSAXVSM, MethodLS, MethodRPM}
+
+// RotationMethods returns the Table 4 methods: the baselines as in
+// Table 1, and RPM with its rotation-invariant transform enabled.
+func RotationMethods(cfg Config) []archive.Method {
+	o := rpmOptions(cfg)
+	o.RotationInvariant = true
+	return append(Methods(cfg, rotationColumns[:len(rotationColumns)-1]...), rpmMethod(MethodRPM, o))
 }
 
 // RotateDataset returns a copy of d with every series circularly shifted
 // at an independent random cut point (paper §6.1: training data stays
-// unmodified, only test data is distorted).
-func RotateDataset(d ts.Dataset, rng *rand.Rand) ts.Dataset {
-	out := d.Clone()
-	for i := range out {
-		n := len(out[i].Values)
-		if n < 2 {
-			continue
+// unmodified, only test data is distorted). d is left unmodified.
+func RotateDataset(d rpm.Dataset, rng *rand.Rand) rpm.Dataset {
+	out := make(rpm.Dataset, len(d))
+	for i, in := range d {
+		out[i] = in
+		if n := len(in.Values); n >= 2 {
+			out[i].Values = rpm.Rotate(in.Values, 1+rng.Intn(n-1))
 		}
-		out[i].Values = ts.Rotate(out[i].Values, 1+rng.Intn(n-1))
 	}
 	return out
 }
 
-// RunTable4 reproduces the rotation study: train on unmodified data,
-// classify rotated test data; RPM runs with its rotation-invariant
-// transform enabled.
-func RunTable4(cfg Config, progress func(string)) ([]DatasetResult, error) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
-	var out []DatasetResult
+// RotationSource serves the Table 4 splits: unmodified training data and
+// rotated test data. The splits are built once, in RotationDatasets()
+// order, from one RNG seeded with seed+7, so every dataset's rotations
+// are fixed by the seed alone.
+func RotationSource(seed int64) archive.Source {
+	rng := rand.New(rand.NewSource(seed + 7))
+	src := make(splitSource, 0, len(RotationDatasets()))
 	for _, name := range RotationDatasets() {
-		g, ok := datagen.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown dataset %q", name)
-		}
-		split := g.Generate(cfg.Seed)
-		rotated := dataset.Split{Name: split.Name, Train: split.Train, Test: RotateDataset(split.Test, rng)}
-		res := DatasetResult{Name: name, Results: map[string]MethodResult{}}
-		for _, m := range RotationMethods() {
-			var p predictor
-			var trainDur time.Duration
-			var err error
-			if m == MethodRPM {
-				o := rpmOptions(cfg)
-				o.RotationInvariant = true
-				start := time.Now()
-				p, err = core.Train(rotated.Train, o)
-				trainDur = time.Since(start)
-			} else {
-				p, trainDur, err = TrainMethod(m, rotated.Train, cfg)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s on rotated %s: %w", m, name, err)
-			}
-			start := time.Now()
-			preds := predictAll(p, rotated.Test)
-			res.Results[m] = MethodResult{
-				Err:          stats.ErrorRate(preds, rotated.Test.Labels()),
-				TrainTime:    trainDur,
-				ClassifyTime: time.Since(start),
-			}
-		}
-		out = append(out, res)
-		if progress != nil {
-			progress(fmt.Sprintf("rotation done %-18s %s", name, summarize(res, RotationMethods())))
+		split := rpm.GenerateDataset(name, seed)
+		split.Test = RotateDataset(split.Test, rng)
+		src = append(src, split)
+	}
+	return src
+}
+
+// AlarmSource serves the §6.2 medical-alarm case study's one split: the
+// synthetic arterial-blood-pressure data, normal vs alarm-triggering
+// waveform segments.
+func AlarmSource(seed int64) archive.Source {
+	return splitSource{rpm.GenerateABP(seed)}
+}
+
+// splitSource serves in-memory splits, listed in slice order.
+type splitSource []rpm.Split
+
+func (s splitSource) Names() ([]string, error) {
+	names := make([]string, len(s))
+	for i, split := range s {
+		names[i] = split.Name
+	}
+	return names, nil
+}
+
+func (s splitSource) Load(name string) (rpm.Split, error) {
+	for _, split := range s {
+		if split.Name == name {
+			return split, nil
 		}
 	}
-	return out, nil
+	return rpm.Split{}, fmt.Errorf("experiments: unknown dataset %q", name)
 }
 
 // FormatTable4 renders the paper's Table 4: error on shifted test data.
-func FormatTable4(results []DatasetResult) string {
-	methods := RotationMethods()
+func FormatTable4(rows []archive.Outcome) string {
 	var b strings.Builder
 	b.WriteString("Table 4: classification error on rotated (shifted) test data\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Dataset")
-	for _, m := range methods {
-		fmt.Fprintf(w, "\t%s", m)
-	}
-	fmt.Fprintln(w)
-	for _, dr := range results {
-		best := bestValue(dr, methods, ErrMetric)
-		fmt.Fprintf(w, "%s", dr.Name)
-		for _, m := range methods {
-			r, ok := dr.Results[m]
-			if !ok {
-				fmt.Fprintf(w, "\t-")
-				continue
-			}
-			mark := ""
-			if r.Err <= best+1e-12 {
-				mark = "*"
-			}
-			fmt.Fprintf(w, "\t%.3f%s", r.Err, mark)
-		}
-		fmt.Fprintln(w)
-	}
-	counts := BestCounts(results, methods, ErrMetric)
-	fmt.Fprintf(w, "# best (incl. ties)")
-	for _, m := range methods {
-		fmt.Fprintf(w, "\t%d", counts[m])
-	}
-	fmt.Fprintln(w)
-	w.Flush()
+	writeRanked(&b, rows, rotationColumns, ErrMetric, "%.3f", "# best (incl. ties)")
 	return b.String()
 }
 
-// RunAlarmCase reproduces the §6.2 medical-alarm case study on the
-// synthetic arterial-blood-pressure data: normal vs alarm-triggering
-// waveform segments.
-func RunAlarmCase(cfg Config) (DatasetResult, error) {
-	cfg = cfg.withDefaults()
-	split := datagen.ABP().Generate(cfg.Seed)
-	return RunDataset(split, cfg)
-}
-
 // FormatAlarmCase renders the case-study outcome.
-func FormatAlarmCase(res DatasetResult, methods []string) string {
+func FormatAlarmCase(rows []archive.Outcome, methods []string) string {
 	var b strings.Builder
 	b.WriteString("Case study (§6.2): ICU arterial-blood-pressure alarm classification\n")
 	b.WriteString("(synthetic ABP beat trains: normal vs hypotension/damped-artifact alarms)\n\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Method\tError\tAccuracy\tTotal time (s)\n")
-	for _, m := range methods {
-		r, ok := res.Results[m]
-		if !ok {
-			continue
+	for _, dr := range byDataset(rows) {
+		for _, m := range methods {
+			r, ok := dr.rows[m]
+			if !ok {
+				continue
+			}
+			fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.2f\n", m, r.ErrorRate(), 1-r.ErrorRate(), TimeMetric(r))
 		}
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.2f\n", m, r.Err, 1-r.Err, r.Total().Seconds())
 	}
 	w.Flush()
 	return b.String()

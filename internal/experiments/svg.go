@@ -6,12 +6,13 @@ import (
 	"os"
 	"path/filepath"
 
+	"rpm/internal/experiments/archive"
 	"rpm/internal/svgplot"
 )
 
 // WriteFig7SVG renders the Figure 7 pairwise error scatters (one file per
 // rival method) into dir, returning the written paths.
-func WriteFig7SVG(dir string, results []DatasetResult, methods []string) ([]string, error) {
+func WriteFig7SVG(dir string, rows []archive.Outcome, methods []string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -20,12 +21,12 @@ func WriteFig7SVG(dir string, results []DatasetResult, methods []string) ([]stri
 		if m == MethodRPM {
 			continue
 		}
-		va, vb, _ := PairedErrors(results, m, MethodRPM)
+		va, vb, _ := PairedErrors(rows, m, MethodRPM)
 		if len(va) == 0 {
 			continue
 		}
 		chart := svgplot.ScatterChart{
-			Title:    fmt.Sprintf("Fig. 7: %s vs RPM (p=%.3f)", m, Wilcoxon(results, MethodRPM, m)),
+			Title:    fmt.Sprintf("Fig. 7: %s vs RPM (p=%.3f)", m, Wilcoxon(rows, MethodRPM, m)),
 			XLabel:   m + " error",
 			YLabel:   "RPM error",
 			Diagonal: true,
@@ -41,22 +42,13 @@ func WriteFig7SVG(dir string, results []DatasetResult, methods []string) ([]stri
 }
 
 // WriteFig8SVG renders the Figure 8 log-log runtime scatters into dir.
-func WriteFig8SVG(dir string, results []DatasetResult) ([]string, error) {
+func WriteFig8SVG(dir string, rows []archive.Outcome) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	var paths []string
 	for _, m := range []string{MethodLS, MethodFS} {
-		var xs, ys []float64
-		for _, dr := range results {
-			rm, ok1 := dr.Results[m]
-			rr, ok2 := dr.Results[MethodRPM]
-			if !ok1 || !ok2 {
-				continue
-			}
-			xs = append(xs, rm.Total().Seconds())
-			ys = append(ys, rr.Total().Seconds())
-		}
+		xs, ys, _ := pairedTimes(rows, m)
 		if len(xs) == 0 {
 			continue
 		}
@@ -79,7 +71,7 @@ func WriteFig8SVG(dir string, results []DatasetResult) ([]string, error) {
 
 // WriteFig9SVG renders the Figure 9 τ sweeps (runtime and error vs τ, one
 // series per dataset) into dir.
-func WriteFig9SVG(dir string, sweep []TauSeries) ([]string, error) {
+func WriteFig9SVG(dir string, rows []archive.Outcome) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -93,15 +85,9 @@ func WriteFig9SVG(dir string, sweep []TauSeries) ([]string, error) {
 		XLabel: "τ percentile",
 		YLabel: "error",
 	}
-	for _, s := range sweep {
-		var xs, times, errs []float64
-		for _, p := range s.Points {
-			xs = append(xs, p.Percentile)
-			times = append(times, p.Time.Seconds())
-			errs = append(errs, p.Err)
-		}
-		timeChart.Series = append(timeChart.Series, svgplot.Series{Name: s.Dataset, X: xs, Y: times})
-		errChart.Series = append(errChart.Series, svgplot.Series{Name: s.Dataset, X: xs, Y: errs})
+	for _, s := range tauSeries(rows) {
+		timeChart.Series = append(timeChart.Series, svgplot.Series{Name: s.name, X: s.pct, Y: s.secs})
+		errChart.Series = append(errChart.Series, svgplot.Series{Name: s.name, X: s.pct, Y: s.errs})
 	}
 	var paths []string
 	for name, chart := range map[string]svgplot.LineChart{

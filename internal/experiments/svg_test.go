@@ -5,29 +5,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"rpm/internal/experiments/archive"
 )
 
-func fakeResults() []DatasetResult {
-	return []DatasetResult{
-		{Name: "a", Results: map[string]MethodResult{
-			MethodNNED: {Err: 0.3, TrainTime: time.Second},
-			MethodLS:   {Err: 0.1, TrainTime: 4 * time.Second},
-			MethodFS:   {Err: 0.2, TrainTime: time.Second / 2},
-			MethodRPM:  {Err: 0.05, TrainTime: 2 * time.Second},
-		}},
-		{Name: "b", Results: map[string]MethodResult{
-			MethodNNED: {Err: 0.4, TrainTime: time.Second},
-			MethodLS:   {Err: 0.3, TrainTime: 6 * time.Second},
-			MethodFS:   {Err: 0.25, TrainTime: time.Second},
-			MethodRPM:  {Err: 0.2, TrainTime: 3 * time.Second},
-		}},
-		{Name: "c", Results: map[string]MethodResult{
-			MethodNNED: {Err: 0.1, TrainTime: time.Second},
-			MethodLS:   {Err: 0.15, TrainTime: 5 * time.Second},
-			MethodFS:   {Err: 0.3, TrainTime: time.Second},
-			MethodRPM:  {Err: 0.1, TrainTime: time.Second},
-		}},
+func fakeResults() []archive.Outcome {
+	return []archive.Outcome{
+		row("a", MethodNNED, 0.3, 1), row("a", MethodLS, 0.1, 4), row("a", MethodFS, 0.2, 0.5), row("a", MethodRPM, 0.05, 2),
+		row("b", MethodNNED, 0.4, 1), row("b", MethodLS, 0.3, 6), row("b", MethodFS, 0.25, 1), row("b", MethodRPM, 0.2, 3),
+		row("c", MethodNNED, 0.1, 1), row("c", MethodLS, 0.15, 5), row("c", MethodFS, 0.3, 1), row("c", MethodRPM, 0.1, 1),
 	}
 }
 
@@ -67,14 +53,11 @@ func TestWriteFig8SVG(t *testing.T) {
 
 func TestWriteFig9SVG(t *testing.T) {
 	dir := t.TempDir()
-	sweep := []TauSeries{{
-		Dataset: "x",
-		Points: []TauPoint{
-			{Percentile: 10, Err: 0.1, Time: time.Second},
-			{Percentile: 30, Err: 0.12, Time: 800 * time.Millisecond},
-			{Percentile: 50, Err: 0.12, Time: 700 * time.Millisecond},
-		},
-	}}
+	sweep := []archive.Outcome{
+		row("x", tauMethod(10), 0.1, 1),
+		row("x", tauMethod(30), 0.12, 0.8),
+		row("x", tauMethod(50), 0.12, 0.7),
+	}
 	paths, err := WriteFig9SVG(dir, sweep)
 	if err != nil {
 		t.Fatal(err)

@@ -4,50 +4,59 @@ import (
 	"fmt"
 	"strings"
 	"text/tabwriter"
+
+	"rpm/internal/experiments/archive"
 )
 
-// FormatTable1 renders the paper's Table 1: per-dataset classification
-// error rates for every method, the per-dataset winner in context, the
-// "# of best" row, and the Wilcoxon p-values RPM vs. each rival.
-func FormatTable1(results []DatasetResult, methods []string) string {
-	var b strings.Builder
-	b.WriteString("Table 1: classification error rates (synthetic UCR-style suite)\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
+// writeRanked renders one row per dataset with each method's metric
+// (format valueFmt), the per-dataset winner starred, and a final row
+// counting each method's wins under bestLabel.
+func writeRanked(b *strings.Builder, rows []archive.Outcome, methods []string, metric func(archive.Outcome) float64, valueFmt, bestLabel string) {
+	w := tabwriter.NewWriter(b, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Dataset")
 	for _, m := range methods {
 		fmt.Fprintf(w, "\t%s", m)
 	}
 	fmt.Fprintln(w)
-	for _, dr := range results {
-		best := bestValue(dr, methods, ErrMetric)
-		fmt.Fprintf(w, "%s", dr.Name)
+	for _, dr := range byDataset(rows) {
+		best := bestValue(dr, methods, metric)
+		fmt.Fprintf(w, "%s", dr.name)
 		for _, m := range methods {
-			r, ok := dr.Results[m]
+			r, ok := dr.rows[m]
 			if !ok {
 				fmt.Fprintf(w, "\t-")
 				continue
 			}
 			mark := ""
-			if r.Err <= best+1e-12 {
+			if metric(r) <= best+1e-12 {
 				mark = "*"
 			}
-			fmt.Fprintf(w, "\t%.3f%s", r.Err, mark)
+			fmt.Fprintf(w, "\t"+valueFmt+"%s", metric(r), mark)
 		}
 		fmt.Fprintln(w)
 	}
-	counts := BestCounts(results, methods, ErrMetric)
-	fmt.Fprintf(w, "# of best (incl. ties)")
+	counts := BestCounts(rows, methods, metric)
+	fmt.Fprintf(w, "%s", bestLabel)
 	for _, m := range methods {
 		fmt.Fprintf(w, "\t%d", counts[m])
 	}
 	fmt.Fprintln(w)
 	w.Flush()
+}
+
+// FormatTable1 renders the paper's Table 1: per-dataset classification
+// error rates for every method, the per-dataset winner in context, the
+// "# of best" row, and the Wilcoxon p-values RPM vs. each rival.
+func FormatTable1(rows []archive.Outcome, methods []string) string {
+	var b strings.Builder
+	b.WriteString("Table 1: classification error rates (synthetic UCR-style suite)\n")
+	writeRanked(&b, rows, methods, ErrMetric, "%.3f", "# of best (incl. ties)")
 	b.WriteString("\nWilcoxon signed-rank p-values (RPM vs rival):\n")
 	for _, m := range methods {
 		if m == MethodRPM {
 			continue
 		}
-		b.WriteString(fmt.Sprintf("  RPM vs %-8s p = %.4f\n", m, Wilcoxon(results, MethodRPM, m)))
+		b.WriteString(fmt.Sprintf("  RPM vs %-8s p = %.4f\n", m, Wilcoxon(rows, MethodRPM, m)))
 	}
 	return b.String()
 }
@@ -55,46 +64,18 @@ func FormatTable1(results []DatasetResult, methods []string) string {
 // FormatTable2 renders the paper's Table 2: total running time
 // (train + classify) of the three pattern-learning methods, plus the
 // "# best" row and the speedup statistics quoted in §5.3.
-func FormatTable2(results []DatasetResult) string {
-	methods := []string{MethodLS, MethodFS, MethodRPM}
+func FormatTable2(rows []archive.Outcome) string {
 	var b strings.Builder
 	b.WriteString("Table 2: running time in seconds (train + classify)\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Dataset")
-	for _, m := range methods {
-		fmt.Fprintf(w, "\t%s", m)
-	}
-	fmt.Fprintln(w)
+	writeRanked(&b, rows, []string{MethodLS, MethodFS, MethodRPM}, TimeMetric, "%.2f", "# best (incl. ties)")
 	var speedups []float64
-	for _, dr := range results {
-		best := bestValue(dr, methods, TimeMetric)
-		fmt.Fprintf(w, "%s", dr.Name)
-		for _, m := range methods {
-			r, ok := dr.Results[m]
-			if !ok {
-				fmt.Fprintf(w, "\t-")
-				continue
-			}
-			mark := ""
-			if TimeMetric(r) <= best+1e-12 {
-				mark = "*"
-			}
-			fmt.Fprintf(w, "\t%.2f%s", TimeMetric(r), mark)
-		}
-		fmt.Fprintln(w)
-		ls, okLS := dr.Results[MethodLS]
-		rpm, okRPM := dr.Results[MethodRPM]
-		if okLS && okRPM && rpm.Total() > 0 {
-			speedups = append(speedups, ls.Total().Seconds()/rpm.Total().Seconds())
+	for _, dr := range byDataset(rows) {
+		ls, okLS := dr.rows[MethodLS]
+		rpm, okRPM := dr.rows[MethodRPM]
+		if okLS && okRPM && TimeMetric(rpm) > 0 {
+			speedups = append(speedups, TimeMetric(ls)/TimeMetric(rpm))
 		}
 	}
-	counts := BestCounts(results, methods, TimeMetric)
-	fmt.Fprintf(w, "# best (incl. ties)")
-	for _, m := range methods {
-		fmt.Fprintf(w, "\t%d", counts[m])
-	}
-	fmt.Fprintln(w)
-	w.Flush()
 	if len(speedups) > 0 {
 		maxS, sum := speedups[0], 0.0
 		for _, s := range speedups {
@@ -112,19 +93,19 @@ func FormatTable2(results []DatasetResult) string {
 // FormatFig7 renders the data behind Figure 7: the pairwise error
 // comparison of RPM against each rival — per-dataset (x, y) pairs, the
 // win/tie/loss counts that the scatter conveys, and the Wilcoxon p-value.
-func FormatFig7(results []DatasetResult, methods []string) string {
+func FormatFig7(rows []archive.Outcome, methods []string) string {
 	var b strings.Builder
 	b.WriteString("Figure 7: pairwise error comparison, RPM (y) vs rival (x)\n")
 	for _, m := range methods {
 		if m == MethodRPM {
 			continue
 		}
-		va, vb, names := PairedErrors(results, m, MethodRPM)
+		va, vb, names := PairedErrors(rows, m, MethodRPM)
 		if len(va) == 0 {
 			continue
 		}
 		wins, ties, losses := 0, 0, 0
-		b.WriteString(fmt.Sprintf("\n-- RPM vs %s (p = %.4f) --\n", m, Wilcoxon(results, MethodRPM, m)))
+		b.WriteString(fmt.Sprintf("\n-- RPM vs %s (p = %.4f) --\n", m, Wilcoxon(rows, MethodRPM, m)))
 		for i := range va {
 			rel := "tie"
 			switch {
@@ -146,29 +127,37 @@ func FormatFig7(results []DatasetResult, methods []string) string {
 
 // FormatFig8 renders the data behind Figure 8: log-runtime scatter of RPM
 // against LS and FS.
-func FormatFig8(results []DatasetResult) string {
+func FormatFig8(rows []archive.Outcome) string {
 	var b strings.Builder
 	b.WriteString("Figure 8: pairwise runtime comparison (seconds, log-scale scatter data)\n")
 	for _, m := range []string{MethodLS, MethodFS} {
 		b.WriteString(fmt.Sprintf("\n-- %s (x) vs RPM (y) --\n", m))
+		xs, ys, names := pairedTimes(rows, m)
 		wins := 0
-		n := 0
-		for _, dr := range results {
-			rm, ok1 := dr.Results[m]
-			rr, ok2 := dr.Results[MethodRPM]
-			if !ok1 || !ok2 {
-				continue
-			}
-			n++
+		for i := range xs {
 			rel := m + " faster"
-			if rr.Total() < rm.Total() {
+			if ys[i] < xs[i] {
 				rel = "RPM faster"
 				wins++
 			}
-			b.WriteString(fmt.Sprintf("  %-18s x=%.2f y=%.2f  %s\n",
-				dr.Name, rm.Total().Seconds(), rr.Total().Seconds(), rel))
+			b.WriteString(fmt.Sprintf("  %-18s x=%.2f y=%.2f  %s\n", names[i], xs[i], ys[i], rel))
 		}
-		b.WriteString(fmt.Sprintf("  summary: RPM faster on %d/%d datasets\n", wins, n))
+		b.WriteString(fmt.Sprintf("  summary: RPM faster on %d/%d datasets\n", wins, len(xs)))
 	}
 	return b.String()
+}
+
+// pairedTimes extracts the aligned per-dataset train + classify seconds
+// of rival m (xs) and RPM (ys).
+func pairedTimes(rows []archive.Outcome, m string) (xs, ys []float64, names []string) {
+	for _, dr := range byDataset(rows) {
+		rm, ok1 := dr.rows[m]
+		rr, ok2 := dr.rows[MethodRPM]
+		if ok1 && ok2 {
+			xs = append(xs, TimeMetric(rm))
+			ys = append(ys, TimeMetric(rr))
+			names = append(names, dr.name)
+		}
+	}
+	return xs, ys, names
 }

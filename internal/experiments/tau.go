@@ -3,87 +3,34 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
-	"rpm/internal/core"
-	"rpm/internal/datagen"
-	"rpm/internal/parallel"
-	"rpm/internal/stats"
+	"rpm/internal/experiments/archive"
 )
 
 // TauPercentiles are the similarity-threshold settings swept by the
 // paper's Table 3 and Figure 9.
 var TauPercentiles = []float64{10, 30, 50, 70, 90}
 
-// TauPoint is one (τ percentile → runtime, error) measurement.
-type TauPoint struct {
-	Percentile float64
-	Err        float64
-	Time       time.Duration
+// TauMethods returns one RPM method per τ percentile (paper §5.3, Table
+// 3 / Fig. 9), in TauPercentiles order. The runner trains a dataset's
+// methods back to back, so consecutive-percentile time ratios (Table 3)
+// are measured under the same load.
+func TauMethods(cfg Config) []archive.Method {
+	out := make([]archive.Method, 0, len(TauPercentiles))
+	for _, pct := range TauPercentiles {
+		o := rpmOptions(cfg)
+		o.TauPercentile = pct
+		out = append(out, rpmMethod(tauMethod(pct), o))
+	}
+	return out
 }
 
-// TauSeries is the τ sweep of one dataset.
-type TauSeries struct {
-	Dataset string
-	Points  []TauPoint
-}
-
-// RunTauSweep measures RPM's running time and error across the τ
-// percentiles for each configured dataset (paper §5.3, Table 3 / Fig. 9).
-// Datasets fan out over cfg.Workers goroutines; the τ points within one
-// dataset stay sequential so consecutive-percentile time ratios (Table 3)
-// are measured back to back. Results come back in cfg.Datasets order.
-func RunTauSweep(cfg Config, progress func(string)) ([]TauSeries, error) {
-	cfg = cfg.withDefaults()
-	var progressMu sync.Mutex
-	type outcome struct {
-		series TauSeries
-		err    error
-	}
-	outcomes := parallel.Map(len(cfg.Datasets), cfg.Workers, func(i int) outcome {
-		name := cfg.Datasets[i]
-		g, ok := datagen.ByName(name)
-		if !ok {
-			return outcome{err: fmt.Errorf("experiments: unknown dataset %q", name)}
-		}
-		split := g.Generate(cfg.Seed)
-		series := TauSeries{Dataset: name}
-		for _, pct := range TauPercentiles {
-			o := rpmOptions(cfg)
-			o.TauPercentile = pct
-			start := time.Now()
-			clf, err := core.Train(split.Train, o)
-			if err != nil {
-				return outcome{err: err}
-			}
-			preds := clf.PredictBatch(split.Test)
-			series.Points = append(series.Points, TauPoint{
-				Percentile: pct,
-				Err:        stats.ErrorRate(preds, split.Test.Labels()),
-				Time:       time.Since(start),
-			})
-		}
-		if progress != nil {
-			progressMu.Lock()
-			progress("tau sweep done: " + name)
-			progressMu.Unlock()
-		}
-		return outcome{series: series}
-	})
-	out := make([]TauSeries, 0, len(outcomes))
-	for _, o := range outcomes {
-		if o.err != nil {
-			return nil, o.err
-		}
-		out = append(out, o.series)
-	}
-	return out, nil
-}
+// tauMethod names the τ-percentile method.
+func tauMethod(pct float64) string { return fmt.Sprintf("tau-%g", pct) }
 
 // FormatTable3 renders the paper's Table 3: the average percent change of
 // running time and classification error between consecutive τ settings.
-func FormatTable3(sweep []TauSeries) string {
+func FormatTable3(rows []archive.Outcome) string {
 	var b strings.Builder
 	b.WriteString("Table 3: average running-time and error change for different τ percentiles\n")
 	b.WriteString("(positive = increase, negative = decrease)\n\n")
@@ -91,14 +38,18 @@ func FormatTable3(sweep []TauSeries) string {
 	timeChange := make([]float64, steps)
 	errChange := make([]float64, steps)
 	counts := make([]int, steps)
-	for _, s := range sweep {
-		for i := 0; i+1 < len(s.Points); i++ {
-			prev, next := s.Points[i], s.Points[i+1]
-			if prev.Time > 0 {
-				timeChange[i] += 100 * (next.Time.Seconds() - prev.Time.Seconds()) / prev.Time.Seconds()
+	for _, dr := range byDataset(rows) {
+		for i := 0; i < steps; i++ {
+			prev, okP := dr.rows[tauMethod(TauPercentiles[i])]
+			next, okN := dr.rows[tauMethod(TauPercentiles[i+1])]
+			if !okP || !okN {
+				continue
+			}
+			if pt := TimeMetric(prev); pt > 0 {
+				timeChange[i] += 100 * (TimeMetric(next) - pt) / pt
 			}
 			// error change in absolute percentage points, as in the paper
-			errChange[i] += 100 * (next.Err - prev.Err)
+			errChange[i] += 100 * (next.ErrorRate() - prev.ErrorRate())
 			counts[i]++
 		}
 	}
@@ -106,10 +57,9 @@ func FormatTable3(sweep []TauSeries) string {
 	for i := 0; i < steps; i++ {
 		header += fmt.Sprintf("\t%.0f%%-%.0f%%", TauPercentiles[i], TauPercentiles[i+1])
 	}
-	rows := [][]float64{timeChange, errChange}
 	names := []string{"Running Time Change (%)", "Error Change (points)"}
 	b.WriteString(header + "\n")
-	for r, row := range rows {
+	for r, row := range [][]float64{timeChange, errChange} {
 		line := names[r]
 		for i := 0; i < steps; i++ {
 			v := 0.0
@@ -125,24 +75,48 @@ func FormatTable3(sweep []TauSeries) string {
 
 // FormatFig9 renders the data behind Figure 9: per-dataset running time
 // and error as functions of the τ percentile.
-func FormatFig9(sweep []TauSeries) string {
+func FormatFig9(rows []archive.Outcome) string {
 	var b strings.Builder
 	b.WriteString("Figure 9: running time (s) and error as functions of τ percentile\n")
-	for _, s := range sweep {
-		b.WriteString(fmt.Sprintf("\n-- %s --\n", s.Dataset))
+	for _, s := range tauSeries(rows) {
+		b.WriteString(fmt.Sprintf("\n-- %s --\n", s.name))
 		b.WriteString("  tau%:  ")
-		for _, p := range s.Points {
-			b.WriteString(fmt.Sprintf("%8.0f", p.Percentile))
+		for _, p := range s.pct {
+			b.WriteString(fmt.Sprintf("%8.0f", p))
 		}
 		b.WriteString("\n  time:  ")
-		for _, p := range s.Points {
-			b.WriteString(fmt.Sprintf("%8.2f", p.Time.Seconds()))
+		for _, t := range s.secs {
+			b.WriteString(fmt.Sprintf("%8.2f", t))
 		}
 		b.WriteString("\n  error: ")
-		for _, p := range s.Points {
-			b.WriteString(fmt.Sprintf("%8.3f", p.Err))
+		for _, e := range s.errs {
+			b.WriteString(fmt.Sprintf("%8.3f", e))
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// series is one dataset's τ sweep: the percentiles it ran and, per
+// percentile, the train + classify seconds and the error.
+type series struct {
+	name            string
+	pct, secs, errs []float64
+}
+
+// tauSeries extracts the per-dataset τ sweeps from the runner's rows.
+func tauSeries(rows []archive.Outcome) []series {
+	var out []series
+	for _, dr := range byDataset(rows) {
+		s := series{name: dr.name}
+		for _, pct := range TauPercentiles {
+			if r, ok := dr.rows[tauMethod(pct)]; ok {
+				s.pct = append(s.pct, pct)
+				s.secs = append(s.secs, TimeMetric(r))
+				s.errs = append(s.errs, r.ErrorRate())
+			}
+		}
+		out = append(out, s)
+	}
+	return out
 }

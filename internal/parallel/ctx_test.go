@@ -115,26 +115,3 @@ func TestMapCtxCompleteAndCanceled(t *testing.T) {
 		t.Fatalf("canceled MapCtx returned a slice (%d elems); partial results must be discarded", len(part))
 	}
 }
-
-func TestMapReduceCtxMatchesMapReduce(t *testing.T) {
-	fn := func(i int) float64 { return 1.0 / float64(i+1) }
-	red := func(acc, v float64) float64 { return acc + v }
-	want := MapReduce(1000, 4, fn, 0.0, red)
-	got, err := MapReduceCtx(context.Background(), 1000, 4, fn, 0.0, red)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("got %v want %v (must be byte-identical)", got, want)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	zero, err := MapReduceCtx(ctx, 1000, 4, fn, 0.0, red)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if zero != 0 {
-		t.Fatalf("canceled MapReduceCtx returned %v, want zero value", zero)
-	}
-}

@@ -8,9 +8,9 @@
 // Determinism contract: every helper in this package produces output that
 // is byte-identical to the sequential loop it replaces, for any worker
 // count. For distributes loop *indices*, not accumulators, so callers keep
-// per-index result slots and fold them in index order afterwards (or use
-// Map / MapReduce, which do exactly that). Nothing in this package ever
-// reorders floating-point accumulation.
+// per-index result slots and fold them in index order afterwards (MapCtx
+// returns exactly such slots, in index order). Nothing in this package
+// ever reorders floating-point accumulation.
 //
 // Worker-count convention, shared by every Workers knob in the repo:
 // n <= 0 means runtime.GOMAXPROCS(0) (use the whole machine), 1 means the
@@ -222,18 +222,11 @@ func ForCtxPool(ctx context.Context, n, workers int, pool *obs.Pool, fn func(i i
 	return ctx.Err()
 }
 
-// Map computes fn(i) for every i in [0, n) on at most workers goroutines
-// and returns the results in index order. The ordered-map half of the
-// map-reduce helper pair.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapCtx is Map with cooperative cancellation (see ForCtx). On a nil
-// error the returned slice is complete and identical to Map's; on a
-// non-nil error it is partial and must be discarded.
+// MapCtx computes fn(i) for every i in [0, n) on at most workers
+// goroutines and returns the results in index order, with cooperative
+// cancellation (see ForCtx). On a nil error the returned slice is
+// complete and identical to the sequential loop's; on a non-nil error
+// it is nil, the partial results discarded.
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
 	return MapCtxPool(ctx, n, workers, nil, fn)
 }
@@ -246,36 +239,4 @@ func MapCtxPool[T any](ctx context.Context, n, workers int, pool *obs.Pool, fn f
 		return nil, err
 	}
 	return out, nil
-}
-
-// MapReduceCtx is MapReduce with cooperative cancellation (see ForCtx):
-// the parallel map stops scheduling once ctx is done and the (sequential,
-// index-ordered) fold runs only on a complete result set, so a nil error
-// guarantees the reduction is byte-identical to MapReduce's.
-func MapReduceCtx[T, R any](ctx context.Context, n, workers int, fn func(i int) T, init R, reduce func(acc R, v T) R) (R, error) {
-	vals, err := MapCtx(ctx, n, workers, fn)
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	acc := init
-	for _, v := range vals {
-		acc = reduce(acc, v)
-	}
-	return acc, nil
-}
-
-// MapReduce computes fn(i) for every index in parallel, then folds the
-// results strictly in index order: acc = reduce(acc, fn(0)), then fn(1),
-// and so on. Because the fold is sequential and ordered, floating-point
-// reductions are byte-identical to the sequential loop regardless of the
-// worker count — the property the core pipeline's determinism guarantee
-// rests on.
-func MapReduce[T, R any](n, workers int, fn func(i int) T, init R, reduce func(acc R, v T) R) R {
-	vals := Map(n, workers, fn)
-	acc := init
-	for _, v := range vals {
-		acc = reduce(acc, v)
-	}
-	return acc
 }

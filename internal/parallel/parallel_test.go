@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -77,35 +78,18 @@ func TestForPanicPropagation(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 5} {
-		got := Map(10, workers, func(i int) int { return i * i })
+		got, err := MapCtx(context.Background(), 10, workers, func(i int) int { return i * i })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range got {
 			if v != i*i {
-				t.Fatalf("workers=%d: Map[%d] = %d", workers, i, v)
+				t.Fatalf("workers=%d: MapCtx[%d] = %d", workers, i, v)
 			}
 		}
 	}
-	if got := Map(0, 4, func(i int) int { return i }); len(got) != 0 {
-		t.Fatalf("Map over empty range returned %v", got)
-	}
-}
-
-// TestMapReduceOrderedFold asserts the fold visits results in index order
-// — the property the float-determinism guarantee depends on.
-func TestMapReduceOrderedFold(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		var seen []int
-		MapReduce(20, workers,
-			func(i int) int { return i },
-			0,
-			func(acc, v int) int {
-				seen = append(seen, v)
-				return acc + v
-			})
-		for i, v := range seen {
-			if v != i {
-				t.Fatalf("workers=%d: fold order %v", workers, seen)
-			}
-		}
+	if got, err := MapCtx(context.Background(), 0, 4, func(i int) int { return i }); err != nil || len(got) != 0 {
+		t.Fatalf("MapCtx over empty range returned %v, %v", got, err)
 	}
 }
 
