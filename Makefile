@@ -57,7 +57,7 @@ COVER_PKGS = . \
 	./internal/parallel \
 	./internal/obs
 
-.PHONY: all build test race vet lint lint-drill bench fuzz cover check \
+.PHONY: all build test race vet fmt-check lint lint-drill bench fuzz cover check \
 	bench-json bench-gate bench-baseline load-smoke stream-smoke chaos \
 	archive-smoke perfbench-check bench-smoke
 
@@ -77,6 +77,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any Go file is not gofmt-formatted, listing the offenders.
+fmt-check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "files need gofmt:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 # Project-specific static analysis (internal/lint via cmd/rpmlint): the
 # determinism, error-taxonomy, concurrency-discipline, and nil-safe-obs
@@ -184,4 +191,4 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -short ./...
 
-check: build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check bench-smoke
+check: fmt-check build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check bench-smoke

@@ -35,7 +35,7 @@ func PredictAll(m Model, test Dataset) []int {
 // returned labels are identical to PredictAll for any worker count.
 func PredictAllWorkers(m Model, test Dataset, workers int) []int {
 	out := make([]int, len(test))
-	parallel.For(len(test), workers, func(i int) {
+	_ = parallel.For(context.Background(), len(test), workers, nil, func(i int) {
 		out[i] = m.Predict(test[i].Values)
 	})
 	return out
@@ -50,7 +50,7 @@ func PredictAllContext(ctx context.Context, m Model, test Dataset, workers int) 
 	const op = "PredictAll"
 	out := make([]int, len(test))
 	err := guard(op, func() error {
-		return parallel.ForCtx(ctx, len(test), workers, func(i int) {
+		return parallel.For(ctx, len(test), workers, nil, func(i int) {
 			out[i] = m.Predict(test[i].Values)
 		})
 	})
@@ -108,7 +108,7 @@ func TrainSAXVSM(train Dataset, seed int64) (Model, error) {
 // TrainFastShapelets trains the Fast Shapelets decision-tree baseline.
 func TrainFastShapelets(train Dataset, seed int64) (Model, error) {
 	return baselineModel("TrainFastShapelets", train, func() Model {
-		return fastshapelets.Train(toInternal(train), fastshapelets.Config{Seed: seed})
+		return fastshapelets.Train(toInternal(train), seed)
 	})
 }
 

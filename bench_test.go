@@ -353,7 +353,7 @@ func BenchmarkSVMTrain(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		svm.Train(X, y, svm.Config{})
+		svm.Train(X, y, 0)
 	}
 }
 

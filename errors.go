@@ -195,12 +195,13 @@ func validateTrainingSet(op string, d Dataset, minLen int, requireTwoClasses boo
 
 // validateOptions checks the user-settable knobs that core would
 // otherwise reject later (or silently reinterpret). minLen is the
-// shortest training series, for the fixed-parameter window check.
+// shortest training series, for the fixed-parameter window check. Range
+// checks are written !(in range) so NaN is rejected too.
 func validateOptions(op string, o Options, minLen int) error {
-	if o.Gamma < 0 || o.Gamma > 1 {
+	if !(o.Gamma >= 0 && o.Gamma <= 1) {
 		return apiErrf(op, ErrBadInput, "Gamma %v outside [0,1] (0 means default)", o.Gamma)
 	}
-	if o.TauPercentile < 0 || o.TauPercentile > 100 {
+	if !(o.TauPercentile >= 0 && o.TauPercentile <= 100) {
 		return apiErrf(op, ErrBadInput, "TauPercentile %v outside [0,100] (0 means default)", o.TauPercentile)
 	}
 	if o.Splits < 0 {
@@ -219,7 +220,7 @@ func validateOptions(op string, o Options, minLen int) error {
 	default:
 		return apiErrf(op, ErrBadInput, "unknown GIAlgorithm %d", int(o.GI))
 	}
-	if o.Sample.Rate < 0 || o.Sample.Rate > 1 {
+	if !(o.Sample.Rate >= 0 && o.Sample.Rate <= 1) {
 		return apiErrf(op, ErrBadInput, "Sample.Rate %v outside [0,1] (0 and 1 mean exhaustive)", o.Sample.Rate)
 	}
 	if o.Bags < 0 {

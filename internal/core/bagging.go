@@ -26,11 +26,6 @@ type Ensemble struct {
 	opts    Options
 }
 
-// TrainBagged learns a bagged RPM ensemble; see TrainBaggedContext.
-func TrainBagged(train ts.Dataset, opts Options) (*Ensemble, error) {
-	return TrainBaggedContext(context.Background(), train, opts)
-}
-
 // TrainBaggedContext learns an Options.Bags-member bagged ensemble:
 // one shared parameter search (sampled like everything else when
 // Options.Sample is active), then one sampled mining pass per member
@@ -48,27 +43,11 @@ func TrainBaggedContext(ctx context.Context, train ts.Dataset, opts Options) (*E
 		}
 		return &Ensemble{Members: []*Classifier{c}, opts: c.opts}, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	ctx, opts, err := begin(ctx, train, opts)
+	if err != nil {
+		return nil, err
 	}
-	if len(train) == 0 {
-		return nil, fmt.Errorf("core: empty training set")
-	}
-	if opts.Gamma <= 0 || opts.Gamma > 1 {
-		return nil, fmt.Errorf("core: gamma %v outside (0,1]", opts.Gamma)
-	}
-	if opts.Splits <= 0 {
-		opts.Splits = 5
-	}
-	if opts.TrainFrac <= 0 || opts.TrainFrac >= 1 {
-		opts.TrainFrac = 0.7
-	}
-	if opts.MaxEvals <= 0 {
-		opts.MaxEvals = 60
-	}
-	opts.span = opts.Obs.StartSpan(SpanTrain)
 	defer opts.span.End()
-	opts.Obs.Gauge(GaugeWorkers).Set(int64(parallel.Workers(opts.Workers)))
 	opts.Obs.Counter(CtrBagMembers).Add(int64(opts.Bags))
 	classes := train.Classes()
 	perClass, err := chooseParams(ctx, train, classes, opts)
@@ -81,7 +60,7 @@ func TrainBaggedContext(ctx context.Context, train ts.Dataset, opts Options) (*E
 		mopts := opts
 		mopts.Sample.Seed = memberSampleSeed(baseSeed, b)
 		mopts.span = opts.span.Start(fmt.Sprintf("%s%d", SpanBagMember, b))
-		m, err := trainBagMember(ctx, train, classes, perClass, mopts)
+		m, err := trainRetry(ctx, train, classes, perClass, mopts)
 		mopts.span.End()
 		if err != nil {
 			return nil, err
@@ -91,34 +70,8 @@ func TrainBaggedContext(ctx context.Context, train ts.Dataset, opts Options) (*E
 	return &Ensemble{Members: members, opts: opts}, nil
 }
 
-// trainBagMember trains one member on the shared parameters, with the
-// same retry-on-empty semantics TrainContext applies to a single model:
-// searched parameters that fail to generalize fall back to the
-// heuristic defaults before accepting a pattern-free 1NN member.
-func trainBagMember(ctx context.Context, train ts.Dataset, classes []int, perClass map[int]sax.Params, opts Options) (*Classifier, error) {
-	c, err := trainWithParams(ctx, train, cloneParams(perClass), opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(c.Patterns) == 0 && opts.Mode != ParamFixed {
-		retry := map[int]sax.Params{}
-		for _, cl := range classes {
-			retry[cl] = HeuristicParams(train.MinLen())
-		}
-		c2, err := trainWithParams(ctx, train, retry, opts)
-		if err != nil {
-			return nil, err
-		}
-		if len(c2.Patterns) > 0 {
-			return c2, nil
-		}
-	}
-	return c, nil
-}
-
-// cloneParams copies the shared per-class parameter map so each
-// member's trainWithParams (which fills missing classes in place)
-// cannot alias another member's view.
+// cloneParams copies a per-class parameter map, which trainWithParams
+// fills in place with any missing class.
 func cloneParams(perClass map[int]sax.Params) map[int]sax.Params {
 	out := make(map[int]sax.Params, len(perClass))
 	for c, p := range perClass {
@@ -141,9 +94,6 @@ func memberSampleSeed(base int64, b int) int64 {
 	}
 	return s
 }
-
-// Options returns the options the ensemble was trained with.
-func (e *Ensemble) Options() Options { return e.opts }
 
 // Bags returns the number of members.
 func (e *Ensemble) Bags() int { return len(e.Members) }
@@ -183,26 +133,22 @@ func (e *Ensemble) Predict(v []float64) int {
 	return majorityLabel(labels)
 }
 
-// PredictBatch classifies every instance, fanning the queries out over
-// Options.Workers goroutines. Each query votes across all members in
-// member order, so the labels are byte-identical to the sequential
-// path.
+// PredictBatch classifies every instance; it is PredictBatchContext
+// with a context that never cancels.
 func (e *Ensemble) PredictBatch(test ts.Dataset) []int {
-	e.ensureTransformers()
-	out := make([]int, len(test))
-	parallel.ForPool(len(test), e.opts.Workers, e.opts.Obs.Pool(PoolPredict), func(i int) {
-		out[i] = e.Predict(test[i].Values)
-	})
+	out, _ := e.PredictBatchContext(context.Background(), test)
 	return out
 }
 
-// PredictBatchContext is PredictBatch with cooperative cancellation
-// (the PredictBatchContext contract of Classifier, lifted to the
-// ensemble).
+// PredictBatchContext classifies every instance, fanning the queries out
+// over Options.Workers goroutines with the cancellation contract of
+// Classifier.PredictBatchContext. Each query votes across all members in
+// member order, so the labels are byte-identical to the sequential
+// path.
 func (e *Ensemble) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]int, error) {
 	e.ensureTransformers()
 	out := make([]int, len(test))
-	if err := parallel.ForCtxPool(ctx, len(test), e.opts.Workers, e.opts.Obs.Pool(PoolPredict), func(i int) {
+	if err := parallel.For(ctx, len(test), e.opts.Workers, e.opts.Obs.Pool(PoolPredict), func(i int) {
 		out[i] = e.Predict(test[i].Values)
 	}); err != nil {
 		return nil, err

@@ -25,11 +25,11 @@ func baggedOpts(workers int) Options {
 func TestBaggedDeterminismWorkers(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
 
-	e1, err := TrainBagged(split.Train, baggedOpts(1))
+	e1, err := TrainBaggedContext(context.Background(), split.Train, baggedOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e8, err := TrainBagged(split.Train, baggedOpts(8))
+	e8, err := TrainBaggedContext(context.Background(), split.Train, baggedOpts(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestBaggedDeterminismWorkers(t *testing.T) {
 // different models — B identical copies would make the vote pointless.
 func TestBaggedMembersDiffer(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
-	e, err := TrainBagged(split.Train, baggedOpts(0))
+	e, err := TrainBaggedContext(context.Background(), split.Train, baggedOpts(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestBaggedSingleEqualsTrain(t *testing.T) {
 	for _, bags := range []int{0, 1} {
 		bo := o
 		bo.Bags = bags
-		e, err := TrainBagged(split.Train, bo)
+		e, err := TrainBaggedContext(context.Background(), split.Train, bo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestBaggedSingleEqualsTrain(t *testing.T) {
 			t.Fatalf("Bags=%d member differs from TrainContext model", bags)
 		}
 	}
-	wide, err := TrainBagged(split.Train, baggedOpts(0))
+	wide, err := TrainBaggedContext(context.Background(), split.Train, baggedOpts(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBaggedObs(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
 	o := baggedOpts(2)
 	o.Obs = obs.NewRegistry()
-	e, err := TrainBagged(split.Train, o)
+	e, err := TrainBaggedContext(context.Background(), split.Train, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -202,7 +203,7 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options) []mo
 	// writers and the matrix is identical for any worker count. The
 	// dynamic index hand-out in parallel.For load-balances the shrinking
 	// rows.
-	parallel.ForPool(n, opts.Workers, opts.Obs.Pool(PoolRefine), func(i int) {
+	_ = parallel.For(context.Background(), n, opts.Workers, opts.Obs.Pool(PoolRefine), func(i int) {
 		for j := i + 1; j < n; j++ {
 			// slide the shorter occurrence inside the longer one
 			var dd float64
@@ -215,7 +216,7 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options) []mo
 			d[j][i] = dd
 		}
 	})
-	groups := cluster.SplitRefine(d, opts.SplitMinFrac)
+	groups := cluster.SplitRefine(d, splitMinFrac)
 	ctrKept := opts.Obs.Counter(CtrClustersKept)
 	ctrDropped := opts.Obs.Counter(CtrClustersDropped)
 	var out []motifGroup

@@ -86,9 +86,6 @@ type Options struct {
 	// used as the similar-pattern removal threshold τ (default 30, the
 	// value §3.2.3 and Table 3 recommend).
 	TauPercentile float64
-	// SplitMinFrac is the minimum balanced-split fraction of the
-	// clustering refinement (default 0.3, §3.2.2).
-	SplitMinFrac float64
 	// UseMedoid selects the cluster medoid instead of the centroid as the
 	// candidate pattern (§3.2.2 mentions both; default false = centroid).
 	UseMedoid bool
@@ -107,9 +104,6 @@ type Options struct {
 	// Splits is the number of random train/validate splits per parameter
 	// evaluation (default 5, Algorithm 3).
 	Splits int
-	// ValidateFrac is the fraction of the data kept for training in each
-	// split (default 0.7).
-	TrainFrac float64
 	// MaxEvals caps objective evaluations per class for ParamDIRECT and
 	// the total grid size for ParamGrid (default 60).
 	MaxEvals int
@@ -125,15 +119,8 @@ type Options struct {
 	// smaller label). Ignored by TrainContext; 0 and 1 both mean a
 	// single model.
 	Bags int
-	// SVM configures the classifier fitted on the transformed space.
-	SVM svm.Config
-	// VectorClassifier, when non-nil, replaces the built-in linear SVM:
-	// it is called with the transformed training matrix and labels and
-	// must return a predictor over transformed vectors. The paper notes
-	// RPM "can work with any classifier" (§3.1); this is that hook.
-	// Classifiers trained through it cannot be serialized with Save.
-	VectorClassifier func(X [][]float64, y []int) VectorPredictor `json:"-"`
-	// Seed drives the parameter-search splits (default 1).
+	// Seed drives the parameter-search splits and the SVM's coordinate
+	// permutation (default 1).
 	Seed int64
 	// Obs, when non-nil, receives the training pipeline's
 	// instrumentation: stage spans (obsnames.go), per-class candidate
@@ -157,24 +144,24 @@ type Options struct {
 	Workers int
 }
 
-// VectorPredictor classifies vectors in the representative-pattern
-// distance space.
-type VectorPredictor interface {
-	Predict(x []float64) int
-}
+// Method constants the paper fixes rather than tunes: the minimum
+// balanced-split fraction of the clustering refinement (§3.2.2) and the
+// fraction of the data kept for training in each parameter-search split
+// (Algorithm 3).
+const (
+	splitMinFrac = 0.3
+	trainFrac    = 0.7
+)
 
 // DefaultOptions returns the paper's default configuration.
 func DefaultOptions() Options {
 	return Options{
 		Gamma:               0.2,
 		TauPercentile:       30,
-		SplitMinFrac:        0.3,
 		NumerosityReduction: true,
 		Mode:                ParamDIRECT,
 		Splits:              5,
-		TrainFrac:           0.7,
 		MaxEvals:            60,
-		SVM:                 svm.Config{C: 1},
 		Seed:                1,
 	}
 }
@@ -202,7 +189,6 @@ type Classifier struct {
 	// PerClassParams records the SAX parameters chosen for each class.
 	PerClassParams map[int]sax.Params
 	model          *svm.Model
-	custom         VectorPredictor
 	opts           Options
 	tf             *transformer
 	// tfOnce guards the lazy construction of tf: Predict/Transform on a
@@ -422,23 +408,18 @@ func (t *transformer) applyInto(dst []float64, v []float64, sc *transformScratch
 }
 
 // applyAll transforms a whole dataset on up to workers goroutines (the
-// parallel.Workers convention). This is the pattern×instance closest-match
-// matrix that dominates both training Step 3 and SVM input construction;
-// each instance writes only its own row, so the result is byte-identical
-// for every worker count.
-func (t *transformer) applyAll(d ts.Dataset, workers int) [][]float64 {
-	return t.applyAllPool(d, workers, nil)
-}
-
-// applyAllPool is applyAll with optional worker-pool accounting (nil
-// pool ⇒ exactly applyAll). The rows are sliced out of one flat slab
+// parallel.Workers convention), attributing the fan-out to pool (nil:
+// no accounting). This is the pattern×instance closest-match matrix that
+// dominates both training Step 3 and SVM input construction; each
+// instance writes only its own row, so the result is byte-identical for
+// every worker count. The rows are sliced out of one flat slab
 // (full-capped, so appends cannot bleed across rows) — one allocation
 // for the whole matrix instead of one per instance.
-func (t *transformer) applyAllPool(d ts.Dataset, workers int, pool *obs.Pool) [][]float64 {
+func (t *transformer) applyAll(d ts.Dataset, workers int, pool *obs.Pool) [][]float64 {
 	k := len(t.matchers)
 	X := make([][]float64, len(d))
 	slab := make([]float64, len(d)*k)
-	parallel.ForPool(len(d), workers, pool, func(i int) {
+	_ = parallel.For(context.Background(), len(d), workers, pool, func(i int) {
 		sc := t.getScratch()
 		row := slab[i*k : (i+1)*k : (i+1)*k]
 		t.applyInto(row, d[i].Values, sc)
@@ -459,12 +440,6 @@ func (c *Classifier) Predict(v []float64) int {
 	if len(c.Patterns) == 0 || len(v) == 0 {
 		return c.predictFallback(v)
 	}
-	if c.custom != nil {
-		// Custom predictors get a fresh row: their Predict contract does
-		// not forbid retaining the argument, so the pooled buffer below
-		// is reserved for the built-in SVM (which only reads it).
-		return c.custom.Predict(c.Transform(v))
-	}
 	c.ensureTransformer()
 	sc := c.tf.getScratch()
 	c.tf.applyInto(sc.feat, v, sc)
@@ -473,32 +448,25 @@ func (c *Classifier) Predict(v []float64) int {
 	return label
 }
 
-// PredictBatch classifies every instance of test, fanning the queries out
-// over Options.Workers goroutines. Each query writes only its own output
-// slot and Predict is read-only over the model, so the labels are
-// byte-identical to the sequential path. Classifiers trained with a custom
-// VectorClassifier must be goroutine-safe to use Workers != 1.
+// PredictBatch classifies every instance of test; it is
+// PredictBatchContext with a context that never cancels.
 func (c *Classifier) PredictBatch(test ts.Dataset) []int {
-	if len(c.Patterns) > 0 {
-		c.ensureTransformer() // build once, outside the worker fan-out
-	}
-	out := make([]int, len(test))
-	parallel.ForPool(len(test), c.opts.Workers, c.opts.Obs.Pool(PoolPredict), func(i int) {
-		out[i] = c.Predict(test[i].Values)
-	})
+	out, _ := c.PredictBatchContext(context.Background(), test)
 	return out
 }
 
-// PredictBatchContext is PredictBatch with cooperative cancellation:
-// once ctx is done no further query is scheduled, in-flight queries
-// drain, and ctx.Err() is returned. With a non-canceled ctx the labels
-// are byte-identical to PredictBatch for any Workers value.
+// PredictBatchContext classifies every instance of test, fanning the
+// queries out over Options.Workers goroutines. Each query writes only
+// its own output slot and Predict is read-only over the model, so the
+// labels are byte-identical to the sequential path. Once ctx is done no
+// further query is scheduled, in-flight queries drain, and ctx.Err() is
+// returned.
 func (c *Classifier) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]int, error) {
 	if len(c.Patterns) > 0 {
 		c.ensureTransformer() // build once, outside the worker fan-out
 	}
 	out := make([]int, len(test))
-	if err := parallel.ForCtxPool(ctx, len(test), c.opts.Workers, c.opts.Obs.Pool(PoolPredict), func(i int) {
+	if err := parallel.For(ctx, len(test), c.opts.Workers, c.opts.Obs.Pool(PoolPredict), func(i int) {
 		out[i] = c.Predict(test[i].Values)
 	}); err != nil {
 		return nil, err
@@ -511,15 +479,12 @@ func (c *Classifier) PredictBatchContext(ctx context.Context, test ts.Dataset) (
 // to pattern k, as produced by Transform. It exists for the streaming
 // layer, which maintains the feature vector incrementally and therefore
 // never has a whole series to hand to Predict. The label is computed by
-// the identical decision function (custom predictor or the trained
-// SVM), so PredictVector(Transform(v)) == Predict(v) for every v the
+// the identical decision function (the trained SVM), so
+// PredictVector(Transform(v)) == Predict(v) for every v the
 // non-degenerate path handles. It requires a model with patterns
 // (NumPatterns > 0) and len(feat) == NumPatterns; the streaming layer
 // validates both once at stream-creation time.
 func (c *Classifier) PredictVector(feat []float64) int {
-	if c.custom != nil {
-		return c.custom.Predict(feat)
-	}
 	return c.model.Predict(feat)
 }
 

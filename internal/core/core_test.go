@@ -105,7 +105,7 @@ func TestDirectModeOnSmallDataset(t *testing.T) {
 		t.Errorf("PerClassParams = %v", c.PerClassParams)
 	}
 	for _, p := range c.PerClassParams {
-		if err := p.Validate(s.Length()); err != nil {
+		if err := p.Validate(s.Train.MinLen()); err != nil {
 			t.Errorf("selected invalid params %v: %v", p, err)
 		}
 	}
@@ -130,7 +130,7 @@ func TestGridModeRuns(t *testing.T) {
 func TestRotationInvariantBeatsPlainOnRotatedData(t *testing.T) {
 	s := datagen.MustByName("SynGunPoint").Generate(7)
 	// rotate the test set only, as in §6.1
-	rot := s.Test.Clone()
+	rot := append(ts.Dataset(nil), s.Test...) // Rotate copies each series
 	rng := newTestRand(7)
 	for i := range rot {
 		cut := 1 + rng.Intn(len(rot[i].Values)-1)
@@ -244,73 +244,6 @@ func TestNumerosityReductionAblation(t *testing.T) {
 		t.Errorf("ablation errors: on=%v off=%v", eOn, eOff)
 	}
 }
-
-// nearestCentroid is a trivial custom vector classifier for the plug-in
-// hook test.
-type nearestCentroid struct {
-	centroids map[int][]float64
-}
-
-func (n *nearestCentroid) Predict(x []float64) int {
-	best := math.Inf(1)
-	label := 0
-	for c, cen := range n.centroids {
-		var d float64
-		for i := range x {
-			diff := x[i] - cen[i]
-			d += diff * diff
-		}
-		if d < best {
-			best = d
-			label = c
-		}
-	}
-	return label
-}
-
-func TestCustomVectorClassifier(t *testing.T) {
-	s := datagen.MustByName("SynGunPoint").Generate(13)
-	o := fixedOpts(sax.Params{Window: 30, PAA: 6, Alphabet: 4})
-	o.VectorClassifier = func(X [][]float64, y []int) VectorPredictor {
-		nc := &nearestCentroid{centroids: map[int][]float64{}}
-		counts := map[int]int{}
-		for i, x := range X {
-			cen := nc.centroids[y[i]]
-			if cen == nil {
-				cen = make([]float64, len(x))
-				nc.centroids[y[i]] = cen
-			}
-			for j, v := range x {
-				cen[j] += v
-			}
-			counts[y[i]]++
-		}
-		for c, cen := range nc.centroids {
-			for j := range cen {
-				cen[j] /= float64(counts[c])
-			}
-		}
-		return nc
-	}
-	c, err := Train(s.Train, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds := c.PredictBatch(s.Test)
-	if e := stats.ErrorRate(preds, s.Test.Labels()); e > 0.2 {
-		t.Errorf("nearest-centroid-over-patterns error = %v", e)
-	}
-	// custom classifiers cannot be serialized
-	var sink bytesWriter
-	if err := c.Save(&sink); err == nil {
-		t.Error("Save should fail with a custom classifier")
-	}
-}
-
-// bytesWriter is a minimal io.Writer for the failure-path test.
-type bytesWriter struct{}
-
-func (bytesWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestRePairGIWorks(t *testing.T) {
 	s := datagen.MustByName("SynCBF").Generate(12)

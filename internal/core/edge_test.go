@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -93,7 +95,7 @@ func TestTrainDuplicateInstances(t *testing.T) {
 	base := edgeDataset(2, 64, 3)
 	var d ts.Dataset
 	for i := 0; i < 6; i++ {
-		d = append(d, base[i%2].Clone())
+		d = append(d, ts.Instance{Label: base[i%2].Label, Values: append([]float64(nil), base[i%2].Values...)})
 	}
 	c, err := Train(d, fixedOpts(sax.Params{Window: 16, PAA: 4, Alphabet: 3}))
 	if err != nil {
@@ -182,5 +184,29 @@ func TestImbalancedClasses(t *testing.T) {
 	}
 	if minorityCorrect < 3 {
 		t.Errorf("minority class recall %d/4", minorityCorrect)
+	}
+}
+
+// TestTrainRejectsNonFiniteOptions: the training prologue shared by
+// TrainContext and TrainBaggedContext rejects NaN and ±Inf in Gamma,
+// TauPercentile and Sample.Rate instead of training on them.
+func TestTrainRejectsNonFiniteOptions(t *testing.T) {
+	d := edgeDataset(10, 64, 1)
+	knobs := map[string]func(*Options, float64){
+		"Gamma":         func(o *Options, v float64) { o.Gamma = v },
+		"TauPercentile": func(o *Options, v float64) { o.TauPercentile = v },
+		"Sample.Rate":   func(o *Options, v float64) { o.Sample.Rate = v },
+	}
+	for name, set := range knobs {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, bags := range []int{0, 3} {
+				o := fixedOpts(sax.Params{Window: 16, PAA: 4, Alphabet: 3})
+				o.Bags = bags
+				set(&o, v)
+				if _, err := TrainBaggedContext(context.Background(), d, o); err == nil {
+					t.Errorf("%s=%v bags=%d: training accepted it", name, v, bags)
+				}
+			}
+		}
 	}
 }

@@ -60,7 +60,7 @@ func TestTransformerKernelEquivalence(t *testing.T) {
 					m := dist.NewMatcher(p.Values)
 					want := m.Best(v).Dist
 					if rotInv {
-						if rd := m.Best(ts.RotateHalf(v)).Dist; rd < want {
+						if rd := m.Best(ts.Rotate(v, len(v)/2)).Dist; rd < want {
 							want = rd
 						}
 					}
@@ -158,6 +158,22 @@ func TestPredictAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestPredictBatchAllocs pins PredictBatch at Workers 1 to two
+// allocations per call — the label slice and the per-query closure —
+// the count it had before PredictBatch became a wrapper over
+// PredictBatchContext and the worker loops were merged.
+func TestPredictBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops items)")
+	}
+	clf, _ := trainedFixture(t)
+	test := datagen.MustByName("SynCBF").Generate(1).Test[:16]
+	clf.PredictBatch(test) // warm the scratch pool
+	if allocs := testing.AllocsPerRun(100, func() { clf.PredictBatch(test) }); allocs != 2 {
+		t.Fatalf("PredictBatch allocates %v per call, want 2", allocs)
+	}
+}
+
 // TestApplyAllSlabRows is the satellite-2 slab regression: applyAll rows
 // must come from one backing slab, be full-capped (an append to one row
 // cannot bleed into the next), and be byte-identical for Workers 1 vs 8.
@@ -169,8 +185,8 @@ func TestApplyAllSlabRows(t *testing.T) {
 	for i := range d {
 		d[i] = ts.Instance{Values: randSeries(rng, 64), Label: i % 2}
 	}
-	x1 := tf.applyAll(d, 1)
-	x8 := tf.applyAll(d, 8)
+	x1 := tf.applyAll(d, 1, nil)
+	x8 := tf.applyAll(d, 8, nil)
 	if len(x1) != len(d) || len(x8) != len(d) {
 		t.Fatalf("row counts %d/%d, want %d", len(x1), len(x8), len(d))
 	}

@@ -45,7 +45,7 @@ func newEvaluator(train ts.Dataset, opts Options) *evaluator {
 		cache:   map[sax.Params]map[int]float64{},
 	}
 	for s := 0; s < opts.Splits; s++ {
-		tr, va := stats.StratifiedSplit(train, opts.TrainFrac, rng)
+		tr, va := stats.StratifiedSplit(train, trainFrac, rng)
 		if len(tr) == 0 || len(va) == 0 {
 			continue
 		}
@@ -82,7 +82,7 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 	// counters/pools).
 	fixed := e.opts.withoutObs()
 	fixed.Mode = ParamFixed
-	perSplit, err := parallel.MapCtxPool(ctx, len(e.splits), e.opts.Workers, e.opts.Obs.Pool(PoolSearchSplits), func(s int) []stats.ClassF1 {
+	perSplit, err := parallel.Map(ctx, len(e.splits), e.opts.Workers, e.opts.Obs.Pool(PoolSearchSplits), func(s int) []stats.ClassF1 {
 		sp := e.splits[s]
 		perClass := map[int]sax.Params{}
 		for _, c := range e.classes {
@@ -94,7 +94,7 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 		}
 		preds, err := clf.PredictBatchContext(ctx, sp.validate)
 		if err != nil {
-			return nil // canceled mid-validate; MapCtxPool reports it
+			return nil // canceled mid-validate; Map reports it
 		}
 		return stats.FMeasures(preds, sp.validate.Labels())
 	})
@@ -219,8 +219,8 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options) (map[int]
 			opts.Obs.Counter(CtrSampleGridDropped).Add(int64(dropped))
 		}
 		gridSpan := opts.span.Start(SpanSearchGrid)
-		scores, err := parallel.MapCtxPool(ctx, len(grid), opts.Workers, opts.Obs.Pool(PoolSearchGrid), func(i int) map[int]float64 {
-			fs, _ := e.fmeasures(ctx, grid[i]) // nil on cancel; MapCtx reports it
+		scores, err := parallel.Map(ctx, len(grid), opts.Workers, opts.Obs.Pool(PoolSearchGrid), func(i int) map[int]float64 {
+			fs, _ := e.fmeasures(ctx, grid[i]) // nil on cancel; Map reports it
 			return fs
 		})
 		gridSpan.End()
@@ -255,7 +255,7 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options) (map[int]
 				}
 				consider(p, fs)
 				return 1 - fs[class]
-			}, lo, hi, direct.Options{MaxEvals: maxEvals})
+			}, lo, hi, maxEvals)
 			classSpan.End()
 			if err := ctx.Err(); err != nil {
 				return nil, err

@@ -37,12 +37,8 @@ type snapshot struct {
 }
 
 // Save serializes the trained classifier as JSON. The format is versioned;
-// Load rejects unknown versions. Classifiers trained with a custom
-// VectorClassifier cannot be serialized.
+// Load rejects unknown versions.
 func (c *Classifier) Save(w io.Writer) error {
-	if c.custom != nil {
-		return fmt.Errorf("core: classifiers with a custom VectorClassifier cannot be saved")
-	}
 	s := snapshot{
 		Version:        persistVersion,
 		Patterns:       c.Patterns,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"sync/atomic"
 
@@ -31,8 +32,8 @@ func findDistinct(train ts.Dataset, cands []candidate, opts Options) []Pattern {
 	// Transform the training data: feature j = closest-match distance to
 	// candidate j (Alg. 2 line 20).
 	pats := toPatterns(kept)
-	X := newTransformer(pats, opts.RotationInvariant).applyAllPool(train, opts.Workers, opts.Obs.Pool(PoolTransform))
-	selected := features.SelectObs(X, train.Labels(), opts.Obs.Counter(CtrCFSExpansions))
+	X := newTransformer(pats, opts.RotationInvariant).applyAll(train, opts.Workers, opts.Obs.Pool(PoolTransform))
+	selected := features.Select(X, train.Labels(), opts.Obs.Counter(CtrCFSExpansions))
 	opts.Obs.Counter(CtrCFSSelected).Add(int64(len(selected)))
 	if len(selected) == 0 {
 		return nil
@@ -102,7 +103,7 @@ func removeSimilar(cands []candidate, tau float64, workers int) []candidate {
 // remaining scans.
 func similarToKept(c candidate, kept []candidate, keptMatchers []*dist.Matcher, tau float64, workers int) bool {
 	var similar atomic.Bool
-	parallel.For(len(keptMatchers), workers, func(ki int) {
+	_ = parallel.For(context.Background(), len(keptMatchers), workers, nil, func(ki int) {
 		if similar.Load() {
 			return
 		}

@@ -25,55 +25,74 @@ func Train(train ts.Dataset, opts Options) (*Classifier, error) {
 // is never canceled the trained classifier is byte-identical to Train's
 // for any Options.Workers value.
 func TrainContext(ctx context.Context, train ts.Dataset, opts Options) (*Classifier, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	ctx, opts, err := begin(ctx, train, opts)
+	if err != nil {
+		return nil, err
 	}
-	if len(train) == 0 {
-		return nil, errors.New("core: empty training set")
-	}
-	if opts.Gamma <= 0 || opts.Gamma > 1 {
-		return nil, fmt.Errorf("core: gamma %v outside (0,1]", opts.Gamma)
-	}
-	if opts.Splits <= 0 {
-		opts.Splits = 5
-	}
-	if opts.TrainFrac <= 0 || opts.TrainFrac >= 1 {
-		opts.TrainFrac = 0.7
-	}
-	if opts.MaxEvals <= 0 {
-		opts.MaxEvals = 60
-	}
-	// Instrumentation (no-ops when opts.Obs is nil): the whole run lives
-	// under SpanTrain; recording never feeds back into the computation,
-	// so the trained model is byte-identical with or without a registry.
-	opts.span = opts.Obs.StartSpan(SpanTrain)
 	defer opts.span.End()
-	opts.Obs.Gauge(GaugeWorkers).Set(int64(parallel.Workers(opts.Workers)))
 	classes := train.Classes()
 	perClass, err := chooseParams(ctx, train, classes, opts)
 	if err != nil {
 		return nil, err
 	}
-	c, err := trainWithParams(ctx, train, perClass, opts)
+	return trainRetry(ctx, train, classes, perClass, opts)
+}
+
+// begin is the prologue TrainContext and TrainBaggedContext share: it
+// rejects an empty training set and out-of-range knobs — written as
+// !(in range) so NaN fails too — fills the search defaults, and opens
+// the run's SpanTrain span, which the caller ends. Instrumentation is a
+// no-op when opts.Obs is nil; recording never feeds back into the
+// computation, so the trained model is byte-identical with or without a
+// registry.
+func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context, Options, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if len(train) == 0 {
+		return nil, opts, errors.New("core: empty training set")
+	}
+	if !(opts.Gamma > 0 && opts.Gamma <= 1) {
+		return nil, opts, fmt.Errorf("core: gamma %v outside (0,1]", opts.Gamma)
+	}
+	if !(opts.TauPercentile >= 0 && opts.TauPercentile <= 100) {
+		return nil, opts, fmt.Errorf("core: tau percentile %v outside [0,100]", opts.TauPercentile)
+	}
+	if !(opts.Sample.Rate >= 0 && opts.Sample.Rate <= 1) {
+		return nil, opts, fmt.Errorf("core: sample rate %v outside [0,1]", opts.Sample.Rate)
+	}
+	if opts.Splits <= 0 {
+		opts.Splits = 5
+	}
+	if opts.MaxEvals <= 0 {
+		opts.MaxEvals = 60
+	}
+	opts.span = opts.Obs.StartSpan(SpanTrain)
+	opts.Obs.Gauge(GaugeWorkers).Set(int64(parallel.Workers(opts.Workers)))
+	return ctx, opts, nil
+}
+
+// trainRetry trains one model on the given per-class parameters. The
+// searched parameters can fail to generalize from the evaluation splits
+// to the full training set (tiny datasets); when they leave no pattern
+// it retries once with the heuristic defaults before accepting the 1NN
+// fallback. The map is copied first, so callers sharing it (bag
+// members) never alias each other's view.
+func trainRetry(ctx context.Context, train ts.Dataset, classes []int, perClass map[int]sax.Params, opts Options) (*Classifier, error) {
+	c, err := trainWithParams(ctx, train, cloneParams(perClass), opts)
+	if err != nil || len(c.Patterns) > 0 || opts.Mode == ParamFixed {
+		return c, err
+	}
+	retry := map[int]sax.Params{}
+	for _, cl := range classes {
+		retry[cl] = HeuristicParams(train.MinLen())
+	}
+	c2, err := trainWithParams(ctx, train, retry, opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(c.Patterns) == 0 && opts.Mode != ParamFixed {
-		// The searched parameters can fail to generalize from the
-		// evaluation splits to the full training set (tiny datasets).
-		// Retry once with the heuristic defaults before accepting the
-		// 1NN fallback.
-		retry := map[int]sax.Params{}
-		for _, cl := range classes {
-			retry[cl] = HeuristicParams(train.MinLen())
-		}
-		c2, err := trainWithParams(ctx, train, retry, opts)
-		if err != nil {
-			return nil, err
-		}
-		if len(c2.Patterns) > 0 {
-			return c2, nil
-		}
+	if len(c2.Patterns) > 0 {
+		return c2, nil
 	}
 	return c, nil
 }
@@ -150,7 +169,7 @@ func trainWithParams(ctx context.Context, train ts.Dataset, perClass map[int]sax
 	candSpan := opts.span.Start(SpanCandidates)
 	opts.spanStep1 = candSpan.Child(SpanStep1)
 	opts.spanStep2 = candSpan.Child(SpanStep2)
-	perClassCands, err := parallel.MapCtxPool(ctx, len(classes), opts.Workers, opts.Obs.Pool(PoolCandidates), func(i int) []candidate {
+	perClassCands, err := parallel.Map(ctx, len(classes), opts.Workers, opts.Obs.Pool(PoolCandidates), func(i int) []candidate {
 		class := classes[i]
 		return findCandidates(byClass[class], class, perClass[class], opts)
 	})
@@ -187,18 +206,10 @@ func trainWithParams(ctx context.Context, train ts.Dataset, perClass map[int]sax
 	fit := opts.span.Start(SpanFit)
 	defer fit.End()
 	c.ensureTransformer()
-	X := c.tf.applyAllPool(train, opts.Workers, opts.Obs.Pool(PoolTransform))
+	X := c.tf.applyAll(train, opts.Workers, opts.Obs.Pool(PoolTransform))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opts.VectorClassifier != nil {
-		c.custom = opts.VectorClassifier(X, train.Labels())
-		return c, nil
-	}
-	cfg := opts.SVM
-	if cfg.Seed == 0 {
-		cfg.Seed = opts.Seed
-	}
-	c.model = svm.Train(X, train.Labels(), cfg)
+	c.model = svm.Train(X, train.Labels(), opts.Seed)
 	return c, nil
 }

@@ -59,7 +59,7 @@ func reportSpeedup(b *testing.B, fn func(workers int)) {
 func BenchmarkTransformParallel(b *testing.B) {
 	clf, data := benchFixture(b)
 	reportSpeedup(b, func(workers int) {
-		clf.tf.applyAll(data, workers)
+		clf.tf.applyAll(data, workers, nil)
 	})
 }
 

@@ -46,8 +46,8 @@ func TestWorkersDeterminismDIRECT(t *testing.T) {
 
 	// Transform matrix over the test set, computed at both worker counts
 	// on both classifiers: all four must match exactly.
-	X1 := c1.tf.applyAll(split.Test, 1)
-	X8 := c8.tf.applyAll(split.Test, 8)
+	X1 := c1.tf.applyAll(split.Test, 1, nil)
+	X8 := c8.tf.applyAll(split.Test, 8, nil)
 	if !reflect.DeepEqual(X1, X8) {
 		t.Fatal("transform matrices diverge between worker counts")
 	}

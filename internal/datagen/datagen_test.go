@@ -34,7 +34,7 @@ func TestGenerateShapes(t *testing.T) {
 			if len(s.Train) != g.TrainSize || len(s.Test) != g.TestSize {
 				t.Fatalf("sizes %d/%d, want %d/%d", len(s.Train), len(s.Test), g.TrainSize, g.TestSize)
 			}
-			for _, in := range append(s.Train.Clone(), s.Test.Clone()...) {
+			for _, in := range append(append(ts.Dataset(nil), s.Train...), s.Test...) {
 				if len(in.Values) != g.Length {
 					t.Fatalf("instance length %d, want %d", len(in.Values), g.Length)
 				}

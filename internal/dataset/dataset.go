@@ -23,28 +23,7 @@ type Split struct {
 	Test  ts.Dataset
 }
 
-// NumClasses returns the number of distinct labels across both parts.
-func (s Split) NumClasses() int {
-	seen := map[int]bool{}
-	for _, in := range s.Train {
-		seen[in.Label] = true
-	}
-	for _, in := range s.Test {
-		seen[in.Label] = true
-	}
-	return len(seen)
-}
-
-// Length returns the series length of the first training instance (UCR
-// datasets are equal-length; generators guarantee it).
-func (s Split) Length() int {
-	if len(s.Train) == 0 {
-		return 0
-	}
-	return len(s.Train[0].Values)
-}
-
-// ReadOptions tunes the strictness of Read. The zero value is the strict
+// ReadOptions tunes the strictness of ReadWith. The zero value is the strict
 // default: every row must have the same number of values, every value and
 // label must be finite, and a row may hold at most DefaultMaxLineValues
 // observations — malformed or hostile files fail at parse time with a
@@ -69,17 +48,12 @@ const DefaultMaxLineValues = 1 << 20
 // float→int conversion is always well defined.
 const maxLabel = 1 << 31
 
-// Read parses UCR-format instances from r with the strict default
-// options (equal-length rows, finite values only). Labels may be written
-// as floating-point numbers (several UCR files use "1.0000000e+00"); they
-// are rounded to the nearest integer.
-func Read(r io.Reader) (ts.Dataset, error) {
-	return ReadWith(r, ReadOptions{})
-}
-
-// ReadWith parses UCR-format instances from r under the given options.
-// It never panics: any malformed input yields an error naming the first
-// offending line.
+// ReadWith parses UCR-format instances from r under the given options
+// (the zero value: equal-length rows, finite values only). Labels may be
+// written as floating-point numbers (several UCR files use
+// "1.0000000e+00"); they are rounded to the nearest integer. It never
+// panics: any malformed input yields an error naming the first offending
+// line.
 func ReadWith(r io.Reader, opts ReadOptions) (ts.Dataset, error) {
 	maxVals := opts.MaxLineValues
 	if maxVals <= 0 {
@@ -169,16 +143,6 @@ func Write(w io.Writer, d ts.Dataset) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadFile reads one UCR-format file.
-func ReadFile(path string) (ts.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }
 
 // WriteFile writes one UCR-format file.

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -13,7 +14,7 @@ import (
 
 func TestReadCommaSeparated(t *testing.T) {
 	in := "1,0.5,1.5,-2\n2,3,4,5\n"
-	d, err := Read(strings.NewReader(in))
+	d, err := ReadWith(strings.NewReader(in), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestReadCommaSeparated(t *testing.T) {
 
 func TestReadWhitespaceSeparated(t *testing.T) {
 	in := "  1   0.5 1.5\t-2 \n\n 2 3 4 5\n"
-	d, err := Read(strings.NewReader(in))
+	d, err := ReadWith(strings.NewReader(in), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestReadWhitespaceSeparated(t *testing.T) {
 
 func TestReadScientificLabels(t *testing.T) {
 	in := "1.0000000e+00,1,2\n-1.0000000e+00,3,4\n"
-	d, err := Read(strings.NewReader(in))
+	d, err := ReadWith(strings.NewReader(in), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,14 @@ func TestReadErrors(t *testing.T) {
 		"1\n",
 	}
 	for _, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
+		if _, err := ReadWith(strings.NewReader(in), ReadOptions{}); err == nil {
 			t.Errorf("input %q: expected error", in)
 		}
 	}
 }
 
 func TestReadEmpty(t *testing.T) {
-	d, err := Read(strings.NewReader(""))
+	d, err := ReadWith(strings.NewReader(""), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadWith(&buf, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,33 +111,21 @@ func TestFileAndSplitRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := Split{Name: "Foo"}
-	var err error
-	if got.Train, err = ReadFile(filepath.Join(dir, "Foo_TRAIN")); err != nil {
-		t.Fatal(err)
-	}
-	if got.Test, err = ReadFile(filepath.Join(dir, "Foo_TEST")); err != nil {
-		t.Fatal(err)
+	for _, part := range []struct {
+		file string
+		dst  *ts.Dataset
+	}{{"Foo_TRAIN", &got.Train}, {"Foo_TEST", &got.Test}} {
+		f, err := os.Open(filepath.Join(dir, part.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		*part.dst, err = ReadWith(f, ReadOptions{})
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Errorf("read back %+v", got)
-	}
-	if got.NumClasses() != 2 {
-		t.Errorf("NumClasses = %d", got.NumClasses())
-	}
-	if got.Length() != 2 {
-		t.Errorf("Length = %d", got.Length())
-	}
-}
-
-func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("expected error for missing file")
-	}
-}
-
-func TestSplitAccessorsEmpty(t *testing.T) {
-	var s Split
-	if s.NumClasses() != 0 || s.Length() != 0 {
-		t.Error("empty split accessors")
 	}
 }

@@ -69,7 +69,7 @@ func FuzzDatasetRead(f *testing.F) {
 	f.Add([]byte("1,,2\n"))
 	f.Add([]byte("-9999999999999999999,1,2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Read(strings.NewReader(string(data)))
+		d, err := ReadWith(strings.NewReader(string(data)), ReadOptions{})
 		if err != nil {
 			return
 		}

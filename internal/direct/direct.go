@@ -12,8 +12,9 @@ import (
 	"sort"
 )
 
-// epsilonDefault is the standard Jones ε balancing local vs global search.
-const epsilonDefault = 1e-4
+// epsilon is the standard Jones ε balancing local vs global search: the
+// potential-optimality slack.
+const epsilon = 1e-4
 
 // Result reports the best point found.
 type Result struct {
@@ -23,14 +24,6 @@ type Result struct {
 	F float64
 	// Evals is the number of objective evaluations performed.
 	Evals int
-}
-
-// Options tunes the optimizer.
-type Options struct {
-	// MaxEvals caps objective evaluations (default 100·dim).
-	MaxEvals int
-	// Epsilon is the potential-optimality slack (default 1e-4).
-	Epsilon float64
 }
 
 // rect is a hyper-rectangle: its center (unit-cube coordinates), the
@@ -56,8 +49,9 @@ func halfDiag(levels []int) float64 {
 
 // Minimize searches for the minimum of f over the box [lo, hi]. The
 // objective receives points in original coordinates. Evaluation results
-// may be any finite float; NaN is treated as +Inf.
-func Minimize(f func([]float64) float64, lo, hi []float64, opt Options) Result {
+// may be any finite float; NaN is treated as +Inf. maxEvals caps the
+// objective evaluations (<= 0 means 100·dim).
+func Minimize(f func([]float64) float64, lo, hi []float64, maxEvals int) Result {
 	dim := len(lo)
 	if dim == 0 || len(hi) != dim {
 		panic("direct: bad bounds")
@@ -67,11 +61,8 @@ func Minimize(f func([]float64) float64, lo, hi []float64, opt Options) Result {
 			panic("direct: hi < lo")
 		}
 	}
-	if opt.MaxEvals <= 0 {
-		opt.MaxEvals = 100 * dim
-	}
-	if opt.Epsilon <= 0 {
-		opt.Epsilon = epsilonDefault
+	if maxEvals <= 0 {
+		maxEvals = 100 * dim
 	}
 
 	unscale := func(u []float64) []float64 {
@@ -101,18 +92,18 @@ func Minimize(f func([]float64) float64, lo, hi []float64, opt Options) Result {
 	rects := []*rect{first}
 	best := first
 
-	for evals < opt.MaxEvals {
-		po := potentiallyOptimal(rects, best.f, opt.Epsilon)
+	for evals < maxEvals {
+		po := potentiallyOptimal(rects, best.f, epsilon)
 		if len(po) == 0 {
 			break
 		}
 		progressed := false
 		for _, ri := range po {
-			if evals >= opt.MaxEvals {
+			if evals >= maxEvals {
 				break
 			}
 			r := rects[ri]
-			newRects, nEvals := divide(r, eval, opt.MaxEvals-evals)
+			newRects, nEvals := divide(r, eval, maxEvals-evals)
 			if nEvals == 0 {
 				continue
 			}

@@ -13,7 +13,7 @@ func TestSphere(t *testing.T) {
 		}
 		return s
 	}
-	res := Minimize(f, []float64{-5, -5}, []float64{5, 5}, Options{MaxEvals: 500})
+	res := Minimize(f, []float64{-5, -5}, []float64{5, 5}, 500)
 	if res.F > 0.01 {
 		t.Errorf("sphere minimum %v at %v, want ~0", res.F, res.X)
 	}
@@ -26,7 +26,7 @@ func TestShiftedMinimum(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-3.2)*(x[0]-3.2) + (x[1]+1.7)*(x[1]+1.7)
 	}
-	res := Minimize(f, []float64{-10, -10}, []float64{10, 10}, Options{MaxEvals: 2000})
+	res := Minimize(f, []float64{-10, -10}, []float64{10, 10}, 2000)
 	if math.Abs(res.X[0]-3.2) > 0.1 || math.Abs(res.X[1]+1.7) > 0.1 {
 		t.Errorf("minimum at %v, want (3.2,-1.7); f=%v", res.X, res.F)
 	}
@@ -38,7 +38,7 @@ func TestMultimodalFindsGlobal(t *testing.T) {
 		v := x[0]
 		return 0.05*(v-4)*(v-4) - 5*math.Exp(-(v+3)*(v+3))
 	}
-	res := Minimize(f, []float64{-10}, []float64{10}, Options{MaxEvals: 300})
+	res := Minimize(f, []float64{-10}, []float64{10}, 300)
 	if math.Abs(res.X[0]+3) > 0.3 {
 		t.Errorf("found %v (f=%v), want global minimum near -3", res.X, res.F)
 	}
@@ -50,7 +50,7 @@ func TestRosenbrock(t *testing.T) {
 		b := x[1] - x[0]*x[0]
 		return a*a + 100*b*b
 	}
-	res := Minimize(f, []float64{-2, -2}, []float64{2, 2}, Options{MaxEvals: 3000})
+	res := Minimize(f, []float64{-2, -2}, []float64{2, 2}, 3000)
 	if res.F > 0.1 {
 		t.Errorf("rosenbrock f=%v at %v", res.F, res.X)
 	}
@@ -62,7 +62,7 @@ func TestBudgetRespected(t *testing.T) {
 		calls++
 		return x[0]
 	}
-	res := Minimize(f, []float64{0}, []float64{1}, Options{MaxEvals: 17})
+	res := Minimize(f, []float64{0}, []float64{1}, 17)
 	if calls > 17 {
 		t.Errorf("made %d calls, budget 17", calls)
 	}
@@ -74,7 +74,7 @@ func TestBudgetRespected(t *testing.T) {
 func TestDegenerateBox(t *testing.T) {
 	// zero-width dimension: lo == hi
 	f := func(x []float64) float64 { return x[0]*x[0] + x[1] }
-	res := Minimize(f, []float64{0, 2}, []float64{4, 2}, Options{MaxEvals: 100})
+	res := Minimize(f, []float64{0, 2}, []float64{4, 2}, 100)
 	if res.X[1] != 2 {
 		t.Errorf("fixed dimension moved: %v", res.X)
 	}
@@ -90,7 +90,7 @@ func TestNaNTreatedAsInf(t *testing.T) {
 		}
 		return x[0]
 	}
-	res := Minimize(f, []float64{0}, []float64{1}, Options{MaxEvals: 100})
+	res := Minimize(f, []float64{0}, []float64{1}, 100)
 	if math.IsNaN(res.F) || math.IsInf(res.F, 0) {
 		t.Errorf("best value %v; NaN region should be avoided", res.F)
 	}
@@ -115,7 +115,7 @@ func TestPanicsOnBadBounds(t *testing.T) {
 					t.Error("expected panic")
 				}
 			}()
-			Minimize(func(x []float64) float64 { return 0 }, c.lo, c.hi, Options{})
+			Minimize(func(x []float64) float64 { return 0 }, c.lo, c.hi, 0)
 		})
 	}
 }
@@ -128,7 +128,7 @@ func TestIntegerRoundedObjective(t *testing.T) {
 		p := math.Round(x[1])
 		return math.Abs(w-17) + math.Abs(p-5)
 	}
-	res := Minimize(f, []float64{2, 2}, []float64{60, 12}, Options{MaxEvals: 400})
+	res := Minimize(f, []float64{2, 2}, []float64{60, 12}, 400)
 	if res.F > 0.5 {
 		t.Errorf("integer objective best %v at %v", res.F, res.X)
 	}
@@ -145,7 +145,7 @@ func TestResultInsideBoundsAndConsistent(t *testing.T) {
 	lo := []float64{-4, -2}
 	hi := []float64{3, 5}
 	for i, f := range objectives {
-		res := Minimize(f, lo, hi, Options{MaxEvals: 300})
+		res := Minimize(f, lo, hi, 300)
 		for d := range lo {
 			if res.X[d] < lo[d]-1e-9 || res.X[d] > hi[d]+1e-9 {
 				t.Errorf("objective %d: X[%d]=%v outside [%v,%v]", i, d, res.X[d], lo[d], hi[d])

@@ -22,9 +22,6 @@ type WindowStats struct {
 // Len returns the window length the stats were computed for.
 func (w *WindowStats) Len() int { return w.n }
 
-// Windows returns the number of windows covered.
-func (w *WindowStats) Windows() int { return len(w.mean) }
-
 // compute fills the stats for series at window length n (0 < n <=
 // len(series)), reusing the existing backing arrays when large enough.
 func (w *WindowStats) compute(series []float64, n int) {
@@ -83,9 +80,6 @@ func (q *Query) Reset(series []float64) {
 	q.stats = q.stats[:0]
 }
 
-// Series returns the series the query wraps.
-func (q *Query) Series() []float64 { return q.series }
-
 // Stats returns the window stats for length n, computing and caching
 // them on first use. It panics if n is out of (0, len(series)].
 func (q *Query) Stats(n int) *WindowStats {
@@ -111,15 +105,10 @@ func (q *Query) Stats(n int) *WindowStats {
 	return st
 }
 
-// BestQuery is Best with the window statistics shared through q: the
-// rolling mean/variance sweep is read from q's cache (computed once per
-// pattern length) instead of being re-derived per pattern. The returned
-// Match is bit-identical to Best(q.Series()).
-//
-//rpmlint:hotpath PR6 predict kernel: stats-sharing scan must stay 0-alloc
-func (m *Matcher) BestQuery(q *Query) Match { return m.BestQuerySeeded(q, -1) }
-
-// BestQuerySeeded is BestQuery with an early-abandon seed: when seedPos
+// BestQuerySeeded is Best with the window statistics shared through q:
+// the rolling mean/variance sweep is read from q's cache (computed once
+// per pattern length) instead of being re-derived per pattern, and the
+// returned Match is bit-identical to Best over q's series. When seedPos
 // is a valid window start, that window is fully evaluated first and its
 // distance primes the abandon bound, so the left-to-right scan abandons
 // against a tight threshold from window zero instead of warming up from

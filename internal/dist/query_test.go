@@ -8,7 +8,7 @@ import (
 )
 
 // TestBestQueryBitIdentical pins the Query contract: for random series
-// and patterns, Matcher.BestQuery through shared WindowStats is
+// and patterns, Matcher.BestQuerySeeded through shared WindowStats is
 // bit-identical (Dist AND Pos) to the oracle kernel, seeded or not, for
 // every seed position including invalid ones.
 func TestBestQueryBitIdentical(t *testing.T) {
@@ -20,8 +20,8 @@ func TestBestQueryBitIdentical(t *testing.T) {
 			pat := makeSeries(rng, 2+rng.Intn(len(series)-2))
 			m := NewMatcher(pat)
 			want := oracleBest(m, series)
-			if got := m.BestQuery(q); got != want {
-				t.Logf("seed %d: unseeded BestQuery %+v != oracle %+v", seed, got, want)
+			if got := m.BestQuerySeeded(q, -1); got != want {
+				t.Logf("seed %d: unseeded BestQuerySeeded %+v != oracle %+v", seed, got, want)
 				return false
 			}
 			// Every seed, valid or not, must leave the result untouched.
@@ -41,7 +41,7 @@ func TestBestQueryBitIdentical(t *testing.T) {
 
 // TestBestQueryAffineInvariance: closest-match distance is invariant to
 // affine transforms of the query series (per-window z-normalization), so
-// BestQuery over a*x+b must agree with BestQuery over x up to fp noise.
+// BestQuerySeeded over a*x+b must agree with BestQuerySeeded over x up to fp noise.
 func TestBestQueryAffineInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,8 +54,8 @@ func TestBestQueryAffineInvariance(t *testing.T) {
 		}
 		pat := makeSeries(rng, 4+rng.Intn(24))
 		m := NewMatcher(pat)
-		d1 := m.BestQuery(NewQuery(series))
-		d2 := m.BestQuery(NewQuery(shifted))
+		d1 := m.BestQuerySeeded(NewQuery(series), -1)
+		d2 := m.BestQuerySeeded(NewQuery(shifted), -1)
 		if math.Abs(d1.Dist-d2.Dist) > 1e-8 {
 			t.Logf("seed %d: affine shift moved distance %v -> %v", seed, d1.Dist, d2.Dist)
 			return false
@@ -76,10 +76,10 @@ func TestBestQueryAgreesWithClosestMatch(t *testing.T) {
 		series := makeSeries(rng, 16+rng.Intn(100))
 		pat := makeSeries(rng, 1+rng.Intn(len(series)))
 		m := NewMatcher(pat)
-		got := m.BestQuery(NewQuery(series))
+		got := m.BestQuerySeeded(NewQuery(series), -1)
 		want := oracleClosestMatch(pat, series)
 		if got != want {
-			t.Logf("seed %d: BestQuery %+v != oracle %+v", seed, got, want)
+			t.Logf("seed %d: BestQuerySeeded %+v != oracle %+v", seed, got, want)
 			return false
 		}
 		return true
@@ -112,14 +112,14 @@ func TestBestQueryConstantWindows(t *testing.T) {
 				t.Fatalf("n=%d seed %d: %+v != %+v", n, sp, got, want)
 			}
 		}
-		if math.IsInf(m.BestQuery(q).Dist, 1) {
+		if math.IsInf(m.BestQuerySeeded(q, -1).Dist, 1) {
 			t.Fatalf("n=%d: infinite distance on finite input", n)
 		}
 	}
 	// Fully constant series: every window is constant.
 	flat := NewQuery(make([]float64, 30))
 	m := NewMatcher(makeSeries(rng, 8))
-	if got, want := m.BestQuery(flat), oracleBest(m, flat.Series()); got != want {
+	if got, want := m.BestQuerySeeded(flat, -1), oracleBest(m, flat.series); got != want {
 		t.Fatalf("constant series: %+v != %+v", got, want)
 	}
 }
@@ -134,17 +134,17 @@ func TestBestQueryShortQuery(t *testing.T) {
 	m := NewMatcher(pat)
 	short := makeSeries(rng, 12)
 	q := NewQuery(short)
-	if got, want := m.BestQuery(q), oracleBest(m, short); got != want {
-		t.Fatalf("short query: BestQuery %+v != oracle %+v", got, want)
+	if got, want := m.BestQuerySeeded(q, -1), oracleBest(m, short); got != want {
+		t.Fatalf("short query: BestQuerySeeded %+v != oracle %+v", got, want)
 	}
 	if got, want := m.BestQuerySeeded(q, 3), oracleBest(m, short); got != want {
 		t.Fatalf("short query seeded: %+v != %+v", got, want)
 	}
 	// Empty series and empty pattern degenerate cases.
-	if got := m.BestQuery(NewQuery(nil)); !math.IsInf(got.Dist, 1) || got.Pos != -1 {
+	if got := m.BestQuerySeeded(NewQuery(nil), -1); !math.IsInf(got.Dist, 1) || got.Pos != -1 {
 		t.Fatalf("empty series: %+v", got)
 	}
-	if got := NewMatcher(nil).BestQuery(q); !math.IsInf(got.Dist, 1) || got.Pos != -1 {
+	if got := NewMatcher(nil).BestQuerySeeded(q, -1); !math.IsInf(got.Dist, 1) || got.Pos != -1 {
 		t.Fatalf("empty pattern: %+v", got)
 	}
 }
@@ -283,15 +283,15 @@ func TestQueryResetReuse(t *testing.T) {
 	q := NewQuery(makeSeries(rng, 64))
 	m1 := NewMatcher(makeSeries(rng, 8))
 	m2 := NewMatcher(makeSeries(rng, 20))
-	_ = m1.BestQuery(q)
-	_ = m2.BestQuery(q)
+	_ = m1.BestQuerySeeded(q, -1)
+	_ = m2.BestQuerySeeded(q, -1)
 	for i := 0; i < 10; i++ {
 		series := makeSeries(rng, 32+rng.Intn(64))
 		q.Reset(series)
-		if got, want := m1.BestQuery(q), oracleBest(m1, series); got != want {
+		if got, want := m1.BestQuerySeeded(q, -1), oracleBest(m1, series); got != want {
 			t.Fatalf("iter %d: m1 %+v != %+v", i, got, want)
 		}
-		if got, want := m2.BestQuery(q), oracleBest(m2, series); got != want {
+		if got, want := m2.BestQuerySeeded(q, -1), oracleBest(m2, series); got != want {
 			t.Fatalf("iter %d: m2 %+v != %+v", i, got, want)
 		}
 	}
@@ -321,8 +321,8 @@ func TestWindowStatsRecurrence(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 33, 96} {
 		st := NewQuery(series).Stats(n)
 		means, invs := oracleStats(series, n)
-		if st.Len() != n || st.Windows() != len(means) {
-			t.Fatalf("n=%d: Len/Windows %d/%d, want %d windows", n, st.Len(), st.Windows(), len(means))
+		if st.Len() != n || len(st.mean) != len(means) {
+			t.Fatalf("n=%d: Len/Windows %d/%d, want %d windows", n, st.Len(), len(st.mean), len(means))
 		}
 		for i := range means {
 			if math.Float64bits(st.mean[i]) != math.Float64bits(means[i]) ||

@@ -74,9 +74,6 @@ func NewRollingStats(n int) RollingStats {
 // Len returns the window length.
 func (r *RollingStats) Len() int { return r.n }
 
-// Seen returns how many samples have been pushed.
-func (r *RollingStats) Seen() int { return r.seen }
-
 // Full reports whether at least one complete window has been seen.
 func (r *RollingStats) Full() bool { return r.seen >= r.n }
 
@@ -117,13 +114,6 @@ type StreamScan struct {
 func (s *StreamScan) Reset() {
 	s.best = math.Inf(1)
 	s.bestPos = -1
-}
-
-// NewStreamScan returns an empty scan.
-func NewStreamScan() StreamScan {
-	var s StreamScan
-	s.Reset()
-	return s
 }
 
 // StreamEval folds one window into the scan: window is the raw samples

@@ -13,7 +13,8 @@ import (
 func feedStream(m *Matcher, series []float64) Match {
 	n := m.Len()
 	rs := NewRollingStats(n)
-	sc := NewStreamScan()
+	var sc StreamScan
+	sc.Reset()
 	for t, x := range series {
 		var out float64
 		if rs.Full() {
@@ -121,8 +122,8 @@ func TestRollingStatsMatchesWindowStats(t *testing.T) {
 		means, invs := oracleStats(series, n)
 		var ws WindowStats
 		ws.compute(series, n)
-		if ws.Windows() != len(means) {
-			t.Fatalf("batch yielded %d windows, oracle %d", ws.Windows(), len(means))
+		if len(ws.mean) != len(means) {
+			t.Fatalf("batch yielded %d windows, oracle %d", len(ws.mean), len(means))
 		}
 		rs := NewRollingStats(n)
 		w := 0

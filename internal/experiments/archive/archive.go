@@ -329,7 +329,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Dataset-level concurrency is safe because every outcome is a pure
 	// function of (config, dataset) and checkpoints are per-dataset files.
 	var progressMu sync.Mutex
-	perDataset, canceled := parallel.MapCtx(ctx, len(names), cfg.Workers, func(i int) []Outcome {
+	perDataset, canceled := parallel.Map(ctx, len(names), cfg.Workers, nil, func(i int) []Outcome {
 		rows := cfg.runDataset(ctx, names[i], hash)
 		if cfg.Progress != nil {
 			progressMu.Lock()

@@ -105,7 +105,7 @@ func trainBaseline(ctx context.Context, name string, train ts.Dataset, cfg Confi
 		ed.Workers = cfg.Workers
 		return ed, nil
 	case MethodNNDTWB:
-		w, err := nn.BestWindowObs(ctx, train, 0.2, cfg.Workers, reg)
+		w, err := nn.BestWindow(ctx, train, 0.2, cfg.Workers, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +115,7 @@ func trainBaseline(ctx context.Context, name string, train ts.Dataset, cfg Confi
 	case MethodSAXVSM:
 		return saxvsm.TrainAuto(train, cfg.Seed), nil
 	case MethodFS:
-		return fastshapelets.Train(train, fastshapelets.Config{Seed: cfg.Seed}), nil
+		return fastshapelets.Train(train, cfg.Seed), nil
 	case MethodLS:
 		lsCfg := learnshapelets.Config{Seed: cfg.Seed}
 		if cfg.Quick {

@@ -17,75 +17,41 @@ import (
 	"rpm/internal/ts"
 )
 
-// Config tunes training. Zero values select the published defaults.
-type Config struct {
-	// Projections is the number of random-masking rounds (default 10).
-	Projections int
-	// MaskSize is how many word positions each round hides (default 3,
-	// clamped below the word length).
-	MaskSize int
-	// TopK is how many SAX words per candidate length are promoted to
-	// exact information-gain evaluation (default 10).
-	TopK int
-	// PAA and Alphabet control the SAX projection (defaults 8 and 4).
-	PAA, Alphabet int
-	// Lengths are the candidate shapelet lengths; default is a 10-step
-	// sweep from 10 to half the series length.
-	Lengths []int
-	// MaxDepth caps the decision tree depth (default 8).
-	MaxDepth int
-	// MinLeaf stops splitting nodes smaller than this (default 2).
-	MinLeaf int
-	// Seed drives the random masking (default 1).
-	Seed int64
-}
+// The published defaults, fixed: random-masking rounds, word positions
+// each round hides, SAX words per candidate length promoted to exact
+// information-gain evaluation, the SAX projection's PAA size and
+// alphabet, the tree depth cap, and the node size below which splitting
+// stops.
+const (
+	projections = 10
+	maskSize    = 3
+	topKWords   = 10
+	saxPAA      = 8
+	saxAlphabet = 4
+	maxDepth    = 8
+	minLeaf     = 2
+)
 
-func (c Config) withDefaults(m int) Config {
-	if c.Projections <= 0 {
-		c.Projections = 10
-	}
-	if c.TopK <= 0 {
-		c.TopK = 10
-	}
-	if c.PAA <= 0 {
-		c.PAA = 8
-	}
-	if c.Alphabet <= 0 {
-		c.Alphabet = 4
-	}
-	if c.MaskSize <= 0 {
-		c.MaskSize = 3
-	}
-	if c.MaskSize >= c.PAA {
-		c.MaskSize = c.PAA - 1
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 8
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Lengths) == 0 {
-		lo := 10
-		hi := m / 2
+// candidateLengths is the shapelet-length sweep for series of length m:
+// ten steps from 10 to m/2 (from 3 when m/2 < 10).
+func candidateLengths(m int) []int {
+	lo := 10
+	hi := m / 2
+	if hi < lo {
+		lo = 3
 		if hi < lo {
-			lo = 3
-			if hi < lo {
-				hi = lo
-			}
-		}
-		step := (hi - lo) / 9
-		if step < 1 {
-			step = 1
-		}
-		for l := lo; l <= hi; l += step {
-			c.Lengths = append(c.Lengths, l)
+			hi = lo
 		}
 	}
-	return c
+	step := (hi - lo) / 9
+	if step < 1 {
+		step = 1
+	}
+	var out []int
+	for l := lo; l <= hi; l += step {
+		out = append(out, l)
+	}
+	return out
 }
 
 // node is one decision-tree node.
@@ -105,44 +71,30 @@ type Model struct {
 	NumNodes int
 }
 
-// Shapelets returns the shapelets used by the tree, in breadth-first
-// order — the artifacts Figure 1 of the paper visualizes.
-func (m *Model) Shapelets() [][]float64 {
-	var out [][]float64
-	queue := []*node{m.root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if n == nil || n.leaf {
-			continue
-		}
-		out = append(out, n.shapelet)
-		queue = append(queue, n.left, n.right)
-	}
-	return out
-}
-
-// Train builds the shapelet tree.
-func Train(train ts.Dataset, cfg Config) *Model {
+// Train builds the shapelet tree; seed drives the random masking (0
+// means 1).
+func Train(train ts.Dataset, seed int64) *Model {
 	if len(train) == 0 {
 		panic("fastshapelets: empty training set")
 	}
-	cfg = cfg.withDefaults(train.MinLen())
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	if seed == 0 {
+		seed = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
 	m := &Model{}
-	m.root = m.build(train, cfg, rng, 0)
+	m.root = m.build(train, candidateLengths(train.MinLen()), rng, 0)
 	return m
 }
 
-func (m *Model) build(d ts.Dataset, cfg Config, rng *rand.Rand, depth int) *node {
+func (m *Model) build(d ts.Dataset, lengths []int, rng *rand.Rand, depth int) *node {
 	if len(d) == 0 {
 		return &node{leaf: true, label: 0}
 	}
 	maj, pure := majority(d)
-	if pure || len(d) < 2*cfg.MinLeaf || depth >= cfg.MaxDepth {
+	if pure || len(d) < 2*minLeaf || depth >= maxDepth {
 		return &node{leaf: true, label: maj}
 	}
-	sh, thr, ok := bestShapelet(d, cfg, rng)
+	sh, thr, ok := bestShapelet(d, lengths, rng)
 	if !ok {
 		return &node{leaf: true, label: maj}
 	}
@@ -161,8 +113,8 @@ func (m *Model) build(d ts.Dataset, cfg Config, rng *rand.Rand, depth int) *node
 	return &node{
 		shapelet:  sh,
 		threshold: thr,
-		left:      m.build(left, cfg, rng, depth+1),
-		right:     m.build(right, cfg, rng, depth+1),
+		left:      m.build(left, lengths, rng, depth+1),
+		right:     m.build(right, lengths, rng, depth+1),
 	}
 }
 
@@ -191,7 +143,7 @@ type wordInfo struct {
 
 // bestShapelet runs the FS candidate generation and exact evaluation for
 // one tree node and returns the winning shapelet and split threshold.
-func bestShapelet(d ts.Dataset, cfg Config, rng *rand.Rand) ([]float64, float64, bool) {
+func bestShapelet(d ts.Dataset, lengths []int, rng *rand.Rand) ([]float64, float64, bool) {
 	classSizes := map[int]int{}
 	for _, in := range d {
 		classSizes[in.Label]++
@@ -200,16 +152,16 @@ func bestShapelet(d ts.Dataset, cfg Config, rng *rand.Rand) ([]float64, float64,
 	bestGap := 0.0
 	var bestSh []float64
 	var bestThr float64
-	for _, L := range cfg.Lengths {
+	for _, L := range lengths {
 		if L > d.MinLen() || L < 2 {
 			continue
 		}
-		words := collectWords(d, L, cfg)
+		words := collectWords(d, L)
 		if len(words) == 0 {
 			continue
 		}
-		scoreWords(words, classSizes, cfg, rng)
-		cands := topK(words, cfg.TopK)
+		scoreWords(words, classSizes, rng)
+		cands := topK(words, topKWords)
 		for _, wi := range cands {
 			sub := d[wi.series].Values[wi.offset : wi.offset+L]
 			sh := ts.ZNorm(sub)
@@ -235,8 +187,8 @@ func bestShapelet(d ts.Dataset, cfg Config, rng *rand.Rand) ([]float64, float64,
 
 // collectWords builds the word table for one candidate length: per word,
 // the set of objects (by class) containing it and the first occurrence.
-func collectWords(d ts.Dataset, L int, cfg Config) map[string]*wordInfo {
-	p := sax.Params{Window: L, PAA: cfg.PAA, Alphabet: cfg.Alphabet}
+func collectWords(d ts.Dataset, L int) map[string]*wordInfo {
+	p := sax.Params{Window: L, PAA: saxPAA, Alphabet: saxAlphabet}
 	if p.PAA > L {
 		p.PAA = L
 	}
@@ -262,7 +214,7 @@ func collectWords(d ts.Dataset, L int, cfg Config) map[string]*wordInfo {
 // masking: words that collide under a mask share their class counts; a
 // word whose accumulated collision profile is skewed toward one class is
 // likely discriminative.
-func scoreWords(words map[string]*wordInfo, classSizes map[int]int, cfg Config, rng *rand.Rand) {
+func scoreWords(words map[string]*wordInfo, classSizes map[int]int, rng *rand.Rand) {
 	keys := make([]string, 0, len(words))
 	for w := range words {
 		keys = append(keys, w)
@@ -277,8 +229,8 @@ func scoreWords(words map[string]*wordInfo, classSizes map[int]int, cfg Config, 
 		proj[w] = map[int]float64{}
 	}
 	masked := make([]byte, wordLen)
-	for r := 0; r < cfg.Projections; r++ {
-		mask := rng.Perm(wordLen)[:min(cfg.MaskSize, wordLen)]
+	for r := 0; r < projections; r++ {
+		mask := rng.Perm(wordLen)[:min(maskSize, wordLen)]
 		groups := map[string][]string{}
 		for _, w := range keys {
 			copy(masked, w)

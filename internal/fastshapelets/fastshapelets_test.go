@@ -11,7 +11,7 @@ import (
 
 func TestTrainPredictGunPoint(t *testing.T) {
 	s := datagen.MustByName("SynGunPoint").Generate(1)
-	m := Train(s.Train, Config{})
+	m := Train(s.Train, 0)
 	preds := m.PredictBatch(s.Test)
 	if e := stats.ErrorRate(preds, s.Test.Labels()); e > 0.2 {
 		t.Errorf("FS error on SynGunPoint = %v", e)
@@ -23,7 +23,7 @@ func TestTrainPredictGunPoint(t *testing.T) {
 
 func TestTrainPredictCBF(t *testing.T) {
 	s := datagen.MustByName("SynCBF").Generate(2)
-	m := Train(s.Train, Config{})
+	m := Train(s.Train, 0)
 	preds := m.PredictBatch(s.Test)
 	if e := stats.ErrorRate(preds, s.Test.Labels()); e > 0.35 {
 		t.Errorf("FS error on SynCBF = %v", e)
@@ -39,7 +39,7 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 		}
 		d = append(d, ts.Instance{Label: 7, Values: v})
 	}
-	m := Train(d, Config{})
+	m := Train(d, 0)
 	if m.NumNodes != 0 {
 		t.Errorf("pure data grew %d internal nodes", m.NumNodes)
 	}
@@ -50,10 +50,17 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 
 func TestShapeletsAccessor(t *testing.T) {
 	s := datagen.MustByName("SynGunPoint").Generate(3)
-	m := Train(s.Train, Config{})
-	shs := m.Shapelets()
+	m := Train(s.Train, 0)
+	// walk the tree breadth-first: one shapelet per internal node
+	var shs [][]float64
+	for queue := []*node{m.root}; len(queue) > 0; queue = queue[1:] {
+		if n := queue[0]; n != nil && !n.leaf {
+			shs = append(shs, n.shapelet)
+			queue = append(queue, n.left, n.right)
+		}
+	}
 	if len(shs) != m.NumNodes {
-		t.Errorf("Shapelets() returned %d, NumNodes %d", len(shs), m.NumNodes)
+		t.Errorf("tree holds %d shapelets, NumNodes %d", len(shs), m.NumNodes)
 	}
 	for _, sh := range shs {
 		if len(sh) < 2 {
@@ -68,8 +75,8 @@ func TestShapeletsAccessor(t *testing.T) {
 
 func TestDeterministicWithSeed(t *testing.T) {
 	s := datagen.MustByName("SynItalyPower").Generate(4)
-	m1 := Train(s.Train, Config{Seed: 5})
-	m2 := Train(s.Train, Config{Seed: 5})
+	m1 := Train(s.Train, 5)
+	m2 := Train(s.Train, 5)
 	p1 := m1.PredictBatch(s.Test)
 	p2 := m2.PredictBatch(s.Test)
 	for i := range p1 {
@@ -108,7 +115,7 @@ func TestTrainPanicsOnEmpty(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Train(nil, Config{})
+	Train(nil, 0)
 }
 
 func TestShortSeries(t *testing.T) {
@@ -123,7 +130,7 @@ func TestShortSeries(t *testing.T) {
 		v[0] = float64(i) * 0.01
 		d = append(d, ts.Instance{Label: lab, Values: v})
 	}
-	m := Train(d, Config{})
+	m := Train(d, 0)
 	preds := m.PredictBatch(d)
 	if e := stats.ErrorRate(preds, d.Labels()); e > 0.2 {
 		t.Errorf("short-series training error = %v", e)

@@ -36,16 +36,10 @@ const defaultBins = 10
 // returns the indices of the selected features in increasing order. It
 // always returns at least one feature (the one with the highest
 // feature-class correlation) when d > 0 and n > 1; it returns nil for
-// degenerate input.
-func Select(X [][]float64, y []int) []int {
-	return SelectObs(X, y, nil)
-}
-
-// SelectObs is Select with an optional expansion counter: each best-first
-// node expansion increments expansions (a nil counter is a no-op, so
-// Select(X, y) and SelectObs(X, y, nil) are the same code path). The
-// selected subset never depends on the counter.
-func SelectObs(X [][]float64, y []int, expansions *obs.Counter) []int {
+// degenerate input. Each best-first node expansion increments
+// expansions (a nil counter is a no-op); the selected subset never
+// depends on the counter.
+func Select(X [][]float64, y []int, expansions *obs.Counter) []int {
 	n := len(X)
 	if n == 0 || len(y) != n {
 		return nil

@@ -30,7 +30,7 @@ func buildData(rng *rand.Rand, n, d int, informative []int) ([][]float64, []int)
 func TestSelectFindsInformativeFeature(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := buildData(rng, 100, 8, []int{3})
-	sel := Select(X, y)
+	sel := Select(X, y, nil)
 	if !containsInt(sel, 3) {
 		t.Errorf("selected %v, want feature 3 included", sel)
 	}
@@ -59,7 +59,7 @@ func TestSelectMultipleInformative(t *testing.T) {
 			X[i][5] = 5 + rng.NormFloat64()*0.3
 		}
 	}
-	sel := Select(X, y)
+	sel := Select(X, y, nil)
 	if !containsInt(sel, 1) || !containsInt(sel, 5) {
 		t.Errorf("selected %v, want {1,5} included", sel)
 	}
@@ -77,7 +77,7 @@ func TestSelectDropsRedundantCopy(t *testing.T) {
 		// adding the duplicate); 2 is noise
 		X[i] = []float64{base, base, rng.NormFloat64()}
 	}
-	sel := Select(X, y)
+	sel := Select(X, y, nil)
 	if containsInt(sel, 0) && containsInt(sel, 1) {
 		t.Errorf("selected both redundant copies: %v", sel)
 	}
@@ -87,19 +87,19 @@ func TestSelectDropsRedundantCopy(t *testing.T) {
 }
 
 func TestSelectDegenerate(t *testing.T) {
-	if sel := Select(nil, nil); sel != nil {
+	if sel := Select(nil, nil, nil); sel != nil {
 		t.Errorf("empty input: %v", sel)
 	}
-	if sel := Select([][]float64{{1, 2}}, []int{1}); !reflect.DeepEqual(sel, []int{0}) {
+	if sel := Select([][]float64{{1, 2}}, []int{1}, nil); !reflect.DeepEqual(sel, []int{0}) {
 		t.Errorf("single instance: %v", sel)
 	}
-	if sel := Select([][]float64{{}, {}}, []int{0, 1}); sel != nil {
+	if sel := Select([][]float64{{}, {}}, []int{0, 1}, nil); sel != nil {
 		t.Errorf("zero features: %v", sel)
 	}
 	// all-constant features: should still return exactly one feature
 	X := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	y := []int{0, 1, 0, 1}
-	sel := Select(X, y)
+	sel := Select(X, y, nil)
 	if len(sel) != 1 {
 		t.Errorf("constant features: %v", sel)
 	}
@@ -111,7 +111,7 @@ func TestSelectPanicsOnRaggedMatrix(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Select([][]float64{{1, 2}, {1}}, []int{0, 1})
+	Select([][]float64{{1, 2}, {1}}, []int{0, 1}, nil)
 }
 
 func TestSelectOutputSortedUnique(t *testing.T) {
@@ -120,7 +120,7 @@ func TestSelectOutputSortedUnique(t *testing.T) {
 		n := 20 + rng.Intn(40)
 		d := 2 + rng.Intn(8)
 		X, y := buildData(rng, n, d, []int{0})
-		sel := Select(X, y)
+		sel := Select(X, y, nil)
 		if len(sel) == 0 {
 			return false
 		}

@@ -72,10 +72,6 @@ type Model struct {
 	alpha     float64
 }
 
-// Shapelets returns the learned shapelets (live references; callers must
-// not modify them).
-func (m *Model) Shapelets() [][]float64 { return m.shapelets }
-
 // Train fits the model.
 func Train(train ts.Dataset, cfg Config) *Model {
 	if len(train) == 0 {

@@ -82,7 +82,7 @@ func TestShapeletsLearnedMoveTowardDiscriminativeShape(t *testing.T) {
 	if e > 0.4 {
 		t.Errorf("LS error %v no better than chance", e)
 	}
-	if len(m.Shapelets()) == 0 {
+	if len(m.shapelets) == 0 {
 		t.Error("no shapelets learned")
 	}
 }
@@ -121,7 +121,7 @@ func TestTrainPanicsOnEmpty(t *testing.T) {
 func TestInitShapeletsShapes(t *testing.T) {
 	s := datagen.MustByName("SynGunPoint").Generate(6)
 	m := Train(s.Train, Config{Epochs: 1, K: 3, Scales: []float64{0.1, 0.2}})
-	shs := m.Shapelets()
+	shs := m.shapelets
 	if len(shs) != 6 {
 		t.Fatalf("got %d shapelets, want 6 (3 per scale)", len(shs))
 	}

@@ -54,22 +54,10 @@ func (c *EDClassifier) Predict(query []float64) int {
 // sequential path.
 func (c *EDClassifier) PredictBatch(test ts.Dataset) []int {
 	out := make([]int, len(test))
-	parallel.For(len(test), c.Workers, func(i int) {
+	_ = parallel.For(context.Background(), len(test), c.Workers, nil, func(i int) {
 		out[i] = c.Predict(test[i].Values)
 	})
 	return out
-}
-
-// PredictBatchContext is PredictBatch with cooperative cancellation: once
-// ctx is done no further query is scheduled and ctx.Err() is returned.
-func (c *EDClassifier) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]int, error) {
-	out := make([]int, len(test))
-	if err := parallel.ForCtx(ctx, len(test), c.Workers, func(i int) {
-		out[i] = c.Predict(test[i].Values)
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DTWClassifier is a 1-nearest-neighbor classifier under band-constrained
@@ -106,9 +94,6 @@ func NewDTW(train ts.Dataset, window int) *DTWClassifier {
 	}
 	return c
 }
-
-// Window returns the classifier's Sakoe-Chiba half-width.
-func (c *DTWClassifier) Window() int { return c.window }
 
 // Predict returns the label of the DTW-nearest training instance. The
 // LB_Keogh bound skips candidates that cannot beat the best-so-far, and
@@ -148,61 +133,30 @@ func (c *DTWClassifier) predictSkip(query []float64, skip int) int {
 // sequential path.
 func (c *DTWClassifier) PredictBatch(test ts.Dataset) []int {
 	out := make([]int, len(test))
-	parallel.For(len(test), c.Workers, func(i int) {
+	_ = parallel.For(context.Background(), len(test), c.Workers, nil, func(i int) {
 		out[i] = c.Predict(test[i].Values)
 	})
 	return out
-}
-
-// PredictBatchContext is PredictBatch with cooperative cancellation: once
-// ctx is done no further query is scheduled and ctx.Err() is returned.
-func (c *DTWClassifier) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]int, error) {
-	out := make([]int, len(test))
-	if err := parallel.ForCtx(ctx, len(test), c.Workers, func(i int) {
-		out[i] = c.Predict(test[i].Values)
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // BestWindow learns the best warping window on the training set by
 // leave-one-out cross-validation over windows from 0 to maxFrac of the
 // series length in 1% steps, as is standard for the UCR baselines. Ties
 // prefer the smaller window (cheaper and less prone to pathological
-// warping). maxFrac <= 0 defaults to 0.2 (20%). It uses every core; use
-// BestWindowWorkers to bound the fan-out.
-func BestWindow(train ts.Dataset, maxFrac float64) int {
-	return BestWindowWorkers(train, maxFrac, 0)
-}
-
-// BestWindowWorkers is BestWindow with an explicit worker bound for the
-// leave-one-out scan (the dominant cost: |train|² band-constrained DTWs
-// per window). Each held-out instance is an independent 1NN query, and
-// the correct-count is an integer sum, so the selected window is
-// identical for any worker count.
-func BestWindowWorkers(train ts.Dataset, maxFrac float64, workers int) int {
-	w, _ := BestWindowCtx(context.Background(), train, maxFrac, workers)
-	return w
-}
-
-// BestWindowCtx is BestWindowWorkers with cooperative cancellation: the
-// LOOCV scan stops scheduling held-out instances once ctx is done, drains
-// its workers, and returns ctx.Err() — a stuck window sweep aborts within
-// one 1NN query. With a non-canceled ctx the selected window is identical
-// to BestWindowWorkers for any worker count.
-func BestWindowCtx(ctx context.Context, train ts.Dataset, maxFrac float64, workers int) (int, error) {
-	return BestWindowObs(ctx, train, maxFrac, workers, nil)
-}
-
-// BestWindowObs is BestWindowCtx with optional instrumentation: with a
-// non-nil registry the whole sweep runs under the SpanLOOCV span, every
-// candidate window gets a SpanLOOCVWindow child recording its wall time,
-// and the per-held-out-instance fan-out is attributed to PoolLOOCV. A nil
-// registry yields nil handles whose methods are no-ops, so the selected
-// window is identical with or without instrumentation (recording never
-// feeds back into the scan).
-func BestWindowObs(ctx context.Context, train ts.Dataset, maxFrac float64, workers int, reg *obs.Registry) (int, error) {
+// warping). maxFrac <= 0 defaults to 0.2 (20%).
+//
+// The leave-one-out scan (|train|² band-constrained DTWs per window) fans
+// out over held-out instances on up to workers goroutines; each is an
+// independent 1NN query and the correct-count an integer sum, so the
+// selected window is identical for any worker count. Once ctx is done
+// the scan stops scheduling held-out instances and returns ctx.Err().
+//
+// With a non-nil registry the whole sweep runs under the SpanLOOCV span,
+// every candidate window gets a SpanLOOCVWindow child recording its wall
+// time, and the fan-out is attributed to PoolLOOCV. A nil registry
+// yields nil handles whose methods are no-ops; recording never feeds
+// back into the scan.
+func BestWindow(ctx context.Context, train ts.Dataset, maxFrac float64, workers int, reg *obs.Registry) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -226,7 +180,7 @@ func BestWindowObs(ctx context.Context, train ts.Dataset, maxFrac float64, worke
 	for w := 0; w <= maxW; w += step {
 		wSpan := sweep.Start(fmt.Sprintf("%s%d", SpanLOOCVWindow, w))
 		c := NewDTW(train, w)
-		counts, err := parallel.MapCtxPool(ctx, len(train), workers, pool,
+		counts, err := parallel.Map(ctx, len(train), workers, pool,
 			func(i int) int {
 				if c.predictSkip(train[i].Values, i) == train[i].Label {
 					return 1
@@ -253,5 +207,6 @@ func BestWindowObs(ctx context.Context, train ts.Dataset, maxFrac float64, worke
 // NewDTWBest is the NN-DTWB baseline: learn the window, build the
 // classifier.
 func NewDTWBest(train ts.Dataset) *DTWClassifier {
-	return NewDTW(train, BestWindow(train, 0.2))
+	w, _ := BestWindow(context.Background(), train, 0.2, 0, nil)
+	return NewDTW(train, w)
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"testing"
 
 	"rpm/internal/datagen"
@@ -71,8 +72,8 @@ func TestDTWBeatsEDOnWarpedData(t *testing.T) {
 func TestDTWWindowAccessor(t *testing.T) {
 	s := datagen.MustByName("SynItalyPower").Generate(2)
 	c := NewDTW(s.Train, -5)
-	if c.Window() != 0 {
-		t.Errorf("negative window should clamp to 0, got %d", c.Window())
+	if c.window != 0 {
+		t.Errorf("negative window should clamp to 0, got %d", c.window)
 	}
 }
 
@@ -80,8 +81,8 @@ func TestBestWindowOnAlignedDataIsSmall(t *testing.T) {
 	// SynCoffee patterns are aligned; window 0 (ED) should already be
 	// optimal or near-optimal, so the learned window must be small.
 	s := datagen.MustByName("SynCoffee").Generate(3)
-	w := BestWindow(s.Train, 0.2)
-	if w > s.Length()/5 {
+	w, _ := BestWindow(context.Background(), s.Train, 0.2, 0, nil)
+	if w > s.Train.MinLen()/5 {
 		t.Errorf("BestWindow = %d, suspiciously large", w)
 	}
 }
@@ -111,5 +112,5 @@ func TestBestWindowPanicsOnEmpty(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	BestWindow(nil, 0.2)
+	_, _ = BestWindow(context.Background(), nil, 0.2, 0, nil)
 }

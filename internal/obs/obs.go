@@ -13,7 +13,7 @@
 // verify.
 //
 // Concurrency: all mutating operations (Counter.Add, Gauge.Set,
-// Span.Add/AddBusy, Pool.WorkerTask) are atomic or mutex-guarded and
+// Span.Add, Pool.WorkerTask) are atomic or mutex-guarded and
 // safe from any goroutine. Reads (Snapshot) may run concurrently with
 // writes and observe a consistent tree with possibly-stale values.
 //
@@ -188,19 +188,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// SetMax stores v if it exceeds the current value. No-op on nil.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -267,14 +254,6 @@ func summaryBucket(ns int64) int {
 	return b
 }
 
-// Count returns the number of observations (0 on nil).
-func (s *Summary) Count() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.count.Load()
-}
-
 // Span is one node in the hierarchical timing tree. Two usage styles:
 //
 //   - Start/End: s := parent.Start("step3"); defer s.End() — records one
@@ -287,8 +266,6 @@ func (s *Summary) Count() int64 {
 //     reported wall is then the summed busy time across classes, which
 //     may exceed the parent's wall under parallelism).
 //
-// Busy time (AddBusy) is the CPU-ish measure: total attributed work
-// across workers, ≥ wall when the span's work ran in parallel.
 // A nil *Span is a valid no-op handle; all methods are goroutine-safe.
 type Span struct {
 	reg    *Registry
@@ -296,7 +273,6 @@ type Span struct {
 	parent *Span
 	start  time.Time
 	wall   atomic.Int64 // accumulated ns
-	busy   atomic.Int64 // attributed parallel work, ns
 	count  atomic.Int64 // completed Start..End intervals / Add calls
 
 	mu       sync.Mutex
@@ -345,23 +321,6 @@ func (s *Span) Add(d time.Duration) {
 	}
 	s.wall.Add(int64(d))
 	s.count.Add(1)
-}
-
-// AddBusy attributes parallel work time to the span (the CPU-ish
-// measure: summed across workers it can exceed wall). No-op on nil.
-func (s *Span) AddBusy(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.busy.Add(int64(d))
-}
-
-// Wall returns the span's accumulated wall time so far (0 on nil).
-func (s *Span) Wall() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.wall.Load())
 }
 
 // Pool accumulates worker-pool usage for one named pool across all of
@@ -428,18 +387,13 @@ type Snapshot struct {
 }
 
 // SpanSnapshot is one timing-tree node. WallNS is the accumulated wall
-// time; BusyNS the attributed parallel work (0 when not measured);
-// Count the number of intervals/Add calls folded in.
+// time; Count the number of intervals/Add calls folded in.
 type SpanSnapshot struct {
 	Name     string         `json:"name"`
 	WallNS   int64          `json:"wallNS"`
-	BusyNS   int64          `json:"busyNS,omitempty"`
 	Count    int64          `json:"count"`
 	Children []SpanSnapshot `json:"children,omitempty"`
 }
-
-// Wall returns the node's wall time as a Duration.
-func (s SpanSnapshot) Wall() time.Duration { return time.Duration(s.WallNS) }
 
 // CounterSnapshot is one counter's name and value.
 type CounterSnapshot struct {
@@ -576,7 +530,6 @@ func snapSpan(s *Span) SpanSnapshot {
 	out := SpanSnapshot{
 		Name:   s.name,
 		WallNS: s.wall.Load(),
-		BusyNS: s.busy.Load(),
 		Count:  s.count.Load(),
 	}
 	// A still-running span reports elapsed-so-far so live /metrics views
@@ -739,9 +692,6 @@ func (s *Snapshot) Text() string {
 func writeSpanText(b *strings.Builder, s SpanSnapshot, depth int) {
 	fmt.Fprintf(b, "%s%-*s wall=%s", strings.Repeat("  ", depth), 36-2*depth, s.Name,
 		time.Duration(s.WallNS).Round(time.Microsecond))
-	if s.BusyNS > 0 {
-		fmt.Fprintf(b, " busy=%s", time.Duration(s.BusyNS).Round(time.Microsecond))
-	}
 	if s.Count > 1 {
 		fmt.Fprintf(b, " n=%d", s.Count)
 	}

@@ -27,7 +27,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(7)
-	g.SetMax(9)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge value")
 	}
@@ -37,10 +36,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	s.End()
 	s.Add(time.Second)
-	s.AddBusy(time.Second)
-	if s.Wall() != 0 {
-		t.Fatal("nil span wall")
-	}
 	var p *Pool
 	p.WorkerTask(0, time.Millisecond)
 	p.RunDone(4, time.Millisecond)
@@ -69,11 +64,7 @@ func TestCountersAndGauges(t *testing.T) {
 	}
 	g := r.Gauge("level")
 	g.Set(10)
-	g.SetMax(7) // lower: must not stick
-	if g.Value() != 10 {
-		t.Fatalf("gauge = %d, want 10 after SetMax(7)", g.Value())
-	}
-	g.SetMax(12)
+	g.Set(12)
 	if g.Value() != 12 {
 		t.Fatalf("gauge = %d, want 12", g.Value())
 	}
@@ -95,7 +86,6 @@ func TestSpanTreeAndAggregate(t *testing.T) {
 	agg := root.Child("agg")
 	agg.Add(3 * time.Millisecond)
 	agg.Add(2 * time.Millisecond)
-	agg.AddBusy(10 * time.Millisecond)
 	root.End()
 
 	snap := r.Snapshot()
@@ -103,14 +93,11 @@ func TestSpanTreeAndAggregate(t *testing.T) {
 	if got == nil {
 		t.Fatal("agg span missing")
 	}
-	if got.Wall() != 5*time.Millisecond {
-		t.Fatalf("agg wall = %v, want 5ms", got.Wall())
+	if got.WallNS != int64(5*time.Millisecond) {
+		t.Fatalf("agg wall = %v, want 5ms", time.Duration(got.WallNS))
 	}
 	if got.Count != 2 {
 		t.Fatalf("agg count = %d, want 2", got.Count)
-	}
-	if got.BusyNS != int64(10*time.Millisecond) {
-		t.Fatalf("agg busy = %d", got.BusyNS)
 	}
 	tr := snap.FindSpan("train")
 	if tr == nil || tr.WallNS < int64(time.Millisecond) {
@@ -182,7 +169,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				r.Counter("n").Inc()
-				r.Gauge("max").SetMax(int64(g*iters + i))
+				r.Gauge("last").Set(int64(g*iters + i))
 				agg.Add(time.Microsecond)
 				r.Pool("p").WorkerTask(g, time.Microsecond)
 				if i%50 == 0 {
@@ -203,8 +190,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := s.Pools[0].Tasks; got != goroutines*iters {
 		t.Fatalf("pool tasks = %d", got)
 	}
-	if got := s.Gauges[0].Value; got != goroutines*iters-1 {
-		t.Fatalf("gauge max = %d, want %d", got, goroutines*iters-1)
+	if got := s.Gauges[0].Value; got < 0 || got >= goroutines*iters {
+		t.Fatalf("gauge = %d, not a stored value", got)
 	}
 }
 

@@ -8,7 +8,7 @@
 // Determinism contract: every helper in this package produces output that
 // is byte-identical to the sequential loop it replaces, for any worker
 // count. For distributes loop *indices*, not accumulators, so callers keep
-// per-index result slots and fold them in index order afterwards (MapCtx
+// per-index result slots and fold them in index order afterwards (Map
 // returns exactly such slots, in index order). Nothing in this package
 // ever reorders floating-point accumulation.
 //
@@ -38,119 +38,37 @@ func Workers(n int) int {
 }
 
 // For runs fn(i) for every i in [0, n) on at most Workers(workers)
-// concurrent goroutines. With workers == 1 (or n < 2) it degrades to the
-// plain sequential loop on the calling goroutine — no goroutines, no
-// channels, no synchronization — so `Workers: 1` really is the exact
-// sequential path.
+// concurrent goroutines and returns ctx.Err(). With workers == 1 (or
+// n < 2) it degrades to the plain sequential loop on the calling
+// goroutine — no goroutines, no channels, no synchronization — so
+// `Workers: 1` really is the exact sequential path.
 //
 // Indices are handed out dynamically (an atomic counter), which
 // load-balances uneven iterations such as early-abandoning distance
 // computations. fn must confine its writes to per-index state.
 //
+// Cancellation is cooperative: once ctx is done no new index starts, the
+// in-flight iterations finish (fn is never interrupted mid-call), the
+// workers drain, and ctx.Err() is returned; the set of completed indices
+// is then unspecified and callers must discard their result slots. With
+// a context that never cancels, such as context.Background(), For always
+// returns nil, so such callers discard the error. A nil ctx behaves like
+// context.Background().
+//
 // If any fn panics, the first panic value is re-raised on the calling
 // goroutine after all workers have stopped; remaining indices are
 // abandoned.
-func For(n, workers int, fn func(i int)) { ForPool(n, workers, nil, fn) }
-
-// ForPool is For with per-pool observability: when pool is non-nil,
-// every completed task is attributed — with its duration — to the
-// worker slot that executed it, and the run's worker count and wall
-// time are recorded on completion (obs.Pool derives idle time from
-// them). Index scheduling, result placement and panic semantics are
-// exactly For's, so outputs stay byte-identical for any worker count
-// whether or not a pool is attached. A nil pool adds no work at all:
-// the loop bodies below are the pre-instrumentation ones.
-func ForPool(n, workers int, pool *obs.Pool, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if pool != nil {
-		start := time.Now()
-		defer func() { pool.RunDone(workers, time.Since(start)) }()
-	}
-	if workers <= 1 {
-		if pool == nil {
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			t0 := time.Now()
-			fn(i)
-			pool.WorkerTask(0, time.Since(t0))
-		}
-		return
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Bool
-		once     sync.Once
-		panicVal any
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { panicVal = r })
-					panicked.Store(true)
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || panicked.Load() {
-					return
-				}
-				if pool == nil {
-					fn(i)
-				} else {
-					t0 := time.Now()
-					fn(i)
-					pool.WorkerTask(w, time.Since(t0))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked.Load() {
-		panic(panicVal)
-	}
-}
-
-// ForCtx is For with cooperative cancellation: once ctx is done, no new
-// index is scheduled, the in-flight iterations are allowed to finish (fn
-// is never interrupted mid-call), the workers drain, and ctx.Err() is
-// returned. A nil ctx behaves like context.Background(). With a ctx that
-// is never canceled, ForCtx runs every index and returns nil — the
-// results (and their byte-identity across worker counts) are exactly
-// those of For.
 //
-// On cancellation the set of completed indices is unspecified; callers
-// must treat their result slots as incomplete and discard them.
-func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return ForCtxPool(ctx, n, workers, nil, fn)
-}
-
-// ForCtxPool is ForCtx with the per-pool observability of ForPool: a
-// non-nil pool receives per-worker task accounting and run totals; a
-// nil pool adds no work. Cancellation and byte-identity semantics are
-// exactly ForCtx's.
-func ForCtxPool(ctx context.Context, n, workers int, pool *obs.Pool, fn func(i int)) error {
+// When pool is non-nil every completed task is attributed — with its
+// duration — to the worker slot that executed it, and the run's worker
+// count and wall time are recorded on completion (obs.Pool derives idle
+// time from them). A nil pool reads no clock at all. Scheduling, result
+// placement and panic semantics do not depend on the pool.
+func For(ctx context.Context, n, workers int, pool *obs.Pool, fn func(i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if ctx.Err() != nil {
+	if n <= 0 || ctx.Err() != nil {
 		return ctx.Err()
 	}
 	workers = Workers(workers)
@@ -161,18 +79,9 @@ func ForCtxPool(ctx context.Context, n, workers int, pool *obs.Pool, fn func(i i
 		start := time.Now()
 		defer func() { pool.RunDone(workers, time.Since(start)) }()
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if pool == nil {
-				fn(i)
-			} else {
-				t0 := time.Now()
-				fn(i)
-				pool.WorkerTask(0, time.Since(t0))
-			}
+	if workers == 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			run(pool, 0, i, fn)
 		}
 		return ctx.Err()
 	}
@@ -205,13 +114,7 @@ func ForCtxPool(ctx context.Context, n, workers int, pool *obs.Pool, fn func(i i
 				if i >= n || panicked.Load() {
 					return
 				}
-				if pool == nil {
-					fn(i)
-				} else {
-					t0 := time.Now()
-					fn(i)
-					pool.WorkerTask(w, time.Since(t0))
-				}
+				run(pool, w, i, fn)
 			}
 		}()
 	}
@@ -222,20 +125,25 @@ func ForCtxPool(ctx context.Context, n, workers int, pool *obs.Pool, fn func(i i
 	return ctx.Err()
 }
 
-// MapCtx computes fn(i) for every i in [0, n) on at most workers
-// goroutines and returns the results in index order, with cooperative
-// cancellation (see ForCtx). On a nil error the returned slice is
-// complete and identical to the sequential loop's; on a non-nil error
-// it is nil, the partial results discarded.
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
-	return MapCtxPool(ctx, n, workers, nil, fn)
+// run executes one index on worker slot w, timing it only when a pool
+// is attached.
+func run(pool *obs.Pool, w, i int, fn func(i int)) {
+	if pool == nil {
+		fn(i)
+		return
+	}
+	t0 := time.Now()
+	fn(i)
+	pool.WorkerTask(w, time.Since(t0))
 }
 
-// MapCtxPool is MapCtx with the per-pool observability of ForPool.
-func MapCtxPool[T any](ctx context.Context, n, workers int, pool *obs.Pool, fn func(i int) T) ([]T, error) {
+// Map computes fn(i) for every i in [0, n) through For and returns the
+// results in index order. On a nil error the slice is complete and
+// identical to the sequential loop's; on a non-nil error it is nil, the
+// partial results discarded.
+func Map[T any](ctx context.Context, n, workers int, pool *obs.Pool, fn func(i int) T) ([]T, error) {
 	out := make([]T, n)
-	err := ForCtxPool(ctx, n, workers, pool, func(i int) { out[i] = fn(i) })
-	if err != nil {
+	if err := For(ctx, n, workers, pool, func(i int) { out[i] = fn(i) }); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -81,7 +81,7 @@ func TestPropSymbolMonotone(t *testing.T) {
 	}
 }
 
-// TestPropWordAffineInvariance: WordOf z-normalizes first, so words are
+// TestPropWordAffineInvariance: wordInto z-normalizes first, so words are
 // invariant under positive affine transforms of the raw subsequence.
 func TestPropWordAffineInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
@@ -89,7 +89,7 @@ func TestPropWordAffineInvariance(t *testing.T) {
 		n := 8 + rng.Intn(40)
 		p := Params{Window: n, PAA: 2 + rng.Intn(6), Alphabet: 2 + rng.Intn(8)}
 		sub := randSeries(rng, n)
-		base := WordOf(sub, p)
+		base := wordOf(sub, p)
 		if len(base) != p.PAA {
 			t.Fatalf("it %d: word length %d != PAA %d", it, len(base), p.PAA)
 		}
@@ -99,7 +99,7 @@ func TestPropWordAffineInvariance(t *testing.T) {
 		for i := range moved {
 			moved[i] = scale*sub[i] + shift
 		}
-		if got := WordOf(moved, p); got != base {
+		if got := wordOf(moved, p); got != base {
 			t.Fatalf("it %d: affine transform changed word %q -> %q", it, base, got)
 		}
 	}
@@ -118,9 +118,9 @@ func TestPropMinDistLowerBoundsED(t *testing.T) {
 		}
 		a := randSeries(rng, n)
 		b := randSeries(rng, n)
-		wa := WordOf(a, p)
-		wb := WordOf(b, p)
-		md := MinDist(wa, wb, n, p.Alphabet)
+		wa := wordOf(a, p)
+		wb := wordOf(b, p)
+		md := minDist(wa, wb, n, p.Alphabet)
 		za := ts.ZNorm(a)
 		zb := ts.ZNorm(b)
 		var ed float64
@@ -141,16 +141,16 @@ func TestPropMinDistBasics(t *testing.T) {
 	for it := 0; it < 200; it++ {
 		n := 8 + rng.Intn(40)
 		p := Params{Window: n, PAA: 2 + rng.Intn(6), Alphabet: 2 + rng.Intn(8)}
-		a := WordOf(randSeries(rng, n), p)
-		b := WordOf(randSeries(rng, n), p)
-		if d := MinDist(a, a, n, p.Alphabet); d != 0 {
-			t.Fatalf("it %d: MinDist(a,a) = %v", it, d)
+		a := wordOf(randSeries(rng, n), p)
+		b := wordOf(randSeries(rng, n), p)
+		if d := minDist(a, a, n, p.Alphabet); d != 0 {
+			t.Fatalf("it %d: minDist(a,a) = %v", it, d)
 		}
-		dab := MinDist(a, b, n, p.Alphabet)
+		dab := minDist(a, b, n, p.Alphabet)
 		if dab < 0 || math.IsNaN(dab) {
 			t.Fatalf("it %d: MinDist = %v", it, dab)
 		}
-		if dba := MinDist(b, a, n, p.Alphabet); dab != dba {
+		if dba := minDist(b, a, n, p.Alphabet); dab != dba {
 			t.Fatalf("it %d: MinDist asymmetric: %v vs %v", it, dab, dba)
 		}
 	}

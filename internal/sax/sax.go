@@ -134,17 +134,10 @@ func Symbol(x float64, alpha int) int {
 // Letter converts a symbol index to its letter rune ('a' + i).
 func Letter(i int) byte { return byte('a' + i) }
 
-// WordOf discretizes a (raw, not yet normalized) subsequence into a SAX
-// word of p.PAA symbols: z-normalize, PAA, then symbol mapping.
-func WordOf(sub []float64, p Params) string {
-	buf := make([]byte, 0, p.PAA)
-	z := make([]float64, len(sub))
-	pa := make([]float64, 0, p.PAA)
-	return string(wordInto(buf, z, pa, sub, p))
-}
-
-// wordInto is the allocation-free core of WordOf; buf, z and pa are
-// scratch buffers (z must have len(sub) elements).
+// wordInto discretizes a (raw, not yet normalized) subsequence into a
+// SAX word of p.PAA symbols — z-normalize, PAA, then symbol mapping —
+// appended to buf; z and pa are scratch buffers (z must have len(sub)
+// elements).
 func wordInto(buf []byte, z, pa, sub []float64, p Params) []byte {
 	ts.ZNormInto(z, sub)
 	pa = paa.TransformInto(pa[:0], z, p.PAA)
@@ -194,38 +187,4 @@ func Discretize(v []float64, p Params, reduce bool, skip func(start int) bool) [
 		havePrev = true
 	}
 	return out
-}
-
-// mindistCell returns the breakpoint distance between symbol indices r and
-// c for the given alphabet: 0 if |r-c| <= 1, else the gap between the
-// closest breakpoints (Lin et al. 2007).
-func mindistCell(r, c, alpha int) float64 {
-	if r > c {
-		r, c = c, r
-	}
-	if c-r <= 1 {
-		return 0
-	}
-	bp := Breakpoints(alpha)
-	return bp[c-1] - bp[r]
-}
-
-// MinDist returns the MINDIST lower bound between two equal-length SAX
-// words drawn from the same alphabet, for original subsequences of length n.
-// It lower-bounds the Euclidean distance between the z-normalized
-// subsequences.
-func MinDist(a, b string, n, alpha int) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("sax: MinDist word length mismatch %d != %d", len(a), len(b)))
-	}
-	w := len(a)
-	if w == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < w; i++ {
-		d := mindistCell(int(a[i]-'a'), int(b[i]-'a'), alpha)
-		s += d * d
-	}
-	return math.Sqrt(float64(n)/float64(w)) * math.Sqrt(s)
 }

@@ -95,7 +95,7 @@ func TestWordOf(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i)
 	}
-	w := WordOf(v, Params{Window: 16, PAA: 4, Alphabet: 4})
+	w := wordOf(v, Params{Window: 16, PAA: 4, Alphabet: 4})
 	if len(w) != 4 {
 		t.Fatalf("word length %d, want 4", len(w))
 	}
@@ -109,7 +109,7 @@ func TestWordOf(t *testing.T) {
 
 func TestWordOfConstant(t *testing.T) {
 	v := []float64{5, 5, 5, 5, 5, 5, 5, 5}
-	w := WordOf(v, Params{Window: 8, PAA: 4, Alphabet: 4})
+	w := wordOf(v, Params{Window: 8, PAA: 4, Alphabet: 4})
 	// constant -> z-norm zero vector -> all values 0 -> symbol 2 ('c') for alpha=4
 	if w != "cccc" {
 		t.Errorf("constant word = %q, want cccc", w)
@@ -215,8 +215,8 @@ func TestMinDistLowerBoundsEuclidean(t *testing.T) {
 			a[i] = rng.NormFloat64()
 			b[i] = rng.NormFloat64() * 2
 		}
-		wa := WordOf(a, p)
-		wb := WordOf(b, p)
+		wa := wordOf(a, p)
+		wb := wordOf(b, p)
 		za, zb := ts.ZNorm(a), ts.ZNorm(b)
 		var ed float64
 		for i := range za {
@@ -224,7 +224,7 @@ func TestMinDistLowerBoundsEuclidean(t *testing.T) {
 			ed += d * d
 		}
 		ed = math.Sqrt(ed)
-		return MinDist(wa, wb, n, p.Alphabet) <= ed+1e-9
+		return minDist(wa, wb, n, p.Alphabet) <= ed+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -232,20 +232,20 @@ func TestMinDistLowerBoundsEuclidean(t *testing.T) {
 }
 
 func TestMinDistIdenticalAndAdjacent(t *testing.T) {
-	if d := MinDist("abba", "abba", 16, 4); d != 0 {
+	if d := minDist("abba", "abba", 16, 4); d != 0 {
 		t.Errorf("identical words MinDist = %v", d)
 	}
-	if d := MinDist("aaaa", "bbbb", 16, 4); d != 0 {
+	if d := minDist("aaaa", "bbbb", 16, 4); d != 0 {
 		t.Errorf("adjacent-symbol words MinDist = %v, want 0", d)
 	}
-	if d := MinDist("aaaa", "cccc", 16, 4); d <= 0 {
+	if d := minDist("aaaa", "cccc", 16, 4); d <= 0 {
 		t.Errorf("distant words MinDist = %v, want > 0", d)
 	}
 }
 
 func TestMinDistSymmetric(t *testing.T) {
 	a, b := "acdb", "badc"
-	if MinDist(a, b, 20, 4) != MinDist(b, a, 20, 4) {
+	if minDist(a, b, 20, 4) != minDist(b, a, 20, 4) {
 		t.Error("MinDist not symmetric")
 	}
 }
@@ -256,7 +256,7 @@ func TestMinDistPanicsOnLengthMismatch(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	MinDist("ab", "abc", 10, 4)
+	minDist("ab", "abc", 10, 4)
 }
 
 func TestParamsValidate(t *testing.T) {

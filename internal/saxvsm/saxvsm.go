@@ -10,7 +10,6 @@ package saxvsm
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"rpm/internal/sax"
 	"rpm/internal/stats"
@@ -85,9 +84,6 @@ func wordsOf(v []float64, p sax.Params) []sax.WordAt {
 	}
 	return sax.Discretize(v, p, true, nil)
 }
-
-// Params returns the SAX parameters the model was trained with.
-func (m *Model) Params() sax.Params { return m.params }
 
 // Predict classifies one series by cosine similarity.
 func (m *Model) Predict(query []float64) int {
@@ -205,41 +201,4 @@ func SelectParams(train ts.Dataset, seed int64) sax.Params {
 		}
 	}
 	return best
-}
-
-// TopWords returns the n highest-weighted SAX words of a class, for
-// interpretability dumps; it returns fewer if the class has fewer words.
-func (m *Model) TopWords(class, n int) []string {
-	k := -1
-	for i, c := range m.classes {
-		if c == class {
-			k = i
-		}
-	}
-	if k < 0 {
-		return nil
-	}
-	type ww struct {
-		w string
-		x float64
-	}
-	var all []ww
-	for w, x := range m.weights[k] {
-		all = append(all, ww{w, x})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		//rpmlint:ignore floateq comparator tie-break needs exact ordering for a strict weak order
-		if all[i].x != all[j].x {
-			return all[i].x > all[j].x
-		}
-		return all[i].w < all[j].w
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].w
-	}
-	return out
 }

@@ -25,7 +25,7 @@ func TestTrainAutoImprovesOrMatches(t *testing.T) {
 	if e := stats.ErrorRate(preds, s.Test.Labels()); e > 0.35 {
 		t.Errorf("auto-tuned SAX-VSM error = %v", e)
 	}
-	if err := auto.Params().Validate(s.Length()); err != nil {
+	if err := auto.params.Validate(s.Train.MinLen()); err != nil {
 		t.Errorf("selected invalid params: %v", err)
 	}
 }
@@ -68,23 +68,6 @@ func TestSharedWordsGetZeroWeight(t *testing.T) {
 	got := m.Predict(v)
 	if got != 1 && got != 2 {
 		t.Errorf("Predict = %d", got)
-	}
-}
-
-func TestTopWords(t *testing.T) {
-	s := datagen.MustByName("SynCBF").Generate(4)
-	m := Train(s.Train, sax.Params{Window: 40, PAA: 5, Alphabet: 4})
-	words := m.TopWords(1, 3)
-	if len(words) == 0 {
-		t.Fatal("no top words")
-	}
-	for _, w := range words {
-		if len(w) != 5 {
-			t.Errorf("word %q has wrong length", w)
-		}
-	}
-	if got := m.TopWords(99, 3); got != nil {
-		t.Errorf("unknown class TopWords = %v", got)
 	}
 }
 

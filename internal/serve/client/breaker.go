@@ -111,16 +111,3 @@ func (b *breaker) trip(now time.Time) {
 	b.opened.Inc()
 	b.gauge.Set(stateOpen)
 }
-
-func (b *breaker) stateName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case stateOpen:
-		return "open"
-	case stateHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}

@@ -297,18 +297,6 @@ func (c *Client) WaitReady(ctx context.Context, budget time.Duration) error {
 	}
 }
 
-// BreakerState reports the named model's breaker state ("closed" when
-// the model has never been called).
-func (c *Client) BreakerState(model string) string {
-	c.brMu.Lock()
-	br := c.breakers[modelKey(model)]
-	c.brMu.Unlock()
-	if br == nil {
-		return "closed"
-	}
-	return br.stateName()
-}
-
 // ---------------------------------------------------------------------------
 // Core retry loop
 

@@ -64,6 +64,20 @@ func newTestClient(t *testing.T, srv *httptest.Server, mut func(*Config)) (*Clie
 	return c, clk, sleeps
 }
 
+// breakerState is the named model's breaker state (stateClosed when the
+// model has never been called).
+func breakerState(c *Client, model string) int {
+	c.brMu.Lock()
+	br := c.breakers[modelKey(model)]
+	c.brMu.Unlock()
+	if br == nil {
+		return stateClosed
+	}
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	return br.state
+}
+
 func writeEnvelope(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -304,8 +318,8 @@ func TestBreakerOpensAndRejects(t *testing.T) {
 			t.Fatal("want error")
 		}
 	}
-	if got := c.BreakerState("syn"); got != "open" {
-		t.Fatalf("breaker state = %q, want open", got)
+	if got := breakerState(c, "syn"); got != stateOpen {
+		t.Fatalf("breaker state = %d, want open", got)
 	}
 	_, err := c.Predict(context.Background(), "syn", []float64{1})
 	if !errors.Is(err, ErrBreakerOpen) {
@@ -341,8 +355,8 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c.Predict(context.Background(), "syn", []float64{1})
 	}
-	if got := c.BreakerState("syn"); got != "open" {
-		t.Fatalf("state = %q, want open", got)
+	if got := breakerState(c, "syn"); got != stateOpen {
+		t.Fatalf("state = %d, want open", got)
 	}
 	// Before the cool-off: still rejected.
 	if _, err := c.Predict(context.Background(), "syn", []float64{1}); !errors.Is(err, ErrBreakerOpen) {
@@ -358,8 +372,8 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	if res.Label != 9 {
 		t.Fatalf("label = %d, want 9", res.Label)
 	}
-	if got := c.BreakerState("syn"); got != "closed" {
-		t.Fatalf("state after successful probe = %q, want closed", got)
+	if got := breakerState(c, "syn"); got != stateClosed {
+		t.Fatalf("state after successful probe = %d, want closed", got)
 	}
 	if got := reg.Snapshot().Counter(CtrBreakerClosed); got != 1 {
 		t.Fatalf("closed counter = %d, want 1", got)
@@ -378,8 +392,8 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	c.Predict(context.Background(), "syn", []float64{1}) // trips
 	clk.advance(2 * time.Second)
 	c.Predict(context.Background(), "syn", []float64{1}) // failed probe
-	if got := c.BreakerState("syn"); got != "open" {
-		t.Fatalf("state after failed probe = %q, want open", got)
+	if got := breakerState(c, "syn"); got != stateOpen {
+		t.Fatalf("state after failed probe = %d, want open", got)
 	}
 }
 
@@ -396,15 +410,15 @@ func TestBreakerPerModelIsolation(t *testing.T) {
 	defer srv.Close()
 	c, _, _ := newTestClient(t, srv, func(cfg *Config) { cfg.Breaker.FailureThreshold = 1 })
 	c.Predict(context.Background(), "bad", []float64{1})
-	if got := c.BreakerState("bad"); got != "open" {
-		t.Fatalf("bad model state = %q, want open", got)
+	if got := breakerState(c, "bad"); got != stateOpen {
+		t.Fatalf("bad model state = %d, want open", got)
 	}
 	// The healthy model is unaffected by bad's open breaker.
 	if _, err := c.Predict(context.Background(), "good", []float64{1}); err != nil {
 		t.Fatalf("good model should serve: %v", err)
 	}
-	if got := c.BreakerState("good"); got != "closed" {
-		t.Fatalf("good model state = %q, want closed", got)
+	if got := breakerState(c, "good"); got != stateClosed {
+		t.Fatalf("good model state = %d, want closed", got)
 	}
 }
 
@@ -418,8 +432,8 @@ func Test429IsNotABreakerFailure(t *testing.T) {
 		cfg.MaxAttempts = 10
 	})
 	c.Predict(context.Background(), "syn", []float64{1})
-	if got := c.BreakerState("syn"); got != "closed" {
-		t.Fatalf("429s must not trip the breaker: state = %q", got)
+	if got := breakerState(c, "syn"); got != stateClosed {
+		t.Fatalf("429s must not trip the breaker: state = %d", got)
 	}
 }
 

@@ -63,9 +63,6 @@ type Model struct {
 	streamErr   error
 }
 
-// Classifier exposes the underlying classifier (read-only use).
-func (m *Model) Classifier() *rpm.Classifier { return m.clf }
-
 // StreamModel returns the shared streaming state for this model
 // version, building it on first use. The error (an rpm.ErrBadInput for
 // models that cannot stream) is stable across calls.

@@ -86,19 +86,6 @@ func FMeasures(predicted, truth []int) []ClassF1 {
 	return out
 }
 
-// MacroF1 returns the unweighted mean F1 over classes.
-func MacroF1(predicted, truth []int) float64 {
-	ms := FMeasures(predicted, truth)
-	if len(ms) == 0 {
-		return 0
-	}
-	var s float64
-	for _, m := range ms {
-		s += m.F1
-	}
-	return s / float64(len(ms))
-}
-
 // StratifiedSplit randomly partitions d into a training part holding
 // trainFrac of each class (rounded, but at least 1 instance per class on
 // each side when the class has >= 2 instances) and a validation part. The
@@ -308,9 +295,3 @@ func wilcoxonExactP(n int, wPlus float64) float64 {
 func normalCDF(x float64) float64 {
 	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }
-
-// Mean returns the arithmetic mean of v (0 for empty input).
-func Mean(v []float64) float64 { return ts.Mean(v) }
-
-// Std returns the population standard deviation of v.
-func Std(v []float64) float64 { return ts.Std(v) }

@@ -70,12 +70,18 @@ func TestFMeasuresDegenerateClass(t *testing.T) {
 	}
 }
 
+// TestMacroF1PerfectAndWorst: every class scores F1 1 on perfect
+// predictions and 0 when every prediction is wrong.
 func TestMacroF1PerfectAndWorst(t *testing.T) {
-	if f := MacroF1([]int{1, 2}, []int{1, 2}); math.Abs(f-1) > 1e-12 {
-		t.Errorf("perfect macro F1 = %v", f)
+	for _, m := range FMeasures([]int{1, 2}, []int{1, 2}) {
+		if math.Abs(m.F1-1) > 1e-12 {
+			t.Errorf("perfect F1 for class %d = %v", m.Class, m.F1)
+		}
 	}
-	if f := MacroF1([]int{2, 1}, []int{1, 2}); f != 0 {
-		t.Errorf("all-wrong macro F1 = %v", f)
+	for _, m := range FMeasures([]int{2, 1}, []int{1, 2}) {
+		if m.F1 != 0 {
+			t.Errorf("all-wrong F1 for class %d = %v", m.Class, m.F1)
+		}
 	}
 }
 

@@ -97,9 +97,8 @@ func chunked(rng *rand.Rand, series []float64) [][]float64 {
 // TestDetectorBitIdenticalToBatch is the core equivalence property:
 // for random multi-length pattern sets and hostile series fed in random
 // chunks, every pattern's streaming Match is bit-identical (Dist bits
-// AND Pos) to dist.Matcher.Best over the assembled series, and the
-// streaming raw label equals the predictor applied to the batch
-// feature vector. Patterns shorter than the stream-so-far report the
+// AND Pos) to dist.Matcher.Best over the assembled series. Patterns
+// shorter than the stream-so-far report the
 // streaming short-tail contract {+Inf, -1} via warm-up gating.
 func TestDetectorBitIdenticalToBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
@@ -125,10 +124,8 @@ func TestDetectorBitIdenticalToBatch(t *testing.T) {
 		}
 		got := make([]dist.Match, k)
 		d.Matches(got)
-		batch := make([]float64, k)
 		for i, p := range patterns {
 			want := dist.NewMatcher(p).Best(series)
-			batch[i] = want.Dist
 			if got[i].Pos != want.Pos {
 				t.Logf("pattern %d: pos %d != batch %d", i, got[i].Pos, want.Pos)
 				return false
@@ -136,12 +133,6 @@ func TestDetectorBitIdenticalToBatch(t *testing.T) {
 			if math.Float64bits(got[i].Dist) != math.Float64bits(want.Dist) {
 				t.Logf("pattern %d: dist bits %x != %x", i,
 					math.Float64bits(got[i].Dist), math.Float64bits(want.Dist))
-				return false
-			}
-		}
-		if raw, ok := d.Raw(); ok {
-			if want := (argminPred{}).PredictVector(batch); raw != want {
-				t.Logf("raw label %d != batch argmin %d", raw, want)
 				return false
 			}
 		}
@@ -201,20 +192,26 @@ func TestStreamEqualsBatchPredictPrefixes(t *testing.T) {
 		clf, test := trainFixture(t, workers)
 		clf.SetWorkers(workers)
 		m := streamModelOf(t, clf)
+		maxLen := 0
+		for _, p := range clf.Patterns() {
+			maxLen = max(maxLen, len(p.Values))
+		}
+		feat := make([]float64, clf.NumPatterns())
 		for s := 0; s < 3; s++ {
 			series := test[s].Values
 			d := m.NewDetector(stream.Config{})
 			for i, x := range series {
 				d.Append([]float64{x})
-				raw, ok := d.Raw()
-				if !ok {
-					if i+1 >= m.MaxPatternLen() {
+				if !d.Warm() {
+					if i+1 >= maxLen {
 						t.Fatalf("workers=%d series=%d: not warm at prefix %d (maxLen %d)",
-							workers, s, i+1, m.MaxPatternLen())
+							workers, s, i+1, maxLen)
 					}
 					continue
 				}
-				if want := clf.Predict(series[:i+1]); raw != want {
+				// The detector's raw label is its predictor over Features.
+				d.Features(feat)
+				if raw, want := clf.PredictVector(feat), clf.Predict(series[:i+1]); raw != want {
 					t.Fatalf("workers=%d series=%d prefix=%d: streaming label %d != batch Predict %d",
 						workers, s, i+1, raw, want)
 				}
@@ -233,7 +230,7 @@ func TestStreamFeaturesEqualTransform(t *testing.T) {
 	m := streamModelOf(t, clf)
 	series := test[0].Values
 	d := m.NewDetector(stream.Config{})
-	feat := make([]float64, m.NumPatterns())
+	feat := make([]float64, clf.NumPatterns())
 	for i, x := range series {
 		d.Append([]float64{x})
 		if !d.Warm() {

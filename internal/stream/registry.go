@@ -240,13 +240,6 @@ func (s *Stream) EventsSince(since int) []Event {
 	return s.det.EventsSince(since)
 }
 
-// Bytes returns the detector's fixed footprint.
-func (s *Stream) Bytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.det.Bytes()
-}
-
 // Subscribe registers an event subscriber. The returned Sub's Wait
 // channel receives a (coalesced) token whenever the stream commits
 // events, and is closed when the stream closes or the registry drains;

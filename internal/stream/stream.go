@@ -115,13 +115,6 @@ func NewModel(patterns [][]float64, pred Predictor) (*Model, error) {
 	return m, nil
 }
 
-// NumPatterns returns the model's pattern count (the feature dimension).
-func (m *Model) NumPatterns() int { return m.k }
-
-// MaxPatternLen returns the longest pattern length — the minimum
-// warm-up and the sliding-buffer size every Detector carries.
-func (m *Model) MaxPatternLen() int { return m.maxLen }
-
 // Event kinds.
 const (
 	// KindStart is the one-time event committing the first label after
@@ -155,26 +148,17 @@ type Config struct {
 	// during which no further change may commit — the alarm-suppression
 	// knob that stops a boundary from re-firing (default 0).
 	Refractory int
-	// Warmup is how many samples must arrive before classification (and
-	// event emission) begins. It is clamped up to the longest pattern
-	// length — before that, some feature is not yet a real window
-	// distance (default: exactly the longest pattern length, the
-	// earliest sound point).
-	Warmup int
 	// MaxEvents bounds the retained event history per stream
 	// (EventsSince replay window; default 256, minimum 1).
 	MaxEvents int
 }
 
-func (c Config) withDefaults(maxLen int) Config {
+func (c Config) withDefaults() Config {
 	if c.ConfirmWindows <= 0 {
 		c.ConfirmWindows = 3
 	}
 	if c.Refractory < 0 {
 		c.Refractory = 0
-	}
-	if c.Warmup < maxLen {
-		c.Warmup = maxLen
 	}
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 256
@@ -207,7 +191,6 @@ type Detector struct {
 
 	started        bool
 	label          int // committed label
-	raw            int // last raw (per-sample) label
 	cand           int
 	candRun        int
 	refractoryLeft int
@@ -219,7 +202,7 @@ type Detector struct {
 
 // NewDetector builds a fresh detector over the model.
 func (m *Model) NewDetector(cfg Config) *Detector {
-	cfg = cfg.withDefaults(m.maxLen)
+	cfg = cfg.withDefaults()
 	keep := m.maxLen + 1
 	d := &Detector{
 		m:       m,
@@ -288,7 +271,7 @@ func (d *Detector) push(x float64) {
 		}
 	}
 	d.seen = t + 1
-	if d.seen < int64(d.cfg.Warmup) {
+	if !d.Warm() {
 		return
 	}
 	for a, mt := range d.m.ordered {
@@ -296,7 +279,6 @@ func (d *Detector) push(x float64) {
 	}
 	//rpmlint:ignore hotpathalloc Predictor is the svm adapter; svm.Model.Predict carries its own hotpath proof
 	raw := d.m.pred.PredictVector(d.feat)
-	d.raw = raw
 	if !d.started {
 		d.started = true
 		d.label = raw
@@ -347,16 +329,14 @@ func (d *Detector) emit(kind string, sample int64, label, prev int) {
 // Seen returns the number of samples consumed.
 func (d *Detector) Seen() int64 { return d.seen }
 
-// Warm reports whether classification has begun.
-func (d *Detector) Warm() bool { return d.seen >= int64(d.cfg.Warmup) }
+// Warm reports whether classification has begun: warm-up lasts exactly
+// the longest pattern length, the earliest point at which every feature
+// is a real window distance.
+func (d *Detector) Warm() bool { return d.seen >= int64(d.m.maxLen) }
 
 // Label returns the committed (hysteresis-gated) label; ok is false
 // until warm-up completes.
 func (d *Detector) Label() (label int, ok bool) { return d.label, d.started }
-
-// Raw returns the last per-sample label before hysteresis; ok is false
-// until warm-up completes.
-func (d *Detector) Raw() (label int, ok bool) { return d.raw, d.started }
 
 // EventSeq returns the next event sequence number (== events committed
 // so far).

@@ -68,8 +68,8 @@ func TestNewModelRejectsBadInputs(t *testing.T) {
 		t.Fatal("nil predictor accepted")
 	}
 	m := mustModel(t, [][]float64{ramp(4), ramp(7), ramp(4)}, argminPred{})
-	if m.NumPatterns() != 3 || m.MaxPatternLen() != 7 {
-		t.Fatalf("NumPatterns=%d MaxPatternLen=%d", m.NumPatterns(), m.MaxPatternLen())
+	if m.k != 3 || m.maxLen != 7 {
+		t.Fatalf("k=%d maxLen=%d", m.k, m.maxLen)
 	}
 }
 
@@ -87,9 +87,6 @@ func TestHysteresisGate(t *testing.T) {
 	}}
 	m := mustModel(t, [][]float64{ramp(4)}, pred)
 	d := m.NewDetector(Config{ConfirmWindows: 3, MaxEvents: 16})
-	if d.cfg.Warmup != 4 {
-		t.Fatalf("warmup defaulted to %d, want 4", d.cfg.Warmup)
-	}
 	series := make([]float64, 12)
 	for i := range series {
 		series[i] = rand.New(rand.NewSource(int64(i))).NormFloat64() + float64(i)
@@ -133,18 +130,15 @@ func TestRefractory(t *testing.T) {
 }
 
 // TestWarmup pins that nothing is classified before the warm-up
-// boundary and that Warmup is clamped up to the longest pattern.
+// boundary, the longest pattern length.
 func TestWarmup(t *testing.T) {
 	m := mustModel(t, [][]float64{ramp(5)}, &scriptPred{labels: []int{7}})
-	d := m.NewDetector(Config{Warmup: 2}) // clamped to 5
+	d := m.NewDetector(Config{})
 	if evs := d.Append(ramp(4)); len(evs) != 0 {
 		t.Fatalf("events before warm-up: %+v", evs)
 	}
 	if _, ok := d.Label(); ok {
 		t.Fatal("Label ok before warm-up")
-	}
-	if _, ok := d.Raw(); ok {
-		t.Fatal("Raw ok before warm-up")
 	}
 	if d.Warm() {
 		t.Fatal("Warm before warm-up")
@@ -255,9 +249,6 @@ func TestChunkingInvariance(t *testing.T) {
 		if !reflect.DeepEqual(refM, gotM) {
 			t.Fatalf("trial %d: matches diverged: %+v vs %+v", trial, gotM, refM)
 		}
-		if rl, _ := ref.Raw(); func() int { l, _ := d.Raw(); return l }() != rl {
-			t.Fatalf("trial %d: raw label diverged", trial)
-		}
 	}
 }
 
@@ -310,8 +301,8 @@ func TestRegistryLifecycle(t *testing.T) {
 	if got := r.IDs(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("IDs = %v", got)
 	}
-	if r.Len() != 2 || r.Bytes() != 2*int64(a.Bytes()) {
-		t.Fatalf("Len=%d Bytes=%d det=%d", r.Len(), r.Bytes(), a.Bytes())
+	if r.Len() != 2 || r.Bytes() != 2*int64(a.det.Bytes()) {
+		t.Fatalf("Len=%d Bytes=%d det=%d", r.Len(), r.Bytes(), a.det.Bytes())
 	}
 	if !r.Remove("a") || r.Remove("a") {
 		t.Fatal("Remove not idempotent-correct")

@@ -14,33 +14,13 @@ import (
 	"sort"
 )
 
-// Config controls training.
-type Config struct {
-	// C is the soft-margin penalty (default 1).
-	C float64
-	// MaxEpochs caps the number of passes over the data (default 1000).
-	MaxEpochs int
-	// Tol is the projected-gradient stopping tolerance (default 1e-3).
-	Tol float64
-	// Seed drives the coordinate permutation (default 1).
-	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.C <= 0 {
-		c.C = 1
-	}
-	if c.MaxEpochs <= 0 {
-		c.MaxEpochs = 1000
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+// Training constants: the soft-margin penalty C, the cap on passes over
+// the data, and the projected-gradient stopping tolerance.
+const (
+	penaltyC  = 1
+	maxEpochs = 1000
+	tol       = 1e-3
+)
 
 // Model is a trained one-vs-rest linear SVM.
 type Model struct {
@@ -52,11 +32,14 @@ type Model struct {
 	scale   []float64 // 1/std per feature (1 for constant features)
 }
 
-// Train fits the model to the n×d matrix X with labels y. It panics on
-// empty or ragged input. A single-class training set yields a model that
-// always predicts that class.
-func Train(X [][]float64, y []int, cfg Config) *Model {
-	cfg = cfg.withDefaults()
+// Train fits the model to the n×d matrix X with labels y; seed drives
+// the coordinate permutation (0 means 1). It panics on empty or ragged
+// input. A single-class training set yields a model that always
+// predicts that class.
+func Train(X [][]float64, y []int, seed int64) *Model {
+	if seed == 0 {
+		seed = 1
+	}
 	n := len(X)
 	if n == 0 || len(y) != n {
 		panic("svm: empty training set or label mismatch")
@@ -83,7 +66,7 @@ func Train(X [][]float64, y []int, cfg Config) *Model {
 				yb[i] = -1
 			}
 		}
-		m.weights = append(m.weights, trainBinary(Xs, yb, cfg))
+		m.weights = append(m.weights, trainBinary(Xs, yb, seed))
 	}
 	return m
 }
@@ -95,7 +78,7 @@ func Train(X [][]float64, y []int, cfg Config) *Model {
 // by coordinate descent over randomly permuted coordinates, maintaining
 // w = Σ α_i y_i x_i. Inputs are pre-scaled and already augmented with the
 // bias feature.
-func trainBinary(X [][]float64, y []float64, cfg Config) []float64 {
+func trainBinary(X [][]float64, y []float64, seed int64) []float64 {
 	n := len(X)
 	d := len(X[0])
 	w := make([]float64, d)
@@ -106,12 +89,12 @@ func trainBinary(X [][]float64, y []float64, cfg Config) []float64 {
 			qii[i] += v * v
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
+	for epoch := 0; epoch < maxEpochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		maxPG := 0.0
 		for _, i := range perm {
@@ -124,8 +107,8 @@ func trainBinary(X [][]float64, y []float64, cfg Config) []float64 {
 			switch {
 			case alpha[i] == 0 && g > 0:
 				pg = 0
-			//rpmlint:ignore floateq alpha is clipped to exactly cfg.C by the box projection below
-			case alpha[i] == cfg.C && g < 0:
+			//rpmlint:ignore floateq alpha is clipped to exactly C by the box projection below
+			case alpha[i] == penaltyC && g < 0:
 				pg = 0
 			}
 			if math.Abs(pg) > maxPG {
@@ -138,8 +121,8 @@ func trainBinary(X [][]float64, y []float64, cfg Config) []float64 {
 			a := old - g/qii[i]
 			if a < 0 {
 				a = 0
-			} else if a > cfg.C {
-				a = cfg.C
+			} else if a > penaltyC {
+				a = penaltyC
 			}
 			alpha[i] = a
 			delta := (a - old) * y[i]
@@ -147,7 +130,7 @@ func trainBinary(X [][]float64, y []float64, cfg Config) []float64 {
 				w[j] += delta * v
 			}
 		}
-		if maxPG < cfg.Tol {
+		if maxPG < tol {
 			break
 		}
 	}
@@ -199,13 +182,6 @@ func (m *Model) scaleAll(X [][]float64) [][]float64 {
 	for i := range X {
 		out[i] = m.scaleOne(X[i])
 	}
-	return out
-}
-
-// Classes returns the model's label set, sorted.
-func (m *Model) Classes() []int {
-	out := make([]int, len(m.classes))
-	copy(out, m.classes)
 	return out
 }
 

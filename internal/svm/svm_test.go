@@ -23,7 +23,7 @@ func linearlySeparable(rng *rand.Rand, n int) ([][]float64, []int) {
 func TestTrainSeparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := linearlySeparable(rng, 80)
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	errors := 0
 	for i := range X {
 		if m.Predict(X[i]) != y[i] {
@@ -38,7 +38,7 @@ func TestTrainSeparable(t *testing.T) {
 func TestTrainGeneralizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	X, y := linearlySeparable(rng, 100)
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	Xt, yt := linearlySeparable(rng, 200)
 	errors := 0
 	for i := range Xt {
@@ -65,7 +65,7 @@ func TestMulticlassOneVsRest(t *testing.T) {
 			y = append(y, c+10) // non-contiguous labels
 		}
 	}
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	errors := 0
 	for i := range X {
 		if m.Predict(X[i]) != y[i] {
@@ -75,7 +75,7 @@ func TestMulticlassOneVsRest(t *testing.T) {
 	if frac := float64(errors) / float64(len(X)); frac > 0.05 {
 		t.Errorf("multiclass training error %.3f", frac)
 	}
-	if got := m.Classes(); len(got) != 4 || got[0] != 10 || got[3] != 13 {
+	if got := m.classes; len(got) != 4 || got[0] != 10 || got[3] != 13 {
 		t.Errorf("Classes = %v", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestBiasLearned(t *testing.T) {
 		X = append(X, []float64{v})
 		y = append(y, label)
 	}
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	errors := 0
 	for i := range X {
 		if m.Predict(X[i]) != y[i] {
@@ -109,7 +109,7 @@ func TestBiasLearned(t *testing.T) {
 func TestSingleClassAlwaysPredictsIt(t *testing.T) {
 	X := [][]float64{{1, 2}, {3, 4}}
 	y := []int{7, 7}
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	if got := m.Predict([]float64{100, -50}); got != 7 {
 		t.Errorf("Predict = %d, want 7", got)
 	}
@@ -121,7 +121,7 @@ func TestConstantFeatureHandled(t *testing.T) {
 	for i := range X {
 		X[i] = append(X[i], 3.14) // constant column
 	}
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	errors := 0
 	for i := range X {
 		if m.Predict(X[i]) != y[i] {
@@ -136,7 +136,7 @@ func TestConstantFeatureHandled(t *testing.T) {
 func TestDecisionValuesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	X, y := linearlySeparable(rng, 80)
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	dec := m.Decision([]float64{5, 0})
 	if dec[1] <= dec[0] {
 		t.Errorf("decision for the right class not larger: %v", dec)
@@ -146,7 +146,7 @@ func TestDecisionValuesOrdered(t *testing.T) {
 func TestPredictBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	X, y := linearlySeparable(rng, 40)
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	preds := m.PredictBatch(X)
 	if len(preds) != len(X) {
 		t.Fatal("batch size mismatch")
@@ -162,8 +162,8 @@ func TestPredictBatch(t *testing.T) {
 func TestTrainDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	X, y := linearlySeparable(rng, 50)
-	m1 := Train(X, y, Config{Seed: 9})
-	m2 := Train(X, y, Config{Seed: 9})
+	m1 := Train(X, y, 9)
+	m2 := Train(X, y, 9)
 	for k := range m1.weights {
 		for j := range m1.weights[k] {
 			if m1.weights[k][j] != m2.weights[k][j] {
@@ -178,9 +178,9 @@ func TestTrainPanics(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"empty", func() { Train(nil, nil, Config{}) }},
-		{"label mismatch", func() { Train([][]float64{{1}}, []int{1, 2}, Config{}) }},
-		{"ragged", func() { Train([][]float64{{1, 2}, {1}}, []int{0, 1}, Config{}) }},
+		{"empty", func() { Train(nil, nil, 0) }},
+		{"label mismatch", func() { Train([][]float64{{1}}, []int{1, 2}, 0) }},
+		{"ragged", func() { Train([][]float64{{1, 2}, {1}}, []int{0, 1}, 0) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -197,7 +197,7 @@ func TestTrainPanics(t *testing.T) {
 func TestPredictPanicsOnWrongDim(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	X, y := linearlySeparable(rng, 20)
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -216,7 +216,7 @@ func TestPredictIsArgmaxOfDecision(t *testing.T) {
 		y = append(y, i%3)
 		X = append(X, []float64{rng.NormFloat64() + float64(i%3)*2, rng.NormFloat64()})
 	}
-	m := Train(X, y, Config{})
+	m := Train(X, y, 0)
 	for trial := 0; trial < 200; trial++ {
 		q := []float64{rng.NormFloat64() * 4, rng.NormFloat64() * 4}
 		dec := m.Decision(q)
@@ -246,7 +246,7 @@ func TestNoisyDataStillReasonable(t *testing.T) {
 		}
 		X[i] = []float64{off + rng.NormFloat64()}
 	}
-	m := Train(X, y, Config{C: 1})
+	m := Train(X, y, 0)
 	errors := 0
 	for i := range X {
 		if m.Predict(X[i]) != y[i] {

@@ -10,7 +10,6 @@
 package ts
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -27,24 +26,8 @@ type Instance struct {
 // Len returns the number of observations in the instance.
 func (in Instance) Len() int { return len(in.Values) }
 
-// Clone returns a deep copy of the instance.
-func (in Instance) Clone() Instance {
-	v := make([]float64, len(in.Values))
-	copy(v, in.Values)
-	return Instance{Label: in.Label, Values: v}
-}
-
 // Dataset is an ordered collection of labeled instances.
 type Dataset []Instance
-
-// Clone deep-copies the dataset.
-func (d Dataset) Clone() Dataset {
-	out := make(Dataset, len(d))
-	for i, in := range d {
-		out[i] = in.Clone()
-	}
-	return out
-}
 
 // Labels returns the label of every instance, in order.
 func (d Dataset) Labels() []int {
@@ -98,10 +81,6 @@ func (d Dataset) MinLen() int {
 	}
 	return m
 }
-
-// ErrShortSeries is returned when an operation receives a series shorter
-// than it requires.
-var ErrShortSeries = errors.New("ts: series too short")
 
 // Mean returns the arithmetic mean of v. It returns 0 for an empty slice.
 func Mean(v []float64) float64 {
@@ -174,15 +153,6 @@ func ZNormInstance(d Dataset) {
 	}
 }
 
-// Window returns the subsequence of v of length n starting at p, as a
-// subslice (no copy). It returns an error if the window does not fit.
-func Window(v []float64, p, n int) ([]float64, error) {
-	if n <= 0 || p < 0 || p+n > len(v) {
-		return nil, fmt.Errorf("ts: window [%d,%d) outside series of length %d: %w", p, p+n, len(v), ErrShortSeries)
-	}
-	return v[p : p+n : p+n], nil
-}
-
 // NumWindows returns the number of sliding windows of size n over a series
 // of length m (0 when the window does not fit).
 func NumWindows(m, n int) int {
@@ -208,11 +178,6 @@ func Rotate(v []float64, cut int) []float64 {
 	return out
 }
 
-// RotateHalf returns v rotated at its midpoint. The rotation-invariant
-// classification transform (paper §6.1) matches a pattern against both the
-// series and its half rotation and keeps the smaller distance.
-func RotateHalf(v []float64) []float64 { return Rotate(v, len(v)/2) }
-
 // RotateInto is Rotate writing into dst, which is grown when too small
 // and returned resliced to len(v). It exists so hot predict paths (the
 // rotation-invariant transform evaluates every query twice) can reuse a
@@ -233,7 +198,10 @@ func RotateInto(dst, v []float64, cut int) []float64 {
 	return dst
 }
 
-// RotateHalfInto is RotateInto at the midpoint cut RotateHalf uses.
+// RotateHalfInto is RotateInto at the midpoint cut len(v)/2. The
+// rotation-invariant classification transform (paper §6.1) matches a
+// pattern against both the series and its half rotation and keeps the
+// smaller distance.
 func RotateHalfInto(dst, v []float64) []float64 { return RotateInto(dst, v, len(v)/2) }
 
 // Concatenated is the result of joining several series end to end while

@@ -91,26 +91,6 @@ func TestZNormIntoPanicsOnMismatch(t *testing.T) {
 	ZNormInto(make([]float64, 2), make([]float64, 3))
 }
 
-func TestWindow(t *testing.T) {
-	v := []float64{0, 1, 2, 3, 4}
-	w, err := Window(v, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(w, []float64{1, 2, 3}) {
-		t.Errorf("window = %v", w)
-	}
-	if _, err := Window(v, 3, 3); err == nil {
-		t.Error("expected error for out-of-range window")
-	}
-	if _, err := Window(v, -1, 2); err == nil {
-		t.Error("expected error for negative start")
-	}
-	if _, err := Window(v, 0, 0); err == nil {
-		t.Error("expected error for zero-length window")
-	}
-}
-
 func TestNumWindows(t *testing.T) {
 	cases := []struct{ m, n, want int }{
 		{10, 3, 8}, {5, 5, 1}, {4, 5, 0}, {10, 0, 0}, {0, 1, 0},
@@ -162,14 +142,14 @@ func TestRotateProperties(t *testing.T) {
 }
 
 func TestRotateHalf(t *testing.T) {
-	got := RotateHalf([]float64{1, 2, 3, 4})
+	got := RotateHalfInto(nil, []float64{1, 2, 3, 4})
 	if !reflect.DeepEqual(got, []float64{3, 4, 1, 2}) {
-		t.Errorf("RotateHalf = %v", got)
+		t.Errorf("RotateHalfInto = %v", got)
 	}
 	// odd length: cut at floor(n/2)
-	got = RotateHalf([]float64{1, 2, 3})
+	got = RotateHalfInto(got, []float64{1, 2, 3})
 	if !reflect.DeepEqual(got, []float64{2, 3, 1}) {
-		t.Errorf("RotateHalf odd = %v", got)
+		t.Errorf("RotateHalfInto odd = %v", got)
 	}
 }
 
@@ -254,16 +234,6 @@ func TestDatasetClassesAndByClass(t *testing.T) {
 	}
 	if got := d.Labels(); !reflect.DeepEqual(got, []int{3, 1, 3}) {
 		t.Errorf("Labels = %v", got)
-	}
-}
-
-func TestDatasetCloneIndependence(t *testing.T) {
-	d := Dataset{{Label: 1, Values: []float64{1, 2}}}
-	c := d.Clone()
-	c[0].Values[0] = 99
-	c[0].Label = 7
-	if d[0].Values[0] != 1 || d[0].Label != 1 {
-		t.Error("Clone is not independent of the original")
 	}
 }
 

@@ -46,7 +46,6 @@ const (
 type StageTiming struct {
 	Name     string        `json:"name"`
 	Wall     time.Duration `json:"wallNS"`
-	Busy     time.Duration `json:"busyNS,omitempty"`
 	Count    int64         `json:"count,omitempty"`
 	Children []StageTiming `json:"children,omitempty"`
 }
@@ -249,7 +248,6 @@ func stageFromSpan(s obs.SpanSnapshot) StageTiming {
 	out := StageTiming{
 		Name:  s.Name,
 		Wall:  time.Duration(s.WallNS),
-		Busy:  time.Duration(s.BusyNS),
 		Count: s.Count,
 	}
 	for _, c := range s.Children {

@@ -434,3 +434,38 @@ func FuzzLoadClassifier(f *testing.F) {
 		}
 	})
 }
+
+// TestTrainRejectsNonFiniteOptions: NaN and ±Inf in Gamma, TauPercentile
+// or Sample.Rate fail at the boundary with ErrBadInput, for Train and
+// TrainEnsemble alike — not as a recovered panic or a model Save cannot
+// encode.
+func TestTrainRejectsNonFiniteOptions(t *testing.T) {
+	train := GenerateDataset("SynItalyPower", 1).Train
+	trainers := []struct {
+		name string
+		fn   func(Options) error
+	}{
+		{"Train", func(o Options) error { _, err := Train(train, o); return err }},
+		{"TrainEnsemble", func(o Options) error { _, err := TrainEnsemble(train, o); return err }},
+	}
+	knobs := []struct {
+		name string
+		set  func(*Options, float64)
+	}{
+		{"Gamma", func(o *Options, v float64) { o.Gamma = v }},
+		{"TauPercentile", func(o *Options, v float64) { o.TauPercentile = v }},
+		{"Sample.Rate", func(o *Options, v float64) { o.Sample.Rate = v }},
+	}
+	for _, tr := range trainers {
+		for _, k := range knobs {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				o := DefaultOptions()
+				o.Mode = ParamFixed
+				k.set(&o, v)
+				if err := tr.fn(o); !errors.Is(err, ErrBadInput) {
+					t.Errorf("%s with %s=%v: err = %v, want ErrBadInput", tr.name, k.name, v, err)
+				}
+			}
+		}
+	}
+}
