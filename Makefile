@@ -59,7 +59,7 @@ COVER_PKGS = . \
 
 .PHONY: all build test race vet fmt-check lint lint-drill bench fuzz cover check \
 	bench-json bench-gate bench-baseline load-smoke stream-smoke chaos \
-	archive-smoke perfbench-check bench-smoke
+	archive-smoke perfbench-check bench-smoke examples-check
 
 all: check
 
@@ -184,6 +184,22 @@ archive-smoke:
 bench-smoke:
 	$(GO) test -run xxx -bench '^Benchmark(Table[1-4]|Fig[789]|AlarmCase)$$' -benchtime 1x .
 
+# Cross-commit pin of the example programs: each examples/<name> is
+# deterministic and prints no timings, so its stdout must match
+# testdata/examples/<name>.txt byte for byte. A change that moves an
+# output on purpose regenerates the file (README "Examples") and says
+# why in CHANGES.md.
+EXAMPLES = medicalalarm motifs patterns quickstart rotation
+examples-check:
+	@mkdir -p $(OUT_DIR)/examples
+	@for e in $(EXAMPLES); do \
+		$(GO) build -o $(OUT_DIR)/examples/$$e ./examples/$$e || exit 1; \
+		$(OUT_DIR)/examples/$$e > $(OUT_DIR)/examples/$$e.txt || exit 1; \
+		diff -u testdata/examples/$$e.txt $(OUT_DIR)/examples/$$e.txt || \
+			{ echo "examples/$$e output differs from testdata/examples/$$e.txt" >&2; exit 1; }; \
+	done
+	@echo "examples-check: $(words $(EXAMPLES)) programs match testdata/examples"
+
 # The repo benchmark (perfbench/, run by perfbench/run.sh) is its own Go
 # module built against this one, so `go test ./...` never compiles it.
 # Vet and short-test it so a change to an API it uses fails the check.
@@ -191,4 +207,4 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -short ./...
 
-check: fmt-check build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check bench-smoke
+check: fmt-check build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check bench-smoke examples-check
