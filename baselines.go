@@ -20,13 +20,7 @@ type Model interface {
 
 // PredictAll runs any model over a dataset and returns predicted labels in
 // order, sequentially. Use PredictAllWorkers to fan the queries out.
-func PredictAll(m Model, test Dataset) []int {
-	out := make([]int, len(test))
-	for i, in := range test {
-		out[i] = m.Predict(in.Values)
-	}
-	return out
-}
+func PredictAll(m Model, test Dataset) []int { return PredictAllWorkers(m, test, 1) }
 
 // PredictAllWorkers is PredictAll with the queries fanned out over up to
 // workers goroutines (0 means every core, 1 is identical to PredictAll).
@@ -82,33 +76,33 @@ func baselineModel(op string, train Dataset, build func() Model) (Model, error) 
 // NewNNEuclidean builds the 1-nearest-neighbor Euclidean baseline (NN-ED).
 // The training set must be non-empty with finite, non-empty series.
 func NewNNEuclidean(train Dataset) (Model, error) {
-	return baselineModel("NewNNEuclidean", train, func() Model { return nn.NewED(toInternal(train)) })
+	return baselineModel("NewNNEuclidean", train, func() Model { return nn.NewED(train) })
 }
 
 // NewNNDTWBest builds the 1-nearest-neighbor DTW baseline with the best
 // warping window learned from the training data by leave-one-out
 // cross-validation (NN-DTWB).
 func NewNNDTWBest(train Dataset) (Model, error) {
-	return baselineModel("NewNNDTWBest", train, func() Model { return nn.NewDTWBest(toInternal(train)) })
+	return baselineModel("NewNNDTWBest", train, func() Model { return nn.NewDTWBest(train) })
 }
 
 // NewNNDTW builds a 1NN-DTW classifier with a fixed Sakoe-Chiba half-width.
 func NewNNDTW(train Dataset, window int) (Model, error) {
-	return baselineModel("NewNNDTW", train, func() Model { return nn.NewDTW(toInternal(train), window) })
+	return baselineModel("NewNNDTW", train, func() Model { return nn.NewDTW(train, window) })
 }
 
 // TrainSAXVSM trains the SAX-VSM baseline with cross-validated parameter
 // selection.
 func TrainSAXVSM(train Dataset, seed int64) (Model, error) {
 	return baselineModel("TrainSAXVSM", train, func() Model {
-		return saxvsm.TrainAuto(toInternal(train), seed)
+		return saxvsm.TrainAuto(train, seed)
 	})
 }
 
 // TrainFastShapelets trains the Fast Shapelets decision-tree baseline.
 func TrainFastShapelets(train Dataset, seed int64) (Model, error) {
 	return baselineModel("TrainFastShapelets", train, func() Model {
-		return fastshapelets.Train(toInternal(train), seed)
+		return fastshapelets.Train(train, seed)
 	})
 }
 
@@ -116,6 +110,6 @@ func TrainFastShapelets(train Dataset, seed int64) (Model, error) {
 // descent over shapelets and classifier weights jointly).
 func TrainLearningShapelets(train Dataset, seed int64) (Model, error) {
 	return baselineModel("TrainLearningShapelets", train, func() Model {
-		return learnshapelets.Train(toInternal(train), learnshapelets.Config{Seed: seed})
+		return learnshapelets.Train(train, learnshapelets.Config{Seed: seed})
 	})
 }

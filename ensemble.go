@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"rpm/internal/core"
-	"rpm/internal/ts"
 )
 
 // Ensemble is a bagged set of RPM classifiers trained by TrainEnsemble:
@@ -38,26 +37,11 @@ func TrainEnsemble(train Dataset, opts Options) (*Ensemble, error) {
 // Options.Workers value: the members train in a fixed order with
 // derived seeds, and the vote depends only on the member labels.
 func TrainEnsembleContext(ctx context.Context, train Dataset, opts Options) (*Ensemble, error) {
-	const op = "TrainEnsemble"
-	if err := validateTrainingSet(op, train, MinSeriesLen, true); err != nil {
-		return nil, err
-	}
-	if err := validateOptions(op, opts, ts.Dataset.MinLen(toInternal(train))); err != nil {
-		return nil, err
-	}
-	var e *core.Ensemble
-	err := guard(op, func() error {
-		inner, err := core.TrainBaggedContext(ctx, toInternal(train), toCoreOptions(opts))
-		if err != nil {
-			return wrapCoreErr(op, err)
-		}
-		e = inner
-		return nil
-	})
+	inner, err := trainBoundary(ctx, "TrainEnsemble", train, opts, core.TrainBaggedContext)
 	if err != nil {
 		return nil, err
 	}
-	return &Ensemble{inner: e}, nil
+	return &Ensemble{inner: inner}, nil
 }
 
 // Predict classifies one series by majority vote over the members. Like
@@ -67,33 +51,13 @@ func (e *Ensemble) Predict(values []float64) int { return e.inner.Predict(values
 // PredictBatch classifies every instance and returns the predicted
 // labels in order, fanning the queries out over Options.Workers
 // goroutines (byte-identical to the sequential path).
-func (e *Ensemble) PredictBatch(test Dataset) []int {
-	return e.inner.PredictBatch(toInternal(test))
-}
+func (e *Ensemble) PredictBatch(test Dataset) []int { return e.inner.PredictBatch(test) }
 
 // PredictBatchContext is PredictBatch with boundary validation,
 // cooperative cancellation and panic containment (the
 // Classifier.PredictBatchContext contract, lifted to the ensemble).
 func (e *Ensemble) PredictBatchContext(ctx context.Context, test Dataset) ([]int, error) {
-	const op = "PredictBatch"
-	for i, in := range test {
-		if err := validateSeries(op, in.Values, 1); err != nil {
-			return nil, apiErrf(op, errKind(err), "instance %d: %v", i, errCause(err))
-		}
-	}
-	var out []int
-	err := guard(op, func() error {
-		labels, err := e.inner.PredictBatchContext(ctx, toInternal(test))
-		if err != nil {
-			return err // ctx error: surface unwrapped
-		}
-		out = labels
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return predictBatchBoundary(ctx, test, e.inner.PredictBatchContext)
 }
 
 // Bags returns the number of members.

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"rpm/internal/core"
-	"rpm/internal/sax"
 )
 
 // Sentinel errors. Every error returned by the public API wraps exactly
@@ -230,8 +229,7 @@ func validateOptions(op string, o Options, minLen int) error {
 		return apiErrf(op, ErrBadInput, "Bags %d requires Sample.Rate in (0,1): with exhaustive mining every member is identical", o.Bags)
 	}
 	if o.Mode == ParamFixed && o.Params != (SAXParams{}) {
-		p := sax.Params{Window: o.Params.Window, PAA: o.Params.PAA, Alphabet: o.Params.Alphabet}
-		if err := p.Validate(minLen); err != nil {
+		if err := o.Params.Validate(minLen); err != nil {
 			return apiErr(op, ErrBadInput, err)
 		}
 	}

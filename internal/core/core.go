@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"rpm/internal/dist"
@@ -272,19 +271,12 @@ type transformer struct {
 	// to its feature slot (= original pattern index).
 	ordered []*dist.Matcher
 	featOf  []int
-	groups  []matcherGroup
+	groups  []dist.Group
 	rotInv  bool
 	// scratch pools per-worker query state (window stats, rotation
 	// buffer, abandon seeds, feature row) so steady-state transforms
 	// allocate nothing.
 	scratch sync.Pool
-}
-
-// matcherGroup is one pattern length's half-open range [lo, hi) into the
-// transformer's grouped ordering.
-type matcherGroup struct {
-	n      int
-	lo, hi int
 }
 
 // transformScratch is the per-worker state of the transform kernels. It
@@ -306,27 +298,7 @@ func newTransformer(patterns []Pattern, rotInv bool) *transformer {
 	for _, p := range patterns {
 		t.matchers = append(t.matchers, dist.NewMatcher(p.Values))
 	}
-	// Group by length, ascending, preserving pattern order within each
-	// group (output slots are per-pattern, so group order is free; the
-	// sort just makes the stats-build order deterministic and cheap
-	// lengths first).
-	byLen := make(map[int][]int)
-	for k, m := range t.matchers {
-		byLen[m.Len()] = append(byLen[m.Len()], k)
-	}
-	lens := make([]int, 0, len(byLen))
-	for n := range byLen {
-		lens = append(lens, n)
-	}
-	sort.Ints(lens)
-	for _, n := range lens {
-		lo := len(t.ordered)
-		for _, k := range byLen[n] {
-			t.ordered = append(t.ordered, t.matchers[k])
-			t.featOf = append(t.featOf, k)
-		}
-		t.groups = append(t.groups, matcherGroup{n: n, lo: lo, hi: len(t.ordered)})
-	}
+	t.ordered, t.featOf, t.groups = dist.GroupByLen(t.matchers)
 	t.scratch.New = func() any {
 		k := len(t.matchers)
 		sc := &transformScratch{
@@ -383,9 +355,9 @@ func (t *transformer) applyInto(dst []float64, v []float64, sc *transformScratch
 		sc.rq.Reset(sc.rotated)
 	}
 	for _, g := range t.groups {
-		ms := t.ordered[g.lo:g.hi]
-		dist.BestQueryGroup(ms, sc.q, sc.seeds[g.lo:g.hi], sc.outs[g.lo:g.hi])
-		for a := g.lo; a < g.hi; a++ {
+		ms := t.ordered[g.Lo:g.Hi]
+		dist.BestQueryGroup(ms, sc.q, sc.seeds[g.Lo:g.Hi], sc.outs[g.Lo:g.Hi])
+		for a := g.Lo; a < g.Hi; a++ {
 			bm := sc.outs[a]
 			if bm.Pos >= 0 {
 				sc.seeds[a] = bm.Pos
@@ -393,8 +365,8 @@ func (t *transformer) applyInto(dst []float64, v []float64, sc *transformScratch
 			dst[t.featOf[a]] = bm.Dist
 		}
 		if t.rotInv {
-			dist.BestQueryGroup(ms, sc.rq, sc.rotSeeds[g.lo:g.hi], sc.outs[g.lo:g.hi])
-			for a := g.lo; a < g.hi; a++ {
+			dist.BestQueryGroup(ms, sc.rq, sc.rotSeeds[g.Lo:g.Hi], sc.outs[g.Lo:g.Hi])
+			for a := g.Lo; a < g.Hi; a++ {
 				rm := sc.outs[a]
 				if rm.Pos >= 0 {
 					sc.rotSeeds[a] = rm.Pos

@@ -93,27 +93,27 @@ func TestTransformerGrouping(t *testing.T) {
 	prevLen := 0
 	at := 0
 	for _, g := range tf.groups {
-		if g.lo != at {
+		if g.Lo != at {
 			t.Fatalf("group %v not contiguous at %d", g, at)
 		}
-		if g.n <= prevLen {
-			t.Fatalf("group lengths not strictly ascending: %d after %d", g.n, prevLen)
+		if g.N <= prevLen {
+			t.Fatalf("group lengths not strictly ascending: %d after %d", g.N, prevLen)
 		}
-		prevLen = g.n
-		for a := g.lo; a < g.hi; a++ {
-			if tf.ordered[a].Len() != g.n {
-				t.Fatalf("ordered[%d] length %d in group of %d", a, tf.ordered[a].Len(), g.n)
+		prevLen = g.N
+		for a := g.Lo; a < g.Hi; a++ {
+			if tf.ordered[a].Len() != g.N {
+				t.Fatalf("ordered[%d] length %d in group of %d", a, tf.ordered[a].Len(), g.N)
 			}
 			k := tf.featOf[a]
 			if seen[k] {
 				t.Fatalf("featOf maps slot %d twice", k)
 			}
 			seen[k] = true
-			if tf.matchers[k].Len() != g.n {
-				t.Fatalf("featOf[%d]=%d points at length %d, group is %d", a, k, tf.matchers[k].Len(), g.n)
+			if tf.matchers[k].Len() != g.N {
+				t.Fatalf("featOf[%d]=%d points at length %d, group is %d", a, k, tf.matchers[k].Len(), g.N)
 			}
 		}
-		at = g.hi
+		at = g.Hi
 	}
 	if at != len(pats) {
 		t.Fatalf("groups cover %d of %d matchers", at, len(pats))

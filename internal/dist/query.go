@@ -1,6 +1,10 @@
 package dist
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // WindowStats is the precomputed per-window normalization state of one
 // series at one window length: Mean[i] and Inv[i] (1/std, or 0 for a
@@ -341,4 +345,33 @@ func BestQueryGroup(ms []*Matcher, q *Query, seeds []int, out []Match) {
 		}
 		out[k] = m.BestQuerySeeded(q, sp)
 	}
+}
+
+// Group is one pattern length's half-open range [Lo, Hi) into a
+// length-grouped matcher ordering; N is the shared length.
+type Group struct {
+	N      int
+	Lo, Hi int
+}
+
+// GroupByLen re-sorts ms into ascending length order so every length
+// is one contiguous slice of ordered, the input BestQueryGroup and the
+// streaming RollingStats share per length. featOf[a] maps ordered[a]
+// back to its index in ms (its feature slot), and groups lists each
+// length's range. Matchers of one length keep their order in ms.
+func GroupByLen(ms []*Matcher) (ordered []*Matcher, featOf []int, groups []Group) {
+	featOf = make([]int, len(ms))
+	for k := range featOf {
+		featOf[k] = k
+	}
+	slices.SortStableFunc(featOf, func(a, b int) int { return cmp.Compare(ms[a].Len(), ms[b].Len()) })
+	ordered = make([]*Matcher, len(ms))
+	for a, k := range featOf {
+		ordered[a] = ms[k]
+		if n := ms[k].Len(); len(groups) == 0 || groups[len(groups)-1].N != n {
+			groups = append(groups, Group{N: n, Lo: a})
+		}
+		groups[len(groups)-1].Hi = a + 1
+	}
+	return ordered, featOf, groups
 }

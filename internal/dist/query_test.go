@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -368,4 +369,35 @@ func BenchmarkBestQuerySeeded(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestGroupByLen: lengths ascend, each group is one contiguous length,
+// input order is kept within a group, and featOf inverts the reorder.
+func TestGroupByLen(t *testing.T) {
+	lens := []int{5, 3, 5, 8, 3, 5}
+	ms := make([]*Matcher, len(lens))
+	for k, n := range lens {
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = float64(i * (k + 1))
+		}
+		ms[k] = NewMatcher(p)
+	}
+	ordered, featOf, groups := GroupByLen(ms)
+	wantFeat := []int{1, 4, 0, 2, 5, 3}
+	wantGroups := []Group{{N: 3, Lo: 0, Hi: 2}, {N: 5, Lo: 2, Hi: 5}, {N: 8, Lo: 5, Hi: 6}}
+	if !slices.Equal(featOf, wantFeat) {
+		t.Fatalf("featOf = %v, want %v", featOf, wantFeat)
+	}
+	if !slices.Equal(groups, wantGroups) {
+		t.Fatalf("groups = %v, want %v", groups, wantGroups)
+	}
+	for a, k := range featOf {
+		if ordered[a] != ms[k] {
+			t.Fatalf("ordered[%d] is not ms[%d]", a, k)
+		}
+	}
+	if o, f, g := GroupByLen(nil); len(o) != 0 || len(f) != 0 || len(g) != 0 {
+		t.Fatalf("GroupByLen(nil) = %v, %v, %v", o, f, g)
+	}
 }

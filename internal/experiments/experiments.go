@@ -84,7 +84,7 @@ func Methods(cfg Config, names ...string) []archive.Method {
 				if err := ctx.Err(); err != nil {
 					return archive.Model{}, err
 				}
-				p, err := trainBaseline(ctx, name, toTS(train), cfg, reg)
+				p, err := trainBaseline(ctx, name, train, cfg, reg)
 				if err != nil {
 					return archive.Model{}, err
 				}
@@ -148,7 +148,7 @@ func rpmMethod(name string, o core.Options) archive.Method {
 	return archive.Method{Name: name, Settings: settings, Train: func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (archive.Model, error) {
 		o := o
 		o.Obs = reg
-		clf, err := core.TrainContext(ctx, toTS(train), o)
+		clf, err := core.TrainContext(ctx, train, o)
 		if err != nil {
 			return archive.Model{}, err
 		}
@@ -159,18 +159,8 @@ func rpmMethod(name string, o core.Options) archive.Method {
 // model wraps a trained classifier for the runner.
 func model(p predictor, patterns int) archive.Model {
 	return archive.Model{Patterns: patterns, Predict: func(_ context.Context, test rpm.Dataset) ([]int, error) {
-		return p.PredictBatch(toTS(test)), nil
+		return p.PredictBatch(test), nil
 	}}
-}
-
-// toTS views a public dataset as the internal type, sharing the value
-// slices.
-func toTS(d rpm.Dataset) ts.Dataset {
-	out := make(ts.Dataset, len(d))
-	for i, in := range d {
-		out[i] = ts.Instance(in)
-	}
-	return out
 }
 
 // Evaluate runs an experiment through the archive runner: strict (the

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 
 	"rpm/internal/dist"
@@ -59,16 +58,9 @@ type Model struct {
 	// featOf[a] maps ordered[a] back to its feature slot.
 	ordered []*dist.Matcher
 	featOf  []int
-	groups  []group
+	groups  []dist.Group
 	maxLen  int
 	k       int
-}
-
-// group is one pattern length's half-open range [lo, hi) into the
-// grouped matcher ordering.
-type group struct {
-	n      int
-	lo, hi int
 }
 
 // NewModel builds the shared streaming state over the given patterns
@@ -92,26 +84,7 @@ func NewModel(patterns [][]float64, pred Predictor) (*Model, error) {
 			m.maxLen = len(p)
 		}
 	}
-	// Group by length ascending, preserving pattern order within each
-	// group (the transformer's idiom: output slots are per-pattern, so
-	// group order is free; sorting just makes it deterministic).
-	byLen := make(map[int][]int)
-	for k, mt := range matchers {
-		byLen[mt.Len()] = append(byLen[mt.Len()], k)
-	}
-	lens := make([]int, 0, len(byLen))
-	for n := range byLen {
-		lens = append(lens, n)
-	}
-	sort.Ints(lens)
-	for _, n := range lens {
-		lo := len(m.ordered)
-		for _, k := range byLen[n] {
-			m.ordered = append(m.ordered, matchers[k])
-			m.featOf = append(m.featOf, k)
-		}
-		m.groups = append(m.groups, group{n: n, lo: lo, hi: len(m.ordered)})
-	}
+	m.ordered, m.featOf, m.groups = dist.GroupByLen(matchers)
 	return m, nil
 }
 
@@ -216,7 +189,7 @@ func (m *Model) NewDetector(cfg Config) *Detector {
 		scratch: make([]Event, 0, 4),
 	}
 	for gi := range d.stats {
-		d.stats[gi] = dist.NewRollingStats(m.groups[gi].n)
+		d.stats[gi] = dist.NewRollingStats(m.groups[gi].N)
 	}
 	for a := range d.scans {
 		d.scans[a].Reset()
@@ -258,15 +231,15 @@ func (d *Detector) push(x float64) {
 		rs := &d.stats[gi]
 		var out float64
 		if rs.Full() {
-			out = d.buf[bl-g.n-1] // the sample leaving this length's window
+			out = d.buf[bl-g.N-1] // the sample leaving this length's window
 		}
 		mean, inv, ok := rs.Push(x, out)
 		if !ok {
 			continue // this length's first window is still filling
 		}
-		pos := int(t) + 1 - g.n
-		w := d.buf[bl-g.n : bl]
-		for a := g.lo; a < g.hi; a++ {
+		pos := int(t) + 1 - g.N
+		w := d.buf[bl-g.N : bl]
+		for a := g.Lo; a < g.Hi; a++ {
 			d.m.ordered[a].StreamEval(&d.scans[a], w, mean, inv, pos)
 		}
 	}

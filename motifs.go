@@ -1,53 +1,30 @@
 package rpm
 
-import (
-	"rpm/internal/core"
-	"rpm/internal/sax"
-)
+import "rpm/internal/core"
 
-// MotifOccurrence is one appearance of a class-specific motif.
-type MotifOccurrence struct {
-	// Series indexes the instance within the class's training instances
-	// (in dataset order, counting only that class).
-	Series int
-	// Start is the occurrence's offset within that instance.
-	Start int
-	// Values is the raw subsequence.
-	Values []float64
-}
+// MotifOccurrence is one appearance of a class-specific motif: Series
+// indexes the instance within the class's training instances (in
+// dataset order, counting only that class), Start is the occurrence's
+// offset within that instance, and Values is the raw subsequence.
+type MotifOccurrence = core.MotifOccurrence
 
 // Motif is a class-specific subspace motif: a variable-length pattern
 // occurring in at least Gamma of one class's training instances, with all
-// of its occurrences. Motif discovery is the exploratory capability the
-// paper highlights beyond classification (§1): representative patterns are
-// the discriminative subset of these motifs.
-type Motif struct {
-	Class       int
-	Prototype   []float64
-	Support     int
-	Occurrences []MotifOccurrence
-}
+// of its occurrences. Class is the class label, Prototype the
+// z-normalized cluster centroid (or medoid), Support the number of
+// distinct instances containing the motif, and Occurrences every
+// subsequence in its cluster. Motif discovery is the exploratory
+// capability the paper highlights beyond classification (§1):
+// representative patterns are the discriminative subset of these motifs.
+type Motif = core.Motif
 
 // DiscoverMotifs runs RPM's candidate-generation stage (SAX discretization
 // + grammar induction + cluster refinement) and returns each class's
 // motifs sorted by support, without any discrimination-based pruning.
+// Every class of train has an entry, empty when it has no motif.
 // params are the SAX parameters; opts controls gamma, numerosity
 // reduction, the GI algorithm and the prototype choice — its parameter-
 // search fields are ignored.
 func DiscoverMotifs(train Dataset, params SAXParams, opts Options) map[int][]Motif {
-	copts := toCoreOptions(opts)
-	copts.Mode = core.ParamFixed
-	p := sax.Params{Window: params.Window, PAA: params.PAA, Alphabet: params.Alphabet}
-	raw := core.DiscoverMotifs(toInternal(train), p, copts)
-	out := map[int][]Motif{}
-	for class, motifs := range raw {
-		for _, m := range motifs {
-			pub := Motif{Class: m.Class, Prototype: m.Prototype, Support: m.Support}
-			for _, o := range m.Occurrences {
-				pub.Occurrences = append(pub.Occurrences, MotifOccurrence(o))
-			}
-			out[class] = append(out[class], pub)
-		}
-	}
-	return out
+	return core.DiscoverMotifs(train, params, toCoreOptions(opts))
 }

@@ -29,6 +29,8 @@ package rpm
 import (
 	"context"
 	"io"
+	"maps"
+	"slices"
 
 	"rpm/internal/core"
 	"rpm/internal/datagen"
@@ -38,43 +40,41 @@ import (
 	"rpm/internal/ts"
 )
 
-// Instance is one labeled time series.
-type Instance struct {
-	// Label is the class label; any integers are accepted.
-	Label int
-	// Values are the ordered observations.
-	Values []float64
-}
+// Instance is one labeled time series: Label is the class label (any
+// integers are accepted) and Values are the ordered observations.
+// Instance.Len returns len(Values).
+//
+// Instance is the pipeline's own type (internal/ts.Instance), so a
+// dataset crosses the API without being copied.
+type Instance = ts.Instance
 
-// Dataset is an ordered collection of labeled time series.
-type Dataset []Instance
+// Dataset is an ordered collection of labeled time series. Besides
+// indexing and ranging it offers read-only helpers: Labels (every
+// instance's label, in order), Classes (the sorted distinct labels),
+// ByClass (instances grouped by label, order preserved within a class)
+// and MinLen (the shortest series' length, 0 when empty).
+type Dataset = ts.Dataset
 
 // Split is a named dataset with a train/test partition, the unit every
-// experiment operates on.
-type Split struct {
-	Name  string
-	Train Dataset
-	Test  Dataset
-}
+// experiment operates on: Name, then the Train and Test datasets.
+type Split = dataset.Split
 
-// SAXParams are the three SAX discretization parameters (paper §4): the
-// sliding-window length, the PAA word size, and the alphabet cardinality.
-type SAXParams struct {
-	Window   int
-	PAA      int
-	Alphabet int
-}
+// SAXParams are the three SAX discretization parameters (paper §4):
+// Window is the sliding-window length in points, PAA the word size in
+// symbols, and Alphabet the alphabet cardinality. Validate(n) reports
+// whether they fit series of n points.
+type SAXParams = sax.Params
 
 // GIAlgorithm selects the grammar-induction algorithm behind candidate
-// generation.
-type GIAlgorithm int
+// generation: GISequitur (the default) or GIRePair.
+type GIAlgorithm = core.GIAlgorithm
 
 const (
 	// GISequitur is the paper's choice (Nevill-Manning & Witten 1997).
-	GISequitur GIAlgorithm = iota
+	GISequitur = core.GISequitur
 	// GIRePair is the Re-Pair alternative (Larsson & Moffat 1999); the
 	// paper notes any context-free GI algorithm works.
-	GIRePair
+	GIRePair = core.GIRePair
 )
 
 // ParamMode selects how SAX parameters are chosen during training.
@@ -161,16 +161,11 @@ type Options struct {
 }
 
 // SampleOptions configures the seeded candidate-pool subsampling of
-// Options.Sample.
-type SampleOptions struct {
-	// Rate is the fraction of mining work kept, in [0,1]. 0 and 1 both
-	// disable sampling (exhaustive mining).
-	Rate float64
-	// Seed drives every keep/drop decision; 0 derives it from
-	// Options.Seed, so a sampled run is reproducible without spelling
-	// the seed out twice.
-	Seed int64
-}
+// Options.Sample. Rate is the fraction of mining work kept, in [0,1];
+// 0 and 1 both disable sampling (exhaustive mining). Seed drives every
+// keep/drop decision; 0 derives it from Options.Seed, so a sampled run
+// is reproducible without spelling the seed out twice.
+type SampleOptions = core.SampleOptions
 
 // DefaultOptions returns the paper's default configuration.
 func DefaultOptions() Options {
@@ -185,18 +180,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// Pattern is one selected representative pattern.
-type Pattern struct {
-	// Class is the label the pattern represents.
-	Class int
-	// Values is the z-normalized prototype subsequence.
-	Values []float64
-	// Support is the number of distinct training instances of the class
-	// containing the pattern's motif.
-	Support int
-	// Freq is the total number of motif occurrences behind the pattern.
-	Freq int
-}
+// Pattern is one selected representative pattern: Class is the label it
+// represents, Values the z-normalized prototype subsequence, Support the
+// number of distinct training instances of the class containing the
+// pattern's motif, and Freq the total number of motif occurrences behind
+// it.
+type Pattern = core.Pattern
 
 // Classifier is a trained RPM model.
 type Classifier struct {
@@ -221,26 +210,31 @@ func Train(train Dataset, opts Options) (*Classifier, error) {
 // evaluation and returns ctx.Err(). With a non-canceled ctx the model is
 // byte-identical to Train's for any Options.Workers value.
 func TrainContext(ctx context.Context, train Dataset, opts Options) (*Classifier, error) {
-	const op = "Train"
-	if err := validateTrainingSet(op, train, MinSeriesLen, true); err != nil {
-		return nil, err
-	}
-	if err := validateOptions(op, opts, ts.Dataset.MinLen(toInternal(train))); err != nil {
-		return nil, err
-	}
-	var c *core.Classifier
-	err := guard(op, func() error {
-		inner, err := core.TrainContext(ctx, toInternal(train), toCoreOptions(opts))
-		if err != nil {
-			return wrapCoreErr(op, err)
-		}
-		c = inner
-		return nil
-	})
+	inner, err := trainBoundary(ctx, "Train", train, opts, core.TrainContext)
 	if err != nil {
 		return nil, err
 	}
-	return &Classifier{inner: c}, nil
+	return &Classifier{inner: inner}, nil
+}
+
+// trainBoundary is the public boundary shared by Train and
+// TrainEnsemble: it validates the training set and options, then runs
+// fit under guard with its errors typed by wrapCoreErr.
+func trainBoundary[T any](ctx context.Context, op string, train Dataset, opts Options,
+	fit func(context.Context, ts.Dataset, core.Options) (T, error)) (T, error) {
+	var out T
+	if err := validateTrainingSet(op, train, MinSeriesLen, true); err != nil {
+		return out, err
+	}
+	if err := validateOptions(op, opts, train.MinLen()); err != nil {
+		return out, err
+	}
+	err := guard(op, func() error {
+		var err error
+		out, err = fit(ctx, train, toCoreOptions(opts))
+		return wrapCoreErr(op, err)
+	})
+	return out, err
 }
 
 // Predict classifies one series. It is total: any input — empty,
@@ -269,9 +263,7 @@ func (c *Classifier) PredictChecked(values []float64) (int, error) {
 
 // PredictBatch classifies every instance and returns the predicted labels
 // in order.
-func (c *Classifier) PredictBatch(test Dataset) []int {
-	return c.inner.PredictBatch(toInternal(test))
-}
+func (c *Classifier) PredictBatch(test Dataset) []int { return c.inner.PredictBatch(test) }
 
 // PredictBatchContext is PredictBatch with boundary validation,
 // cooperative cancellation and panic containment: every query series is
@@ -280,6 +272,13 @@ func (c *Classifier) PredictBatch(test Dataset) []int {
 // a non-canceled ctx the labels are byte-identical to PredictBatch for
 // any Workers value.
 func (c *Classifier) PredictBatchContext(ctx context.Context, test Dataset) ([]int, error) {
+	return predictBatchBoundary(ctx, test, c.inner.PredictBatchContext)
+}
+
+// predictBatchBoundary is the public boundary shared by the
+// PredictBatchContext methods: it validates every query up front, then
+// runs predict under guard. Context errors surface unwrapped.
+func predictBatchBoundary(ctx context.Context, test Dataset, predict func(context.Context, ts.Dataset) ([]int, error)) ([]int, error) {
 	const op = "PredictBatch"
 	for i, in := range test {
 		if err := validateSeries(op, in.Values, 1); err != nil {
@@ -288,12 +287,9 @@ func (c *Classifier) PredictBatchContext(ctx context.Context, test Dataset) ([]i
 	}
 	var out []int
 	err := guard(op, func() error {
-		labels, err := c.inner.PredictBatchContext(ctx, toInternal(test))
-		if err != nil {
-			return err // ctx error: surface unwrapped
-		}
-		out = labels
-		return nil
+		var err error
+		out, err = predict(ctx, test)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -373,11 +369,13 @@ func (c *Classifier) SetWorkers(n int) { c.inner.SetWorkers(n) }
 // dimensionality of the transformed space) without copying them.
 func (c *Classifier) NumPatterns() int { return c.inner.NumPatterns() }
 
-// Patterns returns the selected representative patterns, in feature order.
+// Patterns returns a copy of the selected representative patterns, in
+// feature order. The copy is deep: mutating it never changes the model.
 func (c *Classifier) Patterns() []Pattern {
 	out := make([]Pattern, len(c.inner.Patterns))
 	for i, p := range c.inner.Patterns {
-		out[i] = Pattern{Class: p.Class, Values: p.Values, Support: p.Support, Freq: p.Freq}
+		p.Values = slices.Clone(p.Values)
+		out[i] = p
 	}
 	return out
 }
@@ -412,27 +410,20 @@ func LoadClassifier(r io.Reader) (*Classifier, error) {
 	return &Classifier{inner: inner}, nil
 }
 
-// PerClassParams reports the SAX parameters chosen for each class.
-func (c *Classifier) PerClassParams() map[int]SAXParams {
-	out := map[int]SAXParams{}
-	for class, p := range c.inner.PerClassParams {
-		out[class] = SAXParams{Window: p.Window, PAA: p.PAA, Alphabet: p.Alphabet}
-	}
-	return out
-}
+// PerClassParams returns a copy of the SAX parameters chosen for each
+// class.
+func (c *Classifier) PerClassParams() map[int]SAXParams { return maps.Clone(c.inner.PerClassParams) }
 
 // GenerateDataset synthesizes one dataset of the built-in evaluation suite
 // (see DatasetNames) deterministically from a seed. It panics on unknown
 // names.
 func GenerateDataset(name string, seed int64) Split {
-	return fromInternalSplit(datagen.MustByName(name).Generate(seed))
+	return datagen.MustByName(name).Generate(seed)
 }
 
 // GenerateABP synthesizes the arterial-blood-pressure alarm dataset of the
 // paper's medical case study (§6.2).
-func GenerateABP(seed int64) Split {
-	return fromInternalSplit(datagen.ABP().Generate(seed))
-}
+func GenerateABP(seed int64) Split { return datagen.ABP().Generate(seed) }
 
 // DatasetNames lists the built-in synthetic evaluation suite.
 func DatasetNames() []string {
@@ -454,27 +445,20 @@ func LoadUCR(r io.Reader) (Dataset, error) {
 
 // UCRReadOptions tunes LoadUCROptions; the zero value is the strict
 // default (equal-length rows, finite values, per-row size cap).
-type UCRReadOptions struct {
-	// AllowVariableLength accepts rows with differing numbers of values.
-	AllowVariableLength bool
-	// MaxLineValues caps the observations per row (0 means the package
-	// default), bounding memory on hostile input.
-	MaxLineValues int
-}
+// AllowVariableLength accepts rows with differing numbers of values;
+// MaxLineValues caps the observations per row (0 means the package
+// default), bounding memory on hostile input.
+type UCRReadOptions = dataset.ReadOptions
 
 // LoadUCROptions is LoadUCR with explicit strictness options.
 func LoadUCROptions(r io.Reader, opts UCRReadOptions) (Dataset, error) {
 	const op = "LoadUCR"
 	var out Dataset
 	err := guard(op, func() error {
-		d, err := dataset.ReadWith(r, dataset.ReadOptions{
-			AllowVariableLength: opts.AllowVariableLength,
-			MaxLineValues:       opts.MaxLineValues,
-		})
-		if err != nil {
+		var err error
+		if out, err = dataset.ReadWith(r, opts); err != nil {
 			return apiErr(op, ErrBadInput, err)
 		}
-		out = fromInternal(d)
 		return nil
 	})
 	if err != nil {
@@ -486,7 +470,7 @@ func LoadUCROptions(r io.Reader, opts UCRReadOptions) (Dataset, error) {
 // SaveUCR writes a dataset in the UCR archive text format. Failures (a
 // broken writer or unwritable values) surface as typed *Error values.
 func SaveUCR(w io.Writer, d Dataset) error {
-	if err := dataset.Write(w, toInternal(d)); err != nil {
+	if err := dataset.Write(w, d); err != nil {
 		return apiErr("SaveUCR", ErrBadInput, err)
 	}
 	return nil
@@ -494,35 +478,14 @@ func SaveUCR(w io.Writer, d Dataset) error {
 
 // ZNormalize z-normalizes every instance in place (zero mean, unit
 // standard deviation), the standard UCR preprocessing.
-func ZNormalize(d Dataset) { ts.ZNormInstance(toInternal(d)) }
+func ZNormalize(d Dataset) { ts.ZNormInstance(d) }
 
 // Rotate returns a copy of values circularly shifted at the cut point, the
 // distortion used in the paper's rotation-invariance study (§6.1).
 func Rotate(values []float64, cut int) []float64 { return ts.Rotate(values, cut) }
 
-// conversions -------------------------------------------------------------
-
-// toInternal converts without copying the value slices.
-func toInternal(d Dataset) ts.Dataset {
-	out := make(ts.Dataset, len(d))
-	for i, in := range d {
-		out[i] = ts.Instance{Label: in.Label, Values: in.Values}
-	}
-	return out
-}
-
-func fromInternal(d ts.Dataset) Dataset {
-	out := make(Dataset, len(d))
-	for i, in := range d {
-		out[i] = Instance{Label: in.Label, Values: in.Values}
-	}
-	return out
-}
-
-func fromInternalSplit(s dataset.Split) Split {
-	return Split{Name: s.Name, Train: fromInternal(s.Train), Test: fromInternal(s.Test)}
-}
-
+// toCoreOptions maps Options onto core.Options: zero fields take core's
+// defaults, ParamMode is renumbered, and Instrument becomes a registry.
 func toCoreOptions(o Options) core.Options {
 	c := core.DefaultOptions()
 	if o.Gamma != 0 {
@@ -534,9 +497,7 @@ func toCoreOptions(o Options) core.Options {
 	c.UseMedoid = o.UseMedoid
 	c.NumerosityReduction = o.NumerosityReduction
 	c.RotationInvariant = o.RotationInvariant
-	if o.GI == GIRePair {
-		c.GI = core.GIRePair
-	}
+	c.GI = o.GI
 	switch o.Mode {
 	case ParamFixed:
 		c.Mode = core.ParamFixed
@@ -545,7 +506,7 @@ func toCoreOptions(o Options) core.Options {
 	default:
 		c.Mode = core.ParamDIRECT
 	}
-	c.Params = sax.Params{Window: o.Params.Window, PAA: o.Params.PAA, Alphabet: o.Params.Alphabet}
+	c.Params = o.Params
 	if o.Splits != 0 {
 		c.Splits = o.Splits
 	}
@@ -555,7 +516,7 @@ func toCoreOptions(o Options) core.Options {
 	if o.Seed != 0 {
 		c.Seed = o.Seed
 	}
-	c.Sample = core.SampleOptions{Rate: o.Sample.Rate, Seed: o.Sample.Seed}
+	c.Sample = o.Sample
 	c.Bags = o.Bags
 	c.Workers = o.Workers
 	if o.Instrument {

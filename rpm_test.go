@@ -38,6 +38,34 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPatternsCopyIsDeep: mutating the patterns Patterns returns must
+// not reach the model, so a later Save writes the same bytes.
+func TestPatternsCopyIsDeep(t *testing.T) {
+	split := GenerateDataset("SynCBF", 1)
+	opts := DefaultOptions()
+	opts.Mode = ParamFixed
+	opts.Params = SAXParams{Window: 40, PAA: 6, Alphabet: 4}
+	clf, err := Train(split.Train, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after bytes.Buffer
+	if err := clf.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	p := clf.Patterns()
+	if len(p) == 0 {
+		t.Fatal("no patterns")
+	}
+	p[0].Values[0] += 100
+	if err := clf.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("mutating Patterns() changed the saved model")
+	}
+}
+
 func TestDatasetNamesAndGenerate(t *testing.T) {
 	names := DatasetNames()
 	if len(names) < 15 {
