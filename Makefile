@@ -173,7 +173,8 @@ chaos:
 # Trains a 3-dataset synthetic mini-archive, SIGKILLs the run after its
 # first checkpoint lands, resumes, and requires the deterministic JSON
 # table to be byte-identical to an uninterrupted run at a different
-# worker count.
+# worker count and to testdata/archive/fixed_seed3.json. It then
+# re-runs an ablation table with -resume and requires the same bytes.
 archive-smoke:
 	./scripts/archive_smoke.sh
 

@@ -3,7 +3,7 @@
 // for the design choices called out in DESIGN.md and micro-benchmarks of
 // the hot substrates. The table/figure benches run on small suite subsets
 // with reduced search budgets so a full `go test -bench=. -benchmem` stays
-// laptop-sized; use cmd/benchtab for the full-suite runs.
+// laptop-sized; use cmd/rpmarchive -exp for the full-suite runs.
 package rpm_test
 
 import (
@@ -23,22 +23,25 @@ import (
 	"rpm/internal/svm"
 )
 
-// benchSubset keeps table benches fast; cmd/benchtab runs the full suite.
+// benchSubset keeps table benches fast; cmd/rpmarchive runs the full suite.
 var benchSubset = []string{"SynItalyPower", "SynECGFiveDays", "SynMoteStrain"}
 
 var benchCfg = experiments.Config{Seed: 1, Quick: true}
 
 // benchRun evaluates methods on the named datasets of src (the synthetic
-// suite when nil) through the archive runner.
+// suite when nil) through the archive runner in strict mode, returning
+// the rows in sorted dataset order.
 func benchRun(b *testing.B, src archive.Source, datasets []string, methods []archive.Method) []archive.Outcome {
 	if src == nil {
 		src = archive.SyntheticSource{Seed: 1}
 	}
-	rows, err := experiments.Evaluate(context.Background(), archive.Config{Source: src, Seed: 1, Datasets: datasets, Methods: methods})
+	res, err := archive.Run(context.Background(), archive.Config{
+		OutDir: b.TempDir(), Strict: true, Source: src, Seed: 1, Datasets: datasets, Methods: methods,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rows
+	return res.Outcomes
 }
 
 // BenchmarkTable1 regenerates Table 1 (classification error, six methods)

@@ -2,7 +2,7 @@ package core
 
 // Canonical span, counter, gauge and pool names recorded by the
 // training pipeline when Options.Obs is set. They are exported so the
-// public façade (rpm.TrainReport), cmd/benchtab and the tests can read
+// public façade (rpm.TrainReport), cmd/rpmarchive and the tests can read
 // the snapshot without string drift.
 //
 // How the names map to the paper:

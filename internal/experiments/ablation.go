@@ -32,13 +32,18 @@ func AblationMethods(cfg Config) []archive.Method {
 	}
 }
 
-// FormatAblation renders the ablation study grouped by dataset.
+// FormatAblation renders the ablation study grouped by dataset. A
+// failed or timed-out row's cells render as "-".
 func FormatAblation(rows []archive.Outcome) string {
 	var b strings.Builder
 	b.WriteString("Ablation study: RPM design choices (error / seconds / #patterns)\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Dataset\tVariant\tError\tTime (s)\t#Patterns\n")
 	for _, r := range rows {
+		if r.Status != "ok" {
+			fmt.Fprintf(w, "%s\t%s\t-\t-\t-\n", r.Dataset, r.Method)
+			continue
+		}
 		fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%d\n", r.Dataset, r.Method, r.ErrorRate(), TimeMetric(r), r.Patterns)
 	}
 	w.Flush()

@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,42 +35,22 @@ type Source interface {
 }
 
 // SyntheticSource serves the repo's synthetic dataset suite
-// (rpm.DatasetNames), generated deterministically from Seed. Subset
-// restricts the suite when non-empty.
+// (rpm.DatasetNames), generated deterministically from Seed.
 type SyntheticSource struct {
-	Seed   int64
-	Subset []string
+	Seed int64
 }
 
-// Names lists the served synthetic datasets.
+// Names lists the synthetic suite.
 func (s SyntheticSource) Names() ([]string, error) {
-	if len(s.Subset) > 0 {
-		all := map[string]bool{}
-		for _, n := range rpm.DatasetNames() {
-			all[n] = true
-		}
-		for _, n := range s.Subset {
-			if !all[n] {
-				return nil, archErrf("Names", ErrBadConfig, "unknown synthetic dataset %q", n)
-			}
-		}
-		return append([]string(nil), s.Subset...), nil
-	}
 	return rpm.DatasetNames(), nil
 }
 
 // Load generates one synthetic split from the source seed.
 func (s SyntheticSource) Load(name string) (rpm.Split, error) {
-	names, err := s.Names()
-	if err != nil {
-		return rpm.Split{}, err
+	if !slices.Contains(rpm.DatasetNames(), name) {
+		return rpm.Split{}, archErrf("Load", ErrBadConfig, "unknown synthetic dataset %q", name)
 	}
-	for _, n := range names {
-		if n == name {
-			return rpm.GenerateDataset(name, s.Seed), nil
-		}
-	}
-	return rpm.Split{}, archErrf("Load", ErrBadConfig, "unknown synthetic dataset %q", name)
+	return rpm.GenerateDataset(name, s.Seed), nil
 }
 
 // DirSource serves UCR-layout datasets from a directory: every

@@ -35,11 +35,12 @@ func testOptions() rpm.Options {
 func testConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		OutDir:  t.TempDir(),
-		Source:  SyntheticSource{Seed: 3, Subset: smokeDatasets},
-		Seed:    3,
-		Workers: 2,
-		Methods: []Method{RPM(testOptions())},
+		OutDir:   t.TempDir(),
+		Source:   SyntheticSource{Seed: 3},
+		Datasets: smokeDatasets,
+		Seed:     3,
+		Workers:  2,
+		Methods:  []Method{RPM(testOptions())},
 	}
 }
 
@@ -276,7 +277,7 @@ func TestBadConfig(t *testing.T) {
 		{"negative shard", func(c *Config) { c.Shard = -1 }},
 		{"negative timeout", func(c *Config) { c.Timeout = -time.Second }},
 		{"unknown dataset", func(c *Config) { c.Datasets = []string{"NoSuch"} }},
-		{"unsafe name", func(c *Config) { c.Source = SyntheticSource{Subset: []string{"../evil"}} }},
+		{"unsafe name", func(c *Config) { c.Source, c.Datasets = evilSource{}, nil }},
 		{"no methods", func(c *Config) { c.Methods = nil }},
 		{"duplicate method", func(c *Config) { c.Methods = append(c.Methods, c.Methods[0]) }},
 		{"method without Train", func(c *Config) { c.Methods = []Method{{Name: "x"}} }},
@@ -289,6 +290,12 @@ func TestBadConfig(t *testing.T) {
 		}
 	}
 }
+
+// evilSource serves a dataset whose name would escape OutDir.
+type evilSource struct{}
+
+func (evilSource) Names() ([]string, error)       { return []string{"../evil"}, nil }
+func (evilSource) Load(string) (rpm.Split, error) { return rpm.Split{}, nil }
 
 // TestBaggedArchive runs the mini archive with sampled bagged training
 // — the configuration the EXPERIMENTS.md speedup table uses — and
@@ -322,7 +329,7 @@ func TestBaggedArchive(t *testing.T) {
 // TestDirSource round-trips the mini archive through UCR files on disk.
 func TestDirSource(t *testing.T) {
 	dir := t.TempDir()
-	syn := SyntheticSource{Seed: 3, Subset: []string{"SynCoffee"}}
+	syn := SyntheticSource{Seed: 3}
 	split, err := syn.Load("SynCoffee")
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +367,7 @@ func TestDirSource(t *testing.T) {
 	}
 
 	cfg := testConfig(t)
-	cfg.Source = src
+	cfg.Source, cfg.Datasets = src, nil
 	res := mustRun(t, cfg)
 	if len(res.Outcomes) != 1 || res.Outcomes[0].Status != "ok" {
 		t.Fatalf("dir-source archive run broken: %+v", res.Outcomes)

@@ -1,5 +1,5 @@
-// Package archive is the repo's one evaluation runner, behind
-// cmd/rpmarchive and every cmd/benchtab experiment (DESIGN.md §15): it
+// Package archive is the repo's one evaluation runner, behind every
+// experiment of cmd/rpmarchive (DESIGN.md §15): it
 // trains, predicts and scores a list of methods on every dataset of a
 // source, checkpointing each finished dataset to an atomic,
 // byte-verified file so a killed run resumes exactly where it stopped,

@@ -9,16 +9,15 @@
 // Every experiment is a list of methods run by the archive runner
 // (internal/experiments/archive); this package supplies the method
 // constructors, the in-memory sources of Table 4 and the case study, and
-// the formatters and SVG writers over the runner's rows. cmd/benchtab is
-// the command-line front end; bench_test.go exposes the same runs as
-// testing.B benchmarks.
+// the formatters and SVG writers over the runner's rows. cmd/rpmarchive
+// -exp is the command-line front end; bench_test.go exposes the same
+// runs as testing.B benchmarks.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"sort"
+	"slices"
 
 	"rpm"
 	"rpm/internal/core"
@@ -163,34 +162,22 @@ func model(p predictor, patterns int) archive.Model {
 	}}
 }
 
-// Evaluate runs an experiment through the archive runner: strict (the
-// first failed row fails the run), with checkpoints in a scratch
-// directory it removes. Rows come back in run.Datasets order (the
-// source's own order when empty) instead of the runner's sorted order,
-// methods in list order within a dataset.
-func Evaluate(ctx context.Context, run archive.Config) ([]archive.Outcome, error) {
-	dir, err := os.MkdirTemp("", "experiments-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	run.OutDir, run.Strict = dir, true
-	res, err := archive.Run(ctx, run)
-	if err != nil {
-		return nil, err
-	}
-	order := run.Datasets
+// SourceOrder returns the rows of a run of cfg, which the runner
+// returns in sorted dataset order, in the order the paper tables list
+// them: cfg.Datasets, or the source's own order when empty. Methods
+// keep their list order within a dataset.
+func SourceOrder(cfg archive.Config, rows []archive.Outcome) ([]archive.Outcome, error) {
+	order := cfg.Datasets
 	if len(order) == 0 {
-		if order, err = run.Source.Names(); err != nil {
+		var err error
+		if order, err = cfg.Source.Names(); err != nil {
 			return nil, err
 		}
 	}
-	rank := make(map[string]int, len(order))
-	for i, name := range order {
-		rank[name] = i
-	}
-	rows := res.Outcomes
-	sort.SliceStable(rows, func(i, j int) bool { return rank[rows[i].Dataset] < rank[rows[j].Dataset] })
+	rows = slices.Clone(rows)
+	slices.SortStableFunc(rows, func(a, b archive.Outcome) int {
+		return slices.Index(order, a.Dataset) - slices.Index(order, b.Dataset)
+	})
 	return rows, nil
 }
 
@@ -200,14 +187,18 @@ type datasetRows struct {
 	rows map[string]archive.Outcome
 }
 
-// byDataset groups runner rows by dataset, keeping the rows' order.
+// byDataset groups runner rows by dataset, keeping the rows' order. A
+// failed or timed-out row has no result, so it is left out: its cell
+// renders as "-" and it never counts as a dataset's best.
 func byDataset(rows []archive.Outcome) []datasetRows {
 	var out []datasetRows
 	for _, oc := range rows {
 		if len(out) == 0 || out[len(out)-1].name != oc.Dataset {
 			out = append(out, datasetRows{name: oc.Dataset, rows: map[string]archive.Outcome{}})
 		}
-		out[len(out)-1].rows[oc.Method] = oc
+		if oc.Status == "ok" {
+			out[len(out)-1].rows[oc.Method] = oc
+		}
 	}
 	return out
 }

@@ -17,10 +17,23 @@ import (
 // quickCfg runs the smallest useful configuration.
 var quickCfg = Config{Seed: 1, Quick: true}
 
+// runRows runs cfg through the archive runner in strict mode (the first
+// failed row fails the run), checkpointing into a test directory, and
+// returns the rows in source order.
+func runRows(ctx context.Context, t *testing.T, cfg archive.Config) ([]archive.Outcome, error) {
+	t.Helper()
+	cfg.OutDir, cfg.Strict = t.TempDir(), true
+	res, err := archive.Run(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return SourceOrder(cfg, res.Outcomes)
+}
+
 // evaluate runs methods on the named synthetic datasets (seed 1).
 func evaluate(t *testing.T, workers int, methods []archive.Method, datasets ...string) []archive.Outcome {
 	t.Helper()
-	rows, err := Evaluate(context.Background(), archive.Config{
+	rows, err := runRows(context.Background(), t, archive.Config{
 		Source:   archive.SyntheticSource{Seed: 1},
 		Seed:     1,
 		Workers:  workers,
@@ -94,7 +107,7 @@ func TestRunDatasetAllMethods(t *testing.T) {
 
 func TestRunSuiteSubsetAndTables(t *testing.T) {
 	var lines []string
-	rows, err := Evaluate(context.Background(), archive.Config{
+	rows, err := runRows(context.Background(), t, archive.Config{
 		Source:   archive.SyntheticSource{Seed: 1},
 		Seed:     1,
 		Datasets: []string{"SynItalyPower", "SynECGFiveDays"},
@@ -129,7 +142,7 @@ func TestRunSuiteSubsetAndTables(t *testing.T) {
 }
 
 func TestRunDatasetUnknownMethod(t *testing.T) {
-	_, err := Evaluate(context.Background(), archive.Config{
+	_, err := runRows(context.Background(), t, archive.Config{
 		Source:   archive.SyntheticSource{Seed: 1},
 		Datasets: []string{"SynItalyPower"},
 		Methods:  Methods(quickCfg, "nope"),
@@ -140,7 +153,7 @@ func TestRunDatasetUnknownMethod(t *testing.T) {
 }
 
 func TestRunSuiteUnknownDataset(t *testing.T) {
-	_, err := Evaluate(context.Background(), archive.Config{
+	_, err := runRows(context.Background(), t, archive.Config{
 		Source:   archive.SyntheticSource{Seed: 1},
 		Datasets: []string{"nope"},
 		Methods:  Methods(quickCfg, MethodNNED),
@@ -187,7 +200,7 @@ func TestTauMethodsCancel(t *testing.T) {
 			t.Fatalf("%s: err = %v, want context.Canceled", m.Name, err)
 		}
 	}
-	_, err := Evaluate(ctx, archive.Config{
+	_, err := runRows(ctx, t, archive.Config{
 		Source:   archive.SyntheticSource{Seed: 1},
 		Datasets: []string{"SynItalyPower"},
 		Methods:  TauMethods(quickCfg),
@@ -238,7 +251,7 @@ func TestRotateDatasetPreservesShapeAndLabels(t *testing.T) {
 
 func TestAlarmCase(t *testing.T) {
 	methods := []string{MethodNNED, MethodRPM}
-	rows, err := Evaluate(context.Background(), archive.Config{
+	rows, err := runRows(context.Background(), t, archive.Config{
 		Source:  AlarmSource(1),
 		Seed:    1,
 		Methods: Methods(quickCfg, methods...),
@@ -257,13 +270,13 @@ func TestAlarmCase(t *testing.T) {
 
 // TestTable4SmallRun runs the rotation source with the Table 4 method
 // list on one dataset. The errors are the SynGunPoint row of
-// `benchtab -exp table4 -quick`, so the rotations and the
+// `rpmarchive -exp rotation -quick`, so the rotations and the
 // rotation-invariant RPM are pinned too.
 func TestTable4SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rotation study is slow")
 	}
-	rows, err := Evaluate(context.Background(), archive.Config{
+	rows, err := runRows(context.Background(), t, archive.Config{
 		Source:   RotationSource(1),
 		Seed:     1,
 		Datasets: []string{"SynGunPoint"},
@@ -284,6 +297,44 @@ func TestTable4SmallRun(t *testing.T) {
 	out := FormatTable4(rows)
 	if !strings.Contains(out, "SynGunPoint") || !strings.Contains(out, "rotated") {
 		t.Errorf("Table4 malformed:\n%s", out)
+	}
+}
+
+// TestFormatFailedRows asserts a failed or timed-out row, which has
+// accuracy 0 and times 0, is not read as a result: its cells render as
+// "-" and it never counts toward "# of best".
+func TestFormatFailedRows(t *testing.T) {
+	failed := func(dataset, method, status string) archive.Outcome {
+		return archive.Outcome{Dataset: dataset, Method: method, Status: status, TestSize: 1000}
+	}
+	methods := []string{MethodLS, MethodFS, MethodRPM}
+	rows := []archive.Outcome{
+		row("a", MethodLS, 0.2, 3), failed("a", MethodFS, "error"), row("a", MethodRPM, 0.1, 1),
+		row("b", MethodLS, 0.3, 2), row("b", MethodFS, 0.3, 4), failed("b", MethodRPM, "timeout"),
+	}
+	for _, tc := range []struct{ name, got, want string }{
+		{"Table 1", FormatTable1(rows, methods), `Table 1: classification error rates (synthetic UCR-style suite)
+Dataset                 LS      FS      RPM
+a                       0.200   -       0.100*
+b                       0.300*  0.300*  -
+# of best (incl. ties)  1       1       1
+`},
+		{"Table 2", FormatTable2(rows), `Table 2: running time in seconds (train + classify)
+Dataset              LS     FS    RPM
+a                    3.00   -     1.00*
+b                    2.00*  4.00  -
+# best (incl. ties)  1      0     1
+`},
+		{"ablation", FormatAblation([]archive.Outcome{row("a", "default", 0.2, 3), failed("a", "medoid", "error"), failed("a", "gamma-0.1", "timeout")}), `Ablation study: RPM design choices (error / seconds / #patterns)
+Dataset  Variant    Error  Time (s)  #Patterns
+a        default    0.200  3.00      0
+a        medoid     -      -         -
+a        gamma-0.1  -      -         -
+`},
+	} {
+		if !strings.HasPrefix(tc.got, tc.want) {
+			t.Errorf("%s:\n%s\n--- want prefix ---\n%s", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

@@ -235,7 +235,7 @@ func TestGoroutineExempt(t *testing.T) {
 		"rpm/internal/serve":    true,
 		"rpm/internal/obs":      true,
 		"rpm/cmd/rpmserved":     true,
-		"rpm/cmd/benchtab":      true,
+		"rpm/cmd/rpmarchive":    true,
 		"rpm/internal/core":     false,
 		"rpm":                   false,
 		"rpm/examples/motifs":   false,

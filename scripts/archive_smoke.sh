@@ -7,7 +7,13 @@
 # resumed run must serve the surviving checkpoints from disk, train the
 # rest, and produce a deterministic table byte-identical to run A,
 # which ran uninterrupted at a different worker count — covering
-# crash-safety and worker-independence in one diff.
+# crash-safety and worker-independence in one diff. Run A must also
+# match testdata/archive/fixed_seed3.json byte for byte, which pins the
+# archive output (config hash included) across commits.
+#
+# A paper table resumes the same way: an ablation run is repeated with
+# -resume, and its rendered table, wall times included, must be
+# byte-identical, because every row now comes from a checkpoint.
 #
 # Usage: scripts/archive_smoke.sh
 set -euo pipefail
@@ -26,6 +32,12 @@ go build -o "$work/rpmarchive" ./cmd/rpmarchive
 echo "== run A (uninterrupted, workers=2)"
 "$work/rpmarchive" -out "$work/a" -workers 2 "${args[@]}" > "$work/a.json"
 
+echo "== diff run A against the pinned output"
+if ! diff -u testdata/archive/fixed_seed3.json "$work/a.json"; then
+    echo "archive smoke FAILED: run A differs from testdata/archive/fixed_seed3.json" >&2
+    exit 1
+fi
+
 # kill_midrun starts a sequential run and SIGKILLs it once the first
 # checkpoint file appears. Success: the killed run left some — but not
 # all — checkpoints behind.
@@ -35,7 +47,7 @@ kill_midrun() {
     "$work/rpmarchive" -out "$work/b" -workers 1 "${args[@]}" > /dev/null 2>&1 &
     local bpid=$!
     for _ in $(seq 1 500); do
-        if compgen -G "$work/b/*.ckpt.json" > /dev/null; then
+        if compgen -G "$work/b/rpm/*.ckpt.json" > /dev/null; then
             break
         fi
         sleep 0.01
@@ -43,7 +55,7 @@ kill_midrun() {
     kill -9 "$bpid" 2>/dev/null
     wait "$bpid" 2>/dev/null
     set -e
-    ckpts=$(ls "$work/b"/*.ckpt.json 2>/dev/null | wc -l)
+    ckpts=$(ls "$work/b"/rpm/*.ckpt.json 2>/dev/null | wc -l)
     [ "$ckpts" -ge 1 ] && [ "$ckpts" -lt 3 ]
 }
 
@@ -71,4 +83,18 @@ if ! diff -u "$work/a.json" "$work/b.json"; then
     exit 1
 fi
 
-echo "archive smoke OK (killed at $ckpts/3 checkpoints, resume byte-identical)"
+echo "== paper table: ablation, then the same run resumed"
+ablate=(-out "$work/p" -exp ablate -quick -datasets SynItalyPower,SynGunPoint)
+"$work/rpmarchive" "${ablate[@]}" > "$work/p1.txt" 2> /dev/null
+"$work/rpmarchive" "${ablate[@]}" -resume > "$work/p2.txt" 2> /dev/null
+if ! diff -u "$work/p1.txt" "$work/p2.txt"; then
+    echo "archive smoke FAILED: resumed ablation table differs from the first run" >&2
+    exit 1
+fi
+resumed=$("$work/rpmarchive" "${ablate[@]}" -resume -json 2> /dev/null | sed -n 's/^  "resumed": \([0-9]*\),\{0,1\}$/\1/p')
+if [ "$resumed" != 18 ]; then
+    echo "archive smoke FAILED: resumed ablation run served ${resumed:-0} of 18 rows from checkpoints" >&2
+    exit 1
+fi
+
+echo "archive smoke OK (killed at $ckpts/3 checkpoints, resume byte-identical; ablation resumed 18/18 rows)"
