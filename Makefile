@@ -18,8 +18,8 @@ FUZZTIME ?= 10s
 # predict and flush paths, the 1NN baselines, the Matcher short-query
 # path, and the streaming append path. `make bench-baseline` refreshes the committed
 # baseline; `make bench-gate` re-runs the benches and fails on a
-# >$(MAX_REGRESS)% ns/op regression against it (benchjson aggregates
-# -count samples by min). Both the selection regex and the package list
+# >$(MAX_REGRESS)% ns/op regression or any allocs/op increase against it
+# (benchjson aggregates -count samples by min). Both the selection regex and the package list
 # are overridable (`make bench-json BENCH_GATE_RE=...`) so one-off runs
 # can benchmark a subset without editing this file.
 BENCH_GATE_RE ?= ^Benchmark(RPMTrainFixed|RPMPredict|TransformParallel|TransformInto|PredictBatchParallel|ServePredict|BatcherFlush|NNEDParallel|NNDTWParallel|MatcherBestShort|StreamAppend)$$

@@ -18,11 +18,13 @@
 // estimate of the code's true cost.
 //
 // Compare mode loads two documents and fails (exit 1) when any
-// benchmark present in the baseline is missing from the current run or
-// its ns/op regressed by more than -max-regress percent. Improvements
-// and new benchmarks are reported but never fail the gate; allocs/op is
-// reported for visibility but not gated (allocation counts are stable,
-// timing is what the gate protects).
+// benchmark present in the baseline is missing from the current run,
+// its ns/op regressed by more than -max-regress percent, or its
+// allocs/op rose at all. Allocation counts are deterministic, so they
+// are gated exactly, with no tolerance; a current run that stops
+// reporting allocs/op for a benchmark the baseline has them for fails
+// too. Improvements and new benchmarks are reported but never fail the
+// gate.
 package main
 
 import (
@@ -85,7 +87,7 @@ func main() {
 		}
 		fmt.Print(report)
 		if failed {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL: benchmark regression beyond %.0f%% (see above)\n", *maxRegress)
+			fmt.Fprintf(os.Stderr, "benchjson: FAIL: ns/op regression beyond %.0f%% or allocs/op increase (see above)\n", *maxRegress)
 			os.Exit(1)
 		}
 		return
@@ -241,8 +243,8 @@ func loadDoc(path string) (*Doc, error) {
 
 // compareDocs walks the baseline benchmarks (sorted, for a stable
 // report) and classifies each against the current run. Failures are
-// regressions beyond maxRegress percent and benchmarks that vanished;
-// everything else is informational.
+// ns/op regressions beyond maxRegress percent, any allocs/op increase,
+// and benchmarks that vanished; everything else is informational.
 func compareDocs(baseline, current *Doc, maxRegress float64) (string, bool, error) {
 	cur := map[string]Bench{}
 	for _, b := range current.Benchmarks {
@@ -258,7 +260,7 @@ func compareDocs(baseline, current *Doc, maxRegress float64) (string, bool, erro
 
 	var sb strings.Builder
 	failed := false
-	fmt.Fprintf(&sb, "benchmark gate: max allowed ns/op regression %.0f%%\n", maxRegress)
+	fmt.Fprintf(&sb, "benchmark gate: max allowed ns/op regression %.0f%%, no allocs/op increase\n", maxRegress)
 	for _, name := range names {
 		old, now := base[name], cur[name]
 		if _, ok := cur[name]; !ok {
@@ -270,14 +272,18 @@ func compareDocs(baseline, current *Doc, maxRegress float64) (string, bool, erro
 		if old.NsPerOp > 0 {
 			delta = (now.NsPerOp - old.NsPerOp) / old.NsPerOp * 100
 		}
-		status := "ok  "
-		if delta > maxRegress {
+		allocsUp := old.AllocsPerOp >= 0 && (now.AllocsPerOp < 0 || now.AllocsPerOp > old.AllocsPerOp)
+		status, allocsNote := "ok  ", ""
+		if delta > maxRegress || allocsUp {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Fprintf(&sb, "  %s  %-40s %12s → %12s  %+7.1f%%  (allocs %s → %s)\n",
+		if allocsUp {
+			allocsNote = " allocs/op increased"
+		}
+		fmt.Fprintf(&sb, "  %s  %-40s %12s → %12s  %+7.1f%%  (allocs %s → %s)%s\n",
 			status, name, fmtNs(old.NsPerOp), fmtNs(now.NsPerOp), delta,
-			fmtCount(old.AllocsPerOp), fmtCount(now.AllocsPerOp))
+			fmtCount(old.AllocsPerOp), fmtCount(now.AllocsPerOp), allocsNote)
 	}
 	for name, b := range cur {
 		if _, ok := base[name]; !ok {

@@ -147,3 +147,37 @@ func TestCompareImprovementPasses(t *testing.T) {
 		t.Fatal("an improvement must never fail the gate")
 	}
 }
+
+// TestCompareAllocsGate: allocs/op is gated exactly — any increase fails,
+// even with ns/op well inside the budget, and so does a current run that
+// stops reporting allocs/op the baseline has.
+func TestCompareAllocsGate(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		old, now  float64
+		wantFail  bool
+		wantInRpt string
+	}{
+		{"equal", 10, 10, false, "(allocs 10 → 10)"},
+		{"decrease", 10, 9, false, "(allocs 10 → 9)"},
+		{"zero stays zero", 0, 0, false, "(allocs 0 → 0)"},
+		{"increase by one", 10, 11, true, "allocs/op increased"},
+		{"zero to one", 0, 1, true, "allocs/op increased"},
+		{"fractional increase", 2, 2.01, true, "allocs/op increased"},
+		{"no longer reported", 10, -1, true, "allocs/op increased"},
+		{"baseline unreported", -1, 40, false, "(allocs n/a → 40)"},
+	} {
+		base := docOf(Bench{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: tc.old})
+		cur := docOf(Bench{Name: "BenchmarkA", NsPerOp: 900, AllocsPerOp: tc.now})
+		report, failed, err := compareDocs(base, cur, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed != tc.wantFail {
+			t.Errorf("%s: failed = %v, want %v:\n%s", tc.name, failed, tc.wantFail, report)
+		}
+		if !strings.Contains(report, tc.wantInRpt) {
+			t.Errorf("%s: report lacks %q:\n%s", tc.name, tc.wantInRpt, report)
+		}
+	}
+}

@@ -34,9 +34,10 @@ type occurrence struct {
 }
 
 // findCandidates implements Algorithm 1 for a single class, reducing each
-// discovered motif group to its prototype candidate.
-func findCandidates(classTrain ts.Dataset, class int, p sax.Params, opts Options) []candidate {
-	groups := findMotifGroups(classTrain, class, p, opts)
+// discovered motif group to its prototype candidate. seriesWords is
+// findMotifGroups'.
+func findCandidates(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options) []candidate {
+	groups := findMotifGroups(classTrain, seriesWords, class, p, opts)
 	out := make([]candidate, 0, len(groups))
 	for _, g := range groups {
 		out = append(out, g.toCandidate())
@@ -49,8 +50,10 @@ func findCandidates(classTrain ts.Dataset, class int, p sax.Params, opts Options
 // windows), infer a grammar over the SAX words, map each rule's
 // occurrences back to raw subsequences, refine each rule's instance set by
 // recursive 2-way clustering, and emit a motif group per sufficiently
-// supported cluster.
-func findMotifGroups(classTrain ts.Dataset, class int, p sax.Params, opts Options) []motifGroup {
+// supported cluster. seriesWords, when non-nil, holds each series' own
+// SAX words under p (the parameter search's word cache); nil discretizes
+// them here.
+func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options) []motifGroup {
 	if len(classTrain) == 0 {
 		return nil
 	}
@@ -61,36 +64,12 @@ func findMotifGroups(classTrain ts.Dataset, class int, p sax.Params, opts Option
 	// Step 1 (§3.2.1): discretization time accumulates into the aggregate
 	// step1 span — per-class contributions sum atomically, so under
 	// Workers > 1 the span's busy total can exceed the candidates wall.
-	// Under Options.Sample, whole window-length blocks of start
-	// positions are skipped by the seeded per-class sampler — a pure
-	// (seed, position) decision, so the surviving word sequence is
-	// identical for any worker count (DESIGN.md §15).
-	skip := func(start int) bool {
-		return concat.SpansJunction(start, p.Window)
-	}
-	var sampleKept, sampleDropped int64
-	if opts.Sample.active() {
-		ws := newWindowSampler(resolveSampleSeed(opts), class, p.Window, opts.Sample.Rate)
-		junction := skip
-		skip = func(start int) bool {
-			if junction(start) {
-				return true
-			}
-			if !ws.keep(start) {
-				sampleDropped++
-				return true
-			}
-			sampleKept++
-			return false
-		}
-	}
 	t0 := time.Now()
-	words := sax.Discretize(concat.Values, p, opts.NumerosityReduction, skip)
-	opts.spanStep1.Add(time.Since(t0))
-	if opts.Sample.active() && opts.Obs != nil {
-		opts.Obs.Counter(CtrSampleWindowsKept).Add(sampleKept)
-		opts.Obs.Counter(CtrSampleWindowsDropped).Add(sampleDropped)
+	if seriesWords == nil {
+		seriesWords = discretizeSeries(concat, class, p, opts)
 	}
+	words := joinWords(seriesWords, concat.Starts)
+	opts.spanStep1.Add(time.Since(t0))
 	if len(words) < 2 {
 		return nil
 	}
@@ -129,6 +108,62 @@ func findMotifGroups(classTrain ts.Dataset, class int, p sax.Params, opts Option
 		out = append(out, refineRule(occs, class, minSupport, opts)...)
 	}
 	opts.spanStep2.Add(time.Since(t1))
+	return out
+}
+
+// discretizeSeries returns the SAX words of each series of concat, each
+// series discretized on its own, with offsets local to the series. Under
+// Options.Sample, whole window-length blocks of start positions are
+// skipped by the seeded per-class sampler — a pure (seed, position in
+// concat) decision, so the surviving word sequence is identical for any
+// worker count (DESIGN.md §15).
+func discretizeSeries(concat ts.Concatenated, class int, p sax.Params, opts Options) [][]sax.WordAt {
+	sampled := opts.Sample.active()
+	var ws windowSampler
+	if sampled {
+		ws = newWindowSampler(resolveSampleSeed(opts), class, p.Window, opts.Sample.Rate)
+	}
+	var kept, dropped int64
+	out := make([][]sax.WordAt, len(concat.Starts))
+	for i, start := range concat.Starts {
+		var skip func(local int) bool
+		if sampled {
+			skip = func(local int) bool {
+				if !ws.keep(start + local) {
+					dropped++
+					return true
+				}
+				kept++
+				return false
+			}
+		}
+		out[i] = sax.Discretize(concat.Values[start:start+concat.Lens[i]], p, opts.NumerosityReduction, skip)
+	}
+	if sampled && opts.Obs != nil {
+		opts.Obs.Counter(CtrSampleWindowsKept).Add(kept)
+		opts.Obs.Counter(CtrSampleWindowsDropped).Add(dropped)
+	}
+	return out
+}
+
+// joinWords concatenates per-series SAX words into the word sequence of
+// the concatenated series, shifting each series' offsets by its start.
+// That is Discretize over the concatenation with every junction-spanning
+// window skipped: a window (Window ≥ 2) starting on a series' last point
+// always spans the junction, so at least one skipped window separates
+// two series' words, and the skip resets numerosity reduction exactly
+// where a fresh per-series Discretize starts.
+func joinWords(seriesWords [][]sax.WordAt, starts []int) []sax.WordAt {
+	n := 0
+	for _, ws := range seriesWords {
+		n += len(ws)
+	}
+	out := make([]sax.WordAt, 0, n)
+	for i, ws := range seriesWords {
+		for _, w := range ws {
+			out = append(out, sax.WordAt{Word: w.Word, Offset: w.Offset + starts[i]})
+		}
+	}
 	return out
 }
 

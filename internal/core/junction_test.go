@@ -28,18 +28,16 @@ func randJunctionDataset(rng *rand.Rand, instances int) ts.Dataset {
 	return d
 }
 
-// TestPropDiscretizeSkipsJunctions: the skip predicate wired into
-// findMotifGroups must filter exactly the junction-spanning windows, so
-// no emitted SAX word starts in one instance and ends in another.
+// TestPropDiscretizeSkipsJunctions: the word sequence findMotifGroups
+// mines must hold no junction-spanning window, so no emitted SAX word
+// starts in one instance and ends in another.
 func TestPropDiscretizeSkipsJunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for it := 0; it < 30; it++ {
 		d := randJunctionDataset(rng, 2+rng.Intn(4))
 		concat := ts.ConcatDataset(d)
 		p := sax.Params{Window: 8 + rng.Intn(12), PAA: 4, Alphabet: 4}
-		words := sax.Discretize(concat.Values, p, true, func(start int) bool {
-			return concat.SpansJunction(start, p.Window)
-		})
+		words := joinWords(discretizeSeries(concat, 0, p, DefaultOptions()), concat.Starts)
 		for _, w := range words {
 			si := concat.SeriesIndex(w.Offset)
 			sj := concat.SeriesIndex(w.Offset + p.Window - 1)

@@ -43,7 +43,7 @@ func DiscoverMotifs(train ts.Dataset, p sax.Params, opts Options) map[int][]Moti
 	out := map[int][]Motif{}
 	byClass := train.ByClass()
 	for _, class := range train.Classes() {
-		groups := findMotifGroups(byClass[class], class, p, opts)
+		groups := findMotifGroups(byClass[class], nil, class, p, opts)
 		motifs := make([]Motif, 0, len(groups))
 		for _, g := range groups {
 			motifs = append(motifs, g.toMotif())

@@ -17,7 +17,10 @@ import (
 // splitPair is one random stratified train/validate split (Algorithm 3
 // line 7).
 type splitPair struct {
-	train    ts.Dataset
+	train ts.Dataset
+	// trainIdx[i] is train[i]'s index in the full training set, its key
+	// in fmeasures' word cache.
+	trainIdx []int
 	validate ts.Dataset
 }
 
@@ -28,6 +31,7 @@ type splitPair struct {
 // F-measures for all classes at once.
 type evaluator struct {
 	opts    Options
+	train   ts.Dataset
 	classes []int
 	splits  []splitPair
 	// mu guards cache and evals: grid mode evaluates parameter vectors
@@ -41,6 +45,7 @@ func newEvaluator(train ts.Dataset, opts Options) *evaluator {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	e := &evaluator{
 		opts:    opts,
+		train:   train,
 		classes: train.Classes(),
 		cache:   map[sax.Params]map[int]float64{},
 	}
@@ -49,9 +54,17 @@ func newEvaluator(train ts.Dataset, opts Options) *evaluator {
 		if len(tr) == 0 || len(va) == 0 {
 			continue
 		}
-		e.splits = append(e.splits, splitPair{train: tr, validate: va})
+		e.splits = append(e.splits, splitPair{train: subset(train, tr), trainIdx: tr, validate: subset(train, va)})
 	}
 	return e
+}
+
+func subset(d ts.Dataset, idx []int) ts.Dataset {
+	out := make(ts.Dataset, len(idx))
+	for i, id := range idx {
+		out[i] = d[id]
+	}
+	return out
 }
 
 // fmeasures returns the mean per-class F-measure of the parameter vector
@@ -63,6 +76,13 @@ func newEvaluator(train ts.Dataset, opts Options) *evaluator {
 // split order, so the means are byte-identical to the sequential path.
 // Safe for concurrent callers (grid mode fans out over parameter
 // vectors); the cache is shared under e.mu.
+//
+// Every split mines from its own subset of the training set, so each
+// instance is discretized once per evaluation, into a word cache keyed
+// by its index in the full set, and each split's inner fit joins the
+// cached words (findMotifGroups). Under Options.Sample the sampler
+// decides by position in each split's class concatenation, which
+// differs between splits, so the cache is bypassed.
 //
 // Cancellation: when ctx is done, fmeasures stops scheduling splits,
 // drains, and returns (nil, ctx.Err()); a partially evaluated vector is
@@ -82,13 +102,24 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 	// counters/pools).
 	fixed := e.opts.withoutObs()
 	fixed.Mode = ParamFixed
+	words, err := e.wordCache(ctx, p)
+	if err != nil {
+		return nil, err
+	}
 	perSplit, err := parallel.Map(ctx, len(e.splits), e.opts.Workers, e.opts.Obs.Pool(PoolSearchSplits), func(s int) []stats.ClassF1 {
 		sp := e.splits[s]
 		perClass := map[int]sax.Params{}
 		for _, c := range e.classes {
 			perClass[c] = p
 		}
-		clf, err := trainWithParams(ctx, sp.train, perClass, fixed)
+		var splitWords [][]sax.WordAt
+		if words != nil {
+			splitWords = make([][]sax.WordAt, len(sp.trainIdx))
+			for i, id := range sp.trainIdx {
+				splitWords[i] = words[id]
+			}
+		}
+		clf, err := trainWithParams(ctx, sp.train, splitWords, perClass, fixed)
 		if err != nil || len(clf.Patterns) == 0 {
 			return nil // canceled or no candidate: contributes 0 to every class
 		}
@@ -128,6 +159,24 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 	e.mu.Unlock()
 	e.opts.Obs.Counter(CtrSearchEvals).Inc()
 	return acc, nil
+}
+
+// wordCache returns the SAX words under p of every instance of the full
+// training set, indexed like it, or nil when the inner fits must
+// discretize for themselves: under Options.Sample, or for a p that
+// Discretize cannot take.
+func (e *evaluator) wordCache(ctx context.Context, p sax.Params) ([][]sax.WordAt, error) {
+	if e.opts.Sample.active() || p.Validate(0) != nil {
+		return nil, nil
+	}
+	words := make([][]sax.WordAt, len(e.train))
+	err := parallel.For(ctx, len(e.train), e.opts.Workers, nil, func(i int) {
+		words[i] = sax.Discretize(e.train[i].Values, p, e.opts.NumerosityReduction, nil)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return words, nil
 }
 
 // paramBounds returns the search box for series of length m: window in

@@ -17,17 +17,22 @@ import (
 // (keeping the more frequent of each similar pair), transform the training
 // set into the candidate distance space, and keep only the features CFS
 // selects. It returns the surviving candidates as Patterns, in feature
-// order.
-func findDistinct(train ts.Dataset, cands []candidate, opts Options) []Pattern {
+// order, and the training set's rows in that feature space: the columns
+// of the transform CFS selected, which are bit for bit the rows a
+// transformer over the returned Patterns computes — a feature is one
+// pattern's closest-match distance, which neither the transform's other
+// patterns nor its scan seeds change — so the SVM is fitted on them
+// without transforming the training set a second time.
+func findDistinct(train ts.Dataset, cands []candidate, opts Options) ([]Pattern, [][]float64) {
 	if len(cands) == 0 {
-		return nil
+		return nil, nil
 	}
 	tau := computeTau(cands, opts.TauPercentile)
 	kept := removeSimilar(cands, tau, opts.Workers)
 	opts.Obs.Counter(CtrPruneKept).Add(int64(len(kept)))
 	opts.Obs.Counter(CtrPruneDropped).Add(int64(len(cands) - len(kept)))
 	if len(kept) == 0 {
-		return nil
+		return nil, nil
 	}
 	// Transform the training data: feature j = closest-match distance to
 	// candidate j (Alg. 2 line 20).
@@ -36,13 +41,22 @@ func findDistinct(train ts.Dataset, cands []candidate, opts Options) []Pattern {
 	selected := features.Select(X, train.Labels(), opts.Obs.Counter(CtrCFSExpansions))
 	opts.Obs.Counter(CtrCFSSelected).Add(int64(len(selected)))
 	if len(selected) == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]Pattern, 0, len(selected))
 	for _, j := range selected {
 		out = append(out, pats[j])
 	}
-	return out
+	// Compact each row to the selected columns in place: selected is
+	// increasing, so column a is written only after every read from it.
+	k := len(selected)
+	for i, row := range X {
+		for a, j := range selected {
+			row[a] = row[j]
+		}
+		X[i] = row[:k:k]
+	}
+	return out, X
 }
 
 // computeTau pools the intra-cluster pairwise distances of all candidates
@@ -63,6 +77,9 @@ func computeTau(cands []candidate, percentile float64) float64 {
 // frequent (Alg. 2 lines 5-18). Candidates are processed in descending
 // frequency order (ties by class then support) so the outcome is
 // deterministic and frequent patterns win.
+//
+// Each candidate's matcher (its z-normalized values) is built once and
+// serves every pair the candidate takes part in, on either side.
 //
 // The outer loop is inherently sequential (each decision depends on the
 // kept set so far), but the O(k) closest-match scan against the kept set
@@ -85,35 +102,43 @@ func removeSimilar(cands []candidate, tau float64, workers int) []candidate {
 		}
 		return ca.class < cb.class
 	})
-	var kept []candidate
-	var keptMatchers []*dist.Matcher
+	kept := make([]matchedCandidate, 0, len(cands))
 	for _, i := range order {
-		c := cands[i]
-		if !similarToKept(c, kept, keptMatchers, tau, workers) {
+		c := matchedCandidate{candidate: cands[i], m: dist.NewMatcher(cands[i].values)}
+		if !similarToKept(c, kept, tau, workers) {
 			kept = append(kept, c)
-			keptMatchers = append(keptMatchers, dist.NewMatcher(c.values))
 		}
 	}
-	return kept
+	out := make([]candidate, len(kept))
+	for i, c := range kept {
+		out[i] = c.candidate
+	}
+	return out
+}
+
+// matchedCandidate is a candidate together with its matcher.
+type matchedCandidate struct {
+	candidate
+	m *dist.Matcher
 }
 
 // similarToKept reports whether c's closest-match distance to any kept
 // candidate is below τ, scanning the kept set on up to workers
-// goroutines. The atomic flag both records a hit and early-abandons the
-// remaining scans.
-func similarToKept(c candidate, kept []candidate, keptMatchers []*dist.Matcher, tau float64, workers int) bool {
+// goroutines. The shorter pattern of each pair slides inside the longer
+// one, through the shorter one's matcher. The atomic flag both records a
+// hit and early-abandons the remaining scans.
+func similarToKept(c matchedCandidate, kept []matchedCandidate, tau float64, workers int) bool {
 	var similar atomic.Bool
-	_ = parallel.For(context.Background(), len(keptMatchers), workers, nil, func(ki int) {
+	_ = parallel.For(context.Background(), len(kept), workers, nil, func(ki int) {
 		if similar.Load() {
 			return
 		}
-		// match the shorter candidate inside the longer one
-		m := keptMatchers[ki]
+		k := kept[ki]
 		var d float64
-		if m.Len() <= len(c.values) {
-			d = m.Best(c.values).Dist
+		if k.m.Len() <= len(c.values) {
+			d = k.m.Best(c.values).Dist
 		} else {
-			d = dist.ClosestMatch(c.values, kept[ki].values).Dist
+			d = c.m.Best(k.values).Dist
 		}
 		if d < tau {
 			similar.Store(true)

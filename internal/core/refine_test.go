@@ -104,7 +104,7 @@ func TestRemoveSimilarDifferentLengths(t *testing.T) {
 }
 
 func TestFindDistinctEmptyInput(t *testing.T) {
-	if got := findDistinct(nil, nil, DefaultOptions()); got != nil {
-		t.Errorf("findDistinct(empty) = %v", got)
+	if got, X := findDistinct(nil, nil, DefaultOptions()); got != nil || X != nil {
+		t.Errorf("findDistinct(empty) = %v, %v", got, X)
 	}
 }

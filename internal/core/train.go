@@ -79,7 +79,7 @@ func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context
 // fallback. The map is copied first, so callers sharing it (bag
 // members) never alias each other's view.
 func trainRetry(ctx context.Context, train ts.Dataset, classes []int, perClass map[int]sax.Params, opts Options) (*Classifier, error) {
-	c, err := trainWithParams(ctx, train, cloneParams(perClass), opts)
+	c, err := trainWithParams(ctx, train, nil, cloneParams(perClass), opts)
 	if err != nil || len(c.Patterns) > 0 || opts.Mode == ParamFixed {
 		return c, err
 	}
@@ -87,7 +87,7 @@ func trainRetry(ctx context.Context, train ts.Dataset, classes []int, perClass m
 	for _, cl := range classes {
 		retry[cl] = HeuristicParams(train.MinLen())
 	}
-	c2, err := trainWithParams(ctx, train, retry, opts)
+	c2, err := trainWithParams(ctx, train, nil, retry, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -147,51 +147,22 @@ func HeuristicParams(m int) sax.Params {
 }
 
 // trainWithParams runs the candidate/refine/select pipeline with known
-// per-class SAX parameters and fits the SVM (§4.3: candidates from every
-// class's own parameter set are pooled, then pruned together). Candidate
-// generation fans out across classes on Options.Workers goroutines; the
-// per-class slices are concatenated in class order, so the pooled
-// candidate list is identical to the sequential path. The only possible
-// error is ctx.Err(): cancellation is checked between pipeline stages
-// (and inside the per-class fan-out), so a canceled context aborts
-// between stages rather than mid-computation.
-func trainWithParams(ctx context.Context, train ts.Dataset, perClass map[int]sax.Params, opts Options) (*Classifier, error) {
-	byClass := train.ByClass()
-	classes := train.Classes()
-	for _, class := range classes {
+// per-class SAX parameters (minePatterns) and fits the SVM on the
+// training rows findDistinct already transformed. words, when non-nil,
+// holds each training instance's SAX words under the one parameter
+// vector every class shares (the search's word cache, aligned with
+// train); nil discretizes. The only possible error is ctx.Err():
+// cancellation is checked between pipeline stages (and inside the
+// per-class fan-out), so a canceled context aborts between stages rather
+// than mid-computation.
+func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options) (*Classifier, error) {
+	for _, class := range train.Classes() {
 		if _, ok := perClass[class]; !ok {
 			perClass[class] = HeuristicParams(train.MinLen())
 		}
 	}
-	// Candidate generation (Steps 1+2): the candidates span measures the
-	// fan-out's wall; the two aggregate stage spans accumulate each
-	// class's SAX vs. grammar/cluster time from inside findMotifGroups.
-	candSpan := opts.span.Start(SpanCandidates)
-	opts.spanStep1 = candSpan.Child(SpanStep1)
-	opts.spanStep2 = candSpan.Child(SpanStep2)
-	perClassCands, err := parallel.Map(ctx, len(classes), opts.Workers, opts.Obs.Pool(PoolCandidates), func(i int) []candidate {
-		class := classes[i]
-		return findCandidates(byClass[class], class, perClass[class], opts)
-	})
-	candSpan.End()
+	patterns, X, err := minePatterns(ctx, train, words, perClass, opts)
 	if err != nil {
-		return nil, err
-	}
-	if opts.Obs != nil {
-		total := opts.Obs.Counter(CtrCandidates)
-		for i, cc := range perClassCands {
-			total.Add(int64(len(cc)))
-			opts.Obs.Counter(fmt.Sprintf("%s%d", CtrCandidatesClass, classes[i])).Add(int64(len(cc)))
-		}
-	}
-	var cands []candidate
-	for _, cc := range perClassCands {
-		cands = append(cands, cc...)
-	}
-	step3 := opts.span.Start(SpanStep3)
-	patterns := findDistinct(train, cands, opts)
-	step3.End()
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	c := &Classifier{
@@ -205,11 +176,60 @@ func trainWithParams(ctx context.Context, train ts.Dataset, perClass map[int]sax
 	}
 	fit := opts.span.Start(SpanFit)
 	defer fit.End()
+	// Built eagerly, as Load does, so the first Predict pays no
+	// transformer construction.
 	c.ensureTransformer()
-	X := c.tf.applyAll(train, opts.Workers, opts.Obs.Pool(PoolTransform))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	c.model = svm.Train(X, train.Labels(), opts.Seed)
 	return c, nil
+}
+
+// minePatterns runs Steps 1–3 (§4.3: candidates from every class's own
+// parameter set are pooled, then pruned together) and returns the
+// selected patterns with the training set's rows in their feature space.
+// Candidate generation fans out across classes on Options.Workers
+// goroutines; the per-class slices are concatenated in class order, so
+// the pooled candidate list is identical to the sequential path. words
+// is trainWithParams'.
+func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options) ([]Pattern, [][]float64, error) {
+	byClass := train.ByClass()
+	var wordsByClass map[int][][]sax.WordAt
+	if words != nil {
+		wordsByClass = map[int][][]sax.WordAt{}
+		for i, in := range train {
+			wordsByClass[in.Label] = append(wordsByClass[in.Label], words[i])
+		}
+	}
+	classes := train.Classes()
+	// Candidate generation (Steps 1+2): the candidates span measures the
+	// fan-out's wall; the two aggregate stage spans accumulate each
+	// class's SAX vs. grammar/cluster time from inside findMotifGroups.
+	candSpan := opts.span.Start(SpanCandidates)
+	opts.spanStep1 = candSpan.Child(SpanStep1)
+	opts.spanStep2 = candSpan.Child(SpanStep2)
+	perClassCands, err := parallel.Map(ctx, len(classes), opts.Workers, opts.Obs.Pool(PoolCandidates), func(i int) []candidate {
+		class := classes[i]
+		return findCandidates(byClass[class], wordsByClass[class], class, perClass[class], opts)
+	})
+	candSpan.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.Obs != nil {
+		total := opts.Obs.Counter(CtrCandidates)
+		for i, cc := range perClassCands {
+			total.Add(int64(len(cc)))
+			opts.Obs.Counter(fmt.Sprintf("%s%d", CtrCandidatesClass, classes[i])).Add(int64(len(cc)))
+		}
+	}
+	var cands []candidate
+	for _, cc := range perClassCands {
+		cands = append(cands, cc...)
+	}
+	step3 := opts.span.Start(SpanStep3)
+	patterns, X := findDistinct(train, cands, opts)
+	step3.End()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	return patterns, X, nil
 }

@@ -64,9 +64,12 @@ func Select(X [][]float64, y []int, expansions *obs.Counter) []int {
 // function needs: feature-class (rcf) and feature-feature (rff). The rff
 // cache is a dense matrix (NaN = not yet computed): merit is evaluated for
 // thousands of subsets during best-first search, so the per-pair lookup
-// must be a slice index, not a map access.
+// must be a slice index, not a map access. Each variable's entropy and
+// largest code are computed once, not once per pair it takes part in.
 type suCache struct {
-	disc [][]int // disc[f][i]: discretized value of feature f for instance i
+	disc [][]int   // disc[f][i]: discretized value of feature f for instance i
+	h    []float64 // h[f]: entropy of disc[f]
+	maxc []int     // maxc[f]: largest code of disc[f]
 	y    []int
 	rcf  []float64
 	rff  [][]float64
@@ -77,17 +80,22 @@ func newSUCache(X [][]float64, y []int) *suCache {
 	d := len(X[0])
 	sc := &suCache{
 		disc: make([][]int, d),
+		h:    make([]float64, d),
+		maxc: make([]int, d),
 		y:    denseCodes(y),
 		rcf:  make([]float64, d),
 		rff:  make([][]float64, d),
 	}
+	hy, maxy := entropy(sc.y), maxCode(sc.y)
 	col := make([]float64, n)
 	for f := 0; f < d; f++ {
 		for i := range X {
 			col[i] = X[i][f]
 		}
 		sc.disc[f] = discretize(col, defaultBins)
-		sc.rcf[f] = symmetricalUncertainty(sc.disc[f], sc.y)
+		sc.h[f] = entropy(sc.disc[f])
+		sc.maxc[f] = maxCode(sc.disc[f])
+		sc.rcf[f] = su(sc.h[f], hy, jointEntropy(sc.disc[f], sc.y, sc.maxc[f], maxy))
 		sc.rff[f] = make([]float64, d)
 		for j := range sc.rff[f] {
 			sc.rff[f][j] = math.NaN()
@@ -118,7 +126,7 @@ func (sc *suCache) featureFeature(a, b int) float64 {
 	if v := sc.rff[a][b]; !math.IsNaN(v) {
 		return v
 	}
-	v := symmetricalUncertainty(sc.disc[a], sc.disc[b])
+	v := su(sc.h[a], sc.h[b], jointEntropy(sc.disc[a], sc.disc[b], sc.maxc[a], sc.maxc[b]))
 	sc.rff[a][b] = v
 	sc.rff[b][a] = v
 	return v
@@ -313,10 +321,19 @@ func entropy(codes []int) float64 {
 	return entropyCounts(counts, len(codes))
 }
 
-// jointEntropy computes H(A,B) of two aligned dense code sequences.
-func jointEntropy(a, b []int) float64 {
-	w := maxCode(b) + 1
-	counts := make([]int, (maxCode(a)+1)*w)
+// jointEntropy computes H(A,B) of two aligned dense code sequences whose
+// largest codes are maxA and maxB. A pair of discretized features counts
+// into a stack array; only a feature-class pair with more than
+// defaultBins classes allocates its counters.
+func jointEntropy(a, b []int, maxA, maxB int) float64 {
+	w := maxB + 1
+	var buf [defaultBins * defaultBins]int
+	var counts []int
+	if size := (maxA + 1) * w; size <= len(buf) {
+		counts = buf[:size]
+	} else {
+		counts = make([]int, size)
+	}
 	for i := range a {
 		counts[a[i]*w+b[i]]++
 	}
@@ -346,14 +363,14 @@ func maxCode(codes []int) int {
 	return m
 }
 
-// symmetricalUncertainty returns SU(A,B) = 2·I(A;B)/(H(A)+H(B)), in [0,1];
-// 0 when either variable is constant.
-func symmetricalUncertainty(a, b []int) float64 {
-	ha, hb := entropy(a), entropy(b)
+// su returns the symmetrical uncertainty SU(A,B) = 2·I(A;B)/(H(A)+H(B))
+// from H(A), H(B) and H(A,B), in [0,1]; 0 when either variable is
+// constant.
+func su(ha, hb, hab float64) float64 {
 	if ha+hb == 0 {
 		return 0
 	}
-	mi := ha + hb - jointEntropy(a, b)
+	mi := ha + hb - hab
 	if mi < 0 {
 		mi = 0
 	}

@@ -181,6 +181,70 @@ func TestEntropyValues(t *testing.T) {
 	}
 }
 
+// symmetricalUncertainty is the reference SU(A,B): both entropies and
+// the joint entropy computed from scratch, the joint counts on the heap.
+// suCache's cached entropies and stack-counted joint entropy are checked
+// against it bit for bit (TestSUCacheMatchesReference).
+func symmetricalUncertainty(a, b []int) float64 {
+	ha, hb := entropy(a), entropy(b)
+	if ha+hb == 0 {
+		return 0
+	}
+	w := maxCode(b) + 1
+	counts := make([]int, (maxCode(a)+1)*w)
+	for i := range a {
+		counts[a[i]*w+b[i]]++
+	}
+	mi := ha + hb - entropyCounts(counts, len(a))
+	if mi < 0 {
+		mi = 0
+	}
+	return 2 * mi / (ha + hb)
+}
+
+// TestSUCacheMatchesReference: every feature-class and feature-feature
+// SU the cache serves equals the reference bit for bit, including with
+// more classes than bins (the allocating joint-count path) and with
+// constant features.
+func TestSUCacheMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(60)
+		d := 1 + rng.Intn(8)
+		classes := 1 + rng.Intn(15)
+		X := make([][]float64, n)
+		y := make([]int, n)
+		for i := range X {
+			y[i] = rng.Intn(classes) * 7
+			X[i] = make([]float64, d)
+			for j := range X[i] {
+				X[i][j] = rng.NormFloat64()
+			}
+			X[i][0] = 3 // a constant feature
+		}
+		sc := newSUCache(X, y)
+		for a := 0; a < d; a++ {
+			if math.Float64bits(sc.rcf[a]) != math.Float64bits(symmetricalUncertainty(sc.disc[a], sc.y)) {
+				t.Logf("seed %d: rcf[%d] = %v, reference %v", seed, a, sc.rcf[a], symmetricalUncertainty(sc.disc[a], sc.y))
+				return false
+			}
+			// b > a: the first lookup of a pair fixes its value for
+			// both orders, and the two orders' joint counts sum in a
+			// different order.
+			for b := a + 1; b < d; b++ {
+				if math.Float64bits(sc.featureFeature(a, b)) != math.Float64bits(symmetricalUncertainty(sc.disc[a], sc.disc[b])) {
+					t.Logf("seed %d: SU(%d,%d) = %v, reference %v", seed, a, b, sc.featureFeature(a, b), symmetricalUncertainty(sc.disc[a], sc.disc[b]))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSymmetricalUncertaintyRange(t *testing.T) {
 	// identical variables: SU = 1
 	a := []int{0, 1, 0, 1, 2, 2}
@@ -249,5 +313,19 @@ func TestMeritPrefersGoodSubsets(t *testing.T) {
 	}
 	if m := sc.merit(nil); m != 0 {
 		t.Errorf("empty merit = %v", m)
+	}
+}
+
+// TestSelectAllocs pins Select's allocations on a fixed matrix exactly.
+// Feature-feature symmetrical uncertainties count into a stack array,
+// so the count does not grow with the number of pairs scored.
+func TestSelectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(7))
+	X, y := buildData(rng, 40, 6, []int{1, 4})
+	if allocs := testing.AllocsPerRun(20, func() { Select(X, y, nil) }); allocs != 242 {
+		t.Errorf("Select allocates %v per call, want %v", allocs, 242)
 	}
 }

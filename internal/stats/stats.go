@@ -86,11 +86,11 @@ func FMeasures(predicted, truth []int) []ClassF1 {
 	return out
 }
 
-// StratifiedSplit randomly partitions d into a training part holding
-// trainFrac of each class (rounded, but at least 1 instance per class on
-// each side when the class has >= 2 instances) and a validation part. The
-// split is driven by rng for reproducibility.
-func StratifiedSplit(d ts.Dataset, trainFrac float64, rng *rand.Rand) (train, validate ts.Dataset) {
+// StratifiedSplit randomly partitions the indices of d into a training
+// part holding trainFrac of each class (rounded, but at least 1 instance
+// per class on each side when the class has >= 2 instances) and a
+// validation part. The split is driven by rng for reproducibility.
+func StratifiedSplit(d ts.Dataset, trainFrac float64, rng *rand.Rand) (train, validate []int) {
 	for _, class := range d.Classes() {
 		idx := classIndices(d, class)
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -107,9 +107,9 @@ func StratifiedSplit(d ts.Dataset, trainFrac float64, rng *rand.Rand) (train, va
 		}
 		for i, id := range idx {
 			if i < k {
-				train = append(train, d[id])
+				train = append(train, id)
 			} else {
-				validate = append(validate, d[id])
+				validate = append(validate, id)
 			}
 		}
 	}

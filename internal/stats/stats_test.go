@@ -102,9 +102,18 @@ func TestStratifiedSplitProportions(t *testing.T) {
 	if len(train)+len(val) != len(d) {
 		t.Fatalf("split loses instances: %d + %d != %d", len(train), len(val), len(d))
 	}
+	count := func(idx []int, c int) int {
+		n := 0
+		for _, i := range idx {
+			if d[i].Label == c {
+				n++
+			}
+		}
+		return n
+	}
 	for _, c := range []int{1, 2, 3} {
-		nt := len(train.ByClass()[c])
-		nv := len(val.ByClass()[c])
+		nt := count(train, c)
+		nv := count(val, c)
 		if nt != 7 || nv != 3 {
 			t.Errorf("class %d split %d/%d, want 7/3", c, nt, nv)
 		}
