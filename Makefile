@@ -59,7 +59,7 @@ COVER_PKGS = . \
 
 .PHONY: all build test race vet fmt-check lint lint-drill bench fuzz cover check \
 	bench-json bench-gate bench-baseline load-smoke stream-smoke chaos \
-	archive-smoke perfbench-check bench-smoke examples-check
+	archive-smoke perfbench-check examples-check
 
 all: check
 
@@ -169,21 +169,17 @@ chaos:
 	$(GO) test -run 'TestChaos' -count 1 ./internal/serve
 	./scripts/chaos_smoke.sh $(CHAOS_SMOKE_DURATION)
 
-# Archive smoke (DESIGN.md §15): crash-resume proof for cmd/rpmarchive.
+# Archive smoke (DESIGN.md §15): crash-resume proof for cmd/rpmarchive
+# and one pass of every paper artifact through it, all under -strict.
 # Trains a 3-dataset synthetic mini-archive, SIGKILLs the run after its
 # first checkpoint lands, resumes, and requires the deterministic JSON
 # table to be byte-identical to an uninterrupted run at a different
 # worker count and to testdata/archive/fixed_seed3.json. It then
-# re-runs an ablation table with -resume and requires the same bytes.
+# re-runs an ablation table with -resume and requires the same bytes,
+# and finally runs -exp all -quick -svg (Tables 1-4, Figs. 7-9, the
+# §6.2 alarm case) on a 3-dataset subset; any failed row fails it.
 archive-smoke:
 	./scripts/archive_smoke.sh
-
-# Paper-artifact smoke: every table/figure benchmark of bench_test.go
-# (Tables 1–4, Figs. 7–9, the §6.2 case study) runs once, so the
-# experiments' wiring through the archive runner is exercised on every
-# check, not only when someone regenerates the paper's results.
-bench-smoke:
-	$(GO) test -run xxx -bench '^Benchmark(Table[1-4]|Fig[789]|AlarmCase)$$' -benchtime 1x .
 
 # Cross-commit pin of the example programs: each examples/<name> is
 # deterministic and prints no timings, so its stdout must match
@@ -208,4 +204,4 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -short ./...
 
-check: fmt-check build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check bench-smoke examples-check
+check: fmt-check build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check examples-check

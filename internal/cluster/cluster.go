@@ -6,7 +6,10 @@
 // until no group can be split.
 package cluster
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // CompleteLinkage clusters n items into k groups using agglomerative
 // clustering with complete (maximum) linkage. d must be a symmetric n×n
@@ -81,7 +84,7 @@ func CompleteLinkage(d [][]float64, k int) [][]int {
 	var out [][]int
 	for i := 0; i < n; i++ {
 		if alive[i] {
-			sortInts(clusters[i])
+			slices.Sort(clusters[i])
 			out = append(out, clusters[i])
 		}
 	}
@@ -186,12 +189,4 @@ func submatrix(d [][]float64, items []int) [][]float64 {
 		}
 	}
 	return out
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

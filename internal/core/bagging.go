@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"rpm/internal/obs"
 	"rpm/internal/parallel"
@@ -71,13 +72,13 @@ func TrainBaggedContext(ctx context.Context, train ts.Dataset, opts Options) (*E
 }
 
 // cloneParams copies a per-class parameter map, which trainWithParams
-// fills in place with any missing class.
+// fills in place with any missing class, so a nil map clones to an
+// empty one.
 func cloneParams(perClass map[int]sax.Params) map[int]sax.Params {
-	out := make(map[int]sax.Params, len(perClass))
-	for c, p := range perClass {
-		out[c] = p
+	if perClass == nil {
+		return map[int]sax.Params{}
 	}
-	return out
+	return maps.Clone(perClass)
 }
 
 // memberSampleSeed derives member b's sampling seed from the resolved

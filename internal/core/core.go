@@ -53,7 +53,7 @@ func (m ParamMode) String() string {
 // GIAlgorithm selects the grammar-induction algorithm used for candidate
 // generation. The paper uses Sequitur but notes the technique "also works
 // with other (context-free) GI algorithms" (§3.2.2); Re-Pair is provided
-// as that alternative and ablated in bench_test.go.
+// as that alternative and ablated by experiments.AblationMethods.
 type GIAlgorithm int
 
 const (

@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Seeded, deterministic subsampling of the candidate-mining work
 // (ROADMAP item 4, after Raza & Kramer's randomized shapelet
@@ -126,7 +130,12 @@ func sampleGrid[T any](grid []T, seed int64, rate float64) (kept []T, dropped in
 	// Selection by hash rank: the want smallest hashes win. Ties are
 	// impossible for practical purposes (53-bit hashes) but break by
 	// index for full determinism anyway.
-	sortRanked(rk)
+	slices.SortFunc(rk, func(a, b rankedIdx) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	chosen := make([]bool, n)
 	for i := 0; i < want; i++ {
 		chosen[rk[i].idx] = true
@@ -144,21 +153,6 @@ func sampleGrid[T any](grid []T, seed int64, rate float64) (kept []T, dropped in
 type rankedIdx struct {
 	idx int
 	h   float64
-}
-
-// sortRanked is an insertion sort over the (hash, index) pairs — grids
-// are ≤ a few hundred points, and avoiding sort.Slice keeps the
-// comparator trivially deterministic.
-func sortRanked(rk []rankedIdx) {
-	for i := 1; i < len(rk); i++ {
-		for j := i; j > 0; j-- {
-			a, b := rk[j-1], rk[j]
-			if a.h < b.h || (a.h == b.h && a.idx < b.idx) { //rpmlint:ignore floateq exact-hash tie-break, equality means identical 53-bit hashes
-				break
-			}
-			rk[j-1], rk[j] = b, a
-		}
-	}
 }
 
 // sampledMaxEvals scales the DIRECT evaluation budget by the square

@@ -10,8 +10,7 @@
 // (internal/experiments/archive); this package supplies the method
 // constructors, the in-memory sources of Table 4 and the case study, and
 // the formatters and SVG writers over the runner's rows. cmd/rpmarchive
-// -exp is the command-line front end; bench_test.go exposes the same
-// runs as testing.B benchmarks.
+// -exp is the only front end.
 package experiments
 
 import (

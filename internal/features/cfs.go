@@ -18,6 +18,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rpm/internal/obs"
@@ -226,7 +227,7 @@ func bestFirst(sc *suCache, d int, expansions *obs.Counter) []int {
 		expansions.Inc()
 		improved := false
 		for f := 0; f < d; f++ {
-			if containsInt(cur.subset, f) {
+			if slices.Contains(cur.subset, f) {
 				continue
 			}
 			child := append(append([]int{}, cur.subset...), f)
@@ -266,15 +267,6 @@ func bestFirst(sc *suCache, d int, expansions *obs.Counter) []int {
 		return []int{bi}
 	}
 	return best.subset
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // discretize maps values to equal-frequency bins (at most bins distinct

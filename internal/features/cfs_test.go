@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -31,7 +32,7 @@ func TestSelectFindsInformativeFeature(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := buildData(rng, 100, 8, []int{3})
 	sel := Select(X, y, nil)
-	if !containsInt(sel, 3) {
+	if !slices.Contains(sel, 3) {
 		t.Errorf("selected %v, want feature 3 included", sel)
 	}
 	if len(sel) > 3 {
@@ -60,7 +61,7 @@ func TestSelectMultipleInformative(t *testing.T) {
 		}
 	}
 	sel := Select(X, y, nil)
-	if !containsInt(sel, 1) || !containsInt(sel, 5) {
+	if !slices.Contains(sel, 1) || !slices.Contains(sel, 5) {
 		t.Errorf("selected %v, want {1,5} included", sel)
 	}
 }
@@ -78,10 +79,10 @@ func TestSelectDropsRedundantCopy(t *testing.T) {
 		X[i] = []float64{base, base, rng.NormFloat64()}
 	}
 	sel := Select(X, y, nil)
-	if containsInt(sel, 0) && containsInt(sel, 1) {
+	if slices.Contains(sel, 0) && slices.Contains(sel, 1) {
 		t.Errorf("selected both redundant copies: %v", sel)
 	}
-	if !containsInt(sel, 0) && !containsInt(sel, 1) {
+	if !slices.Contains(sel, 0) && !slices.Contains(sel, 1) {
 		t.Errorf("selected neither informative copy: %v", sel)
 	}
 }

@@ -17,45 +17,16 @@ import (
 
 // Config tunes training. Zero values select published-style defaults.
 type Config struct {
-	// K is the number of shapelets per scale (default max(4, #classes)).
-	K int
-	// Scales lists shapelet lengths as fractions of the series length
-	// (default {0.125, 0.25}).
-	Scales []float64
-	// Alpha is the soft-minimum sharpness (negative; default -30).
-	Alpha float64
 	// Epochs is the number of full passes of gradient descent
 	// (default 300).
 	Epochs int
-	// LearnRate is the Adagrad base step (default 0.1).
-	LearnRate float64
-	// Lambda is the L2 penalty on classifier weights (default 0.01).
-	Lambda float64
 	// Seed drives initialization and instance order (default 1).
 	Seed int64
 }
 
-func (c Config) withDefaults(classes int) Config {
-	if c.K <= 0 {
-		c.K = 4
-		if classes > 4 {
-			c.K = classes
-		}
-	}
-	if len(c.Scales) == 0 {
-		c.Scales = []float64{0.125, 0.25}
-	}
-	if c.Alpha >= 0 {
-		c.Alpha = -30
-	}
+func (c Config) withDefaults() Config {
 	if c.Epochs <= 0 {
 		c.Epochs = 300
-	}
-	if c.LearnRate <= 0 {
-		c.LearnRate = 0.1
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.01
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -63,13 +34,25 @@ func (c Config) withDefaults(classes int) Config {
 	return c
 }
 
+// Published-style training settings.
+const (
+	alpha     = -30.0 // soft-minimum sharpness
+	learnRate = 0.1   // Adagrad base step
+	lambda    = 0.01  // L2 penalty on classifier weights
+)
+
+// scales lists the shapelet lengths as fractions of the series length.
+var scales = [...]float64{0.125, 0.25}
+
+// shapeletsPerScale is the number of shapelets learned at each scale.
+func shapeletsPerScale(classes int) int { return max(4, classes) }
+
 // Model is a trained Learning Shapelets classifier.
 type Model struct {
 	classes   []int
 	shapelets [][]float64
 	w         [][]float64 // w[c][k], per-class weights over shapelet features
 	b         []float64   // per-class bias
-	alpha     float64
 }
 
 // Train fits the model.
@@ -78,12 +61,12 @@ func Train(train ts.Dataset, cfg Config) *Model {
 		panic("learnshapelets: empty training set")
 	}
 	classes := train.Classes()
-	cfg = cfg.withDefaults(len(classes))
+	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mLen := train.MinLen()
 
-	m := &Model{classes: classes, alpha: cfg.Alpha}
-	for _, scale := range cfg.Scales {
+	m := &Model{classes: classes}
+	for _, scale := range scales {
 		L := int(scale * float64(mLen))
 		if L < 3 {
 			L = 3
@@ -91,7 +74,7 @@ func Train(train ts.Dataset, cfg Config) *Model {
 		if L > mLen {
 			L = mLen
 		}
-		m.shapelets = append(m.shapelets, initShapelets(train, L, cfg.K, rng)...)
+		m.shapelets = append(m.shapelets, initShapelets(train, L, shapeletsPerScale(len(classes)), rng)...)
 	}
 	K := len(m.shapelets)
 	C := len(classes)
@@ -132,7 +115,7 @@ func Train(train ts.Dataset, cfg Config) *Model {
 			softArgs := make([][]float64, K) // per shapelet: per-window weight
 			dists := make([][]float64, K)    // per shapelet: per-window mean sq distance
 			for k, s := range m.shapelets {
-				feat[k], softArgs[k], dists[k] = softMin(s, in.Values, m.alpha)
+				feat[k], softArgs[k], dists[k] = softMin(s, in.Values, alpha)
 			}
 			softmaxInto(probs, m.w, m.b, feat)
 			yi := classIdx[in.Label]
@@ -145,11 +128,11 @@ func Train(train ts.Dataset, cfg Config) *Model {
 				}
 				// bias
 				gb[c] += dz * dz
-				m.b[c] -= cfg.LearnRate / math.Sqrt(gb[c]+eps) * dz
+				m.b[c] -= learnRate / math.Sqrt(gb[c]+eps) * dz
 				for k := 0; k < K; k++ {
-					gradW := dz*feat[k] + cfg.Lambda*m.w[c][k]
+					gradW := dz*feat[k] + lambda*m.w[c][k]
 					gw[c][k] += gradW * gradW
-					m.w[c][k] -= cfg.LearnRate / math.Sqrt(gw[c][k]+eps) * gradW
+					m.w[c][k] -= learnRate / math.Sqrt(gw[c][k]+eps) * gradW
 				}
 			}
 			// shapelet gradients: dL/dM_k = sum_c dz_c * w[c][k]
@@ -168,7 +151,7 @@ func Train(train ts.Dataset, cfg Config) *Model {
 				L := len(s)
 				// dM/dD_j = ψ_j (1 + α (D_j − M)), ψ = softmin weights
 				for j, psi := range softArgs[k] {
-					dMdD := psi * (1 + m.alpha*(dists[k][j]-feat[k]))
+					dMdD := psi * (1 + alpha*(dists[k][j]-feat[k]))
 					if dMdD == 0 {
 						continue
 					}
@@ -177,7 +160,7 @@ func Train(train ts.Dataset, cfg Config) *Model {
 					for l := 0; l < L; l++ {
 						g := coef * (s[l] - win[l])
 						gs[k][l] += g * g
-						s[l] -= cfg.LearnRate / math.Sqrt(gs[k][l]+eps) * g
+						s[l] -= learnRate / math.Sqrt(gs[k][l]+eps) * g
 					}
 				}
 			}
@@ -322,7 +305,7 @@ func (m *Model) Predict(query []float64) int {
 	K := len(m.shapelets)
 	feat := make([]float64, K)
 	for k, s := range m.shapelets {
-		feat[k], _, _ = softMin(s, query, m.alpha)
+		feat[k], _, _ = softMin(s, query, alpha)
 	}
 	probs := make([]float64, len(m.classes))
 	softmaxInto(probs, m.w, m.b, feat)

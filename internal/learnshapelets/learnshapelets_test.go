@@ -120,13 +120,14 @@ func TestTrainPanicsOnEmpty(t *testing.T) {
 
 func TestInitShapeletsShapes(t *testing.T) {
 	s := datagen.MustByName("SynGunPoint").Generate(6)
-	m := Train(s.Train, Config{Epochs: 1, K: 3, Scales: []float64{0.1, 0.2}})
+	m := Train(s.Train, Config{Epochs: 1})
 	shs := m.shapelets
-	if len(shs) != 6 {
-		t.Fatalf("got %d shapelets, want 6 (3 per scale)", len(shs))
+	k := shapeletsPerScale(len(s.Train.Classes()))
+	if want := k * len(scales); len(shs) != want {
+		t.Fatalf("got %d shapelets, want %d (%d per scale)", len(shs), want, k)
 	}
-	if len(shs[0]) >= len(shs[5]) {
-		t.Errorf("scales not respected: first len %d, last len %d", len(shs[0]), len(shs[5]))
+	if len(shs[0]) >= len(shs[len(shs)-1]) {
+		t.Errorf("scales not respected: first len %d, last len %d", len(shs[0]), len(shs[len(shs)-1]))
 	}
 }
 

@@ -4,7 +4,7 @@
 // The paper notes (§3.2.2) that RPM "also works with other (context-free)
 // GI algorithms"; this package provides exactly that alternative — the
 // core exposes it through Options so the Sequitur-vs-Re-Pair choice can be
-// ablated (see bench_test.go).
+// ablated (the repair-gi method of experiments.AblationMethods).
 //
 // The output mirrors package sequitur's rule reporting: every rule's
 // terminal yield and all of its occurrence spans in the input, so the two

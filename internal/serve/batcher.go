@@ -192,11 +192,12 @@ func (b *batcher) drain() {
 	}
 }
 
-// flush classifies one assembled batch. Requests are grouped by model
-// name (one PredictBatch call per distinct model, resolved from the
-// store at flush time so reloads take effect immediately); each group's
-// labels are distributed back to the waiting handlers. The typical
-// single-model deployment always produces exactly one PredictBatch call.
+// flush classifies one assembled batch, which it owns and may reorder.
+// Requests are grouped by model name (one PredictBatch call per distinct
+// model, resolved from the store at flush time so reloads take effect
+// immediately); each group's labels are distributed back to the waiting
+// handlers. The typical single-model deployment always produces exactly
+// one PredictBatch call.
 //
 //rpmlint:hotpath PR6 serving flush: steady-state flush is allocation-free
 func (b *batcher) flush(batch []*predRequest) {
@@ -213,12 +214,22 @@ func (b *batcher) flush(batch []*predRequest) {
 	}
 	start := time.Now()
 	sc := b.scratch.Get().(*flushScratch) //rpmlint:ignore hotpathalloc pooled flush scratch: Pool.Get runs New only until the pool warms
-	if sameModel(batch) {
-		// The typical single-model deployment: no grouping state at all.
-		b.flushGroup(batch[0].model, batch, sc)
-	} else {
-		//rpmlint:ignore hotpathalloc multi-model grouping is the accepted allocating slow path; single-model deployments never enter it
-		b.flushMulti(batch, sc)
+	// Group in place without allocating: each group is gathered, stably,
+	// right behind its first request, so groups run in first-arrival
+	// order, requests keep arrival order within a group, and the groups
+	// share the one pooled dataset. A single-model batch moves nothing.
+	for lo := 0; lo < len(batch); {
+		name := batch[lo].model
+		hi := lo + 1
+		for j := hi; j < len(batch); j++ {
+			if r := batch[j]; r.model == name {
+				copy(batch[hi+1:j+1], batch[hi:j])
+				batch[hi] = r
+				hi++
+			}
+		}
+		b.flushGroup(name, batch[lo:hi], sc)
+		lo = hi
 	}
 	// Drop the request value references before pooling so an idle batcher
 	// does not pin the last batch's series.
@@ -232,35 +243,6 @@ func (b *batcher) flush(batch []*predRequest) {
 	b.items.Add(int64(len(batch)))
 	b.pool.WorkerTask(0, dur)
 	b.pool.RunDone(1, dur)
-}
-
-// flushMulti is the mixed-model slow path: group by model, preserving
-// arrival order within groups, then run the groups sequentially so they
-// share the one pooled dataset. It allocates (map + order slice) and is
-// deliberately outside the hot-path proof — a deployment serving one
-// model per batcher never reaches it.
-func (b *batcher) flushMulti(batch []*predRequest, sc *flushScratch) {
-	groups := map[string][]*predRequest{}
-	var order []string
-	for _, r := range batch {
-		if _, ok := groups[r.model]; !ok {
-			order = append(order, r.model)
-		}
-		groups[r.model] = append(groups[r.model], r)
-	}
-	for _, name := range order {
-		b.flushGroup(name, groups[name], sc)
-	}
-}
-
-// sameModel reports whether every request of the batch targets one model.
-func sameModel(batch []*predRequest) bool {
-	for _, r := range batch[1:] {
-		if r.model != batch[0].model {
-			return false
-		}
-	}
-	return true
 }
 
 // flushGroup classifies one same-model group of the batch through the

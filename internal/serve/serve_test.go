@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +299,52 @@ func TestFlushScratchReuse(t *testing.T) {
 	got, flushes := snap.Counter(CtrFlushScratchNew), snap.Counter(CtrBatches)
 	if got < 1 || got >= flushes {
 		t.Errorf("flush scratch allocations = %d over %d flushes, want at least one reuse", got, flushes)
+	}
+}
+
+// TestFlushGroupOrder: flush groups a mixed batch in place, groups in
+// first-arrival order and requests in arrival order within a group,
+// and answers each request from its own model (an unknown one with an
+// error).
+func TestFlushGroupOrder(t *testing.T) {
+	s, _, dir := newTestServer(t, nil)
+	writeModel(t, dir, "cbf2", model2)
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	models := []string{"cbf2", "cbf", "ghost", "cbf2", "cbf", "cbf", "ghost"}
+	batch := make([]*predRequest, len(models))
+	for i, m := range models {
+		batch[i] = &predRequest{model: m, values: fixProbe[i%len(fixProbe)].Values, out: make(chan predResponse, 1)}
+	}
+	arrival := slices.Clone(batch)
+	s.batcher.flush(batch)
+	var want []*predRequest
+	for _, m := range []string{"cbf2", "cbf", "ghost"} {
+		for _, r := range arrival {
+			if r.model == m {
+				want = append(want, r)
+			}
+		}
+	}
+	if !slices.Equal(batch, want) {
+		t.Fatal("flush did not group the batch stably in first-arrival order")
+	}
+	for i, r := range arrival {
+		resp := <-r.out
+		if r.model == "ghost" {
+			if resp.err == nil {
+				t.Fatalf("req %d to unknown model answered without error", i)
+			}
+			continue
+		}
+		clf := fixClf1
+		if r.model == "cbf2" {
+			clf = fixClf2
+		}
+		if resp.err != nil || resp.label != clf.Predict(r.values) {
+			t.Fatalf("req %d (%s): label %d err %v, want %d", i, r.model, resp.label, resp.err, clf.Predict(r.values))
+		}
 	}
 }
 

@@ -58,9 +58,9 @@ func (r *Registry) GetOrCreate(id string, create func() (*Detector, any, error))
 	if err != nil {
 		return nil, false, err
 	}
-	st = &Stream{ID: id, Tag: tag, det: det}
+	st = &Stream{ID: id, Tag: tag, det: det, bytes: int64(det.Bytes())}
 	r.streams[id] = st
-	r.bytes += int64(det.Bytes())
+	r.bytes += st.bytes
 	return st, true, nil
 }
 
@@ -79,7 +79,7 @@ func (r *Registry) Remove(id string) bool {
 	st, ok := r.streams[id]
 	if ok {
 		delete(r.streams, id)
-		r.bytes -= int64(st.det.Bytes())
+		r.bytes -= st.bytes
 	}
 	r.mu.Unlock()
 	if ok {
@@ -95,8 +95,9 @@ func (r *Registry) Len() int {
 	return len(r.streams)
 }
 
-// Bytes returns the summed fixed footprint of all live detectors — the
-// gauge the serve layer exports and the soak test bounds.
+// Bytes returns the summed footprint of all live detectors, each charged
+// once at creation — the gauge the serve layer exports and the soak test
+// bounds.
 func (r *Registry) Bytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -163,6 +164,10 @@ type Stream struct {
 	// Tag is opaque caller state carried with the stream (the serve
 	// layer stores which model version answers it).
 	Tag any
+
+	// bytes is the registry's charge for this stream, fixed at creation
+	// so Remove releases exactly what GetOrCreate added.
+	bytes int64
 
 	mu     sync.Mutex
 	det    *Detector

@@ -170,8 +170,11 @@ type Detector struct {
 
 	seq     int     // next event sequence number
 	ring    []Event // retained events; cap cfg.MaxEvents
-	scratch []Event // events emitted by the Append in progress
+	scratch []Event // events emitted by the Append in progress; starts at scratchCap
 }
+
+// scratchCap is the event scratch's capacity at construction.
+const scratchCap = 4
 
 // NewDetector builds a fresh detector over the model.
 func (m *Model) NewDetector(cfg Config) *Detector {
@@ -186,7 +189,7 @@ func (m *Model) NewDetector(cfg Config) *Detector {
 		scans:   make([]dist.StreamScan, len(m.ordered)),
 		feat:    make([]float64, m.k),
 		ring:    make([]Event, 0, cfg.MaxEvents),
-		scratch: make([]Event, 0, 4),
+		scratch: make([]Event, 0, scratchCap),
 	}
 	for gi := range d.stats {
 		d.stats[gi] = dist.NewRollingStats(m.groups[gi].N)
@@ -358,9 +361,11 @@ func (d *Detector) Features(out []float64) {
 	}
 }
 
-// Bytes returns the detector's fixed memory footprint in bytes: every
-// buffer is sized at construction, so this is also the steady-state
-// footprint (the per-stream budget the Registry's byte gauge sums).
+// Bytes returns the detector's memory footprint in bytes as constructed
+// (the per-stream budget the Registry's byte gauge sums). It is fixed at
+// construction: every buffer but the event scratch is sized then and
+// never grows, and the scratch, which grows to the largest Append's
+// event count, is counted at its initial capacity.
 func (d *Detector) Bytes() int {
 	const (
 		f64   = int(unsafe.Sizeof(float64(0)))
@@ -374,5 +379,5 @@ func (d *Detector) Bytes() int {
 		len(d.scans)*scan +
 		len(d.feat)*f64 +
 		cap(d.ring)*event +
-		cap(d.scratch)*event
+		scratchCap*event
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"rpm/internal/dist"
@@ -267,6 +268,17 @@ func TestDetectorBytes(t *testing.T) {
 	if after := d.Bytes(); after != before {
 		t.Fatalf("footprint grew: %d → %d", before, after)
 	}
+
+	// A label flip on every window commits an event per sample, growing
+	// the Append scratch far past its initial capacity; Bytes stays put.
+	flip := mustModel(t, [][]float64{ramp(4)}, &flipPred{}).NewDetector(Config{ConfirmWindows: 1})
+	before = flip.Bytes()
+	if evs := flip.Append(ramp(200)); len(evs) <= scratchCap {
+		t.Fatalf("flipping predictor emitted %d events, want > %d", len(evs), scratchCap)
+	}
+	if after := flip.Bytes(); after != before {
+		t.Fatalf("footprint moved with the event scratch: %d → %d", before, after)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -304,6 +316,26 @@ func TestRegistryLifecycle(t *testing.T) {
 	if r.Len() != 2 || r.Bytes() != 2*int64(a.det.Bytes()) {
 		t.Fatalf("Len=%d Bytes=%d det=%d", r.Len(), r.Bytes(), a.det.Bytes())
 	}
+	// A stream whose appends grow its detector's event scratch is
+	// released at exactly the charge it was created with.
+	flipM := mustModel(t, [][]float64{ramp(4)}, &flipPred{})
+	r2 := NewRegistry(0)
+	f, _, err := r2.GetOrCreate("f", func() (*Detector, any, error) {
+		return flipM.NewDetector(Config{ConfirmWindows: 1}), nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := r2.Bytes()
+	if res, err := f.Append(ramp(200)); err != nil || len(res.Events) <= scratchCap {
+		t.Fatalf("flipping append: %d events, %v", len(res.Events), err)
+	}
+	if got := r2.Bytes(); got != charged {
+		t.Fatalf("gauge moved on append: %d → %d", charged, got)
+	}
+	if !r2.Remove("f") || r2.Bytes() != 0 {
+		t.Fatalf("after remove: Bytes=%d, want 0", r2.Bytes())
+	}
 	if !r.Remove("a") || r.Remove("a") {
 		t.Fatal("Remove not idempotent-correct")
 	}
@@ -327,6 +359,40 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 	if r.Len() != 0 || r.Bytes() != 0 {
 		t.Fatalf("after close: Len=%d Bytes=%d", r.Len(), r.Bytes())
+	}
+}
+
+// TestRegistryAppendRemoveRace appends to and removes one stream
+// concurrently (run under -race): Remove must not read the detector an
+// in-flight Append is mutating, and the gauge must end at zero.
+func TestRegistryAppendRemoveRace(t *testing.T) {
+	m := mustModel(t, [][]float64{ramp(4)}, &flipPred{})
+	for i := 0; i < 20; i++ {
+		r := NewRegistry(0)
+		st, _, err := r.GetOrCreate("s", func() (*Detector, any, error) {
+			return m.NewDetector(Config{ConfirmWindows: 1}), nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 10; k++ {
+				if _, err := st.Append(ramp(50)); err != nil && !errors.Is(err, ErrClosed) {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			r.Remove("s")
+		}()
+		wg.Wait()
+		if got := r.Bytes(); got != 0 {
+			t.Fatalf("round %d: Bytes after remove = %d, want 0", i, got)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package rpm
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -198,12 +199,7 @@ func sortedKeys(m map[string]int64) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	// insertion sort: maps here hold a handful of entries
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

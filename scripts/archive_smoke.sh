@@ -15,6 +15,11 @@
 # -resume, and its rendered table, wall times included, must be
 # byte-identical, because every row now comes from a checkpoint.
 #
+# Last, every paper artifact is produced once through its only front
+# end: -exp all (Tables 1-4, Figs. 7-9 as text and SVG, the §6.2 alarm
+# case) on a 3-dataset subset. Every run here is -strict, so any failed
+# row fails the smoke.
+#
 # Usage: scripts/archive_smoke.sh
 set -euo pipefail
 
@@ -24,7 +29,7 @@ cleanup() { rm -rf "$work"; }
 trap cleanup EXIT
 
 datasets="SynECG200,SynItalyPower,SynTrace"
-args=(-datasets "$datasets" -mode fixed -window 12 -paa 4 -alpha 4 -seed 3 -deterministic -json)
+args=(-datasets "$datasets" -mode fixed -window 12 -paa 4 -alpha 4 -seed 3 -deterministic -json -strict)
 
 echo "== build"
 go build -o "$work/rpmarchive" ./cmd/rpmarchive
@@ -84,7 +89,7 @@ if ! diff -u "$work/a.json" "$work/b.json"; then
 fi
 
 echo "== paper table: ablation, then the same run resumed"
-ablate=(-out "$work/p" -exp ablate -quick -datasets SynItalyPower,SynGunPoint)
+ablate=(-out "$work/p" -exp ablate -quick -strict -datasets SynItalyPower,SynGunPoint)
 "$work/rpmarchive" "${ablate[@]}" > "$work/p1.txt" 2> /dev/null
 "$work/rpmarchive" "${ablate[@]}" -resume > "$work/p2.txt" 2> /dev/null
 if ! diff -u "$work/p1.txt" "$work/p2.txt"; then
@@ -97,4 +102,23 @@ if [ "$resumed" != 18 ]; then
     exit 1
 fi
 
-echo "archive smoke OK (killed at $ckpts/3 checkpoints, resume byte-identical; ablation resumed 18/18 rows)"
+echo "== paper artifacts: -exp all"
+"$work/rpmarchive" -out "$work/all" -exp all -quick -strict -svg "$work/svg" \
+    -datasets SynItalyPower,SynECGFiveDays,SynMoteStrain > "$work/all.txt" 2> "$work/all.log" || {
+    cat "$work/all.log" >&2
+    echo "archive smoke FAILED: rpmarchive -exp all exited non-zero" >&2
+    exit 1
+}
+for artifact in "Table 1" "Table 2" "Table 3" "Table 4" "Figure 7" "Figure 8" "Figure 9" "Case study"; do
+    if ! grep -q "$artifact" "$work/all.txt"; then
+        echo "archive smoke FAILED: -exp all printed no $artifact" >&2
+        exit 1
+    fi
+done
+svgs=$(ls "$work/svg"/*.svg 2> /dev/null | wc -l)
+if [ "$svgs" -lt 3 ]; then
+    echo "archive smoke FAILED: -exp all wrote $svgs SVG figure(s)" >&2
+    exit 1
+fi
+
+echo "archive smoke OK (killed at $ckpts/3 checkpoints, resume byte-identical; ablation resumed 18/18 rows; -exp all wrote $svgs SVGs)"
