@@ -59,6 +59,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -305,9 +306,13 @@ func emitReports(rows []archive.Outcome, format string) error {
 	return nil
 }
 
-// parseShard parses a "k/n" shard spec.
+// parseShard parses a "k/n" shard spec. Both halves must be whole
+// integers: trailing text such as "1/4x" is rejected, not truncated.
 func parseShard(s string) (k, n int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &k, &n); err != nil {
+	ks, ns, ok := strings.Cut(s, "/")
+	k, errK := strconv.Atoi(ks)
+	n, errN := strconv.Atoi(ns)
+	if !ok || errK != nil || errN != nil {
 		return 0, 0, fmt.Errorf("bad -shard %q: want k/n, e.g. 0/4", s)
 	}
 	if n < 1 || k < 0 || k >= n {

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"rpm"
@@ -120,7 +121,8 @@ func main() {
 			fatal(fmt.Errorf("-motifs requires -window, -paa and -alpha"))
 		}
 		motifs := rpm.DiscoverMotifs(train, rpm.SAXParams{Window: *window, PAA: *paa, Alphabet: *alpha}, opts)
-		for class, ms := range motifs {
+		for _, class := range sortedClasses(motifs) {
+			ms := motifs[class]
 			fmt.Printf("class %d: %d motifs\n", class, len(ms))
 			for i, m := range ms {
 				fmt.Printf("  motif %d: support=%d occurrences=%d prototype-length=%d\n",
@@ -171,7 +173,9 @@ func main() {
 	fmt.Printf("patterns:  %d\n", len(clf.Patterns()))
 	fmt.Printf("error:     %.4f (%d/%d wrong)\n", float64(wrong)/float64(len(test)), wrong, len(test))
 	fmt.Println("per-class SAX parameters:")
-	for class, p := range clf.PerClassParams() {
+	params := clf.PerClassParams()
+	for _, class := range sortedClasses(params) {
+		p := params[class]
 		fmt.Printf("  class %d: window=%d paa=%d alphabet=%d\n", class, p.Window, p.PAA, p.Alphabet)
 	}
 	if *showPatterns {
@@ -239,6 +243,17 @@ func classifyRemote(baseURL, model string, chunk int, test rpm.Dataset) error {
 	fmt.Printf("instances: test=%d\n", len(test))
 	fmt.Printf("error:     %.4f (%d/%d wrong)\n", float64(wrong)/float64(len(test)), wrong, len(test))
 	return nil
+}
+
+// sortedClasses returns m's class labels in ascending order, so the
+// per-class output lines print in the same order on every run.
+func sortedClasses[V any](m map[int]V) []int {
+	classes := make([]int, 0, len(m))
+	for class := range m {
+		classes = append(classes, class)
+	}
+	slices.Sort(classes)
+	return classes
 }
 
 func loadFile(path string) (rpm.Dataset, error) {

@@ -53,20 +53,6 @@ import (
 	serveclient "rpm/internal/serve/client"
 )
 
-// predictRequest / errorEnvelope mirror the serving layer's public JSON
-// shapes (kept in sync by the load-smoke CI run).
-type predictRequest struct {
-	Model  string    `json:"model,omitempty"`
-	Values []float64 `json:"values"`
-}
-
-type errorEnvelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
 // maxRetryAfter caps how long a closed-loop worker honors a 429's
 // Retry-After hint, so a confused server cannot park the whole run.
 const maxRetryAfter = 2 * time.Second
@@ -111,8 +97,24 @@ func main() {
 			MaxIdleConnsPerHost: 4 * *concurrency,
 		},
 	}
+	var sc *serveclient.Client
+	if *wait > 0 || *retries > 0 {
+		var err error
+		sc, err = serveclient.New(serveclient.Config{
+			BaseURL:           *addr,
+			HTTPClient:        client,
+			MaxAttempts:       *retries,
+			PerAttemptTimeout: *timeout,
+			OverallTimeout:    time.Duration(*retries+1) * *timeout,
+			Seed:              *retrySeed,
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rpmload: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	if *wait > 0 {
-		if err := waitReady(client, *addr, *wait); err != nil {
+		if err := sc.WaitReady(context.Background(), *wait); err != nil {
 			fmt.Fprintf(os.Stderr, "rpmload: %v\n", err)
 			os.Exit(1)
 		}
@@ -137,7 +139,7 @@ func main() {
 			v[j] = x
 		}
 		values[i] = v
-		b, err := json.Marshal(predictRequest{Model: *model, Values: v})
+		b, err := json.Marshal(serveclient.PredictRequest{Model: *model, Values: v})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rpmload: marshal: %v\n", err)
 			os.Exit(2)
@@ -166,18 +168,6 @@ func main() {
 		errsBy:     reg,
 	}
 	if *retries > 0 {
-		sc, err := serveclient.New(serveclient.Config{
-			BaseURL:           *addr,
-			HTTPClient:        client,
-			MaxAttempts:       *retries,
-			PerAttemptTimeout: *timeout,
-			OverallTimeout:    time.Duration(*retries+1) * *timeout,
-			Seed:              *retrySeed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpmload: %v\n", err)
-			os.Exit(2)
-		}
 		g.sc = sc
 	}
 
@@ -195,28 +185,6 @@ func main() {
 		if snap.Counter(ctrOK) == 0 || snap.Counter(ctrErrors) > 0 || snap.Counter(ctrTransport) > 0 {
 			os.Exit(1)
 		}
-	}
-}
-
-// waitReady polls GET /readyz until it answers 200 or the budget runs out.
-func waitReady(client *http.Client, addr string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for {
-		resp, err := client.Get(addr + "/readyz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			if err != nil {
-				return fmt.Errorf("server not ready after %v: %v", budget, err)
-			}
-			return fmt.Errorf("server not ready after %v", budget)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -283,7 +251,7 @@ func (g *loadgen) one() {
 		return
 	}
 	g.errs.Inc()
-	var env errorEnvelope
+	var env serveclient.ErrorEnvelope
 	code := "http_" + strconv.Itoa(resp.StatusCode)
 	if json.Unmarshal(data, &env) == nil && env.Error.Code != "" {
 		code = env.Error.Code

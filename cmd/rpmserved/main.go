@@ -56,6 +56,7 @@ import (
 	"rpm/internal/faults"
 	"rpm/internal/obs"
 	"rpm/internal/serve"
+	"rpm/internal/stream"
 )
 
 func main() {
@@ -88,17 +89,16 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := serve.Config{
-		ModelDir:         *models,
-		MaxBatch:         *maxBatch,
-		MaxDelay:         *maxDelay,
-		QueueSize:        *queueSize,
-		Workers:          *workers,
-		RequestTimeout:   *timeout,
-		MaxStreams:       *maxStreams,
-		MaxStreamChunk:   *streamChunk,
-		StreamConfirm:    *streamK,
-		StreamRefractory: *streamDead,
-		Faults:           inj,
+		ModelDir:       *models,
+		MaxBatch:       *maxBatch,
+		MaxDelay:       *maxDelay,
+		QueueSize:      *queueSize,
+		Workers:        *workers,
+		RequestTimeout: *timeout,
+		MaxStreams:     *maxStreams,
+		MaxStreamChunk: *streamChunk,
+		Stream:         stream.Config{ConfirmWindows: *streamK, Refractory: *streamDead},
+		Faults:         inj,
 	}
 	if err := run(*addr, cfg, *drainTimeout, !*noDebug, inj); err != nil {
 		log.Fatalf("rpmserved: %v", err)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"rpm"
+	"rpm/internal/core"
 	"rpm/internal/obs"
 	"rpm/internal/parallel"
 )
@@ -257,17 +258,17 @@ func (o Outcome) ErrorRate() float64 {
 // worker count — unlike e.g. search.cache.hits/misses, whose split
 // depends on evaluation interleaving.
 var tableCounters = []string{
-	"train.candidates",
-	"train.clusters.kept",
-	"train.clusters.dropped",
-	"train.prune.tau.kept",
-	"train.prune.tau.dropped",
-	"train.cfs.selected",
-	"train.sample.windows.kept",
-	"train.sample.windows.dropped",
-	"search.sample.grid.kept",
-	"search.sample.grid.dropped",
-	"train.bags.members",
+	core.CtrCandidates,
+	core.CtrClustersKept,
+	core.CtrClustersDropped,
+	core.CtrPruneKept,
+	core.CtrPruneDropped,
+	core.CtrCFSSelected,
+	core.CtrSampleWindowsKept,
+	core.CtrSampleWindowsDropped,
+	core.CtrSampleGridKept,
+	core.CtrSampleGridDropped,
+	core.CtrBagMembers,
 }
 
 // Result is one archive run's output: the configuration fingerprint
@@ -649,7 +650,7 @@ func (r *Result) WriteTable(w io.Writer, deterministic bool) error {
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%.4f\t%s\t%s\t%d\t%s\n",
 			oc.Dataset, oc.Method, oc.Status, oc.Bags, oc.Patterns, oc.Accuracy,
-			trainMS, predictMS, oc.Counters["train.candidates"], note)
+			trainMS, predictMS, oc.Counters[core.CtrCandidates], note)
 	}
 	if err := tw.Flush(); err != nil {
 		return archErr(op, ErrRunFailed, err)

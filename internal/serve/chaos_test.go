@@ -31,6 +31,7 @@ import (
 
 	"rpm"
 	"rpm/internal/faults"
+	serveclient "rpm/internal/serve/client"
 	"rpm/internal/stream"
 )
 
@@ -76,7 +77,7 @@ func eventsJSON(t *testing.T, inj *faults.Injector) string {
 // the envelope's version maps to.
 func checkIdentity(t *testing.T, body []byte, versionClf map[int]*rpm.Classifier, values []float64) string {
 	t.Helper()
-	var out predictResponse
+	var out serveclient.PredictResult
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("200 body does not parse: %v (%s)", err, body)
 	}
@@ -94,7 +95,7 @@ func checkIdentity(t *testing.T, body []byte, versionClf map[int]*rpm.Classifier
 // errCode parses a non-2xx body's envelope code.
 func errCode(t *testing.T, status int, body []byte) string {
 	t.Helper()
-	var env errorEnvelope
+	var env serveclient.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
 		t.Fatalf("status %d body is not a valid error envelope: %s", status, body)
 	}
@@ -376,7 +377,7 @@ func TestChaosWriteAbortStorm(t *testing.T) {
 // drains cleanly with a feed still open (invariants 2, 4, 5).
 func TestChaosStreamAppendStorm(t *testing.T) {
 	fixtures(t)
-	cfg := Config{StreamConfirm: 1}
+	cfg := Config{Stream: stream.Config{ConfirmWindows: 1}}
 	series, wantEvents := eventfulSeries(t, fixClf1, cfg, 3)
 	runTwice(t, func(t *testing.T, seed int64) (string, []string) {
 		inj, err := faults.New(seed,
@@ -386,7 +387,7 @@ func TestChaosStreamAppendStorm(t *testing.T) {
 		}
 		s, ts, _ := newTestServer(t, func(c *Config) {
 			c.Faults = inj
-			c.StreamConfirm = 1
+			c.Stream.ConfirmWindows = 1
 		})
 		var transcript []string
 

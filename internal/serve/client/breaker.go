@@ -16,30 +16,26 @@ const (
 
 // breaker is one model's circuit breaker: closed (normal service,
 // counting consecutive failures), open (rejecting instantly until the
-// cool-off elapses), half-open (admitting one probe at a time; probe
-// successes close it, one probe failure re-opens it).
+// cool-off elapses), half-open (admitting a single probe; its success
+// closes the breaker, its failure re-opens it).
 //
 // The state machine advances only on allow/record calls — no background
 // goroutine, no timers; "open long enough" is evaluated lazily against
 // the clock the caller passes in (which is how tests drive it without
 // sleeping).
 type breaker struct {
-	cfg BreakerConfig
-
-	mu        sync.Mutex
-	state     int
-	failures  int       // consecutive failures while closed
-	successes int       // consecutive probe successes while half-open
-	until     time.Time // while open: when a probe may be admitted
-	probing   bool      // while half-open: a probe is in flight
+	mu       sync.Mutex
+	state    int
+	failures int       // consecutive failures while closed
+	until    time.Time // while open: when the probe may be admitted
 
 	opened *obs.Counter
 	closed *obs.Counter
 	gauge  *obs.Gauge
 }
 
-func newBreaker(cfg BreakerConfig, opened, closed *obs.Counter, gauge *obs.Gauge) *breaker {
-	return &breaker{cfg: cfg, opened: opened, closed: closed, gauge: gauge}
+func newBreaker(opened, closed *obs.Counter, gauge *obs.Gauge) *breaker {
+	return &breaker{opened: opened, closed: closed, gauge: gauge}
 }
 
 // allow reports whether a call may proceed now. An open breaker whose
@@ -56,16 +52,10 @@ func (b *breaker) allow(now time.Time) bool {
 			return false
 		}
 		b.state = stateHalfOpen
-		b.successes = 0
-		b.probing = true
 		b.gauge.Set(stateHalfOpen)
 		return true
-	default: // half-open
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
+	default: // half-open: the single probe is in flight
+		return false
 	}
 }
 
@@ -80,34 +70,29 @@ func (b *breaker) record(ok bool, now time.Time) {
 			return
 		}
 		b.failures++
-		if b.failures >= b.cfg.FailureThreshold {
+		if b.failures >= breakerThreshold {
 			b.trip(now)
 		}
 	case stateHalfOpen:
-		b.probing = false
 		if !ok {
 			b.trip(now)
 			return
 		}
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
-			b.state = stateClosed
-			b.failures = 0
-			b.closed.Inc()
-			b.gauge.Set(stateClosed)
-		}
+		b.state = stateClosed
+		b.failures = 0
+		b.closed.Inc()
+		b.gauge.Set(stateClosed)
 	case stateOpen:
 		// A call admitted before the trip finishing after it: its outcome
 		// carries no information about the post-trip server, ignore it.
 	}
 }
 
-// trip opens the breaker until now+OpenFor. Caller holds b.mu.
+// trip opens the breaker until now+breakerOpenFor. Caller holds b.mu.
 func (b *breaker) trip(now time.Time) {
 	b.state = stateOpen
-	b.until = now.Add(b.cfg.OpenFor)
+	b.until = now.Add(breakerOpenFor)
 	b.failures = 0
-	b.probing = false
 	b.opened.Inc()
 	b.gauge.Set(stateOpen)
 }

@@ -21,9 +21,11 @@
 // A 429 is deliberately not a breaker failure: load shedding means the
 // server is healthy but busy, and opening the breaker would turn
 // backpressure into an outage. The breaker opens after
-// FailureThreshold consecutive failures, rejects instantly while open
-// (ErrBreakerOpen), and after OpenFor admits one probe at a time
-// (half-open) until HalfOpenProbes successes close it again.
+// breakerThreshold (5) consecutive failures, rejects instantly while
+// open (ErrBreakerOpen), and after breakerOpenFor (2s) admits a single
+// half-open probe: its success closes the breaker, its failure re-opens
+// it. Backoff ceilings start at 50ms and cap at 2s; the policy values
+// are package constants, not Config fields.
 //
 // Breaker state and retry activity are exposed through an optional
 // obs.Registry (nil = instrumentation off, the repo-wide convention).
@@ -53,11 +55,12 @@ var ErrBreakerOpen = errors.New("serveclient: circuit breaker open")
 // APIError is a non-2xx answer from the server, carrying the stable
 // envelope code (PR-2 taxonomy: bad_input, too_short, overloaded,
 // draining, deadline_exceeded, …). A response whose body is not the
-// JSON envelope gets code "http_<status>".
+// JSON envelope gets code "http_<status>". It is also the "error"
+// object of ErrorEnvelope, so the server encodes this same type.
 type APIError struct {
-	Status  int
-	Code    string
-	Message string
+	Code    string `json:"code"`
+	Status  int    `json:"status"`
+	Message string `json:"message"`
 
 	// retryAfter is the server's parsed Retry-After hint — transport
 	// advice consumed by the retry loop, not part of the error identity.
@@ -67,6 +70,25 @@ type APIError struct {
 func (e *APIError) Error() string {
 	return fmt.Sprintf("serveclient: server answered %d %s: %s", e.Status, e.Code, e.Message)
 }
+
+// Retry and breaker policy. These are fixed rather than configurable:
+// no caller has needed another value, and the tests drive the breaker
+// on a fake clock.
+const (
+	// baseBackoff is the first retry's backoff ceiling; successive
+	// retries double it up to maxBackoff, and the actual wait is drawn
+	// uniformly from (0, ceiling] — full jitter.
+	baseBackoff = 50 * time.Millisecond
+	// maxBackoff caps both the exponential ceiling and an honored
+	// Retry-After hint.
+	maxBackoff = 2 * time.Second
+	// breakerThreshold is the consecutive-failure count that opens a
+	// model's breaker.
+	breakerThreshold = 5
+	// breakerOpenFor is how long an open breaker rejects before
+	// admitting its single half-open probe.
+	breakerOpenFor = 2 * time.Second
+)
 
 // Config configures a Client. Zero fields select the documented
 // defaults.
@@ -81,13 +103,6 @@ type Config struct {
 	// MaxAttempts bounds the total tries per request, first attempt
 	// included (default 3). 1 disables retries.
 	MaxAttempts int
-	// BaseBackoff is the first retry's backoff ceiling; successive
-	// retries double it up to MaxBackoff, and the actual wait is drawn
-	// uniformly from (0, ceiling] — full jitter (default 50ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps both the exponential ceiling and an honored
-	// Retry-After hint (default 2s).
-	MaxBackoff time.Duration
 	// PerAttemptTimeout bounds each individual HTTP exchange
 	// (default 5s).
 	PerAttemptTimeout time.Duration
@@ -97,24 +112,9 @@ type Config struct {
 	// Seed seeds the jitter source; runs with the same seed draw the
 	// same backoff sequence (default 1).
 	Seed int64
-	// Breaker configures the per-model circuit breaker.
-	Breaker BreakerConfig
 	// Registry receives client.* counters and breaker state gauges; nil
 	// disables instrumentation (every obs handle is nil-safe).
 	Registry *obs.Registry
-}
-
-// BreakerConfig tunes the per-model circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that opens the
-	// breaker (default 5).
-	FailureThreshold int
-	// OpenFor is how long an open breaker rejects before admitting a
-	// half-open probe (default 2s).
-	OpenFor time.Duration
-	// HalfOpenProbes is the number of consecutive successful probes that
-	// close a half-open breaker (default 1).
-	HalfOpenProbes int
 }
 
 func (c Config) withDefaults() Config {
@@ -123,12 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
 	}
 	if c.PerAttemptTimeout <= 0 {
 		c.PerAttemptTimeout = 5 * time.Second
@@ -139,16 +133,28 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Breaker.FailureThreshold <= 0 {
-		c.Breaker.FailureThreshold = 5
-	}
-	if c.Breaker.OpenFor <= 0 {
-		c.Breaker.OpenFor = 2 * time.Second
-	}
-	if c.Breaker.HalfOpenProbes <= 0 {
-		c.Breaker.HalfOpenProbes = 1
-	}
 	return c
+}
+
+// The JSON bodies rpmserved and its callers exchange. They are declared
+// here, in the dependency-light client package, and the server encodes
+// and decodes these same types, so the two sides cannot drift.
+
+// PredictRequest is the body of POST /v1/predict. Its {model, values}
+// shape is also the body of a stream append, POST /v1/streams/{id}.
+type PredictRequest struct {
+	// Model selects the model by name; optional when exactly one model
+	// is loaded. On a stream append it binds the model when the append
+	// creates the stream, and must otherwise be empty or name the
+	// stream's bound model.
+	Model  string    `json:"model,omitempty"`
+	Values []float64 `json:"values"`
+}
+
+// BatchRequest is the body of POST /v1/predict:batch.
+type BatchRequest struct {
+	Model  string      `json:"model,omitempty"`
+	Series [][]float64 `json:"series"`
 }
 
 // PredictResult is a successful /v1/predict answer.
@@ -165,23 +171,10 @@ type BatchResult struct {
 	Labels  []int  `json:"labels"`
 }
 
-// predictRequest / predictBatchRequest mirror the server's JSON shapes.
-type predictRequest struct {
-	Model  string    `json:"model,omitempty"`
-	Values []float64 `json:"values"`
-}
-
-type predictBatchRequest struct {
-	Model  string      `json:"model,omitempty"`
-	Series [][]float64 `json:"series"`
-}
-
-type errorEnvelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Status  int    `json:"status"`
-		Message string `json:"message"`
-	} `json:"error"`
+// ErrorEnvelope is the body of every non-2xx rpmserved answer:
+// {"error": {"code", "status", "message"}}.
+type ErrorEnvelope struct {
+	Error APIError `json:"error"`
 }
 
 // Client is a retrying, circuit-breaking rpmserved client. Safe for
@@ -230,7 +223,7 @@ func New(cfg Config) (*Client, error) {
 
 // Predict classifies one series, retrying per the policy matrix.
 func (c *Client) Predict(ctx context.Context, model string, values []float64) (PredictResult, error) {
-	body, err := json.Marshal(predictRequest{Model: model, Values: values})
+	body, err := json.Marshal(PredictRequest{Model: model, Values: values})
 	if err != nil {
 		return PredictResult{}, fmt.Errorf("serveclient: marshal: %w", err)
 	}
@@ -247,7 +240,7 @@ func (c *Client) Predict(ctx context.Context, model string, values []float64) (P
 
 // PredictBatch classifies a pre-assembled batch in one call.
 func (c *Client) PredictBatch(ctx context.Context, model string, series [][]float64) (BatchResult, error) {
-	body, err := json.Marshal(predictBatchRequest{Model: model, Series: series})
+	body, err := json.Marshal(BatchRequest{Model: model, Series: series})
 	if err != nil {
 		return BatchResult{}, fmt.Errorf("serveclient: marshal: %w", err)
 	}
@@ -376,7 +369,7 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte) ([]byte,
 		return data, nil, nil
 	}
 	apiErr := &APIError{Status: resp.StatusCode, Code: "http_" + strconv.Itoa(resp.StatusCode)}
-	var env errorEnvelope
+	var env ErrorEnvelope
 	if json.Unmarshal(data, &env) == nil && env.Error.Code != "" {
 		apiErr.Code = env.Error.Code
 		apiErr.Message = env.Error.Message
@@ -396,18 +389,18 @@ func retryAfterOf(err error) time.Duration {
 }
 
 // backoff computes the next sleep: an honored Retry-After hint (capped
-// at MaxBackoff) when the server sent one, else full jitter over the
-// capped exponential ceiling base·2^attempt.
+// at maxBackoff) when the server sent one, else full jitter over the
+// capped exponential ceiling baseBackoff·2^attempt.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	if retryAfter > 0 {
-		if retryAfter > c.cfg.MaxBackoff {
-			return c.cfg.MaxBackoff
+		if retryAfter > maxBackoff {
+			return maxBackoff
 		}
 		return retryAfter
 	}
-	ceiling := c.cfg.BaseBackoff << attempt
-	if ceiling <= 0 || ceiling > c.cfg.MaxBackoff { // <=0: shift overflow
-		ceiling = c.cfg.MaxBackoff
+	ceiling := baseBackoff << attempt
+	if ceiling <= 0 || ceiling > maxBackoff { // <=0: shift overflow
+		ceiling = maxBackoff
 	}
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
@@ -464,8 +457,7 @@ func (c *Client) breakerFor(model string) *breaker {
 	defer c.brMu.Unlock()
 	br, ok := c.breakers[key]
 	if !ok {
-		br = newBreaker(c.cfg.Breaker,
-			c.reg.Counter(CtrBreakerOpened),
+		br = newBreaker(c.reg.Counter(CtrBreakerOpened),
 			c.reg.Counter(CtrBreakerClosed),
 			c.reg.Gauge(GaugeBreakerStatePrefix+key))
 		c.breakers[key] = br

@@ -100,7 +100,8 @@ func TestConfigValidation(t *testing.T) {
 	if c.base != "http://x" {
 		t.Fatalf("trailing slash not trimmed: %q", c.base)
 	}
-	if c.cfg.MaxAttempts != 3 || c.cfg.Breaker.FailureThreshold != 5 {
+	if c.cfg.MaxAttempts != 3 || c.cfg.PerAttemptTimeout != 5*time.Second ||
+		c.cfg.OverallTimeout != 15*time.Second || c.cfg.Seed != 1 || c.cfg.HTTPClient == nil {
 		t.Fatalf("defaults not applied: %+v", c.cfg)
 	}
 }
@@ -110,7 +111,7 @@ func TestPredictSuccess(t *testing.T) {
 		if r.URL.Path != "/v1/predict" || r.Method != http.MethodPost {
 			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
 		}
-		var req predictRequest
+		var req PredictRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("decode: %v", err)
 		}
@@ -204,7 +205,7 @@ func TestRetryAfterSecondsHonored(t *testing.T) {
 		writePredict(w, 2)
 	}))
 	defer srv.Close()
-	c, _, sleeps := newTestClient(t, srv, func(cfg *Config) { cfg.MaxBackoff = 5 * time.Second })
+	c, _, sleeps := newTestClient(t, srv, nil)
 	if _, err := c.Predict(context.Background(), "syn", []float64{1}); err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -218,7 +219,7 @@ func TestRetryAfterHTTPDateHonoredAndCapped(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
-			// 30s in the future per the fake clock — beyond MaxBackoff.
+			// 30s in the future per the fake clock — beyond maxBackoff.
 			w.Header().Set("Retry-After", clkStart.Add(30*time.Second).Format(http.TimeFormat))
 			writeEnvelope(w, http.StatusServiceUnavailable, "draining", "later")
 			return
@@ -226,19 +227,18 @@ func TestRetryAfterHTTPDateHonoredAndCapped(t *testing.T) {
 		writePredict(w, 3)
 	}))
 	defer srv.Close()
-	c, _, sleeps := newTestClient(t, srv, func(cfg *Config) { cfg.MaxBackoff = 2 * time.Second })
+	c, _, sleeps := newTestClient(t, srv, nil)
 	if _, err := c.Predict(context.Background(), "syn", []float64{1}); err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
 	if len(*sleeps) != 1 || (*sleeps)[0] != 2*time.Second {
-		t.Fatalf("HTTP-date Retry-After not capped at MaxBackoff: %v", *sleeps)
+		t.Fatalf("HTTP-date Retry-After not capped at maxBackoff: %v", *sleeps)
 	}
 }
 
 func TestBackoffJitterDeterministicAndCapped(t *testing.T) {
 	mk := func(seed int64) []time.Duration {
-		c, err := New(Config{BaseURL: "http://x", Seed: seed,
-			BaseBackoff: 50 * time.Millisecond, MaxBackoff: 200 * time.Millisecond})
+		c, err := New(Config{BaseURL: "http://x", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,8 +254,8 @@ func TestBackoffJitterDeterministicAndCapped(t *testing.T) {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a, b)
 		}
 		ceiling := 50 * time.Millisecond << i
-		if ceiling > 200*time.Millisecond || ceiling <= 0 {
-			ceiling = 200 * time.Millisecond
+		if ceiling > 2*time.Second || ceiling <= 0 {
+			ceiling = 2 * time.Second
 		}
 		if a[i] <= 0 || a[i] > ceiling {
 			t.Fatalf("backoff[%d] = %v outside (0, %v]", i, a[i], ceiling)
@@ -308,12 +308,9 @@ func TestBreakerOpensAndRejects(t *testing.T) {
 	}))
 	defer srv.Close()
 	reg := obs.NewRegistry()
-	c, _, _ := newTestClient(t, srv, func(cfg *Config) {
-		cfg.Registry = reg
-		cfg.Breaker.FailureThreshold = 3
-	})
-	// 500 is terminal (no retry) but a breaker failure: three calls trip it.
-	for i := 0; i < 3; i++ {
+	c, _, _ := newTestClient(t, srv, func(cfg *Config) { cfg.Registry = reg })
+	// 500 is terminal (no retry) but a breaker failure: five calls trip it.
+	for i := 0; i < 5; i++ {
 		if _, err := c.Predict(context.Background(), "syn", []float64{1}); err == nil {
 			t.Fatal("want error")
 		}
@@ -347,12 +344,8 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	}))
 	defer srv.Close()
 	reg := obs.NewRegistry()
-	c, clk, _ := newTestClient(t, srv, func(cfg *Config) {
-		cfg.Registry = reg
-		cfg.Breaker.FailureThreshold = 2
-		cfg.Breaker.OpenFor = time.Second
-	})
-	for i := 0; i < 2; i++ {
+	c, clk, _ := newTestClient(t, srv, func(cfg *Config) { cfg.Registry = reg })
+	for i := 0; i < 5; i++ {
 		c.Predict(context.Background(), "syn", []float64{1})
 	}
 	if got := breakerState(c, "syn"); got != stateOpen {
@@ -364,7 +357,7 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	}
 	// After the cool-off the probe is admitted; server healthy again.
 	failing.Store(false)
-	clk.advance(2 * time.Second)
+	clk.advance(3 * time.Second)
 	res, err := c.Predict(context.Background(), "syn", []float64{1})
 	if err != nil {
 		t.Fatalf("probe should succeed: %v", err)
@@ -385,12 +378,11 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 		writeEnvelope(w, http.StatusInternalServerError, "internal", "boom")
 	}))
 	defer srv.Close()
-	c, clk, _ := newTestClient(t, srv, func(cfg *Config) {
-		cfg.Breaker.FailureThreshold = 1
-		cfg.Breaker.OpenFor = time.Second
-	})
-	c.Predict(context.Background(), "syn", []float64{1}) // trips
-	clk.advance(2 * time.Second)
+	c, clk, _ := newTestClient(t, srv, nil)
+	for i := 0; i < 5; i++ {
+		c.Predict(context.Background(), "syn", []float64{1}) // the fifth trips
+	}
+	clk.advance(3 * time.Second)
 	c.Predict(context.Background(), "syn", []float64{1}) // failed probe
 	if got := breakerState(c, "syn"); got != stateOpen {
 		t.Fatalf("state after failed probe = %d, want open", got)
@@ -399,7 +391,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 
 func TestBreakerPerModelIsolation(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req predictRequest
+		var req PredictRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		if req.Model == "bad" {
 			writeEnvelope(w, http.StatusInternalServerError, "internal", "boom")
@@ -408,8 +400,10 @@ func TestBreakerPerModelIsolation(t *testing.T) {
 		writePredict(w, 4)
 	}))
 	defer srv.Close()
-	c, _, _ := newTestClient(t, srv, func(cfg *Config) { cfg.Breaker.FailureThreshold = 1 })
-	c.Predict(context.Background(), "bad", []float64{1})
+	c, _, _ := newTestClient(t, srv, nil)
+	for i := 0; i < 5; i++ {
+		c.Predict(context.Background(), "bad", []float64{1})
+	}
 	if got := breakerState(c, "bad"); got != stateOpen {
 		t.Fatalf("bad model state = %d, want open", got)
 	}
@@ -427,10 +421,7 @@ func Test429IsNotABreakerFailure(t *testing.T) {
 		writeEnvelope(w, http.StatusTooManyRequests, "overloaded", "shed")
 	}))
 	defer srv.Close()
-	c, _, _ := newTestClient(t, srv, func(cfg *Config) {
-		cfg.Breaker.FailureThreshold = 2
-		cfg.MaxAttempts = 10
-	})
+	c, _, _ := newTestClient(t, srv, func(cfg *Config) { cfg.MaxAttempts = 10 })
 	c.Predict(context.Background(), "syn", []float64{1})
 	if got := breakerState(c, "syn"); got != stateClosed {
 		t.Fatalf("429s must not trip the breaker: state = %d", got)
@@ -442,7 +433,7 @@ func TestPredictBatch(t *testing.T) {
 		if r.URL.Path != "/v1/predict:batch" {
 			t.Errorf("path = %s", r.URL.Path)
 		}
-		var req predictBatchRequest
+		var req BatchRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		labels := make([]int, len(req.Series))
 		for i := range labels {

@@ -16,6 +16,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	serveclient "rpm/internal/serve/client"
 )
 
 func FuzzStreamAppend(f *testing.F) {
@@ -69,7 +71,7 @@ func FuzzStreamAppend(f *testing.F) {
 			t.Fatalf("%s %s: arbitrary input produced a 500: %q → %s", method, path, data, rec.Body.Bytes())
 		}
 		if rec.Code != http.StatusOK {
-			var env errorEnvelope
+			var env serveclient.ErrorEnvelope
 			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 				t.Fatalf("%s %s: status %d body is not the error envelope: %q → %s",
 					method, path, rec.Code, data, rec.Body.Bytes())

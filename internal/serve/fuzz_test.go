@@ -16,6 +16,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	serveclient "rpm/internal/serve/client"
 )
 
 func FuzzPredictRequest(f *testing.F) {
@@ -79,7 +81,7 @@ func FuzzPredictRequest(f *testing.F) {
 		if rec.Code == http.StatusOK {
 			return
 		}
-		var env errorEnvelope
+		var env serveclient.ErrorEnvelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 			t.Fatalf("%s: status %d body is not the error envelope: %q → %s", path, rec.Code, data, rec.Body.Bytes())
 		}

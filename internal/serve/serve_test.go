@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"rpm"
+	serveclient "rpm/internal/serve/client"
 )
 
 // ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 }
 
 func predictBody(model string, values []float64) string {
-	b, _ := json.Marshal(predictRequest{Model: model, Values: values})
+	b, _ := json.Marshal(serveclient.PredictRequest{Model: model, Values: values})
 	return string(b)
 }
 
@@ -135,7 +136,7 @@ func TestPredictHappyPath(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("probe %d: status %d: %s", i, resp.StatusCode, body)
 		}
-		var out predictResponse
+		var out serveclient.PredictResult
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -156,12 +157,12 @@ func TestPredictBatchEndpoint(t *testing.T) {
 	for i, in := range fixProbe {
 		series[i] = in.Values
 	}
-	req, _ := json.Marshal(predictBatchRequest{Series: series})
+	req, _ := json.Marshal(serveclient.BatchRequest{Series: series})
 	resp, body := postJSON(t, ts.URL+"/v1/predict:batch", string(req))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var out predictBatchResponse
+	var out serveclient.BatchResult
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestBatchingAmortizes(t *testing.T) {
 				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
 				return
 			}
-			var out predictResponse
+			var out serveclient.PredictResult
 			if err := json.Unmarshal(body, &out); err != nil {
 				errs[i] = err
 				return
@@ -444,7 +445,7 @@ func TestErrorMapping(t *testing.T) {
 			if resp.StatusCode != c.status {
 				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, c.status, body)
 			}
-			var env errorEnvelope
+			var env serveclient.ErrorEnvelope
 			if err := json.Unmarshal(body, &env); err != nil {
 				t.Fatalf("non-envelope error body %q: %v", body, err)
 			}
@@ -541,7 +542,7 @@ func TestShed429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 must carry Retry-After")
 	}
-	var env errorEnvelope
+	var env serveclient.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "overloaded" {
 		t.Fatalf("shed envelope = %s (%v)", body, err)
 	}
@@ -602,7 +603,7 @@ func TestHotReload(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("predict: %d %s", resp.StatusCode, body)
 		}
-		var out predictResponse
+		var out serveclient.PredictResult
 		json.Unmarshal(body, &out)
 		return out.Label
 	}
@@ -658,10 +659,10 @@ func TestHotReloadInFlight(t *testing.T) {
 	})
 	gate := make(chan struct{})
 	s.batcher.flushGate = gate
-	done := make(chan predictResponse, 1)
+	done := make(chan serveclient.PredictResult, 1)
 	go func() {
 		resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("cbf", fixProbe[0].Values))
-		var out predictResponse
+		var out serveclient.PredictResult
 		json.Unmarshal(body, &out)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("in-flight request failed: %d %s", resp.StatusCode, body)
@@ -722,7 +723,7 @@ func TestGracefulDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain predict = %d: %s", resp.StatusCode, body)
 	}
-	var env errorEnvelope
+	var env serveclient.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "draining" {
 		t.Fatalf("post-drain envelope = %s", body)
 	}
@@ -797,13 +798,13 @@ func TestConcurrentClients(t *testing.T) {
 						t.Errorf("client %d predict: %d %s", cIdx, resp.StatusCode, body)
 						return
 					}
-					var out predictResponse
+					var out serveclient.PredictResult
 					json.Unmarshal(body, &out)
 					if out.Label != want1[k] && out.Label != want2[k] {
 						t.Errorf("client %d: label %d matches neither model generation", cIdx, out.Label)
 					}
 				case 2:
-					req, _ := json.Marshal(predictBatchRequest{Model: "cbf", Series: [][]float64{fixProbe[k].Values}})
+					req, _ := json.Marshal(serveclient.BatchRequest{Model: "cbf", Series: [][]float64{fixProbe[k].Values}})
 					resp, body := postJSON(t, ts.URL+"/v1/predict:batch", string(req))
 					if resp.StatusCode != http.StatusOK {
 						t.Errorf("client %d batch: %d %s", cIdx, resp.StatusCode, body)

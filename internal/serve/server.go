@@ -13,6 +13,7 @@ import (
 	"rpm"
 	"rpm/internal/faults"
 	"rpm/internal/obs"
+	serveclient "rpm/internal/serve/client"
 	"rpm/internal/stream"
 )
 
@@ -56,15 +57,11 @@ type Config struct {
 	// MaxStreamChunk caps the samples one stream append may carry;
 	// larger chunks get 413 (default 8192).
 	MaxStreamChunk int
-	// StreamConfirm is the hysteresis depth: a class change commits only
-	// after this many consecutive agreeing samples (default 3).
-	StreamConfirm int
-	// StreamRefractory is the post-commit dead time in samples during
-	// which no further change may commit (default 0).
-	StreamRefractory int
-	// StreamEvents bounds the retained event history per stream — the
-	// SSE Last-Event-ID replay horizon (default 256).
-	StreamEvents int
+	// Stream configures every stream's change detector: the hysteresis
+	// depth, the post-commit refractory period and the retained event
+	// history (the SSE Last-Event-ID replay horizon). Zero fields take
+	// stream.Config's defaults (3, 0 and 256).
+	Stream stream.Config
 	// Registry receives the serving-layer observability (serve.*
 	// counters, latency summaries, the batch pool, the uptime span). A
 	// fresh registry is created when nil, retrievable via Server.Obs.
@@ -273,30 +270,11 @@ func (s *Server) Streams() *stream.Registry { return s.streams }
 
 // ---------------------------------------------------------------------------
 // Request/response shapes
-
-type predictRequest struct {
-	// Model selects the model by name; optional when exactly one model
-	// is loaded.
-	Model  string    `json:"model,omitempty"`
-	Values []float64 `json:"values"`
-}
-
-type predictResponse struct {
-	Model   string `json:"model"`
-	Version int    `json:"version"`
-	Label   int    `json:"label"`
-}
-
-type predictBatchRequest struct {
-	Model  string      `json:"model,omitempty"`
-	Series [][]float64 `json:"series"`
-}
-
-type predictBatchResponse struct {
-	Model   string `json:"model"`
-	Version int    `json:"version"`
-	Labels  []int  `json:"labels"`
-}
+//
+// The predict, batch, stream-append and error bodies are the client
+// package's exported types (serveclient.PredictRequest, BatchRequest,
+// PredictResult, BatchResult, ErrorEnvelope): one declaration shared by
+// both sides of the wire. Only the bodies no client reads live here.
 
 type modelInfo struct {
 	Name        string    `json:"name"`
@@ -305,17 +283,6 @@ type modelInfo struct {
 	LoadedAt    time.Time `json:"loadedAt"`
 	NumPatterns int       `json:"numPatterns"`
 	Classes     []int     `json:"classes,omitempty"`
-}
-
-// errorEnvelope is the JSON error body of every non-2xx response.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Status  int    `json:"status"`
-	Message string `json:"message"`
 }
 
 // ---------------------------------------------------------------------------
@@ -364,7 +331,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string)
 		w.Header().Set("Retry-After", "1")
 	}
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{Code: code, Status: status, Message: msg}})
+	json.NewEncoder(w).Encode(serveclient.ErrorEnvelope{Error: serveclient.APIError{Code: code, Status: status, Message: msg}})
 }
 
 func (s *Server) writeErrorFor(w http.ResponseWriter, err error) {
@@ -445,7 +412,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.spanPredict.Add(d)
 	}()
 	s.reqPredict.Inc()
-	var req predictRequest
+	var req serveclient.PredictRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErrorFor(w, err)
 		return
@@ -485,7 +452,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			s.writeErrorFor(w, res.err)
 			return
 		}
-		s.writeResult(w, predictResponse{Model: res.model.Name, Version: res.model.Version, Label: res.label})
+		s.writeResult(w, serveclient.PredictResult{Model: res.model.Name, Version: res.model.Version, Label: res.label})
 	case <-ctx.Done():
 		s.writeErrorFor(w, ctx.Err())
 	}
@@ -502,7 +469,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.spanBatch.Add(d)
 	}()
 	s.reqBatch.Inc()
-	var req predictBatchRequest
+	var req serveclient.BatchRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErrorFor(w, err)
 		return
@@ -534,7 +501,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorFor(w, err)
 		return
 	}
-	s.writeResult(w, predictBatchResponse{Model: m.Name, Version: m.Version, Labels: labels})
+	s.writeResult(w, serveclient.BatchResult{Model: m.Name, Version: m.Version, Labels: labels})
 }
 
 // handleModels serves GET /v1/models.

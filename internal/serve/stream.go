@@ -18,6 +18,7 @@ import (
 
 	"rpm"
 	"rpm/internal/faults"
+	serveclient "rpm/internal/serve/client"
 	"rpm/internal/stream"
 )
 
@@ -26,14 +27,6 @@ var (
 	errUnknownStream = errors.New("unknown stream")
 	errChunkTooLarge = errors.New("stream chunk too large")
 )
-
-type streamAppendRequest struct {
-	// Model selects the model on the append that creates the stream;
-	// optional when exactly one model is loaded. On later appends it must
-	// be empty or match the stream's bound model.
-	Model  string    `json:"model,omitempty"`
-	Values []float64 `json:"values"`
-}
 
 // streamState is the per-stream view every stream endpoint returns.
 type streamState struct {
@@ -109,7 +102,9 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.reqStream.Inc()
 	id := r.PathValue("id")
-	var req streamAppendRequest
+	// The append body has the predict request's {model, values} shape;
+	// Model binds the model only on the append that creates the stream.
+	var req serveclient.PredictRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErrorFor(w, err)
 		return
@@ -136,12 +131,7 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, nil, err
 		}
-		det := sm.NewDetector(stream.Config{
-			ConfirmWindows: s.cfg.StreamConfirm,
-			Refractory:     s.cfg.StreamRefractory,
-			MaxEvents:      s.cfg.StreamEvents,
-		})
-		return det, m, nil
+		return sm.NewDetector(s.cfg.Stream), m, nil
 	})
 	if err != nil {
 		s.writeErrorFor(w, err)
@@ -240,7 +230,7 @@ func (s *Server) handleStreamList(w http.ResponseWriter, r *http.Request) {
 // events after the cursor in Last-Event-ID (standard SSE resume) or
 // ?since=<seq> — then follows the stream until it is deleted, the
 // server drains, or the client disconnects. Within the retained-ring
-// horizon (Config.StreamEvents) a reconnecting client loses nothing
+// horizon (Config.Stream.MaxEvents) a reconnecting client loses nothing
 // and duplicates nothing: event seqs are per-stream, dense, and
 // deterministic, which is exactly what the chaos suite diffs.
 func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {

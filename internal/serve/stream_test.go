@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rpm"
+	serveclient "rpm/internal/serve/client"
 	"rpm/internal/stream"
 )
 
@@ -59,7 +60,7 @@ func readSSE(sc *bufio.Scanner) (ev sseEvent, ok bool, err error) {
 
 // streamBody marshals a stream append request.
 func streamBody(model string, values []float64) string {
-	b, _ := json.Marshal(streamAppendRequest{Model: model, Values: values})
+	b, _ := json.Marshal(serveclient.PredictRequest{Model: model, Values: values})
 	return string(b)
 }
 
@@ -108,11 +109,7 @@ func referenceDetector(t *testing.T, clf *rpm.Classifier, cfg Config) *stream.De
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.NewDetector(stream.Config{
-		ConfirmWindows: cfg.StreamConfirm,
-		Refractory:     cfg.StreamRefractory,
-		MaxEvents:      cfg.StreamEvents,
-	})
+	return m.NewDetector(cfg.Stream)
 }
 
 // eventfulSeries finds a probe signal that commits at least minEvents
@@ -147,8 +144,8 @@ func eventfulSeries(t *testing.T, clf *rpm.Classifier, cfg Config, minEvents int
 // in-process reference detector fed the same samples — the serving
 // layer adds transport, not semantics.
 func TestStreamHappyPathEquivalence(t *testing.T) {
-	cfg := Config{StreamConfirm: 1}
-	_, ts, _ := newTestServer(t, func(c *Config) { c.StreamConfirm = 1 })
+	cfg := Config{Stream: stream.Config{ConfirmWindows: 1}}
+	_, ts, _ := newTestServer(t, func(c *Config) { c.Stream.ConfirmWindows = 1 })
 	series, wantEvents := eventfulSeries(t, fixClf1, cfg, 2)
 	ref := referenceDetector(t, fixClf1, cfg)
 
@@ -290,7 +287,7 @@ func TestStreamErrorTaxonomy(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
 			}
-			var env errorEnvelope
+			var env serveclient.ErrorEnvelope
 			if err := json.Unmarshal(body, &env); err != nil {
 				t.Fatalf("body is not the error envelope: %s", body)
 			}
@@ -374,8 +371,8 @@ func TestStreamRejectsUnstreamableModel(t *testing.T) {
 // reconnects with Last-Event-ID and verifies the resume replays
 // exactly the missed tail — no duplicates, no losses.
 func TestStreamSSEFeedAndResume(t *testing.T) {
-	cfg := Config{StreamConfirm: 1}
-	_, ts, _ := newTestServer(t, func(c *Config) { c.StreamConfirm = 1 })
+	cfg := Config{Stream: stream.Config{ConfirmWindows: 1}}
+	_, ts, _ := newTestServer(t, func(c *Config) { c.Stream.ConfirmWindows = 1 })
 	series, wantEvents := eventfulSeries(t, fixClf1, cfg, 3)
 
 	// Create the stream with the first half, then subscribe, then feed
@@ -527,7 +524,7 @@ func TestStreamDrainWithOpenSSE(t *testing.T) {
 // sample, and lifecycle counters plus the live-stream gauges reflect
 // what actually happened.
 func TestStreamObsAccounting(t *testing.T) {
-	s, ts, _ := newTestServer(t, func(c *Config) { c.StreamConfirm = 1 })
+	s, ts, _ := newTestServer(t, func(c *Config) { c.Stream.ConfirmWindows = 1 })
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+fmt.Sprintf("/v1/streams/o%d", i), streamBody("cbf", []float64{1, 2, 3, 4}))
 		if resp.StatusCode != http.StatusOK {

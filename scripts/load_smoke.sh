@@ -29,10 +29,19 @@ go build -o "$work/bin/" ./cmd/ucrgen ./cmd/rpmcli ./cmd/rpmserved ./cmd/rpmload
 echo "== train"
 "$work/bin/ucrgen" -dir "$work/data" -name SynCBF -seed 1
 mkdir -p "$work/models"
-"$work/bin/rpmcli" \
-    -train "$work/data/SynCBF_TRAIN" -test "$work/data/SynCBF_TEST" \
-    -mode fixed -window 40 -paa 6 -alpha 4 \
-    -save "$work/models/cbf.json"
+train() {
+    "$work/bin/rpmcli" \
+        -train "$work/data/SynCBF_TRAIN" -test "$work/data/SynCBF_TEST" \
+        -mode fixed -window 40 -paa 6 -alpha 4 \
+        -save "$work/models/cbf.json"
+}
+train | tee "$work/train1.txt"
+
+# Fixed-mode training is deterministic, so rpmcli's stdout (per-class
+# lines included) must be byte-identical across runs.
+echo "== train again (rpmcli output must not change)"
+train > "$work/train2.txt"
+diff -u "$work/train1.txt" "$work/train2.txt"
 
 echo "== serve"
 "$work/bin/rpmserved" -addr "127.0.0.1:$port" -models "$work/models" &
