@@ -1,8 +1,9 @@
 // Command rpmserved is the RPM inference server: it loads every saved
 // classifier snapshot (*.json, written by Classifier.Save / rpmcli
 // -save) from a model directory into a versioned, hot-reloadable
-// registry and serves predictions over HTTP, amortizing per-request
-// transform cost through an adaptive micro-batcher (see DESIGN.md §10).
+// registry and serves predictions over HTTP. Single predictions queue
+// into a micro-batcher that flushes whatever is queued in one call, fanned
+// out over -workers (see DESIGN.md §10).
 //
 // Usage:
 //
@@ -63,8 +64,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		models       = flag.String("models", "", "directory of saved model snapshots (*.json); required")
-		maxBatch     = flag.Int("max-batch", 16, "micro-batch flush size")
-		maxDelay     = flag.Duration("max-delay", 2*time.Millisecond, "longest a request waits for batch-mates before flushing")
 		queueSize    = flag.Int("queue", 256, "batch queue bound; a full queue sheds with 429")
 		workers      = flag.Int("workers", 0, "predict fan-out per flush (0 = all cores, 1 = sequential)")
 		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (queueing + prediction)")
@@ -90,8 +89,6 @@ func main() {
 	}
 	cfg := serve.Config{
 		ModelDir:       *models,
-		MaxBatch:       *maxBatch,
-		MaxDelay:       *maxDelay,
 		QueueSize:      *queueSize,
 		Workers:        *workers,
 		RequestTimeout: *timeout,
@@ -106,12 +103,11 @@ func main() {
 }
 
 func run(addr string, cfg serve.Config, drainTimeout time.Duration, debug bool, inj *faults.Injector) error {
-	reg := obs.NewRegistry()
-	cfg.Registry = reg
 	srv, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
+	reg := srv.Obs()
 	if inj != nil {
 		log.Printf("CHAOS MODE: %s — not for production", inj)
 	}
@@ -167,8 +163,8 @@ func run(addr string, cfg serve.Config, drainTimeout time.Duration, debug bool, 
 	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("serving on %s (models=%s maxBatch=%d maxDelay=%s queue=%d maxStreams=%d)",
-			addr, cfg.ModelDir, cfg.MaxBatch, cfg.MaxDelay, cfg.QueueSize, cfg.MaxStreams)
+		log.Printf("serving on %s (models=%s queue=%d maxStreams=%d)",
+			addr, cfg.ModelDir, cfg.QueueSize, cfg.MaxStreams)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}

@@ -70,7 +70,8 @@ func WriteFig8SVG(dir string, rows []archive.Outcome) ([]string, error) {
 }
 
 // WriteFig9SVG renders the Figure 9 τ sweeps (runtime and error vs τ, one
-// series per dataset) into dir.
+// series per dataset) into dir, writing and returning fig9_time.svg
+// before fig9_error.svg.
 func WriteFig9SVG(dir string, rows []archive.Outcome) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -90,12 +91,12 @@ func WriteFig9SVG(dir string, rows []archive.Outcome) ([]string, error) {
 		errChart.Series = append(errChart.Series, svgplot.Series{Name: s.name, X: s.pct, Y: s.errs})
 	}
 	var paths []string
-	for name, chart := range map[string]svgplot.LineChart{
-		"fig9_time.svg":  timeChart,
-		"fig9_error.svg": errChart,
-	} {
-		path := filepath.Join(dir, name)
-		if err := writeChart(path, chart); err != nil {
+	for _, f := range []struct {
+		name  string
+		chart svgplot.LineChart
+	}{{"fig9_time.svg", timeChart}, {"fig9_error.svg", errChart}} {
+		path := filepath.Join(dir, f.name)
+		if err := writeChart(path, f.chart); err != nil {
 			return paths, err
 		}
 		paths = append(paths, path)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,14 +63,9 @@ func TestWriteFig9SVG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 2 {
-		t.Fatalf("paths = %v", paths)
-	}
-	want := map[string]bool{"fig9_time.svg": true, "fig9_error.svg": true}
-	for _, p := range paths {
-		if !want[filepath.Base(p)] {
-			t.Errorf("unexpected file %s", p)
-		}
+	want := []string{filepath.Join(dir, "fig9_time.svg"), filepath.Join(dir, "fig9_error.svg")}
+	if !slices.Equal(paths, want) {
+		t.Fatalf("paths = %v, want %v in that order", paths, want)
 	}
 }
 

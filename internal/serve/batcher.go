@@ -30,24 +30,25 @@ type predResponse struct {
 	err   error
 }
 
-// batcher is the adaptive micro-batcher: single-prediction requests
-// queue into a bounded channel and are flushed to one PredictBatch call
-// when either maxBatch requests have accumulated or maxDelay has elapsed
-// since the first request of the batch. The first request of a batch
-// therefore waits at most maxDelay; under load batches fill instantly
-// and per-request transform overhead amortizes across the worker pool
-// inside PredictBatchContext.
+// batcher is the micro-batcher: single-prediction requests queue into a
+// bounded channel, and one goroutine (loop) flushes each request it pops
+// together with everything already waiting behind it. The batch is what
+// the queue holds: a lone request flushes at once, and requests that
+// arrive while a flush runs leave together in the next one. Batched
+// requests share no transform work; what a batch buys is the worker
+// fan-out inside PredictBatchContext for the single flush goroutine.
 //
-// One goroutine (loop) owns batch assembly; flushes resolve the model
-// from the store at flush time, so a hot reload redirects the very next
-// flush to the new model without dropping anything queued.
+// Flushes resolve the model from the store at flush time, so a hot
+// reload redirects the very next flush to the new model without
+// dropping anything queued.
 type batcher struct {
-	store    *Store
-	maxBatch int
-	maxDelay time.Duration
-	faults   *faults.Injector
+	store  *Store
+	faults *faults.Injector
 
-	queue    chan *predRequest
+	queue chan *predRequest
+	// batch is the loop's reusable flush buffer. Its capacity, the
+	// popped request plus a full queue, bounds every batch.
+	batch    []*predRequest
 	quit     chan struct{}
 	quitOnce sync.Once
 	done     chan struct{}
@@ -84,13 +85,12 @@ type flushScratch struct {
 	reqs []*predRequest
 }
 
-func newBatcher(store *Store, maxBatch, queueSize int, maxDelay time.Duration, reg *obs.Registry, inj *faults.Injector) *batcher {
+func newBatcher(store *Store, queueSize int, reg *obs.Registry, inj *faults.Injector) *batcher {
 	b := &batcher{
 		store:      store,
-		maxBatch:   maxBatch,
-		maxDelay:   maxDelay,
 		faults:     inj,
 		queue:      make(chan *predRequest, queueSize),
+		batch:      make([]*predRequest, 0, queueSize+1),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 		batches:    reg.Counter(CtrBatches),
@@ -103,7 +103,7 @@ func newBatcher(store *Store, maxBatch, queueSize int, maxDelay time.Duration, r
 	}
 	b.scratch.New = func() any {
 		b.scratchNew.Inc()
-		return &flushScratch{ds: make(rpm.Dataset, 0, maxBatch)}
+		return &flushScratch{}
 	}
 	return b
 }
@@ -128,36 +128,42 @@ func (b *batcher) enqueue(r *predRequest) bool {
 	}
 }
 
-// loop assembles and flushes batches until quit, then drains whatever
-// remains in the queue so graceful shutdown never strands a queued
-// request.
+// loop flushes batches until quit, then drains whatever remains in the
+// queue so graceful shutdown never strands a queued request.
 func (b *batcher) loop() {
 	defer close(b.done)
 	for {
-		var first *predRequest
 		select {
 		case <-b.quit:
-			b.drain()
-			return
-		case first = <-b.queue:
-		}
-		batch := append(make([]*predRequest, 0, b.maxBatch), first)
-		timer := time.NewTimer(b.maxDelay)
-	collect:
-		for len(batch) < b.maxBatch {
-			select {
-			case <-b.quit:
-				break collect
-			case r := <-b.queue:
-				batch = append(batch, r)
-			case <-timer.C:
-				break collect
+			for b.flushQueued(nil) {
 			}
+			return
+		case r := <-b.queue:
+			b.flushQueued(r)
 		}
-		timer.Stop()
-		b.depth.Set(int64(len(b.queue)))
-		b.flush(batch)
 	}
+}
+
+// flushQueued flushes first (when non-nil) together with every request
+// already waiting in the queue, and reports whether there was anything
+// to flush. It is the loop's one collect step, so it is where the
+// consumer side records serve.queue.depth.
+func (b *batcher) flushQueued(first *predRequest) bool {
+	batch := b.batch[:0]
+	if first != nil {
+		batch = append(batch, first)
+	}
+	// The loop is the queue's only receiver, so these receives never block.
+	for range len(b.queue) {
+		batch = append(batch, <-b.queue)
+	}
+	b.depth.Set(int64(len(b.queue)))
+	if len(batch) == 0 {
+		return false
+	}
+	b.flush(batch)
+	clear(batch) // an idle batcher must not pin the last batch's series
+	return true
 }
 
 // stop signals the loop to drain and waits for it (or ctx). Safe to
@@ -169,26 +175,6 @@ func (b *batcher) stop(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// drain empties the queue after quit, flushing in maxBatch-sized groups.
-func (b *batcher) drain() {
-	var batch []*predRequest
-	for {
-		select {
-		case r := <-b.queue:
-			batch = append(batch, r)
-			if len(batch) >= b.maxBatch {
-				b.flush(batch)
-				batch = nil
-			}
-		default:
-			if len(batch) > 0 {
-				b.flush(batch)
-			}
-			return
-		}
 	}
 }
 
@@ -276,7 +262,7 @@ func (b *batcher) flushGroup(name string, group []*predRequest, sc *flushScratch
 	}
 	ds := sc.ds[:0]
 	for _, r := range live {
-		ds = append(ds, rpm.Instance{Values: r.values}) //rpmlint:ignore hotpathalloc growth bounded by max batch size; pooled scratch keeps the backing array
+		ds = append(ds, rpm.Instance{Values: r.values}) //rpmlint:ignore hotpathalloc growth bounded by the batch size; pooled scratch keeps the backing array
 	}
 	sc.ds = ds
 	//rpmlint:ignore hotpathalloc classifier batch call returns a fresh labels slice by contract (2 allocs/op, bench-gated); its inner kernel applyInto carries its own hotpath proof

@@ -11,16 +11,12 @@ import (
 // benchServer builds a Server over the shared trained fixture without an
 // HTTP front end; benchmarks drive the handler (or the batcher) directly
 // so sockets stay out of the measurement.
-func benchServer(b *testing.B, mut func(*Config)) *Server {
+func benchServer(b *testing.B) *Server {
 	b.Helper()
 	fixtures(b)
 	dir := b.TempDir()
 	writeModel(b, dir, "cbf", model1)
-	cfg := Config{ModelDir: dir, Workers: 1}
-	if mut != nil {
-		mut(&cfg)
-	}
-	s, err := New(cfg)
+	s, err := New(Config{ModelDir: dir, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,10 +30,10 @@ func benchServer(b *testing.B, mut func(*Config)) *Server {
 
 // BenchmarkServePredict measures one closed-loop /v1/predict request
 // through the full serving path — JSON decode, queue, batcher flush,
-// pooled transform + SVM, JSON encode — with MaxBatch 1 so every request
-// flushes immediately (the latency floor of the serving layer).
+// pooled transform + SVM, JSON encode. Closed-loop, every request
+// flushes alone, so this is the latency floor of the serving layer.
 func BenchmarkServePredict(b *testing.B) {
-	s := benchServer(b, func(c *Config) { c.MaxBatch = 1 })
+	s := benchServer(b)
 	h := s.Handler()
 	body := predictBody("cbf", fixProbe[0].Values)
 	b.ReportAllocs()
@@ -53,11 +49,11 @@ func BenchmarkServePredict(b *testing.B) {
 	}
 }
 
-// BenchmarkBatcherFlush measures one full-size batch flush — model
+// BenchmarkBatcherFlush measures one 16-request batch flush — model
 // lookup, pooled dataset assembly, PredictBatch, response distribution —
-// the amortized inner loop of the serving layer under sustained load.
+// the inner loop of the serving layer under sustained load.
 func BenchmarkBatcherFlush(b *testing.B) {
-	s := benchServer(b, nil)
+	s := benchServer(b)
 	const size = 16
 	batch := make([]*predRequest, size)
 	for i := range batch {

@@ -190,59 +190,70 @@ func TestPredictBatchEndpoint(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Micro-batching
 
-// TestBatchingAmortizes is the acceptance check: N concurrent
-// single-predict requests are served by fewer than N PredictBatch calls,
-// observable via the serve.batches counter, with every label still
-// byte-identical to direct Predict.
+// TestBatchingAmortizes pins the batching contract without a clock:
+// while one flush is stalled at the gate, the n requests that queue
+// behind it leave together in exactly one further flush, and every
+// label still equals in-process Predict.
 func TestBatchingAmortizes(t *testing.T) {
 	const n = 8
-	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = n
-		c.MaxDelay = 100 * time.Millisecond
-	})
-	var wg sync.WaitGroup
-	labels := make([]int, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in := fixProbe[i%len(fixProbe)]
-			resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("cbf", in.Values))
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	s, ts, _ := newTestServer(t, func(c *Config) { c.RequestTimeout = 10 * time.Second })
+	gate := gateFlushes(t, s)
+
+	type result struct {
+		label int
+		err   error
+	}
+	fire := func(i int) chan result {
+		ch := make(chan result, 1)
+		go func() {
+			status, body, err := rawPredict(ts, predictBody("cbf", fixProbe[i%len(fixProbe)].Values))
+			if err == nil && status != http.StatusOK {
+				err = fmt.Errorf("status %d: %s", status, body)
+			}
+			if err != nil {
+				ch <- result{err: err}
 				return
 			}
 			var out serveclient.PredictResult
-			if err := json.Unmarshal(body, &out); err != nil {
-				errs[i] = err
-				return
-			}
-			labels[i] = out.Label
-		}(i)
+			err = json.Unmarshal(body, &out)
+			ch <- result{out.Label, err}
+		}()
+		return ch
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if want := fixClf1.Predict(fixProbe[i%len(fixProbe)].Values); labels[i] != want {
-			t.Fatalf("request %d: label %d != direct %d", i, labels[i], want)
-		}
+	// Request 0 is popped alone and stalls in its flush; requests 1..n
+	// queue behind it one at a time.
+	results := []chan result{fire(0)}
+	<-gate
+	for i := 1; i <= n; i++ {
+		results = append(results, fire(i))
+		waitFor(t, func() bool { return s.reg.Snapshot().Gauge(GaugeQueueDepth) == int64(i) })
 	}
+	gate <- struct{}{} // release request 0's flush
+	<-gate             // the next flush has begun
 	snap := s.reg.Snapshot()
 	batches, items := snap.Counter(CtrBatches), snap.Counter(CtrBatchItems)
-	if items != n {
-		t.Fatalf("batched items = %d, want %d", items, n)
+	if batches != 1 || items != 1 {
+		t.Fatalf("stalled flush recorded %d flushes of %d items, want 1 of 1", batches, items)
 	}
-	if batches >= n {
-		t.Fatalf("served %d requests in %d PredictBatch calls: batching did not amortize", n, batches)
+	if d := snap.Gauge(GaugeQueueDepth); d != 0 {
+		t.Fatalf("queue depth = %d once the next flush collected, want 0", d)
 	}
-	if batches < 1 {
-		t.Fatalf("no batch flush recorded")
+	gate <- struct{}{}
+	waitFor(t, func() bool { return s.reg.Snapshot().Counter(CtrBatches) == batches+1 })
+	if got := s.reg.Snapshot().Counter(CtrBatchItems) - items; got != n {
+		t.Fatalf("the next flush carried %d of the %d queued requests", got, n)
 	}
-	t.Logf("amortization: %d requests in %d flushes", n, batches)
-	if p := snap.Summary(SumLatencyPredict); p == nil || p.Count != n {
+	for i, ch := range results {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+		if want := fixClf1.Predict(fixProbe[i%len(fixProbe)].Values); r.label != want {
+			t.Fatalf("request %d: label %d != direct %d", i, r.label, want)
+		}
+	}
+	snap = s.reg.Snapshot()
+	if p := snap.Summary(SumLatencyPredict); p == nil || p.Count != n+1 {
 		t.Fatalf("predict latency summary = %+v", p)
 	}
 	if pool := snap.Pools; len(pool) == 0 {
@@ -349,72 +360,6 @@ func TestFlushGroupOrder(t *testing.T) {
 	}
 }
 
-// TestFlushBySize: with a huge MaxDelay, exactly MaxBatch concurrent
-// requests trigger one size-driven flush (no timer involved).
-func TestFlushBySize(t *testing.T) {
-	const n = 4
-	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = n
-		c.MaxDelay = 10 * time.Second
-		c.RequestTimeout = 8 * time.Second
-	})
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[i].Values))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("size-driven flush took %s; batcher waited for the timer", elapsed)
-	}
-	snap := s.reg.Snapshot()
-	if b := snap.Counter(CtrBatches); b != 1 {
-		t.Fatalf("flushes = %d, want exactly 1 size-driven flush", b)
-	}
-	if items := snap.Counter(CtrBatchItems); items != n {
-		t.Fatalf("items = %d, want %d", items, n)
-	}
-}
-
-// TestFlushByTimer: fewer requests than MaxBatch still flush once
-// MaxDelay elapses.
-func TestFlushByTimer(t *testing.T) {
-	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 100
-		c.MaxDelay = 30 * time.Millisecond
-	})
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[i].Values))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timer flush took %s", elapsed)
-	}
-	snap := s.reg.Snapshot()
-	if b := snap.Counter(CtrBatches); b < 1 || b > 2 {
-		t.Fatalf("flushes = %d, want 1 or 2 timer-driven flushes", b)
-	}
-	if items := snap.Counter(CtrBatchItems); items != 2 {
-		t.Fatalf("items = %d, want 2", items)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Error mapping
 
@@ -507,9 +452,7 @@ func TestNoModels(t *testing.T) {
 // queued ones are eventually served.
 func TestShed429(t *testing.T) {
 	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 1
 		c.QueueSize = 1
-		c.MaxDelay = time.Millisecond
 		c.RequestTimeout = 10 * time.Second
 	})
 	gate := make(chan struct{})
@@ -558,6 +501,26 @@ func TestShed429(t *testing.T) {
 	if shed := s.reg.Snapshot().Counter(CtrShed); shed != 1 {
 		t.Fatalf("shed counter = %d, want 1", shed)
 	}
+}
+
+// gateFlushes stalls every flush of s's batcher at a test gate (see
+// batcher.flushGate) and returns the gate. Once the test ends the gate
+// lets every further flush through, so a failed check does not leave
+// handlers parked at it while cleanup waits for them.
+func gateFlushes(t *testing.T, s *Server) chan struct{} {
+	gate := make(chan struct{})
+	s.batcher.flushGate = gate
+	t.Cleanup(func() {
+		go func() {
+			for {
+				select {
+				case <-gate: // a flush announcing itself
+				case gate <- struct{}{}: // a flush awaiting release
+				}
+			}
+		}()
+	})
+	return gate
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -652,11 +615,7 @@ func TestHotReload(t *testing.T) {
 // mid-flight neither drops nor corrupts the in-flight request — the
 // flush resolves the newest model and answers with it.
 func TestHotReloadInFlight(t *testing.T) {
-	s, ts, dir := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 1
-		c.MaxDelay = time.Millisecond
-		c.RequestTimeout = 10 * time.Second
-	})
+	s, ts, dir := newTestServer(t, func(c *Config) { c.RequestTimeout = 10 * time.Second })
 	gate := make(chan struct{})
 	s.batcher.flushGate = gate
 	done := make(chan serveclient.PredictResult, 1)
@@ -689,34 +648,49 @@ func TestHotReloadInFlight(t *testing.T) {
 // Graceful drain
 
 // TestGracefulDrain: requests already queued when Close is called are
-// still answered; requests arriving during/after the drain get 503.
+// still answered and leave the queue empty; requests arriving
+// during/after the drain get 503.
 func TestGracefulDrain(t *testing.T) {
 	const n = 3
-	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 100
-		c.MaxDelay = 10 * time.Second // flush only via drain
-		c.RequestTimeout = 8 * time.Second
-	})
-	results := make(chan int, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			resp, _ := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[i].Values))
-			results <- resp.StatusCode
-		}(i)
+	s, ts, _ := newTestServer(t, func(c *Config) { c.RequestTimeout = 8 * time.Second })
+	gate := gateFlushes(t, s)
+	results := make(chan error, n)
+	fire := func(i int) {
+		go func() {
+			status, body, err := rawPredict(ts, predictBody("", fixProbe[i].Values))
+			if err == nil && status != http.StatusOK {
+				err = fmt.Errorf("queued request drained with status %d, want 200: %s", status, body)
+			}
+			results <- err
+		}()
 	}
-	// Wait until all n are inside the batcher (popped into the
-	// assembling batch or still queued), then drain.
-	waitFor(t, func() bool { return s.reg.Snapshot().Counter(CtrRequestsPredict) == n })
-	time.Sleep(50 * time.Millisecond) // let the handlers reach enqueue
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Close(ctx); err != nil {
+	// Request 0 stalls in its flush; the rest queue behind it.
+	fire(0)
+	<-gate
+	for i := 1; i < n; i++ {
+		fire(i)
+		waitFor(t, func() bool { return s.reg.Snapshot().Gauge(GaugeQueueDepth) == int64(i) })
+	}
+	closed := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		closed <- s.Close(ctx)
+	}()
+	waitFor(t, s.Draining)
+	gate <- struct{}{} // release request 0's flush
+	<-gate             // the queued requests' flush has begun
+	gate <- struct{}{}
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		if status := <-results; status != http.StatusOK {
-			t.Fatalf("queued request drained with status %d, want 200", status)
+		if err := <-results; err != nil {
+			t.Fatal(err)
 		}
+	}
+	if d := s.reg.Snapshot().Gauge(GaugeQueueDepth); d != 0 {
+		t.Fatalf("queue depth after Close = %d, want 0", d)
 	}
 	// The drained server refuses new work.
 	resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[0].Values))
@@ -777,10 +751,7 @@ func TestModelsEndpoint(t *testing.T) {
 // underneath; every request must succeed and every label match one of
 // the two model generations.
 func TestConcurrentClients(t *testing.T) {
-	s, ts, dir := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 8
-		c.MaxDelay = time.Millisecond
-	})
+	s, ts, dir := newTestServer(t, nil)
 	const clients, per = 4, 15
 	want1 := fixClf1.PredictBatch(fixProbe)
 	want2 := fixClf2.PredictBatch(fixProbe)

@@ -32,11 +32,6 @@ type Config struct {
 	// ModelDir is the directory of *.json classifier snapshots (written
 	// by Classifier.Save / rpmcli -save). Required.
 	ModelDir string
-	// MaxBatch is the micro-batcher's flush size (default 16).
-	MaxBatch int
-	// MaxDelay is the longest the first request of a batch waits for
-	// batch-mates before flushing anyway (default 2ms).
-	MaxDelay time.Duration
 	// QueueSize bounds the batch queue; a full queue sheds requests with
 	// 429 + Retry-After (default 256).
 	QueueSize int
@@ -62,10 +57,6 @@ type Config struct {
 	// history (the SSE Last-Event-ID replay horizon). Zero fields take
 	// stream.Config's defaults (3, 0 and 256).
 	Stream stream.Config
-	// Registry receives the serving-layer observability (serve.*
-	// counters, latency summaries, the batch pool, the uptime span). A
-	// fresh registry is created when nil, retrievable via Server.Obs.
-	Registry *obs.Registry
 	// Faults, usually nil (chaos off), injects deterministic failures at
 	// the named sites threaded through the stack: model-load errors,
 	// flush stalls, queue saturation, deadline exhaustion and response-
@@ -75,12 +66,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
 	}
@@ -95,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStreamChunk <= 0 {
 		c.MaxStreamChunk = 8192
-	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
 	}
 	return c
 }
@@ -150,7 +132,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config.ModelDir is required")
 	}
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:        cfg,
 		reg:        reg,
@@ -183,7 +165,7 @@ func New(cfg Config) (*Server, error) {
 	if _, err := s.store.Reload(); err != nil {
 		return nil, err
 	}
-	s.batcher = newBatcher(s.store, cfg.MaxBatch, cfg.QueueSize, cfg.MaxDelay, reg, cfg.Faults)
+	s.batcher = newBatcher(s.store, cfg.QueueSize, reg, cfg.Faults)
 	s.batcher.start()
 
 	s.mux = http.NewServeMux()
@@ -206,7 +188,8 @@ func New(cfg Config) (*Server, error) {
 // embedding processes choose what to expose.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Obs returns the server's observability registry.
+// Obs returns the server's observability registry: the serving layer's
+// serve.* counters, latency summaries, batch pool and uptime span.
 func (s *Server) Obs() *obs.Registry { return s.reg }
 
 // Store returns the server's model store.

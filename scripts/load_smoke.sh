@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Load smoke: train a small model end to end, serve it with rpmserved,
-# and drive it with rpmload for 2 seconds of closed-loop traffic. The
+# and drive it with rpmload: 2 seconds of closed-loop traffic, then 2
+# seconds of open-loop traffic at 200 req/s, the light load where each
+# request reaches an idle batcher alone. The
 # run fails (rpmload -strict) when nothing completed or any request came
 # back as an error envelope or transport error — the whole predict path
 # (HTTP decode → batcher → pooled transform kernel → SVM → encode) has
@@ -52,5 +54,10 @@ echo "== load ($duration, $concurrency workers)"
     -addr "http://127.0.0.1:$port" -model cbf \
     -duration "$duration" -concurrency "$concurrency" \
     -wait 10s -strict
+
+echo "== open-loop load (200 req/s, 2s)"
+"$work/bin/rpmload" \
+    -addr "http://127.0.0.1:$port" -model cbf \
+    -rate 200 -duration 2s -strict
 
 echo "load smoke OK"
