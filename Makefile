@@ -15,14 +15,14 @@ FUZZTIME ?= 10s
 # The gated benchmarks cover the pipeline's hot paths: end-to-end fixed-
 # parameter training, single prediction, the transform and predict-batch
 # parallel kernels, the single-query transform kernel, the serving-layer
-# predict and flush paths, the 1NN baselines, the Matcher short-query
+# predict round trip, the 1NN baselines, the Matcher short-query
 # path, and the streaming append path. `make bench-baseline` refreshes the committed
 # baseline; `make bench-gate` re-runs the benches and fails on a
 # >$(MAX_REGRESS)% ns/op regression or any allocs/op increase against it
 # (benchjson aggregates -count samples by min). Both the selection regex and the package list
 # are overridable (`make bench-json BENCH_GATE_RE=...`) so one-off runs
 # can benchmark a subset without editing this file.
-BENCH_GATE_RE ?= ^Benchmark(RPMTrainFixed|RPMPredict|TransformParallel|TransformInto|PredictBatchParallel|ServePredict|BatcherFlush|NNEDParallel|NNDTWParallel|MatcherBestShort|StreamAppend)$$
+BENCH_GATE_RE ?= ^Benchmark(RPMTrainFixed|RPMPredict|TransformParallel|TransformInto|PredictBatchParallel|ServePredict|NNEDParallel|NNDTWParallel|MatcherBestShort|StreamAppend)$$
 BENCH_GATE_PKGS ?= . ./internal/core ./internal/nn ./internal/dist ./internal/serve ./internal/stream
 BENCH_BASELINE = BENCH_PR8.json
 BENCH_CURRENT = $(OUT_DIR)/BENCH_PR8.tmp.json

@@ -1,9 +1,10 @@
 // Command rpmserved is the RPM inference server: it loads every saved
 // classifier snapshot (*.json, written by Classifier.Save / rpmcli
 // -save) from a model directory into a versioned, hot-reloadable
-// registry and serves predictions over HTTP. Single predictions queue
-// into a micro-batcher that flushes whatever is queued in one call, fanned
-// out over -workers (see DESIGN.md §10).
+// registry and serves predictions over HTTP. A single prediction is
+// admitted (at most -queue at once, beyond that 429) and computed on its
+// request's own goroutine; a batch request fans out over -workers (see
+// DESIGN.md §10).
 //
 // Usage:
 //
@@ -28,12 +29,12 @@
 // Hot reload (SIGHUP or POST /admin/reload) atomically swaps in changed
 // snapshots; corrupt files are rejected and the previous version keeps
 // serving. SIGTERM/SIGINT drains gracefully: /readyz flips to 503 the
-// moment the drain begins (while /healthz stays 200), in-flight and
-// queued requests finish, new ones get 503.
+// moment the drain begins (while /healthz stays 200), in-flight
+// requests finish, new ones get 503.
 //
 // Chaos mode (-faults "site:p=0.5;...", -faults-seed N) arms the
 // deterministic fault injector of DESIGN.md §13 inside the serving
-// layer — model-load I/O errors, flush stalls, queue saturation,
+// layer — model-load I/O errors, predict stalls, full admission,
 // deadline exhaustion, response-write aborts. Same seed + spec
 // reproduces the exact injected sequence. Never use in production.
 package main
@@ -64,16 +65,16 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		models       = flag.String("models", "", "directory of saved model snapshots (*.json); required")
-		queueSize    = flag.Int("queue", 256, "batch queue bound; a full queue sheds with 429")
-		workers      = flag.Int("workers", 0, "predict fan-out per flush (0 = all cores, 1 = sequential)")
-		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (queueing + prediction)")
+		queueSize    = flag.Int("queue", 256, "/v1/predict requests admitted at once; one more sheds with 429")
+		workers      = flag.Int("workers", 0, "predict fan-out per /v1/predict:batch request (0 = all cores, 1 = sequential)")
+		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (admission + prediction)")
 		maxStreams   = flag.Int("max-streams", 10000, "live-stream cap; creation beyond it sheds with 429 (-1 = unbounded)")
 		streamChunk  = flag.Int("stream-chunk", 8192, "max samples per stream append; larger chunks get 413")
 		streamK      = flag.Int("stream-confirm", 3, "hysteresis depth: consecutive agreeing samples before a class change commits")
 		streamDead   = flag.Int("stream-refractory", 0, "post-commit dead time in samples during which no further change commits")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget on SIGTERM/SIGINT")
 		noDebug      = flag.Bool("no-debug", false, "disable /debug/obs, /debug/vars and /debug/pprof")
-		faultSpec    = flag.String("faults", "", "chaos fault-injection spec, e.g. \"store.load:p=0.5;batcher.flush:d=50ms:n=3\" (sites: "+strings.Join(faults.KnownSites(), ", ")+"); empty = off")
+		faultSpec    = flag.String("faults", "", "chaos fault-injection spec, e.g. \"store.load:p=0.5;server.predict:d=50ms:n=3\" (sites: "+strings.Join(faults.KnownSites(), ", ")+"); empty = off")
 		faultSeed    = flag.Int64("faults-seed", 1, "fault-injection seed; same seed + spec reproduces the exact injected sequence")
 	)
 	flag.Parse()
@@ -180,14 +181,14 @@ func run(addr string, cfg serve.Config, drainTimeout time.Duration, debug bool, 
 	defer cancel()
 	// Order matters: flip /readyz to 503 immediately (load balancers stop
 	// routing here while /healthz stays 200), then stop accepting and
-	// finish in-flight handlers (http.Server.Shutdown), then drain the
-	// batch queue (serve.Close).
+	// finish in-flight handlers (http.Server.Shutdown), then close the
+	// server and its streams (serve.Close).
 	srv.BeginDrain()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
 	if err := srv.Close(ctx); err != nil {
-		return fmt.Errorf("draining batcher: %w", err)
+		return fmt.Errorf("draining server: %w", err)
 	}
 	log.Printf("drained cleanly")
 	return nil

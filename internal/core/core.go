@@ -273,10 +273,10 @@ type transformer struct {
 	featOf  []int
 	groups  []dist.Group
 	rotInv  bool
-	// scratch pools per-worker query state (window stats, rotation
+	// scratches pools per-worker query state (window stats, rotation
 	// buffer, abandon seeds, feature row) so steady-state transforms
 	// allocate nothing.
-	scratch sync.Pool
+	scratches sync.Pool
 }
 
 // transformScratch is the per-worker state of the transform kernels. It
@@ -299,7 +299,7 @@ func newTransformer(patterns []Pattern, rotInv bool) *transformer {
 		t.matchers = append(t.matchers, dist.NewMatcher(p.Values))
 	}
 	t.ordered, t.featOf, t.groups = dist.GroupByLen(t.matchers)
-	t.scratch.New = func() any {
+	t.scratches.New = func() any {
 		k := len(t.matchers)
 		sc := &transformScratch{
 			q:     dist.NewQuery(nil),
@@ -322,13 +322,13 @@ func newTransformer(patterns []Pattern, rotInv bool) *transformer {
 	return t
 }
 
-func (t *transformer) getScratch() *transformScratch { return t.scratch.Get().(*transformScratch) }
+func (t *transformer) getScratch() *transformScratch { return t.scratches.Get().(*transformScratch) }
 func (t *transformer) putScratch(sc *transformScratch) {
 	sc.q.Reset(nil)
 	if sc.rq != nil {
 		sc.rq.Reset(nil)
 	}
-	t.scratch.Put(sc)
+	t.scratches.Put(sc)
 }
 
 // apply transforms one series into a freshly allocated row (the public

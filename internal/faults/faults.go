@@ -17,9 +17,9 @@
 //
 // Sites are armed by a spec string (see New):
 //
-//	store.load:p=0.5;batcher.flush:d=30ms:n=3
+//	store.load:p=0.5;server.predict:d=30ms:n=3
 //
-// arms a 50%-probability load error and three 30ms flush delays.
+// arms a 50%-probability load error and three 30ms predict delays.
 package faults
 
 import (
@@ -40,15 +40,17 @@ const (
 	// SiteStoreLoad fails a model snapshot read during Store.Reload,
 	// exercising the corrupt-reload path (old version keeps serving).
 	SiteStoreLoad = "store.load"
-	// SiteFlushDelay stalls the batcher's flush for the configured d
-	// before any prediction runs: a latency spike (small d) or a wedged
-	// flush (large d).
-	SiteFlushDelay = "batcher.flush"
-	// SiteEnqueueFull makes the batcher report a saturated queue, so the
-	// server sheds the request with 429 + Retry-After.
-	SiteEnqueueFull = "batcher.enqueue"
-	// SiteDeadline expires a request's deadline before it is enqueued,
-	// exercising the queue-age admission check (504, never computed).
+	// SitePredictDelay stalls an admitted /v1/predict request for the
+	// configured d while it holds its admission slot, before the deadline
+	// check and any prediction: a latency spike (small d) or a wedged
+	// predict (large d).
+	SitePredictDelay = "server.predict"
+	// SiteAdmitFull makes admission report that every slot is taken, so
+	// the server sheds the request with 429 + Retry-After.
+	SiteAdmitFull = "server.admit"
+	// SiteDeadline expires a request's deadline before it is admitted,
+	// exercising the post-admission deadline check (504, never looked up
+	// or computed).
 	SiteDeadline = "server.deadline"
 	// SiteWriteFail aborts the response write of a successful
 	// prediction, simulating a client connection dying at write time.
@@ -71,9 +73,9 @@ const (
 // KnownSites lists every site name New accepts, sorted.
 func KnownSites() []string {
 	return []string{
-		SiteEnqueueFull,
-		SiteFlushDelay,
+		SiteAdmitFull,
 		SiteDeadline,
+		SitePredictDelay,
 		SiteWriteFail,
 		SiteStoreLoad,
 		SiteStreamAppend,
@@ -254,7 +256,7 @@ func (in *Injector) Err(name string) error {
 // Sleep blocks for the site's configured delay when it fires and
 // returns the injected duration (0 when it did not fire). The decision
 // is taken under the injector lock; the sleep itself is not, so
-// concurrent flushes stall independently.
+// concurrent callers stall independently.
 func (in *Injector) Sleep(name string) time.Duration {
 	fired, _, d := in.decide(name, "delay")
 	if !fired || d <= 0 {

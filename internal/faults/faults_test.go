@@ -20,7 +20,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if err := in.Err(SiteStoreLoad); err != nil {
 		t.Errorf("nil injector injected error %v", err)
 	}
-	if d := in.Sleep(SiteFlushDelay); d != 0 {
+	if d := in.Sleep(SitePredictDelay); d != 0 {
 		t.Errorf("nil injector slept %v", d)
 	}
 	if ev := in.Events(); ev != nil {
@@ -50,11 +50,11 @@ func TestEmptySpecMeansOff(t *testing.T) {
 
 // TestSpecParsing covers the option grammar and its error cases.
 func TestSpecParsing(t *testing.T) {
-	in, err := New(7, "store.load:p=0.5:n=3:skip=2; batcher.flush:d=30ms , server.deadline")
+	in, err := New(7, "store.load:p=0.5:n=3:skip=2; server.predict:d=30ms , server.deadline")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{SiteFlushDelay, SiteStoreLoad, SiteDeadline}
+	want := []string{SitePredictDelay, SiteStoreLoad, SiteDeadline}
 	if got := in.Armed(); !reflect.DeepEqual(got, sortedCopy(want)) {
 		t.Fatalf("Armed = %v, want %v", got, sortedCopy(want))
 	}
@@ -63,17 +63,17 @@ func TestSpecParsing(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"nope.site",              // unknown site
-		"store.load:p",           // malformed option
-		"store.load:p=2",         // p out of range
-		"store.load:p=0",         // p out of range
-		"store.load:n=-1",        // negative n
-		"store.load:skip=-2",     // negative skip
-		"batcher.flush:d=-5ms",   // negative delay
-		"store.load:zap=1",       // unknown key
-		"store.load;store.load",  // duplicate site
-		"store.load:p=abc",       // unparsable float
-		"batcher.flush:d=potato", // unparsable duration
+		"nope.site",               // unknown site
+		"store.load:p",            // malformed option
+		"store.load:p=2",          // p out of range
+		"store.load:p=0",          // p out of range
+		"store.load:n=-1",         // negative n
+		"store.load:skip=-2",      // negative skip
+		"server.predict:d=-5ms",   // negative delay
+		"store.load:zap=1",        // unknown key
+		"store.load;store.load",   // duplicate site
+		"store.load:p=abc",        // unparsable float
+		"server.predict:d=potato", // unparsable duration
 	} {
 		if _, err := New(1, bad); err == nil {
 			t.Errorf("New(%q) accepted a bad spec", bad)
@@ -200,22 +200,22 @@ func TestUnarmedSiteNeverFires(t *testing.T) {
 // TestSleepInjectsDelay: an armed delay site actually blocks for d and
 // reports it; Events record kind "delay".
 func TestSleepInjectsDelay(t *testing.T) {
-	in, err := New(1, "batcher.flush:d=20ms:n=1")
+	in, err := New(1, "server.predict:d=20ms:n=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if d := in.Sleep(SiteFlushDelay); d != 20*time.Millisecond {
+	if d := in.Sleep(SitePredictDelay); d != 20*time.Millisecond {
 		t.Fatalf("Sleep returned %v", d)
 	}
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
 		t.Fatalf("Sleep returned after %v, want ≥ ~20ms", elapsed)
 	}
-	if d := in.Sleep(SiteFlushDelay); d != 0 {
+	if d := in.Sleep(SitePredictDelay); d != 0 {
 		t.Fatalf("n=1 site slept twice (%v)", d)
 	}
 	ev := in.Events()
-	if len(ev) != 1 || ev[0].Kind != "delay" || ev[0].Site != SiteFlushDelay {
+	if len(ev) != 1 || ev[0].Kind != "delay" || ev[0].Site != SitePredictDelay {
 		t.Fatalf("events = %v", ev)
 	}
 }

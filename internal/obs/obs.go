@@ -506,6 +506,9 @@ func snapSummary(s *Summary) SummarySnapshot {
 	if total == 0 {
 		return out
 	}
+	// A quantile is its bucket's upper bound clamped into [MinNS, MaxNS]:
+	// no quantile reads above the largest or below the smallest value
+	// actually observed.
 	quantile := func(q float64) int64 {
 		rank := int64(q * float64(total))
 		if rank >= total {
@@ -515,7 +518,7 @@ func snapSummary(s *Summary) SummarySnapshot {
 		for i, c := range counts {
 			seen += c
 			if seen > rank {
-				return int64(1) << uint(i+1) // bucket upper bound
+				return min(max(int64(1)<<uint(i+1), out.MinNS), out.MaxNS)
 			}
 		}
 		return out.MaxNS

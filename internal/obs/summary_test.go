@@ -76,9 +76,32 @@ func TestSummaryStatistics(t *testing.T) {
 	check("p50", snap.P50NS, 50*time.Microsecond)
 	check("p90", snap.P90NS, 90*time.Microsecond)
 	check("p99", snap.P99NS, 99*time.Microsecond)
-	// Quantiles are monotone.
+	// Quantiles are monotone and never read above the observed max.
 	if snap.P50NS > snap.P90NS || snap.P90NS > snap.P99NS {
 		t.Fatalf("quantiles not monotone: %d %d %d", snap.P50NS, snap.P90NS, snap.P99NS)
+	}
+	if snap.P99NS > snap.MaxNS {
+		t.Fatalf("p99 = %s above max = %s", time.Duration(snap.P99NS), time.Duration(snap.MaxNS))
+	}
+}
+
+// TestSummaryConstantInput: when every observation is the same value,
+// every quantile is that value, not the upper bound of its bucket.
+func TestSummaryConstantInput(t *testing.T) {
+	r := NewRegistry()
+	s := r.Summary("const")
+	const v = 1100 * time.Microsecond
+	for range 50 {
+		s.Observe(v)
+	}
+	snap := r.Snapshot().Summary("const")
+	if snap.MinNS != int64(v) || snap.MaxNS != int64(v) {
+		t.Fatalf("min/max = %d/%d, want %d", snap.MinNS, snap.MaxNS, int64(v))
+	}
+	for i, q := range []int64{snap.P50NS, snap.P90NS, snap.P99NS} {
+		if q != int64(v) {
+			t.Errorf("quantile %d of (p50, p90, p99) = %s, want %s", i, time.Duration(q), v)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // benchServer builds a Server over the shared trained fixture without an
-// HTTP front end; benchmarks drive the handler (or the batcher) directly
-// so sockets stay out of the measurement.
+// HTTP front end; benchmarks drive the handler directly so sockets stay
+// out of the measurement.
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	fixtures(b)
@@ -29,9 +29,9 @@ func benchServer(b *testing.B) *Server {
 }
 
 // BenchmarkServePredict measures one closed-loop /v1/predict request
-// through the full serving path — JSON decode, queue, batcher flush,
-// pooled transform + SVM, JSON encode. Closed-loop, every request
-// flushes alone, so this is the latency floor of the serving layer.
+// through the full serving path — JSON decode, validation, admission,
+// pooled transform + SVM, JSON encode — the latency floor of the
+// serving layer.
 func BenchmarkServePredict(b *testing.B) {
 	s := benchServer(b)
 	h := s.Handler()
@@ -45,32 +45,6 @@ func BenchmarkServePredict(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != 200 {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
-		}
-	}
-}
-
-// BenchmarkBatcherFlush measures one 16-request batch flush — model
-// lookup, pooled dataset assembly, PredictBatch, response distribution —
-// the inner loop of the serving layer under sustained load.
-func BenchmarkBatcherFlush(b *testing.B) {
-	s := benchServer(b)
-	const size = 16
-	batch := make([]*predRequest, size)
-	for i := range batch {
-		batch[i] = &predRequest{
-			model:  "cbf",
-			values: fixProbe[i%len(fixProbe)].Values,
-			out:    make(chan predResponse, 1),
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.batcher.flush(batch)
-		for _, r := range batch {
-			if resp := <-r.out; resp.err != nil {
-				b.Fatal(resp.err)
-			}
 		}
 	}
 }

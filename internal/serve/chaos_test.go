@@ -175,12 +175,13 @@ func TestChaosCorruptReloadStorm(t *testing.T) {
 	})
 }
 
-// TestChaosLatencyStorm: every flush has a 50% chance of an injected
-// 15ms stall. Latency spikes must never change answers: all requests
-// still complete 200 with byte-identical labels (invariants 1+2).
+// TestChaosLatencyStorm: every admitted predict has a 50% chance of an
+// injected 15ms stall. Latency spikes must never change answers: all
+// requests still complete 200 with byte-identical labels (invariants
+// 1+2).
 func TestChaosLatencyStorm(t *testing.T) {
 	runTwice(t, func(t *testing.T, seed int64) (string, []string) {
-		_, ts, _, inj := newChaosServer(t, seed, "batcher.flush:p=0.5:d=15ms")
+		_, ts, _, inj := newChaosServer(t, seed, "server.predict:p=0.5:d=15ms")
 		var transcript []string
 		versionClf := map[int]*rpm.Classifier{1: fixClf1}
 		for i := 0; i < 12; i++ {
@@ -198,16 +199,15 @@ func TestChaosLatencyStorm(t *testing.T) {
 	})
 }
 
-// TestChaosStalledFlushDrain: a flush is deterministically stalled at
-// the test gate while more requests queue behind it, then the server
-// begins draining WITH flush-stall faults still armed. Every queued
-// request must still get exactly one terminal answer, post-drain
-// arrivals get 503 draining, and Close returns cleanly (invariants 2+4).
+// TestChaosStalledFlushDrain: admitted requests are deterministically
+// held at the test gate, then the server begins draining WITH predict-
+// stall faults still armed. Every admitted request must still get
+// exactly one terminal answer, post-drain arrivals get 503 draining,
+// and Close returns cleanly (invariants 2+4).
 func TestChaosStalledFlushDrain(t *testing.T) {
 	runTwice(t, func(t *testing.T, seed int64) (string, []string) {
-		s, ts, _, inj := newChaosServer(t, seed, "batcher.flush:p=1:d=20ms")
-		gate := make(chan struct{})
-		s.batcher.flushGate = gate
+		s, ts, _, inj := newChaosServer(t, seed, "server.predict:p=1:d=20ms")
+		gate := gatePredicts(t, s)
 
 		type result struct {
 			status int
@@ -222,14 +222,16 @@ func TestChaosStalledFlushDrain(t *testing.T) {
 			}()
 			return ch
 		}
-		// A is popped by the loop and stalls at the gate (before the
-		// injected delay); B and C queue up behind the stalled flush.
-		a := fire(0)
-		<-gate
-		b, c := fire(1), fire(2)
-		waitFor(t, func() bool { return len(s.batcher.queue) == 2 })
+		// A, B and C are admitted and stall at the gate, before the
+		// injected delay.
+		var pending []chan result
+		var held []chan struct{}
+		for i := 0; i < 3; i++ {
+			pending = append(pending, fire(i))
+			held = append(held, <-gate)
+		}
 
-		// Drain begins while the flush is stalled mid-fault.
+		// Drain begins while every admitted request is stalled.
 		s.BeginDrain()
 		dStatus, dBody, err := rawPredict(ts, predictBody("cbf", fixProbe[3].Values))
 		if err != nil {
@@ -238,40 +240,28 @@ func TestChaosStalledFlushDrain(t *testing.T) {
 		if dStatus != http.StatusServiceUnavailable || errCode(t, dStatus, dBody) != "draining" {
 			t.Fatalf("post-drain request: status %d %s, want 503 draining", dStatus, dBody)
 		}
+		// Release the gate: each request then sleeps through its injected
+		// delay and answers.
+		for _, release := range held {
+			close(release)
+		}
 
-		// Release the gate and keep servicing it: the flush of {B,C}
-		// passes through the same handshake. The service goroutine lives
-		// until the batcher's loop exits (Close below).
-		released := make(chan struct{})
-		go func() {
-			defer close(released)
-			gate <- struct{}{} // release A
-			for {
-				select {
-				case <-gate:
-					gate <- struct{}{}
-				case <-s.batcher.done:
-					return
-				}
-			}
-		}()
-
-		// Every queued request terminates exactly once, correctly, before
-		// the batcher is even asked to stop.
+		// Every admitted request terminates exactly once, correctly,
+		// before the server is even asked to close.
 		var transcript []string
 		versionClf := map[int]*rpm.Classifier{1: fixClf1}
-		for i, ch := range []chan result{a, b, c} {
+		for i, ch := range pending {
 			select {
 			case res := <-ch:
 				if res.err != nil {
-					t.Fatalf("queued request %d: transport error: %v", i, res.err)
+					t.Fatalf("admitted request %d: transport error: %v", i, res.err)
 				}
 				if res.status != http.StatusOK {
-					t.Fatalf("queued request %d: status %d: %s", i, res.status, res.body)
+					t.Fatalf("admitted request %d: status %d: %s", i, res.status, res.body)
 				}
 				transcript = append(transcript, checkIdentity(t, res.body, versionClf, fixProbe[i].Values))
 			case <-time.After(10 * time.Second):
-				t.Fatalf("queued request %d never got a terminal answer", i)
+				t.Fatalf("admitted request %d never got a terminal answer", i)
 			}
 		}
 		transcript = append(transcript, "post-drain: 503 draining")
@@ -280,15 +270,14 @@ func TestChaosStalledFlushDrain(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Close(ctx); err != nil {
-			t.Fatalf("server failed to drain cleanly under flush faults: %v", err)
+			t.Fatalf("server failed to drain cleanly under predict faults: %v", err)
 		}
-		<-released
 		return eventsJSON(t, inj), transcript
 	})
 }
 
 // TestChaosDeadlineStorm: half of all requests have their deadline
-// exhausted before they are enqueued. Each must terminate exactly once:
+// exhausted before they are admitted. Each must terminate exactly once:
 // 504 deadline_exceeded for the hit ones, 200 byte-identical for the
 // rest — and the number of 504s must equal the number of injected
 // deadline faults (invariants 1+2).
@@ -323,9 +312,11 @@ func TestChaosDeadlineStorm(t *testing.T) {
 		if timeouts == 0 || timeouts == 16 {
 			t.Fatalf("deadline storm degenerated: %d/16 hit", timeouts)
 		}
-		// The shed requests must eventually be counted by the queue-age
-		// admission check — 504ed requests are never computed.
-		waitFor(t, func() bool { return s.reg.Snapshot().Counter(CtrExpired) == int64(timeouts) })
+		// Every shed request was counted by the deadline check before its
+		// answer was written — 504ed requests are never computed.
+		if n := s.reg.Snapshot().Counter(CtrExpired); n != int64(timeouts) {
+			t.Fatalf("expired counter = %d, want %d", n, timeouts)
+		}
 		return eventsJSON(t, inj), transcript
 	})
 }

@@ -7,20 +7,21 @@ package serve
 //
 //   - CtrRequests / CtrRequestsPredict / CtrRequestsBatch count accepted
 //     HTTP requests (total and per endpoint).
-//   - CtrBatches counts micro-batch flushes — the number of underlying
-//     PredictBatch calls the batcher issued. CtrBatchItems counts the
-//     requests those flushes carried, so CtrBatchItems / CtrBatches is
-//     the achieved batch amortization factor.
-//   - CtrShed counts requests rejected with 429 because the batch queue
-//     was full (load shedding).
+//   - CtrBatches and CtrBatchItems each count computed /v1/predict
+//     requests, one task apiece, so CtrBatchItems / CtrBatches reads 1.
+//     Both remain (with PoolBatch) because the repository benchmark
+//     reads them: its serve.batch_size_mean is their ratio.
+//   - CtrShed counts /v1/predict requests rejected with 429 because
+//     every admission slot was taken (load shedding).
 //   - CtrErrPrefix+<code> counts error responses by envelope code
 //     (bad_input, too_short, not_found, corrupt_model, …).
 //   - CtrReloads counts reload passes; CtrReloadRejected counts files
 //     that failed to load during them (corrupt snapshots).
 //   - SumLatencyPredict / SumLatencyBatch are per-endpoint latency
 //     summaries (count, mean, approximate p50/p90/p99, max).
-//   - PoolBatch accounts the batcher as a one-worker pool: tasks are
-//     flushes, busy time is time spent inside PredictBatch.
+//   - PoolBatch accounts /v1/predict computation as a one-worker pool:
+//     each computed request is one task, its busy time the in-handler
+//     Predict call (the benchmark's serve.flush_us_per_item reads it).
 //   - SpanServe is the root span (its wall is server uptime); per-
 //     endpoint aggregate child spans fold in request handling time.
 const (
@@ -33,12 +34,9 @@ const (
 	CtrReloads         = "serve.reloads"
 	CtrReloadRejected  = "serve.reloads.rejected"
 	CtrErrPrefix       = "serve.errors."
-	// CtrFlushScratchNew counts flush-scratch pool misses (fresh dataset
-	// allocations); CtrBatches minus this is the achieved buffer reuse.
-	CtrFlushScratchNew = "serve.flush.scratch.new"
-	// CtrExpired counts requests shed by the flush's queue-age admission
-	// check: their context expired while queued, so they were answered
-	// 504 and excluded from the PredictBatch call (never computed).
+	// CtrExpired counts /v1/predict requests shed by the deadline check
+	// after admission: their context had expired, so they were answered
+	// 504 before the model lookup (never looked up, never computed).
 	CtrExpired = "serve.flush.expired"
 	// CtrFaultsInjected counts faults the chaos injector actually fired
 	// across every site (0 in production, where the injector is nil).
@@ -55,8 +53,7 @@ const (
 	CtrStreamsCreated = "serve.streams.created"
 	CtrStreamsClosed  = "serve.streams.closed"
 
-	GaugeModels     = "serve.models"
-	GaugeQueueDepth = "serve.queue.depth"
+	GaugeModels = "serve.models"
 	// GaugeStreams is the number of live streams; GaugeStreamBytes their
 	// summed fixed detector footprint (the per-stream memory budget,
 	// DESIGN.md §14).

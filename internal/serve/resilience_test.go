@@ -1,14 +1,13 @@
 package serve
 
 // Focused resilience tests pinning individual failure behaviors: the
-// drain readiness contract (/readyz vs /healthz), the batcher's
-// queue-age admission check, and single-site fault injection through
-// the HTTP surface. The chaos suite (chaos_test.go) composes these
+// drain readiness contract (/readyz vs /healthz), the deadline check
+// after admission, and single-site fault injection through the HTTP
+// surface. The chaos suite (chaos_test.go) composes these
 // behaviors under randomized storms; these tests pin each one in
 // isolation so a regression names the exact broken mechanism.
 
 import (
-	"context"
 	"net/http"
 	"testing"
 
@@ -62,73 +61,43 @@ func TestDrainReadyzVsHealthz(t *testing.T) {
 	}
 }
 
-// TestFlushShedsExpiredQueuedRequest pins the queue-age admission check
-// at the batcher layer: a request whose context expired while queued is
-// answered with its context error and EXCLUDED from the PredictBatch
-// call. The expired request targets a nonexistent model — if the flush
-// consulted the store before shedding, the answer would be "unknown
-// model", so getting the context error proves the shed happens first
-// (the request is never looked up, never computed).
-func TestFlushShedsExpiredQueuedRequest(t *testing.T) {
-	s, _, _ := newTestServer(t, nil)
-	expiredCtx, cancel := context.WithCancel(context.Background())
-	cancel()
-	expired := &predRequest{model: "ghost", values: fixProbe[0].Values, ctx: expiredCtx,
-		out: make(chan predResponse, 1)}
-	live := &predRequest{model: "cbf", values: fixProbe[1].Values, ctx: context.Background(),
-		out: make(chan predResponse, 1)}
-	s.batcher.flush([]*predRequest{expired, live})
-
-	res := <-expired.out
-	if res.err != context.Canceled {
-		t.Fatalf("expired request answered %v, want its context error (it must be shed before the store lookup)", res.err)
+// TestExpiredRequestShedBeforeLookup pins the deadline check after
+// admission: a request whose context is already dead is answered with
+// 504 and never looked up or computed. It targets a nonexistent model —
+// if the handler consulted the store before the check, the answer would
+// be 404, so getting 504 proves the shed comes first. The next request
+// to the same unknown model, alive, is looked up and gets its 404.
+func TestExpiredRequestShedBeforeLookup(t *testing.T) {
+	inj, err := faults.New(7, "server.deadline:p=1:n=1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	lres := <-live.out
-	if lres.err != nil {
-		t.Fatalf("live batch-mate failed: %v", lres.err)
+	s, ts, _ := newTestServer(t, func(c *Config) { c.Faults = inj })
+	resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("ghost", fixProbe[0].Values))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("expired request = %d %s, want 504 (it must be shed before the store lookup)", resp.StatusCode, body)
 	}
-	if want := fixClf1.Predict(fixProbe[1].Values); lres.label != want {
-		t.Fatalf("live batch-mate label %d != direct Predict %d", lres.label, want)
-	}
-	if n := s.reg.Snapshot().Counter(CtrExpired); n != 1 {
-		t.Fatalf("expired counter = %d, want 1", n)
-	}
-}
-
-// TestFlushShedsAllExpiredGroup: a group left with no live requests
-// skips the model lookup and the predict entirely.
-func TestFlushShedsAllExpiredGroup(t *testing.T) {
-	s, _, _ := newTestServer(t, nil)
-	expiredCtx, cancel := context.WithCancel(context.Background())
-	cancel()
-	reqs := make([]*predRequest, 3)
-	for i := range reqs {
-		reqs[i] = &predRequest{model: "ghost", values: fixProbe[i].Values, ctx: expiredCtx,
-			out: make(chan predResponse, 1)}
-	}
-	batchesBefore := s.reg.Snapshot().Counter(CtrBatches)
-	s.batcher.flush(reqs)
-	for i, r := range reqs {
-		if res := <-r.out; res.err != context.Canceled {
-			t.Fatalf("expired request %d answered %v, want context.Canceled", i, res.err)
-		}
+	if code := errCode(t, resp.StatusCode, body); code != "deadline_exceeded" {
+		t.Fatalf("expired request code = %q, want deadline_exceeded", code)
 	}
 	snap := s.reg.Snapshot()
-	if n := snap.Counter(CtrExpired); n != 3 {
-		t.Fatalf("expired counter = %d, want 3", n)
+	if n := snap.Counter(CtrExpired); n != 1 {
+		t.Fatalf("expired counter = %d, want 1", n)
 	}
-	// The flush itself is still accounted, but nothing was computed for a
-	// model that does not exist — no error escaped to any caller.
-	if got := snap.Counter(CtrBatches); got != batchesBefore+1 {
-		t.Fatalf("batches counter = %d, want %d", got, batchesBefore+1)
+	if n := snap.Counter(CtrBatches); n != 0 {
+		t.Fatalf("%d predict tasks recorded for a request that was never computed", n)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/predict", predictBody("ghost", fixProbe[0].Values))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("live request to an unknown model = %d %s, want 404", resp.StatusCode, body)
 	}
 }
 
 // TestDeadlineFaultAnswers504 drives the deadline-exhaustion site
 // end-to-end: the first request's context is killed before it is
-// enqueued (n=1 caps the blast), so the handler answers 504
-// deadline_exceeded and the flush's queue-age check counts the shed;
-// the very next request serves normally.
+// admitted (n=1 caps the blast), so the handler answers 504
+// deadline_exceeded and the deadline check counts the shed; the very
+// next request serves normally.
 func TestDeadlineFaultAnswers504(t *testing.T) {
 	inj, err := faults.New(7, "server.deadline:p=1:n=1")
 	if err != nil {
@@ -146,16 +115,17 @@ func TestDeadlineFaultAnswers504(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-fault request = %d %s, want 200", resp.StatusCode, body)
 	}
-	// The dead request rode the queue and was shed at flush time, never
-	// computed (asynchronous to the handler's own 504 answer).
-	waitFor(t, func() bool { return s.reg.Snapshot().Counter(CtrExpired) == 1 })
+	// The dead request was shed after admission, never computed.
+	if n := s.reg.Snapshot().Counter(CtrExpired); n != 1 {
+		t.Fatalf("expired counter = %d, want 1", n)
+	}
 }
 
-// TestEnqueueFaultSheds429: injected queue saturation is answered
+// TestEnqueueFaultSheds429: an injected full admission is answered
 // exactly like the real thing — 429, "overloaded" envelope, and a
 // Retry-After hint for well-behaved clients.
 func TestEnqueueFaultSheds429(t *testing.T) {
-	inj, err := faults.New(7, "batcher.enqueue:p=1:n=1")
+	inj, err := faults.New(7, "server.admit:p=1:n=1")
 	if err != nil {
 		t.Fatal(err)
 	}

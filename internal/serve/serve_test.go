@@ -10,13 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rpm"
+	"rpm/internal/obs"
 	serveclient "rpm/internal/serve/client"
 )
 
@@ -127,10 +127,11 @@ func predictBody(model string, values []float64) string {
 // Happy path + byte identity
 
 // TestPredictHappyPath: /v1/predict answers every probe query with
-// exactly the label the in-process Classifier.Predict produces, and the
-// envelope names the model and version that served it.
+// exactly the label the in-process Classifier.Predict produces, the
+// envelope names the model and version that served it, and each
+// computed request is accounted as one task of the predict pool.
 func TestPredictHappyPath(t *testing.T) {
-	_, ts, _ := newTestServer(t, nil)
+	s, ts, _ := newTestServer(t, nil)
 	for i, in := range fixProbe {
 		resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", in.Values))
 		if resp.StatusCode != http.StatusOK {
@@ -147,10 +148,31 @@ func TestPredictHappyPath(t *testing.T) {
 			t.Fatalf("probe %d: model/version = %q/%d", i, out.Model, out.Version)
 		}
 	}
+	snap := s.reg.Snapshot()
+	n := int64(len(fixProbe))
+	if b, items := snap.Counter(CtrBatches), snap.Counter(CtrBatchItems); b != n || items != n {
+		t.Fatalf("tasks/items = %d/%d, want %d/%d (one task per computed request)", b, items, n, n)
+	}
+	if p := snap.Summary(SumLatencyPredict); p == nil || p.Count != n {
+		t.Fatalf("predict latency summary = %+v", p)
+	}
+	var pool *obs.PoolSnapshot
+	for i := range snap.Pools {
+		if snap.Pools[i].Name == PoolBatch {
+			pool = &snap.Pools[i]
+		}
+	}
+	if pool == nil || pool.Tasks != n || pool.BusyNS <= 0 {
+		t.Fatalf("predict pool = %+v, want %d tasks with busy time", pool, n)
+	}
+	if len(s.admit) != 0 {
+		t.Fatalf("%d admission slots still held after every request answered", len(s.admit))
+	}
 }
 
 // TestPredictBatchEndpoint: /v1/predict:batch answers with the same
-// labels as direct PredictBatch, bypassing the micro-batcher.
+// labels as direct PredictBatch, outside /v1/predict's admission and
+// task accounting.
 func TestPredictBatchEndpoint(t *testing.T) {
 	s, ts, _ := newTestServer(t, nil)
 	series := make([][]float64, len(fixProbe))
@@ -180,183 +202,10 @@ func TestPredictBatchEndpoint(t *testing.T) {
 		t.Fatalf("batch request counter = %d", snap.Counter(CtrRequestsBatch))
 	}
 	if snap.Counter(CtrBatches) != 0 {
-		t.Fatalf("the batch endpoint must bypass the micro-batcher, saw %d flushes", snap.Counter(CtrBatches))
+		t.Fatalf("the batch endpoint must not count as /v1/predict tasks, saw %d", snap.Counter(CtrBatches))
 	}
 	if sum := snap.Summary(SumLatencyBatch); sum == nil || sum.Count != 1 {
 		t.Fatalf("batch latency summary = %+v", sum)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Micro-batching
-
-// TestBatchingAmortizes pins the batching contract without a clock:
-// while one flush is stalled at the gate, the n requests that queue
-// behind it leave together in exactly one further flush, and every
-// label still equals in-process Predict.
-func TestBatchingAmortizes(t *testing.T) {
-	const n = 8
-	s, ts, _ := newTestServer(t, func(c *Config) { c.RequestTimeout = 10 * time.Second })
-	gate := gateFlushes(t, s)
-
-	type result struct {
-		label int
-		err   error
-	}
-	fire := func(i int) chan result {
-		ch := make(chan result, 1)
-		go func() {
-			status, body, err := rawPredict(ts, predictBody("cbf", fixProbe[i%len(fixProbe)].Values))
-			if err == nil && status != http.StatusOK {
-				err = fmt.Errorf("status %d: %s", status, body)
-			}
-			if err != nil {
-				ch <- result{err: err}
-				return
-			}
-			var out serveclient.PredictResult
-			err = json.Unmarshal(body, &out)
-			ch <- result{out.Label, err}
-		}()
-		return ch
-	}
-	// Request 0 is popped alone and stalls in its flush; requests 1..n
-	// queue behind it one at a time.
-	results := []chan result{fire(0)}
-	<-gate
-	for i := 1; i <= n; i++ {
-		results = append(results, fire(i))
-		waitFor(t, func() bool { return s.reg.Snapshot().Gauge(GaugeQueueDepth) == int64(i) })
-	}
-	gate <- struct{}{} // release request 0's flush
-	<-gate             // the next flush has begun
-	snap := s.reg.Snapshot()
-	batches, items := snap.Counter(CtrBatches), snap.Counter(CtrBatchItems)
-	if batches != 1 || items != 1 {
-		t.Fatalf("stalled flush recorded %d flushes of %d items, want 1 of 1", batches, items)
-	}
-	if d := snap.Gauge(GaugeQueueDepth); d != 0 {
-		t.Fatalf("queue depth = %d once the next flush collected, want 0", d)
-	}
-	gate <- struct{}{}
-	waitFor(t, func() bool { return s.reg.Snapshot().Counter(CtrBatches) == batches+1 })
-	if got := s.reg.Snapshot().Counter(CtrBatchItems) - items; got != n {
-		t.Fatalf("the next flush carried %d of the %d queued requests", got, n)
-	}
-	for i, ch := range results {
-		r := <-ch
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
-		}
-		if want := fixClf1.Predict(fixProbe[i%len(fixProbe)].Values); r.label != want {
-			t.Fatalf("request %d: label %d != direct %d", i, r.label, want)
-		}
-	}
-	snap = s.reg.Snapshot()
-	if p := snap.Summary(SumLatencyPredict); p == nil || p.Count != n+1 {
-		t.Fatalf("predict latency summary = %+v", p)
-	}
-	if pool := snap.Pools; len(pool) == 0 {
-		t.Fatal("batch pool accounting missing")
-	}
-}
-
-// TestFlushScratchReuse pins the pooled flush buffer: repeated flushes —
-// including mixed-model batches through the grouped path — reuse the
-// pooled dataset (serve.flush.scratch.new grows strictly slower than
-// serve.batches) and still hand every request the label its own model
-// produces.
-func TestFlushScratchReuse(t *testing.T) {
-	s, _, dir := newTestServer(t, nil)
-	writeModel(t, dir, "cbf2", model2)
-	if _, err := s.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	mkBatch := func(mixed bool) []*predRequest {
-		batch := make([]*predRequest, 6)
-		for i := range batch {
-			name := "cbf"
-			if mixed && i%2 == 1 {
-				name = "cbf2"
-			}
-			batch[i] = &predRequest{
-				model:  name,
-				values: fixProbe[i%len(fixProbe)].Values,
-				out:    make(chan predResponse, 1),
-			}
-		}
-		return batch
-	}
-	for round := 0; round < 5; round++ {
-		batch := mkBatch(round%2 == 1)
-		s.batcher.flush(batch)
-		for i, r := range batch {
-			resp := <-r.out
-			if resp.err != nil {
-				t.Fatalf("round %d req %d: %v", round, i, resp.err)
-			}
-			clf := fixClf1
-			if r.model == "cbf2" {
-				clf = fixClf2
-			}
-			if want := clf.Predict(r.values); resp.label != want {
-				t.Fatalf("round %d req %d (%s): label %d != direct %d", round, i, r.model, resp.label, want)
-			}
-		}
-	}
-	snap := s.reg.Snapshot()
-	// A GC can empty the sync.Pool between flushes (more often under
-	// -race), so pin reuse rather than an exact count: strictly fewer
-	// allocations than flushes.
-	got, flushes := snap.Counter(CtrFlushScratchNew), snap.Counter(CtrBatches)
-	if got < 1 || got >= flushes {
-		t.Errorf("flush scratch allocations = %d over %d flushes, want at least one reuse", got, flushes)
-	}
-}
-
-// TestFlushGroupOrder: flush groups a mixed batch in place, groups in
-// first-arrival order and requests in arrival order within a group,
-// and answers each request from its own model (an unknown one with an
-// error).
-func TestFlushGroupOrder(t *testing.T) {
-	s, _, dir := newTestServer(t, nil)
-	writeModel(t, dir, "cbf2", model2)
-	if _, err := s.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	models := []string{"cbf2", "cbf", "ghost", "cbf2", "cbf", "cbf", "ghost"}
-	batch := make([]*predRequest, len(models))
-	for i, m := range models {
-		batch[i] = &predRequest{model: m, values: fixProbe[i%len(fixProbe)].Values, out: make(chan predResponse, 1)}
-	}
-	arrival := slices.Clone(batch)
-	s.batcher.flush(batch)
-	var want []*predRequest
-	for _, m := range []string{"cbf2", "cbf", "ghost"} {
-		for _, r := range arrival {
-			if r.model == m {
-				want = append(want, r)
-			}
-		}
-	}
-	if !slices.Equal(batch, want) {
-		t.Fatal("flush did not group the batch stably in first-arrival order")
-	}
-	for i, r := range arrival {
-		resp := <-r.out
-		if r.model == "ghost" {
-			if resp.err == nil {
-				t.Fatalf("req %d to unknown model answered without error", i)
-			}
-			continue
-		}
-		clf := fixClf1
-		if r.model == "cbf2" {
-			clf = fixClf2
-		}
-		if resp.err != nil || resp.label != clf.Predict(r.values) {
-			t.Fatalf("req %d (%s): label %d err %v, want %d", i, r.model, resp.label, resp.err, clf.Predict(r.values))
-		}
 	}
 }
 
@@ -447,37 +296,11 @@ func TestNoModels(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Load shedding
 
-// TestShed429: with the batcher deterministically stalled (test gate),
-// a full queue sheds the next request with 429 + Retry-After while the
-// queued ones are eventually served.
+// TestShed429: with every admission slot taken, the next request is
+// shed with 429 + Retry-After, and it is served again once a slot frees.
 func TestShed429(t *testing.T) {
-	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.QueueSize = 1
-		c.RequestTimeout = 10 * time.Second
-	})
-	gate := make(chan struct{})
-	s.batcher.flushGate = gate
-
-	type result struct {
-		status int
-		body   []byte
-	}
-	fire := func() chan result {
-		ch := make(chan result, 1)
-		go func() {
-			resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[0].Values))
-			ch <- result{resp.StatusCode, body}
-		}()
-		return ch
-	}
-	// A is popped by the loop and stalls in the gated flush (the gate's
-	// announce token proves it has left the queue).
-	a := fire()
-	<-gate
-	// B fills the one queue slot while the loop is stalled on the gate.
-	b := fire()
-	waitFor(t, func() bool { return len(s.batcher.queue) == 1 })
-	// C finds the queue full → shed.
+	s, ts, _ := newTestServer(t, func(c *Config) { c.QueueSize = 1 })
+	s.admit <- struct{}{} // the one slot is held
 	resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[1].Values))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("expected 429, got %d: %s", resp.StatusCode, body)
@@ -489,34 +312,28 @@ func TestShed429(t *testing.T) {
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "overloaded" {
 		t.Fatalf("shed envelope = %s (%v)", body, err)
 	}
-	// Release A's flush, then walk B's batch through the gate too.
-	gate <- struct{}{}
-	<-gate
-	gate <- struct{}{}
-	ra := <-a
-	rb := <-b
-	if ra.status != http.StatusOK || rb.status != http.StatusOK {
-		t.Fatalf("queued requests must still be served: a=%d b=%d", ra.status, rb.status)
+	<-s.admit // the slot frees
+	resp, body = postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[1].Values))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the slot freed = %d: %s", resp.StatusCode, body)
 	}
 	if shed := s.reg.Snapshot().Counter(CtrShed); shed != 1 {
 		t.Fatalf("shed counter = %d, want 1", shed)
 	}
 }
 
-// gateFlushes stalls every flush of s's batcher at a test gate (see
-// batcher.flushGate) and returns the gate. Once the test ends the gate
-// lets every further flush through, so a failed check does not leave
+// gatePredicts holds every admitted /v1/predict of s at a test gate
+// (see Server.predictGate) and returns the gate: each receive yields
+// one held request's release channel. Once the test ends the gate lets
+// every further request through, so a failed check does not leave
 // handlers parked at it while cleanup waits for them.
-func gateFlushes(t *testing.T, s *Server) chan struct{} {
-	gate := make(chan struct{})
-	s.batcher.flushGate = gate
+func gatePredicts(t *testing.T, s *Server) chan chan struct{} {
+	gate := make(chan chan struct{})
+	s.predictGate = gate
 	t.Cleanup(func() {
 		go func() {
-			for {
-				select {
-				case <-gate: // a flush announcing itself
-				case gate <- struct{}{}: // a flush awaiting release
-				}
+			for release := range gate {
+				close(release)
 			}
 		}()
 	})
@@ -611,13 +428,12 @@ func TestHotReload(t *testing.T) {
 	}
 }
 
-// TestHotReloadInFlight: a reload that lands while a batch is stalled
-// mid-flight neither drops nor corrupts the in-flight request — the
-// flush resolves the newest model and answers with it.
+// TestHotReloadInFlight: a reload that lands while a request is held
+// between admission and model resolution neither drops nor corrupts it
+// — the request resolves the newest model and answers with it.
 func TestHotReloadInFlight(t *testing.T) {
 	s, ts, dir := newTestServer(t, func(c *Config) { c.RequestTimeout = 10 * time.Second })
-	gate := make(chan struct{})
-	s.batcher.flushGate = gate
+	gate := gatePredicts(t, s)
 	done := make(chan serveclient.PredictResult, 1)
 	go func() {
 		resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("cbf", fixProbe[0].Values))
@@ -628,13 +444,13 @@ func TestHotReloadInFlight(t *testing.T) {
 		}
 		done <- out
 	}()
-	<-gate // the request's flush has begun and is stalled at the gate
-	// Swap the model while the request sits in the stalled flush.
+	release := <-gate // the request is admitted and stalled at the gate
+	// Swap the model while the request sits at the gate.
 	writeModel(t, dir, "cbf", model2)
 	if _, err := s.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	gate <- struct{}{} // release: flush resolves the freshly swapped model
+	close(release) // the request resolves the freshly swapped model
 	out := <-done
 	if out.Version != 2 {
 		t.Fatalf("in-flight request served by version %d, want the hot-swapped 2", out.Version)
@@ -647,29 +463,24 @@ func TestHotReloadInFlight(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Graceful drain
 
-// TestGracefulDrain: requests already queued when Close is called are
-// still answered and leave the queue empty; requests arriving
+// TestGracefulDrain: requests already admitted when Close is called are
+// still answered and leave no admission slot held; requests arriving
 // during/after the drain get 503.
 func TestGracefulDrain(t *testing.T) {
 	const n = 3
 	s, ts, _ := newTestServer(t, func(c *Config) { c.RequestTimeout = 8 * time.Second })
-	gate := gateFlushes(t, s)
+	gate := gatePredicts(t, s)
 	results := make(chan error, n)
-	fire := func(i int) {
+	var held []chan struct{}
+	for i := 0; i < n; i++ {
 		go func() {
 			status, body, err := rawPredict(ts, predictBody("", fixProbe[i].Values))
 			if err == nil && status != http.StatusOK {
-				err = fmt.Errorf("queued request drained with status %d, want 200: %s", status, body)
+				err = fmt.Errorf("admitted request drained with status %d, want 200: %s", status, body)
 			}
 			results <- err
 		}()
-	}
-	// Request 0 stalls in its flush; the rest queue behind it.
-	fire(0)
-	<-gate
-	for i := 1; i < n; i++ {
-		fire(i)
-		waitFor(t, func() bool { return s.reg.Snapshot().Gauge(GaugeQueueDepth) == int64(i) })
+		held = append(held, <-gate) // request i is admitted and stalled
 	}
 	closed := make(chan error, 1)
 	go func() {
@@ -678,9 +489,9 @@ func TestGracefulDrain(t *testing.T) {
 		closed <- s.Close(ctx)
 	}()
 	waitFor(t, s.Draining)
-	gate <- struct{}{} // release request 0's flush
-	<-gate             // the queued requests' flush has begun
-	gate <- struct{}{}
+	for _, release := range held {
+		close(release)
+	}
 	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -689,8 +500,8 @@ func TestGracefulDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := s.reg.Snapshot().Gauge(GaugeQueueDepth); d != 0 {
-		t.Fatalf("queue depth after Close = %d, want 0", d)
+	if held := len(s.admit); held != 0 {
+		t.Fatalf("%d admission slots held after Close, want 0", held)
 	}
 	// The drained server refuses new work.
 	resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[0].Values))
@@ -740,6 +551,25 @@ func TestModelsEndpoint(t *testing.T) {
 	resp2, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[0].Values))
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("ambiguous model predict = %d: %s", resp2.StatusCode, body)
+	}
+	// A named predict is answered by the model it names.
+	for _, c := range []struct {
+		name string
+		clf  *rpm.Classifier
+	}{{"cbf2", fixClf2}, {"cbf", fixClf1}, {"cbf2", fixClf2}} {
+		for i, in := range fixProbe {
+			resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody(c.name, in.Values))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s probe %d: %d %s", c.name, i, resp.StatusCode, body)
+			}
+			var res serveclient.PredictResult
+			if err := json.Unmarshal(body, &res); err != nil {
+				t.Fatal(err)
+			}
+			if want := c.clf.Predict(in.Values); res.Model != c.name || res.Label != want {
+				t.Fatalf("%s probe %d: served %s label %d, want %s label %d", c.name, i, res.Model, res.Label, c.name, want)
+			}
+		}
 	}
 }
 

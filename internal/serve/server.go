@@ -32,14 +32,15 @@ type Config struct {
 	// ModelDir is the directory of *.json classifier snapshots (written
 	// by Classifier.Save / rpmcli -save). Required.
 	ModelDir string
-	// QueueSize bounds the batch queue; a full queue sheds requests with
-	// 429 + Retry-After (default 256).
+	// QueueSize bounds the /v1/predict requests admitted at once; a
+	// request that finds every slot taken is shed with 429 + Retry-After
+	// (default 256).
 	QueueSize int
-	// Workers bounds the predict fan-out inside each flush
+	// Workers bounds the predict fan-out of each /v1/predict:batch call
 	// (rpm.SetWorkers on every loaded model): 0 = all cores (default),
-	// 1 = sequential.
+	// 1 = sequential. A /v1/predict request runs on its own goroutine.
 	Workers int
-	// RequestTimeout is the per-request deadline covering queueing and
+	// RequestTimeout is the per-request deadline covering admission and
 	// prediction (default 5s). Requests also honor the client's
 	// disconnect via the http request context.
 	RequestTimeout time.Duration
@@ -59,7 +60,7 @@ type Config struct {
 	Stream stream.Config
 	// Faults, usually nil (chaos off), injects deterministic failures at
 	// the named sites threaded through the stack: model-load errors,
-	// flush stalls, queue saturation, deadline exhaustion and response-
+	// predict stalls, full admission, deadline exhaustion and response-
 	// write aborts (see internal/faults and DESIGN.md §13). The nil path
 	// costs one nil check per site, mirroring the obs convention.
 	Faults *faults.Injector
@@ -85,16 +86,25 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the rpmserved HTTP inference server: a model Store, a
-// micro-batcher, and a handler set (see Handler). Construct with New,
-// serve via Handler, shut down with Close.
+// bounded admission for /v1/predict, and a handler set (see Handler).
+// Construct with New, serve via Handler, shut down with Close.
 type Server struct {
 	cfg     Config
 	reg     *obs.Registry
 	store   *Store
-	batcher *batcher
 	streams *stream.Registry
 	faults  *faults.Injector
 	mux     *http.ServeMux
+
+	// admit holds one token per /v1/predict request being computed; its
+	// capacity, QueueSize, is the admission bound.
+	admit chan struct{}
+	// predictGate, when non-nil, holds every admitted /v1/predict before
+	// its model is resolved: the handler sends a fresh release channel
+	// (announcing it is admitted and stalled) and waits until that
+	// channel is closed. It exists for tests that need requests held
+	// between admission and prediction; it is nil in production.
+	predictGate chan chan struct{}
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -105,6 +115,10 @@ type Server struct {
 	reqStream  *obs.Counter
 	shed       *obs.Counter
 	injected   *obs.Counter
+	expired    *obs.Counter
+	tasks      *obs.Counter
+	taskItems  *obs.Counter
+	taskPool   *obs.Pool
 
 	streamSamples *obs.Counter
 	streamEvents  *obs.Counter
@@ -139,12 +153,17 @@ func New(cfg Config) (*Server, error) {
 		store:      NewStore(cfg.ModelDir, cfg.Workers, reg, cfg.Faults),
 		streams:    stream.NewRegistry(cfg.MaxStreams),
 		faults:     cfg.Faults,
+		admit:      make(chan struct{}, cfg.QueueSize),
 		requests:   reg.Counter(CtrRequests),
 		reqPredict: reg.Counter(CtrRequestsPredict),
 		reqBatch:   reg.Counter(CtrRequestsBatch),
 		reqStream:  reg.Counter(CtrRequestsStream),
 		shed:       reg.Counter(CtrShed),
 		injected:   reg.Counter(CtrFaultsInjected),
+		expired:    reg.Counter(CtrExpired),
+		tasks:      reg.Counter(CtrBatches),
+		taskItems:  reg.Counter(CtrBatchItems),
+		taskPool:   reg.Pool(PoolBatch),
 
 		streamSamples: reg.Counter(CtrStreamSamples),
 		streamEvents:  reg.Counter(CtrStreamEvents),
@@ -165,8 +184,6 @@ func New(cfg Config) (*Server, error) {
 	if _, err := s.store.Reload(); err != nil {
 		return nil, err
 	}
-	s.batcher = newBatcher(s.store, cfg.QueueSize, reg, cfg.Faults)
-	s.batcher.start()
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/predict", s.guarded(s.handlePredict))
@@ -189,7 +206,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Obs returns the server's observability registry: the serving layer's
-// serve.* counters, latency summaries, batch pool and uptime span.
+// serve.* counters, latency summaries, predict pool and uptime span.
 func (s *Server) Obs() *obs.Registry { return s.reg }
 
 // Store returns the server's model store.
@@ -208,7 +225,7 @@ func (s *Server) Reload() (ReloadReport, error) {
 // anything: new requests are rejected with 503 "draining", /readyz
 // answers 503 so load balancers take the instance out of rotation, and
 // /healthz stays 200 — the process is alive and still answering its
-// queued work. Open SSE event feeds are woken and ended (their
+// in-flight work. Open SSE event feeds are woken and ended (their
 // subscriber channels close) so http.Server.Shutdown is not held
 // hostage by long-lived connections; the streams themselves stay
 // readable until Close. Call it the moment shutdown is decided
@@ -223,16 +240,11 @@ func (s *Server) BeginDrain() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close drains the server: new requests are rejected with 503, the
-// batcher flushes everything still queued and stops, then in-flight
-// handlers finish. The batcher stops *first* because queued predict
-// handlers block on their flush result — quitting the batcher triggers
-// its final drain, which is exactly what unblocks them. Call after (or
-// instead of) http.Server.Shutdown; ctx bounds the wait.
+// in-flight handlers (admitted predictions among them) finish, then the
+// streams close. Call after (or instead of) http.Server.Shutdown; ctx
+// bounds the wait.
 func (s *Server) Close(ctx context.Context) error {
 	s.BeginDrain()
-	if err := s.batcher.stop(ctx); err != nil {
-		return err
-	}
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -306,7 +318,7 @@ func errorStatus(err error) (int, string) {
 
 // writeError emits the JSON error envelope and bumps the per-code error
 // counter. 429 responses carry Retry-After so well-behaved clients back
-// off a beat instead of hammering a full queue.
+// off a beat instead of hammering a saturated server.
 func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string) {
 	s.reg.Counter(CtrErrPrefix + code).Inc()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -386,7 +398,8 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 }
 
 // handlePredict serves POST /v1/predict: one series in, one label out,
-// routed through the micro-batcher.
+// computed on the handler's own goroutine once the request holds an
+// admission slot.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() {
@@ -400,50 +413,80 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorFor(w, err)
 		return
 	}
-	// Validate at the boundary: one bad series must not fail the batch
-	// it would otherwise share with well-formed requests.
 	if err := rpm.ValidateSeries(req.Values); err != nil {
-		s.writeErrorFor(w, err)
-		return
-	}
-	// Resolve now for fast 404/503 (the flush re-resolves, so a reload
-	// between here and the flush serves the newest version).
-	if _, err := s.store.Get(req.Model); err != nil {
 		s.writeErrorFor(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	// Injected deadline exhaustion (faults.SiteDeadline): the request's
-	// context expires before it is enqueued, so it rides the queue
-	// already dead and the flush's queue-age check must shed it with 504
-	// instead of computing a prediction nobody is waiting for.
+	// context expires before admission, so the deadline check below must
+	// answer 504 without looking the model up or computing anything.
 	if s.faults.Fire(faults.SiteDeadline) {
 		s.injected.Inc()
 		cancel()
 	}
-	pr := &predRequest{model: req.Model, values: req.Values, ctx: ctx, out: make(chan predResponse, 1)}
-	if !s.batcher.enqueue(pr) {
+	if !s.tryAdmit() {
 		s.shed.Inc()
 		s.writeError(w, http.StatusTooManyRequests, "overloaded",
-			fmt.Sprintf("batch queue full (%d waiting)", s.cfg.QueueSize))
+			fmt.Sprintf("admission full (%d requests in flight)", s.cfg.QueueSize))
 		return
 	}
+	defer func() { <-s.admit }()
+	if s.predictGate != nil {
+		release := make(chan struct{})
+		s.predictGate <- release
+		<-release
+	}
+	// Injected predict stall / latency spike (faults.SitePredictDelay):
+	// sleeps while holding the slot, before the deadline check, so the
+	// request ages exactly as it would behind a genuinely slow server.
+	if d := s.faults.Sleep(faults.SitePredictDelay); d > 0 {
+		s.injected.Inc()
+	}
+	// A request whose deadline passed (or whose client left) is answered
+	// with its context error before the model lookup: never looked up,
+	// never computed.
+	if err := ctx.Err(); err != nil {
+		s.expired.Inc()
+		s.writeErrorFor(w, err)
+		return
+	}
+	// Resolved once, after admission, so a reload redirects the very next
+	// computation.
+	m, err := s.store.Get(req.Model)
+	if err != nil {
+		s.writeErrorFor(w, err)
+		return
+	}
+	t0 := time.Now()
+	label := m.clf.Predict(req.Values)
+	d := time.Since(t0)
+	s.tasks.Inc()
+	s.taskItems.Inc()
+	s.taskPool.WorkerTask(0, d)
+	s.taskPool.RunDone(1, d)
+	s.writeResult(w, serveclient.PredictResult{Model: m.Name, Version: m.Version, Label: label})
+}
+
+// tryAdmit takes an admission slot without blocking; false means all
+// QueueSize slots are taken (or faults.SiteAdmitFull simulates that).
+func (s *Server) tryAdmit() bool {
+	if s.faults.Fire(faults.SiteAdmitFull) {
+		s.injected.Inc()
+		return false
+	}
 	select {
-	case res := <-pr.out:
-		if res.err != nil {
-			s.writeErrorFor(w, res.err)
-			return
-		}
-		s.writeResult(w, serveclient.PredictResult{Model: res.model.Name, Version: res.model.Version, Label: res.label})
-	case <-ctx.Done():
-		s.writeErrorFor(w, ctx.Err())
+	case s.admit <- struct{}{}:
+		return true
+	default:
+		return false
 	}
 }
 
-// handlePredictBatch serves POST /v1/predict:batch: the caller already
-// batched, so the micro-batcher is bypassed and the whole payload goes
-// to one PredictBatchContext call under the request deadline.
+// handlePredictBatch serves POST /v1/predict:batch: the whole payload
+// goes to one PredictBatchContext call, fanned out over Config.Workers,
+// under the request deadline.
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() {

@@ -1,15 +1,15 @@
-// Package serve is the batched model-serving subsystem behind
+// Package serve is the model-serving subsystem behind
 // cmd/rpmserved: a stdlib-only HTTP inference layer that loads saved rpm
 // classifier snapshots into a versioned, atomically hot-reloadable model
-// store and serves single and batch predictions, amortizing per-request
-// transform cost through an adaptive micro-batcher (see DESIGN.md §10).
+// store and serves single predictions under a bounded admission and
+// batch predictions fanned out over a worker bound (see DESIGN.md §10).
 //
 // The package composes the three substrates the earlier layers built:
-// the worker pool bounds per-flush predict fan-out (rpm.SetWorkers), the
+// the worker pool bounds per-batch predict fan-out (rpm.SetWorkers), the
 // typed error taxonomy maps onto HTTP statuses (rpm.ErrBadInput → 400,
 // rpm.ErrTooShort → 422, rpm.ErrCorruptModel → 503, rpm.ErrInternal →
 // 500), and every request is accounted in an obs.Registry (counters,
-// latency summaries, batch-pool usage) exposed over /debug/obs.
+// latency summaries, predict-pool usage) exposed over /debug/obs.
 package serve
 
 import (

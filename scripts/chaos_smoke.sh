@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos smoke: the binary-level leg of `make chaos`. Trains a small
 # model, serves it with rpmserved running a REAL fault storm (injected
-# model-load failures, flush stalls, queue saturation, deadline
+# model-load failures, predict stalls, full admission, deadline
 # exhaustion), hot-reloads a corrupt snapshot mid-traffic, and drives it
 # with rpmload through the retrying client. The run proves the
 # resilience story end to end at the process boundary:
@@ -10,7 +10,8 @@
 #     fails on any terminal error; retries + Retry-After absorb the
 #     injected shedding and stalls),
 #   - a corrupt model file never evicts the serving version,
-#   - /debug/faults shows the storm actually fired,
+#   - /debug/faults shows the storm fired at every request-path site
+#     (server.predict, server.admit, server.deadline),
 #   - SIGTERM still drains cleanly mid-chaos (exit 0, drain log line).
 #
 # Usage: scripts/chaos_smoke.sh [duration] [concurrency]
@@ -46,7 +47,7 @@ echo "== serve under fault storm (seed $seed)"
 # Low-probability faults at every serving-path site: enough to fire
 # repeatedly under load without starving the run. store.load skips the
 # initial scan so the server comes up serving.
-spec="store.load:skip=1:p=0.5;batcher.flush:p=0.05:d=10ms;batcher.enqueue:p=0.02;server.deadline:p=0.02"
+spec="store.load:skip=1:p=0.5;server.predict:p=0.05:d=10ms;server.admit:p=0.02;server.deadline:p=0.02"
 "$work/bin/rpmserved" -addr "127.0.0.1:$port" -models "$work/models" \
     -faults "$spec" -faults-seed "$seed" >"$work/served.log" 2>&1 &
 served_pid=$!
@@ -80,8 +81,10 @@ curl -fsS "http://127.0.0.1:$port/v1/models" | grep -q '"name":"cbf"' \
 
 echo "== faults actually fired"
 events="$(curl -fsS "http://127.0.0.1:$port/debug/faults")"
-echo "$events" | grep -q '"site"' \
-    || { echo "chaos smoke FAIL: /debug/faults shows no injected events: $events"; exit 1; }
+for site in server.predict server.admit server.deadline; do
+    echo "$events" | grep -q "\"site\":\"$site\"" \
+        || { echo "chaos smoke FAIL: /debug/faults shows no $site event: $events"; exit 1; }
+done
 
 echo "== drain under chaos"
 kill -TERM "$served_pid"

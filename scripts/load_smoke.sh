@@ -2,11 +2,11 @@
 # Load smoke: train a small model end to end, serve it with rpmserved,
 # and drive it with rpmload: 2 seconds of closed-loop traffic, then 2
 # seconds of open-loop traffic at 200 req/s, the light load where each
-# request reaches an idle batcher alone. The
-# run fails (rpmload -strict) when nothing completed or any request came
-# back as an error envelope or transport error — the whole predict path
-# (HTTP decode → batcher → pooled transform kernel → SVM → encode) has
-# to hold up under sustained concurrent load, not just unit tests.
+# request finds the server idle. The run fails (rpmload -strict) when
+# nothing completed or any request came back as an error envelope or
+# transport error — the whole predict path (HTTP decode → admission →
+# pooled transform kernel → SVM → encode) has to hold up under
+# sustained concurrent load, not just unit tests.
 #
 # Usage: scripts/load_smoke.sh [duration] [concurrency]
 set -euo pipefail
