@@ -8,11 +8,13 @@ package serve
 // isolation so a regression names the exact broken mechanism.
 
 import (
+	"encoding/json"
 	"net/http"
 	"testing"
 
 	"rpm"
 	"rpm/internal/faults"
+	serveclient "rpm/internal/serve/client"
 )
 
 // TestDrainReadyzVsHealthz pins the drain readiness contract: the
@@ -61,13 +63,16 @@ func TestDrainReadyzVsHealthz(t *testing.T) {
 	}
 }
 
-// TestExpiredRequestShedBeforeLookup pins the deadline check after
+// TestFlushShedsExpiredQueuedRequest pins the deadline check after
 // admission: a request whose context is already dead is answered with
 // 504 and never looked up or computed. It targets a nonexistent model —
 // if the handler consulted the store before the check, the answer would
 // be 404, so getting 504 proves the shed comes first. The next request
-// to the same unknown model, alive, is looked up and gets its 404.
-func TestExpiredRequestShedBeforeLookup(t *testing.T) {
+// to the same unknown model, alive, is looked up and gets its 404, and
+// a live request to a real model still gets the direct-Predict label.
+// (The name dates from the micro-batcher, whose flush made this check;
+// the handler makes it now.)
+func TestFlushShedsExpiredQueuedRequest(t *testing.T) {
 	inj, err := faults.New(7, "server.deadline:p=1:n=1")
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +95,41 @@ func TestExpiredRequestShedBeforeLookup(t *testing.T) {
 	resp, body = postJSON(t, ts.URL+"/v1/predict", predictBody("ghost", fixProbe[0].Values))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("live request to an unknown model = %d %s, want 404", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/predict", predictBody("cbf", fixProbe[1].Values))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("live request = %d %s, want 200", resp.StatusCode, body)
+	}
+	var out serveclient.PredictResult
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := fixClf1.Predict(fixProbe[1].Values); out.Label != want {
+		t.Fatalf("live request label %d != direct Predict %d", out.Label, want)
+	}
+}
+
+// TestFlushShedsAllExpiredGroup: several dead requests in a row are
+// each answered 504 and none of them is computed — the expired counter
+// counts every one and no predict task is recorded.
+func TestFlushShedsAllExpiredGroup(t *testing.T) {
+	inj, err := faults.New(7, "server.deadline:p=1:n=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts, _ := newTestServer(t, func(c *Config) { c.Faults = inj })
+	for i := 0; i < 3; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("ghost", fixProbe[i].Values))
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("expired request %d = %d %s, want 504", i, resp.StatusCode, body)
+		}
+	}
+	snap := s.reg.Snapshot()
+	if n := snap.Counter(CtrExpired); n != 3 {
+		t.Fatalf("expired counter = %d, want 3", n)
+	}
+	if n := snap.Counter(CtrBatches); n != 0 {
+		t.Fatalf("batches counter = %d, want 0 (nothing was computed)", n)
 	}
 }
 
