@@ -79,6 +79,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *motifsOnly && *trainPath == "" {
+		fmt.Fprintln(os.Stderr, "rpmcli: -motifs requires -train")
+		os.Exit(2)
+	}
 	var train rpm.Dataset
 	var err error
 	if *trainPath != "" {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -24,7 +23,7 @@ func ensembleOpts() Options {
 // about as well as a single exhaustive model would.
 func TestEnsembleEndToEnd(t *testing.T) {
 	split := GenerateDataset("SynItalyPower", 3)
-	e, err := TrainEnsemble(split.Train, ensembleOpts())
+	e, err := TrainEnsembleContext(context.Background(), split.Train, ensembleOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,10 @@ func TestEnsembleEndToEnd(t *testing.T) {
 	if e.NumPatterns() <= 0 {
 		t.Fatal("ensemble mined no patterns")
 	}
-	preds := e.PredictBatch(split.Test)
+	preds, err := e.PredictBatchContext(context.Background(), split.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(preds) != len(split.Test) {
 		t.Fatalf("got %d predictions for %d instances", len(preds), len(split.Test))
 	}
@@ -44,22 +46,11 @@ func TestEnsembleEndToEnd(t *testing.T) {
 			wrong++
 		}
 		if p != e.Predict(split.Test[i].Values) {
-			t.Fatalf("PredictBatch[%d] disagrees with Predict", i)
+			t.Fatalf("PredictBatchContext[%d] disagrees with Predict", i)
 		}
 	}
 	if errRate := float64(wrong) / float64(len(preds)); errRate > 0.2 {
 		t.Errorf("bagged ensemble error = %v on SynItalyPower", errRate)
-	}
-	got, err := e.PredictBatchContext(context.Background(), split.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, preds) {
-		t.Fatal("PredictBatchContext disagrees with PredictBatch")
-	}
-	e.SetWorkers(2)
-	if !reflect.DeepEqual(e.PredictBatch(split.Test), preds) {
-		t.Fatal("predictions changed after SetWorkers")
 	}
 }
 
@@ -81,7 +72,7 @@ func TestEnsembleValidation(t *testing.T) {
 	for _, tc := range cases {
 		o := ensembleOpts()
 		tc.mutate(&o)
-		if _, err := TrainEnsemble(split.Train, o); !errors.Is(err, ErrBadInput) {
+		if _, err := TrainEnsembleContext(context.Background(), split.Train, o); !errors.Is(err, ErrBadInput) {
 			t.Errorf("%s: err = %v, want ErrBadInput", tc.name, err)
 		}
 		// Train applies the same validation: the knobs are rejected even
@@ -110,7 +101,7 @@ func TestEnsembleContextAndReport(t *testing.T) {
 
 	o := ensembleOpts()
 	o.Instrument = true
-	e, err := TrainEnsemble(split.Train, o)
+	e, err := TrainEnsembleContext(context.Background(), split.Train, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,12 +135,12 @@ func errCause(err error) error {
 }
 
 // ValidateSeries checks one query series against the same boundary rules
-// PredictChecked and PredictBatchContext enforce: a series with fewer
-// than one point returns a typed *Error matching ErrTooShort, NaN/Inf
-// values one matching ErrBadInput, and a valid series returns nil. It is
-// exported for request boundaries (e.g. the rpmserved inference server)
-// that must validate per-request payloads before queueing them into a
-// shared batch, where one bad series must not fail its batch-mates.
+// PredictBatchContext enforces: a series with fewer than one point
+// returns a typed *Error matching ErrTooShort, NaN/Inf values one
+// matching ErrBadInput, and a valid series returns nil. It is the check
+// a request boundary (e.g. the rpmserved inference server) runs before
+// calling the total Predict, so degenerate input is rejected with a
+// typed error instead of classified.
 func ValidateSeries(values []float64) error {
 	return validateSeries("ValidateSeries", values, 1)
 }

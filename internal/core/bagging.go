@@ -109,16 +109,6 @@ func (e *Ensemble) NumPatterns() int {
 	return n
 }
 
-// SetWorkers re-bounds the concurrency of the ensemble's batch
-// prediction and of every member. Not safe to call concurrently with
-// prediction.
-func (e *Ensemble) SetWorkers(n int) {
-	e.opts.Workers = n
-	for _, m := range e.Members {
-		m.SetWorkers(n)
-	}
-}
-
 // TrainSnapshot returns the shared instrumentation snapshot of the
 // bagged training run (all members record into the same registry), or
 // nil when the ensemble trained without Options.Obs.
@@ -132,13 +122,6 @@ func (e *Ensemble) Predict(v []float64) int {
 		labels[i] = m.Predict(v)
 	}
 	return majorityLabel(labels)
-}
-
-// PredictBatch classifies every instance; it is PredictBatchContext
-// with a context that never cancels.
-func (e *Ensemble) PredictBatch(test ts.Dataset) []int {
-	out, _ := e.PredictBatchContext(context.Background(), test)
-	return out
 }
 
 // PredictBatchContext classifies every instance, fanning the queries out

@@ -41,7 +41,15 @@ func TestBaggedDeterminismWorkers(t *testing.T) {
 			t.Fatalf("member %d serialization diverges between Workers 1 and 8", i)
 		}
 	}
-	if !reflect.DeepEqual(e1.PredictBatch(split.Test), e8.PredictBatch(split.Test)) {
+	p1, err := e1.PredictBatchContext(context.Background(), split.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p8, err := e8.PredictBatchContext(context.Background(), split.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p1, p8) {
 		t.Fatal("ensemble predictions diverge between Workers 1 and 8")
 	}
 }

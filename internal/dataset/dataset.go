@@ -23,42 +23,25 @@ type Split struct {
 	Test  ts.Dataset
 }
 
-// ReadOptions tunes the strictness of ReadWith. The zero value is the strict
-// default: every row must have the same number of values, every value and
-// label must be finite, and a row may hold at most DefaultMaxLineValues
-// observations — malformed or hostile files fail at parse time with a
-// line-numbered error instead of panicking later inside the distance
-// kernels.
-type ReadOptions struct {
-	// AllowVariableLength accepts rows with differing numbers of values
-	// (for variable-length collections). The strict default rejects
-	// ragged datasets, the UCR convention.
-	AllowVariableLength bool
-	// MaxLineValues caps the number of observations per row; 0 means
-	// DefaultMaxLineValues. The cap bounds memory on hostile input.
-	MaxLineValues int
-}
-
-// DefaultMaxLineValues is the per-row observation cap applied when
-// ReadOptions.MaxLineValues is 0 (the longest UCR series is ~3k points;
-// 2^20 leaves three orders of magnitude of headroom).
+// DefaultMaxLineValues caps the observations per row (the longest UCR
+// series is ~3k points; 2^20 leaves three orders of magnitude of
+// headroom). The cap bounds memory on hostile input.
 const DefaultMaxLineValues = 1 << 20
 
 // maxLabel bounds the magnitude of a parsed class label so the
 // float→int conversion is always well defined.
 const maxLabel = 1 << 31
 
-// ReadWith parses UCR-format instances from r under the given options
-// (the zero value: equal-length rows, finite values only). Labels may be
-// written as floating-point numbers (several UCR files use
+// Read parses UCR-format instances from r. Parsing is strict: every row
+// must have the same number of values, every value and label must be
+// finite, and a row may hold at most DefaultMaxLineValues observations,
+// so malformed or hostile files fail at parse time with a line-numbered
+// error instead of panicking later inside the distance kernels. Labels
+// may be written as floating-point numbers (several UCR files use
 // "1.0000000e+00"); they are rounded to the nearest integer. It never
 // panics: any malformed input yields an error naming the first offending
 // line.
-func ReadWith(r io.Reader, opts ReadOptions) (ts.Dataset, error) {
-	maxVals := opts.MaxLineValues
-	if maxVals <= 0 {
-		maxVals = DefaultMaxLineValues
-	}
+func Read(r io.Reader) (ts.Dataset, error) {
 	var out ts.Dataset
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
@@ -74,8 +57,8 @@ func ReadWith(r io.Reader, opts ReadOptions) (ts.Dataset, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("dataset: line %d: need a label and at least one value", lineNo)
 		}
-		if len(fields)-1 > maxVals {
-			return nil, fmt.Errorf("dataset: line %d: %d values exceed the per-line cap %d", lineNo, len(fields)-1, maxVals)
+		if len(fields)-1 > DefaultMaxLineValues {
+			return nil, fmt.Errorf("dataset: line %d: %d values exceed the per-line cap %d", lineNo, len(fields)-1, DefaultMaxLineValues)
 		}
 		lf, err := strconv.ParseFloat(fields[0], 64)
 		if err != nil {
@@ -95,12 +78,10 @@ func ReadWith(r io.Reader, opts ReadOptions) (ts.Dataset, error) {
 			}
 			values[i] = v
 		}
-		if !opts.AllowVariableLength {
-			if wantLen < 0 {
-				wantLen = len(values)
-			} else if len(values) != wantLen {
-				return nil, fmt.Errorf("dataset: line %d: ragged row: %d values, want %d (set ReadOptions.AllowVariableLength for variable-length data)", lineNo, len(values), wantLen)
-			}
+		if wantLen < 0 {
+			wantLen = len(values)
+		} else if len(values) != wantLen {
+			return nil, fmt.Errorf("dataset: line %d: ragged row: %d values, want %d", lineNo, len(values), wantLen)
 		}
 		out = append(out, ts.Instance{Label: int(math.Round(lf)), Values: values})
 	}

@@ -14,7 +14,7 @@ import (
 
 func TestReadCommaSeparated(t *testing.T) {
 	in := "1,0.5,1.5,-2\n2,3,4,5\n"
-	d, err := ReadWith(strings.NewReader(in), ReadOptions{})
+	d, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestReadCommaSeparated(t *testing.T) {
 
 func TestReadWhitespaceSeparated(t *testing.T) {
 	in := "  1   0.5 1.5\t-2 \n\n 2 3 4 5\n"
-	d, err := ReadWith(strings.NewReader(in), ReadOptions{})
+	d, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestReadWhitespaceSeparated(t *testing.T) {
 
 func TestReadScientificLabels(t *testing.T) {
 	in := "1.0000000e+00,1,2\n-1.0000000e+00,3,4\n"
-	d, err := ReadWith(strings.NewReader(in), ReadOptions{})
+	d, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +56,14 @@ func TestReadErrors(t *testing.T) {
 		"1\n",
 	}
 	for _, in := range cases {
-		if _, err := ReadWith(strings.NewReader(in), ReadOptions{}); err == nil {
+		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: expected error", in)
 		}
 	}
 }
 
 func TestReadEmpty(t *testing.T) {
-	d, err := ReadWith(strings.NewReader(""), ReadOptions{})
+	d, err := Read(strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadWith(&buf, ReadOptions{})
+	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFileAndSplitRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		*part.dst, err = ReadWith(f, ReadOptions{})
+		*part.dst, err = Read(f)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -12,28 +12,26 @@ func TestReadWithRejections(t *testing.T) {
 	cases := []struct {
 		name string
 		in   string
-		opts ReadOptions
 		want string // substring of the error, "" means must succeed
 	}{
-		{"valid", "1,0.5,0.6\n2,0.7,0.8\n", ReadOptions{}, ""},
-		{"valid whitespace", "1 0.5 0.6\n2 0.7 0.8\n", ReadOptions{}, ""},
-		{"blank lines skipped", "\n1,0.5,0.6\n\n", ReadOptions{}, ""},
-		{"label only", "1\n", ReadOptions{}, "need a label"},
-		{"bad label", "abc,1,2\n", ReadOptions{}, "bad label"},
-		{"nan label", "NaN,1,2\n", ReadOptions{}, "non-finite or out-of-range label"},
-		{"inf label", "+Inf,1,2\n", ReadOptions{}, "non-finite or out-of-range label"},
-		{"huge label", "1e300,1,2\n", ReadOptions{}, "non-finite or out-of-range label"},
-		{"bad value", "1,0.5,xyz\n", ReadOptions{}, "bad value"},
-		{"nan value", "1,0.5,NaN\n", ReadOptions{}, "non-finite value"},
-		{"inf value", "1,0.5,-Inf\n", ReadOptions{}, "non-finite value"},
-		{"ragged strict", "1,0.5,0.6\n2,0.7\n", ReadOptions{}, "ragged row"},
-		{"ragged allowed", "1,0.5,0.6\n2,0.7\n", ReadOptions{AllowVariableLength: true}, ""},
-		{"over cap", "1,1,2,3,4\n", ReadOptions{MaxLineValues: 3}, "per-line cap"},
-		{"at cap", "1,1,2,3\n", ReadOptions{MaxLineValues: 3}, ""},
+		{"valid", "1,0.5,0.6\n2,0.7,0.8\n", ""},
+		{"valid whitespace", "1 0.5 0.6\n2 0.7 0.8\n", ""},
+		{"blank lines skipped", "\n1,0.5,0.6\n\n", ""},
+		{"label only", "1\n", "need a label"},
+		{"bad label", "abc,1,2\n", "bad label"},
+		{"nan label", "NaN,1,2\n", "non-finite or out-of-range label"},
+		{"inf label", "+Inf,1,2\n", "non-finite or out-of-range label"},
+		{"huge label", "1e300,1,2\n", "non-finite or out-of-range label"},
+		{"bad value", "1,0.5,xyz\n", "bad value"},
+		{"nan value", "1,0.5,NaN\n", "non-finite value"},
+		{"inf value", "1,0.5,-Inf\n", "non-finite value"},
+		{"ragged strict", "1,0.5,0.6\n2,0.7\n", "ragged row"},
+		{"over cap", capLine(DefaultMaxLineValues + 1), "per-line cap"},
+		{"at cap", capLine(DefaultMaxLineValues), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := ReadWith(strings.NewReader(tc.in), tc.opts)
+			d, err := Read(strings.NewReader(tc.in))
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -48,6 +46,11 @@ func TestReadWithRejections(t *testing.T) {
 			}
 		})
 	}
+}
+
+// capLine renders one UCR row holding n zero values.
+func capLine(n int) string {
+	return "1" + strings.Repeat(",0", n) + "\n"
 }
 
 // FuzzDatasetRead asserts the core robustness contract of the reader:
@@ -69,7 +72,7 @@ func FuzzDatasetRead(f *testing.F) {
 	f.Add([]byte("1,,2\n"))
 	f.Add([]byte("-9999999999999999999,1,2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ReadWith(strings.NewReader(string(data)), ReadOptions{})
+		d, err := Read(strings.NewReader(string(data)))
 		if err != nil {
 			return
 		}

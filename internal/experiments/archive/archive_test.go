@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rpm"
+	"rpm/internal/dataset"
 	"rpm/internal/obs"
 	"rpm/internal/stats"
 )
@@ -335,14 +336,7 @@ func TestDirSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	for suffix, d := range map[string]rpm.Dataset{"_TRAIN": split.Train, "_TEST": split.Test} {
-		f, err := os.Create(filepath.Join(dir, "SynCoffee"+suffix))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rpm.SaveUCR(f, d); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := dataset.WriteFile(filepath.Join(dir, "SynCoffee"+suffix), d); err != nil {
 			t.Fatal(err)
 		}
 	}

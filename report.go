@@ -95,15 +95,6 @@ func (r *TrainReport) Counter(name string) int64 {
 	return r.Counters[name]
 }
 
-// Gauge returns a gauge's value by name (e.g. the worker bound recorded
-// under "workers"); 0 when absent or on a nil report.
-func (r *TrainReport) Gauge(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.Gauges[name]
-}
-
 // Stage returns the first stage with the given name (depth-first over
 // the timing tree), or nil.
 func (r *TrainReport) Stage(name string) *StageTiming {

@@ -103,7 +103,8 @@ func TestTrainHostileInputs(t *testing.T) {
 }
 
 // TestPredictTotalAndChecked: Predict must be total on degenerate input,
-// PredictChecked must reject it with the right sentinel.
+// and ValidateSeries — the check a request boundary runs before Predict —
+// must reject it with the right sentinel.
 func TestPredictTotalAndChecked(t *testing.T) {
 	clf, err := Train(smallTrainSet(), fixedTrainOpts())
 	if err != nil {
@@ -116,26 +117,22 @@ func TestPredictTotalAndChecked(t *testing.T) {
 		_ = clf.Transform(q)
 	}
 
-	if _, err := clf.PredictChecked(nil); !errors.Is(err, ErrTooShort) {
-		t.Fatalf("PredictChecked(nil) err = %v, want ErrTooShort", err)
+	for _, tc := range []struct {
+		name string
+		q    []float64
+		want error
+	}{
+		{"nil", nil, ErrTooShort},
+		{"empty", []float64{}, ErrTooShort},
+		{"NaN", []float64{1, math.NaN()}, ErrBadInput},
+		{"-Inf", []float64{math.Inf(-1)}, ErrBadInput},
+	} {
+		if err := ValidateSeries(tc.q); !errors.Is(err, tc.want) {
+			t.Fatalf("ValidateSeries(%s) err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
-	if _, err := clf.PredictChecked([]float64{1, math.NaN()}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("PredictChecked(NaN) err = %v, want ErrBadInput", err)
-	}
-	if _, err := clf.TransformChecked([]float64{}); !errors.Is(err, ErrTooShort) {
-		t.Fatalf("TransformChecked(empty) err = %v, want ErrTooShort", err)
-	}
-	if _, err := clf.TransformChecked([]float64{math.Inf(-1)}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("TransformChecked(Inf) err = %v, want ErrBadInput", err)
-	}
-
-	q := smallTrainSet()[0].Values
-	got, err := clf.PredictChecked(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := clf.Predict(q); got != want {
-		t.Fatalf("PredictChecked = %d, Predict = %d", got, want)
+	if err := ValidateSeries(smallTrainSet()[0].Values); err != nil {
+		t.Fatalf("ValidateSeries(valid) err = %v", err)
 	}
 }
 
@@ -337,25 +334,12 @@ func TestLoadUCRHostile(t *testing.T) {
 			}
 		})
 	}
-
-	// The variable-length escape hatch accepts ragged rows.
-	d, err := LoadUCROptions(strings.NewReader("1,1,2,3\n2,1,2\n"), UCRReadOptions{AllowVariableLength: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d) != 2 || len(d[0].Values) != 3 || len(d[1].Values) != 2 {
-		t.Fatalf("variable-length read wrong: %v", d)
-	}
 }
 
 func TestBaselineConstructorValidation(t *testing.T) {
 	builders := map[string]func(Dataset) (Model, error){
-		"NewNNEuclidean":         func(d Dataset) (Model, error) { return NewNNEuclidean(d) },
-		"NewNNDTWBest":           func(d Dataset) (Model, error) { return NewNNDTWBest(d) },
-		"NewNNDTW":               func(d Dataset) (Model, error) { return NewNNDTW(d, 2) },
-		"TrainSAXVSM":            func(d Dataset) (Model, error) { return TrainSAXVSM(d, 1) },
-		"TrainFastShapelets":     func(d Dataset) (Model, error) { return TrainFastShapelets(d, 1) },
-		"TrainLearningShapelets": func(d Dataset) (Model, error) { return TrainLearningShapelets(d, 1) },
+		"NewNNEuclidean": func(d Dataset) (Model, error) { return NewNNEuclidean(d) },
+		"NewNNDTWBest":   func(d Dataset) (Model, error) { return NewNNDTWBest(d) },
 	}
 	hostile := map[string]Dataset{
 		"empty":     {},
@@ -437,7 +421,7 @@ func FuzzLoadClassifier(f *testing.F) {
 
 // TestTrainRejectsNonFiniteOptions: NaN and ±Inf in Gamma, TauPercentile
 // or Sample.Rate fail at the boundary with ErrBadInput, for Train and
-// TrainEnsemble alike — not as a recovered panic or a model Save cannot
+// TrainEnsembleContext alike — not as a recovered panic or a model Save cannot
 // encode.
 func TestTrainRejectsNonFiniteOptions(t *testing.T) {
 	train := GenerateDataset("SynItalyPower", 1).Train
@@ -446,7 +430,10 @@ func TestTrainRejectsNonFiniteOptions(t *testing.T) {
 		fn   func(Options) error
 	}{
 		{"Train", func(o Options) error { _, err := Train(train, o); return err }},
-		{"TrainEnsemble", func(o Options) error { _, err := TrainEnsemble(train, o); return err }},
+		{"TrainEnsembleContext", func(o Options) error {
+			_, err := TrainEnsembleContext(context.Background(), train, o)
+			return err
+		}},
 	}
 	knobs := []struct {
 		name string

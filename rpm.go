@@ -134,13 +134,13 @@ type Options struct {
 	// trained model is byte-identical for any Workers value. See
 	// DESIGN.md §15.
 	Sample SampleOptions
-	// Bags selects bagged-ensemble training via TrainEnsemble: Bags
-	// members each mine their own Sample-seeded candidate subset (the
-	// parameter search runs once, shared) and classify by majority
+	// Bags selects bagged-ensemble training via TrainEnsembleContext:
+	// Bags members each mine their own Sample-seeded candidate subset
+	// (the parameter search runs once, shared) and classify by majority
 	// vote, ties breaking toward the smaller label. 0 and 1 both mean
 	// a single model; Bags > 1 requires Sample.Rate in (0,1) — with
 	// exhaustive mining every member would be identical. Train ignores
-	// Bags; use TrainEnsemble.
+	// Bags; use TrainEnsembleContext.
 	Bags int
 	// Workers bounds the concurrency of training's parallel stages (the
 	// pattern×instance transform matrix, the parameter-search
@@ -217,9 +217,9 @@ func TrainContext(ctx context.Context, train Dataset, opts Options) (*Classifier
 	return &Classifier{inner: inner}, nil
 }
 
-// trainBoundary is the public boundary shared by Train and
-// TrainEnsemble: it validates the training set and options, then runs
-// fit under guard with its errors typed by wrapCoreErr.
+// trainBoundary is the public boundary shared by TrainContext and
+// TrainEnsembleContext: it validates the training set and options, then
+// runs fit under guard with its errors typed by wrapCoreErr.
 func trainBoundary[T any](ctx context.Context, op string, train Dataset, opts Options,
 	fit func(context.Context, ts.Dataset, core.Options) (T, error)) (T, error) {
 	var out T
@@ -240,26 +240,9 @@ func trainBoundary[T any](ctx context.Context, op string, train Dataset, opts Op
 // Predict classifies one series. It is total: any input — empty,
 // non-finite, shorter than every pattern — yields a deterministic label
 // without panicking (degenerate queries fall back to the training set's
-// nearest-neighbor behavior). Use PredictChecked to have degenerate
-// inputs rejected with a typed error instead.
+// nearest-neighbor behavior). A request boundary that must reject
+// degenerate input with a typed error runs ValidateSeries first.
 func (c *Classifier) Predict(values []float64) int { return c.inner.Predict(values) }
-
-// PredictChecked is Predict with boundary validation and panic
-// containment: an empty query returns ErrTooShort, NaN/Inf values return
-// ErrBadInput, and any residual internal panic comes back as ErrInternal
-// instead of crashing the caller.
-func (c *Classifier) PredictChecked(values []float64) (int, error) {
-	const op = "Predict"
-	if err := validateSeries(op, values, 1); err != nil {
-		return 0, err
-	}
-	var label int
-	err := guard(op, func() error {
-		label = c.inner.Predict(values)
-		return nil
-	})
-	return label, err
-}
 
 // PredictBatch classifies every instance and returns the predicted labels
 // in order.
@@ -299,27 +282,8 @@ func predictBatchBoundary(ctx context.Context, test Dataset, predict func(contex
 
 // Transform maps a series into the representative-pattern distance space:
 // element k is the closest-match distance to pattern k. Like Predict it
-// is total over its input; TransformChecked rejects degenerate input
-// with a typed error instead.
+// is total over its input.
 func (c *Classifier) Transform(values []float64) []float64 { return c.inner.Transform(values) }
-
-// TransformChecked is Transform with boundary validation and panic
-// containment (see PredictChecked).
-func (c *Classifier) TransformChecked(values []float64) ([]float64, error) {
-	const op = "Transform"
-	if err := validateSeries(op, values, 1); err != nil {
-		return nil, err
-	}
-	var out []float64
-	err := guard(op, func() error {
-		out = c.inner.Transform(values)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // PredictVector classifies a point already in the transformed
 // (pattern-distance) space: feat[k] is the closest-match distance to
@@ -436,27 +400,15 @@ func DatasetNames() []string {
 
 // LoadUCR reads a dataset in the UCR archive text format (label first,
 // comma- or whitespace-separated values, one series per line). Parsing is
-// strict: NaN/Inf values, non-finite labels, and ragged rows are rejected
-// at parse time with a typed *Error matching ErrBadInput (use
-// LoadUCROptions to accept variable-length rows).
+// strict: NaN/Inf values, non-finite labels, ragged rows and rows over the
+// per-row size cap are rejected at parse time with a typed *Error
+// matching ErrBadInput.
 func LoadUCR(r io.Reader) (Dataset, error) {
-	return LoadUCROptions(r, UCRReadOptions{})
-}
-
-// UCRReadOptions tunes LoadUCROptions; the zero value is the strict
-// default (equal-length rows, finite values, per-row size cap).
-// AllowVariableLength accepts rows with differing numbers of values;
-// MaxLineValues caps the observations per row (0 means the package
-// default), bounding memory on hostile input.
-type UCRReadOptions = dataset.ReadOptions
-
-// LoadUCROptions is LoadUCR with explicit strictness options.
-func LoadUCROptions(r io.Reader, opts UCRReadOptions) (Dataset, error) {
 	const op = "LoadUCR"
 	var out Dataset
 	err := guard(op, func() error {
 		var err error
-		if out, err = dataset.ReadWith(r, opts); err != nil {
+		if out, err = dataset.Read(r); err != nil {
 			return apiErr(op, ErrBadInput, err)
 		}
 		return nil
@@ -465,15 +417,6 @@ func LoadUCROptions(r io.Reader, opts UCRReadOptions) (Dataset, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// SaveUCR writes a dataset in the UCR archive text format. Failures (a
-// broken writer or unwritable values) surface as typed *Error values.
-func SaveUCR(w io.Writer, d Dataset) error {
-	if err := dataset.Write(w, d); err != nil {
-		return apiErr("SaveUCR", ErrBadInput, err)
-	}
-	return nil
 }
 
 // ZNormalize z-normalizes every instance in place (zero mean, unit

@@ -5,6 +5,11 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"rpm/internal/dataset"
+	"rpm/internal/fastshapelets"
+	"rpm/internal/learnshapelets"
+	"rpm/internal/saxvsm"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -87,9 +92,9 @@ func TestBaselinesSatisfyModel(t *testing.T) {
 	split := GenerateDataset("SynItalyPower", 3)
 	models := map[string]func() (Model, error){
 		"NN-ED":   func() (Model, error) { return NewNNEuclidean(split.Train) },
-		"NN-DTW":  func() (Model, error) { return NewNNDTW(split.Train, 2) },
-		"SAX-VSM": func() (Model, error) { return TrainSAXVSM(split.Train, 1) },
-		"FS":      func() (Model, error) { return TrainFastShapelets(split.Train, 1) },
+		"NN-DTW":  func() (Model, error) { return NewNNDTWBest(split.Train) },
+		"SAX-VSM": func() (Model, error) { return saxvsm.TrainAuto(split.Train, 1), nil },
+		"FS":      func() (Model, error) { return fastshapelets.Train(split.Train, 1), nil },
 	}
 	for name, build := range models {
 		m, err := build()
@@ -112,7 +117,9 @@ func TestBaselinesSatisfyModel(t *testing.T) {
 func TestExtensionBaselines(t *testing.T) {
 	split := GenerateDataset("SynItalyPower", 5)
 	models := map[string]func() (Model, error){
-		"LS": func() (Model, error) { return TrainLearningShapelets(split.Train, 1) },
+		"LS": func() (Model, error) {
+			return learnshapelets.Train(split.Train, learnshapelets.Config{Seed: 1}), nil
+		},
 	}
 	for name, build := range models {
 		m, err := build()
@@ -138,7 +145,7 @@ func TestUCRRoundTrip(t *testing.T) {
 		{Label: 2, Values: []float64{4, 5, 6}},
 	}
 	var buf bytes.Buffer
-	if err := SaveUCR(&buf, d); err != nil {
+	if err := dataset.Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadUCR(&buf)
