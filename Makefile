@@ -35,10 +35,11 @@ BENCH_GATE_RUN = $(GO) test -run xxx -bench '$(BENCH_GATE_RE)' -benchmem -bencht
 COVER_FLOOR = 88.0
 
 # Packages counted toward the coverage floor: the public API plus the
-# pipeline-critical internals (transform math, grammar induction,
-# selection, instrumentation, the parallel substrate, and the serving
-# layer).
+# pipeline-critical internals (the UCR reader, transform math, grammar
+# induction, selection, instrumentation, the parallel substrate, and the
+# serving layer).
 COVER_PKGS = . \
+	./internal/dataset \
 	./internal/experiments/archive \
 	./internal/serve \
 	./internal/serve/client \

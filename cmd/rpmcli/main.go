@@ -7,6 +7,7 @@
 //	rpmcli -train Coffee_TRAIN -test Coffee_TEST
 //	rpmcli -train X_TRAIN -test X_TEST -mode fixed -window 40 -paa 6 -alpha 4
 //	rpmcli -train X_TRAIN -test X_TEST -rotinv -gamma 0.3 -patterns
+//	rpmcli -train X_TRAIN -motifs -window 40 -paa 6 -alpha 4
 //	rpmcli -remote http://localhost:8080 -test Coffee_TEST
 //
 // With -remote the test set is classified by a running rpmserved
@@ -30,7 +31,7 @@ import (
 
 func main() {
 	trainPath := flag.String("train", "", "UCR-format training file (required)")
-	testPath := flag.String("test", "", "UCR-format test file (required)")
+	testPath := flag.String("test", "", "UCR-format test file (required unless -motifs)")
 	mode := flag.String("mode", "direct", "parameter selection: direct, grid, fixed")
 	window := flag.Int("window", 0, "SAX window (fixed mode)")
 	paa := flag.Int("paa", 0, "SAX PAA size (fixed mode)")
@@ -75,12 +76,12 @@ func main() {
 		return
 	}
 
-	if (*trainPath == "" && *loadModel == "") || *testPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
 	if *motifsOnly && *trainPath == "" {
 		fmt.Fprintln(os.Stderr, "rpmcli: -motifs requires -train")
+		os.Exit(2)
+	}
+	if (*trainPath == "" && *loadModel == "") || (*testPath == "" && !*motifsOnly) {
+		flag.Usage()
 		os.Exit(2)
 	}
 	var train rpm.Dataset
@@ -90,13 +91,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	test, err := loadFile(*testPath)
-	if err != nil {
-		fatal(err)
-	}
 	if *znorm {
 		rpm.ZNormalize(train)
-		rpm.ZNormalize(test)
 	}
 
 	opts := rpm.DefaultOptions()
@@ -134,6 +130,13 @@ func main() {
 			}
 		}
 		return
+	}
+	test, err := loadFile(*testPath)
+	if err != nil {
+		fatal(err)
+	}
+	if *znorm {
+		rpm.ZNormalize(test)
 	}
 	var clf *rpm.Classifier
 	if *loadModel != "" {

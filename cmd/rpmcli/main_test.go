@@ -82,3 +82,20 @@ func TestMotifsRequiresTrain(t *testing.T) {
 		t.Fatalf("stderr = %q, want it to contain %q", stderr, want)
 	}
 }
+
+// TestMotifsWithoutTest: motif discovery reads only the training set, so
+// -motifs needs no -test.
+func TestMotifsWithoutTest(t *testing.T) {
+	trainPath := filepath.Join(t.TempDir(), "SynCBF_TRAIN")
+	if err := dataset.WriteFile(trainPath, rpm.GenerateDataset("SynCBF", 1).Train); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runCLI(t, "-train", trainPath,
+		"-motifs", "-mode", "fixed", "-window", "30", "-paa", "5", "-alpha", "4")
+	if code != 0 {
+		t.Fatalf("exit code = %d, want 0 (stdout %q, stderr %q)", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "class ") {
+		t.Fatalf("stdout = %q, want per-class motif lines", stdout)
+	}
+}

@@ -75,8 +75,10 @@ func (g GIAlgorithm) String() string {
 	}
 }
 
-// Options configures RPM training. The zero value is NOT usable; call
-// DefaultOptions and override fields as needed.
+// Options configures RPM training; package rpm re-exports it. Start from
+// DefaultOptions: this package rejects a zero Gamma, and the zero Mode
+// is ParamFixed. Package rpm's entry points fill a zero Gamma,
+// TauPercentile, Splits, MaxEvals or Seed from DefaultOptions.
 type Options struct {
 	// Gamma is the minimum pattern support as a fraction of the class's
 	// training instances (paper §3.2, default 0.2 as in §5.2).
@@ -121,13 +123,22 @@ type Options struct {
 	// Seed drives the parameter-search splits and the SVM's coordinate
 	// permutation (default 1).
 	Seed int64
+	// Instrument records the run (stage timings for the paper's three
+	// steps and the search, pipeline counters, worker-pool usage) into a
+	// fresh registry when Obs is nil; TrainSnapshot reads it back. Off by
+	// default, never serialized, and it never changes the trained model.
+	Instrument bool `json:"-"`
 	// Obs, when non-nil, receives the training pipeline's
 	// instrumentation: stage spans (obsnames.go), per-class candidate
 	// counters, γ/τ pruning counters, parameter-search cache hit/miss
-	// counters and worker-pool usage. A nil Obs (the default) is the
-	// zero-overhead off switch: every record call is a nil-handle no-op
-	// and training is byte-identical either way (see DESIGN.md §9).
-	// Never serialized with the model.
+	// counters and worker-pool usage. A nil Obs without Instrument (the
+	// default) is the zero-overhead off switch: every record call is a
+	// nil-handle no-op and training is byte-identical either way (see
+	// DESIGN.md §9).
+	// It lets a caller inside this module (internal/experiments) share
+	// one registry across runs; its type is internal, so code outside
+	// the module sets Instrument instead. Never serialized with the
+	// model.
 	Obs *obs.Registry `json:"-"`
 	// span handles threaded through the pipeline internals; set by
 	// TrainContext/trainWithParams, always nil when Obs is nil.

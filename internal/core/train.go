@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"rpm/internal/obs"
 	"rpm/internal/parallel"
 	"rpm/internal/sax"
 	"rpm/internal/svm"
@@ -40,9 +41,10 @@ func TrainContext(ctx context.Context, train ts.Dataset, opts Options) (*Classif
 
 // begin is the prologue TrainContext and TrainBaggedContext share: it
 // rejects an empty training set and out-of-range knobs — written as
-// !(in range) so NaN fails too — fills the search defaults, and opens
-// the run's SpanTrain span, which the caller ends. Instrumentation is a
-// no-op when opts.Obs is nil; recording never feeds back into the
+// !(in range) so NaN fails too — fills the search defaults, gives an
+// Instrument run without a registry a fresh one, and opens the run's
+// SpanTrain span, which the caller ends. Instrumentation is a no-op
+// when opts.Obs is nil; recording never feeds back into the
 // computation, so the trained model is byte-identical with or without a
 // registry.
 func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context, Options, error) {
@@ -66,6 +68,9 @@ func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context
 	}
 	if opts.MaxEvals <= 0 {
 		opts.MaxEvals = 60
+	}
+	if opts.Instrument && opts.Obs == nil {
+		opts.Obs = obs.NewRegistry()
 	}
 	opts.span = opts.Obs.StartSpan(SpanTrain)
 	opts.Obs.Gauge(GaugeWorkers).Set(int64(parallel.Workers(opts.Workers)))

@@ -6,6 +6,7 @@ package dataset
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -28,6 +29,10 @@ type Split struct {
 // headroom). The cap bounds memory on hostile input.
 const DefaultMaxLineValues = 1 << 20
 
+// maxLineBytes admits any row of a label and DefaultMaxLineValues values
+// in strconv's shortest form: at most 25 bytes a value, separator included.
+const maxLineBytes = (DefaultMaxLineValues + 1) * 25
+
 // maxLabel bounds the magnitude of a parsed class label so the
 // float→int conversion is always well defined.
 const maxLabel = 1 << 31
@@ -44,7 +49,7 @@ const maxLabel = 1 << 31
 func Read(r io.Reader) (ts.Dataset, error) {
 	var out ts.Dataset
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 1024*1024), maxLineBytes)
 	lineNo := 0
 	wantLen := -1
 	for sc.Scan() {
@@ -85,7 +90,9 @@ func Read(r io.Reader) (ts.Dataset, error) {
 		}
 		out = append(out, ts.Instance{Label: int(math.Round(lf)), Values: values})
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("dataset: line %d: longer than %d bytes", lineNo+1, maxLineBytes)
+	} else if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	return out, nil

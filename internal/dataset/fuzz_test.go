@@ -28,6 +28,8 @@ func TestReadWithRejections(t *testing.T) {
 		{"ragged strict", "1,0.5,0.6\n2,0.7\n", "ragged row"},
 		{"over cap", capLine(DefaultMaxLineValues + 1), "per-line cap"},
 		{"at cap", capLine(DefaultMaxLineValues), ""},
+		{"long full-precision rows", longRows(2, 900_000), ""},
+		{"over byte bound", "1,0.5\n1," + strings.Repeat("1", maxLineBytes) + "\n", "line 2: longer than"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,6 +53,12 @@ func TestReadWithRejections(t *testing.T) {
 // capLine renders one UCR row holding n zero values.
 func capLine(n int) string {
 	return "1" + strings.Repeat(",0", n) + "\n"
+}
+
+// longRows renders rows UCR rows of n full-precision values each.
+func longRows(rows, n int) string {
+	row := "1" + strings.Repeat(",0.12345678901234567", n) + "\n"
+	return strings.Repeat(row, rows)
 }
 
 // FuzzDatasetRead asserts the core robustness contract of the reader:

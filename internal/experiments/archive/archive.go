@@ -136,10 +136,10 @@ type Model struct {
 // RPM is the RPM method trained through the public API: one
 // classifier, or a bagged ensemble when opts.Bags > 1. Training is
 // always instrumented so the rows carry the pipeline counters; Workers
-// and Instrument stay out of the fingerprint.
+// stays out of the fingerprint, and Instrument and Obs never serialize.
 func RPM(opts rpm.Options) Method {
 	settings := opts
-	settings.Workers, settings.Instrument = 0, false
+	settings.Workers = 0
 	opts.Instrument = true
 	return Method{Name: "RPM", Settings: settings, Train: func(ctx context.Context, train rpm.Dataset, _ *obs.Registry) (Model, error) {
 		if opts.Bags > 1 {

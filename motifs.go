@@ -26,5 +26,5 @@ type Motif = core.Motif
 // reduction, the GI algorithm and the prototype choice — its parameter-
 // search fields are ignored.
 func DiscoverMotifs(train Dataset, params SAXParams, opts Options) map[int][]Motif {
-	return core.DiscoverMotifs(train, params, toCoreOptions(opts))
+	return core.DiscoverMotifs(train, params, withDefaults(opts))
 }

@@ -35,7 +35,6 @@ import (
 	"rpm/internal/core"
 	"rpm/internal/datagen"
 	"rpm/internal/dataset"
-	"rpm/internal/obs"
 	"rpm/internal/sax"
 	"rpm/internal/ts"
 )
@@ -77,88 +76,38 @@ const (
 	GIRePair = core.GIRePair
 )
 
-// ParamMode selects how SAX parameters are chosen during training.
-type ParamMode int
+// ParamMode selects how SAX parameters are chosen during training:
+// ParamFixed, ParamGrid or ParamDIRECT. String returns "fixed", "grid"
+// or "direct". It is the pipeline's own type (internal/core.ParamMode),
+// and snapshots store its integer: ParamFixed is 0, ParamGrid 1 and
+// ParamDIRECT 2.
+type ParamMode = core.ParamMode
 
 const (
-	// ParamDIRECT optimizes parameters per class with the DIRECT
-	// derivative-free optimizer (paper §4.2). This is the default.
-	ParamDIRECT ParamMode = iota
-	// ParamGrid runs the exhaustive cross-validated grid search of
-	// Algorithm 3.
-	ParamGrid
-	// ParamFixed uses Options.Params for every class, skipping the
-	// search entirely.
-	ParamFixed
+	ParamFixed  = core.ParamFixed  // Options.Params for every class, no search (the zero Mode)
+	ParamGrid   = core.ParamGrid   // the exhaustive grid search of Algorithm 3
+	ParamDIRECT = core.ParamDIRECT // the DIRECT search of §4.2 (DefaultOptions)
 )
 
-// Options configures RPM training. Construct with DefaultOptions and
-// override what you need.
-type Options struct {
-	// Gamma is the minimum pattern support as a fraction of the class's
-	// training instances (default 0.2).
-	Gamma float64
-	// TauPercentile is the percentile of intra-cluster distances used as
-	// the similar-pattern removal threshold τ (default 30).
-	TauPercentile float64
-	// UseMedoid picks cluster medoids instead of centroids as pattern
-	// prototypes.
-	UseMedoid bool
-	// NumerosityReduction toggles SAX numerosity reduction (default on).
-	NumerosityReduction bool
-	// RotationInvariant enables the rotation-invariant transform of the
-	// paper's §6.1 case study.
-	RotationInvariant bool
-	// GI selects the grammar-induction algorithm (default GISequitur).
-	GI GIAlgorithm
-	// Mode selects the parameter search; Params is used when Mode is
-	// ParamFixed.
-	Mode   ParamMode
-	Params SAXParams
-	// Splits is the number of train/validate splits per parameter
-	// evaluation (default 5).
-	Splits int
-	// MaxEvals caps parameter-search objective evaluations per class
-	// (default 60).
-	MaxEvals int
-	// Seed makes training deterministic (default 1).
-	Seed int64
-	// Sample configures seeded subsampling of the candidate-mining
-	// work — the fast-training path: Step 1 discretizes only a seeded
-	// fraction of the sliding-window blocks, and the parameter search
-	// keeps the same fraction of its grid points (grid mode) or
-	// objective evaluations (DIRECT mode). Sample.Rate 0 (the zero
-	// value) and 1 both mean exhaustive mining, bit-identical to a run
-	// without this knob. Sampling is deterministic: every keep/drop
-	// decision is a pure function of (Sample.Seed, position), so the
-	// trained model is byte-identical for any Workers value. See
-	// DESIGN.md §15.
-	Sample SampleOptions
-	// Bags selects bagged-ensemble training via TrainEnsembleContext:
-	// Bags members each mine their own Sample-seeded candidate subset
-	// (the parameter search runs once, shared) and classify by majority
-	// vote, ties breaking toward the smaller label. 0 and 1 both mean
-	// a single model; Bags > 1 requires Sample.Rate in (0,1) — with
-	// exhaustive mining every member would be identical. Train ignores
-	// Bags; use TrainEnsembleContext.
-	Bags int
-	// Workers bounds the concurrency of training's parallel stages (the
-	// pattern×instance transform matrix, the parameter-search
-	// cross-validation, candidate pruning) and of PredictBatch: 0 means
-	// use every core (runtime.GOMAXPROCS), 1 forces the exact sequential
-	// path, any other value caps the worker goroutines. Results are
-	// byte-identical for every setting — Workers trades wall-clock time
-	// only (see DESIGN.md "Concurrency").
-	Workers int
-	// Instrument records the training run — stage timings for the
-	// paper's three steps and the parameter search, pipeline counters
-	// (candidates, clusters kept/dropped at γ, patterns pruned at τ,
-	// search-cache hits/misses, CFS expansions) and worker-pool usage —
-	// retrievable afterwards via Classifier.TrainReport. Off by default:
-	// the uninstrumented path records nothing and allocates nothing, and
-	// instrumentation never changes the trained model (see DESIGN.md §9).
-	Instrument bool
-}
+// Options configures RPM training; it is the pipeline's own type
+// (internal/core.Options). Construct it with DefaultOptions and override
+// what you need: a zero Gamma, TauPercentile, Splits, MaxEvals or Seed
+// takes its default, and the zero Mode is ParamFixed. Fields: Gamma, the
+// minimum pattern support as a fraction of a class's instances (0.2);
+// TauPercentile, the percentile of intra-cluster distances that sets the
+// similar-pattern threshold τ (30); UseMedoid, medoid instead of
+// centroid prototypes; NumerosityReduction (on); RotationInvariant, the
+// §6.1 transform; GI (GISequitur); Mode (ParamDIRECT) and Params, the
+// SAX parameters of ParamFixed; Splits, train/validate splits per
+// parameter evaluation (5); MaxEvals, search evaluations per class (60);
+// Sample, seeded subsampling of candidate mining, exhaustive at Rate 0
+// or 1 (DESIGN.md §15); Bags, TrainEnsembleContext's member count, where
+// Bags > 1 requires Sample.Rate in (0,1); Seed (1); Instrument, record
+// the run for Classifier.TrainReport without changing the model; Obs, a
+// registry of an internal type that only this module's experiment
+// runner sets; and Workers, the concurrency bound of training and
+// PredictBatch (0 every core, 1 sequential), which never changes results.
+type Options = core.Options
 
 // SampleOptions configures the seeded candidate-pool subsampling of
 // Options.Sample. Rate is the fraction of mining work kept, in [0,1];
@@ -168,17 +117,7 @@ type Options struct {
 type SampleOptions = core.SampleOptions
 
 // DefaultOptions returns the paper's default configuration.
-func DefaultOptions() Options {
-	return Options{
-		Gamma:               0.2,
-		TauPercentile:       30,
-		NumerosityReduction: true,
-		Mode:                ParamDIRECT,
-		Splits:              5,
-		MaxEvals:            60,
-		Seed:                1,
-	}
-}
+func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Pattern is one selected representative pattern: Class is the label it
 // represents, Values the z-normalized prototype subsequence, Support the
@@ -231,7 +170,7 @@ func trainBoundary[T any](ctx context.Context, op string, train Dataset, opts Op
 	}
 	err := guard(op, func() error {
 		var err error
-		out, err = fit(ctx, train, toCoreOptions(opts))
+		out, err = fit(ctx, train, withDefaults(opts))
 		return wrapCoreErr(op, err)
 	})
 	return out, err
@@ -427,43 +366,25 @@ func ZNormalize(d Dataset) { ts.ZNormInstance(d) }
 // distortion used in the paper's rotation-invariance study (§6.1).
 func Rotate(values []float64, cut int) []float64 { return ts.Rotate(values, cut) }
 
-// toCoreOptions maps Options onto core.Options: zero fields take core's
-// defaults, ParamMode is renumbered, and Instrument becomes a registry.
-func toCoreOptions(o Options) core.Options {
-	c := core.DefaultOptions()
-	if o.Gamma != 0 {
-		c.Gamma = o.Gamma
+// withDefaults fills each zero Gamma, TauPercentile, Splits, MaxEvals
+// and Seed from DefaultOptions, the façade's zero-means-default rule;
+// every other field passes through.
+func withDefaults(o Options) Options {
+	d := core.DefaultOptions()
+	if o.Gamma == 0 {
+		o.Gamma = d.Gamma
 	}
-	if o.TauPercentile != 0 {
-		c.TauPercentile = o.TauPercentile
+	if o.TauPercentile == 0 {
+		o.TauPercentile = d.TauPercentile
 	}
-	c.UseMedoid = o.UseMedoid
-	c.NumerosityReduction = o.NumerosityReduction
-	c.RotationInvariant = o.RotationInvariant
-	c.GI = o.GI
-	switch o.Mode {
-	case ParamFixed:
-		c.Mode = core.ParamFixed
-	case ParamGrid:
-		c.Mode = core.ParamGrid
-	default:
-		c.Mode = core.ParamDIRECT
+	if o.Splits == 0 {
+		o.Splits = d.Splits
 	}
-	c.Params = o.Params
-	if o.Splits != 0 {
-		c.Splits = o.Splits
+	if o.MaxEvals == 0 {
+		o.MaxEvals = d.MaxEvals
 	}
-	if o.MaxEvals != 0 {
-		c.MaxEvals = o.MaxEvals
+	if o.Seed == 0 {
+		o.Seed = d.Seed
 	}
-	if o.Seed != 0 {
-		c.Seed = o.Seed
-	}
-	c.Sample = o.Sample
-	c.Bags = o.Bags
-	c.Workers = o.Workers
-	if o.Instrument {
-		c.Obs = obs.NewRegistry()
-	}
-	return c
+	return o
 }

@@ -43,6 +43,44 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestZeroOptionsTakeDefaults pins the façade's zero-means-default rule:
+// training with a zero Gamma, TauPercentile and Seed saves the same
+// bytes as DefaultOptions, and withDefaults also fills a zero Splits and
+// MaxEvals (which fixed mode never reads) while passing the rest through.
+func TestZeroOptionsTakeDefaults(t *testing.T) {
+	split := GenerateDataset("SynCBF", 1)
+	save := func(o Options) []byte {
+		t.Helper()
+		clf, err := Train(split.Train, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := clf.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	def := DefaultOptions()
+	def.Mode = ParamFixed
+	def.Params = SAXParams{Window: 40, PAA: 6, Alphabet: 4}
+	zero := def
+	zero.Gamma, zero.TauPercentile, zero.Seed = 0, 0, 0
+	if !bytes.Equal(save(def), save(zero)) {
+		t.Fatal("zero Gamma, TauPercentile and Seed saved a different model than DefaultOptions")
+	}
+
+	got := withDefaults(Options{Workers: 3, Bags: 2})
+	want := Options{Gamma: 0.2, TauPercentile: 30, Splits: 5, MaxEvals: 60, Seed: 1, Workers: 3, Bags: 2}
+	if got != want {
+		t.Fatalf("withDefaults(zero) = %+v, want %+v", got, want)
+	}
+	set := Options{Gamma: 0.5, TauPercentile: 10, Splits: 2, MaxEvals: 7, Seed: 9}
+	if got := withDefaults(set); got != set {
+		t.Fatalf("withDefaults changed set fields: %+v, want %+v", got, set)
+	}
+}
+
 // TestPatternsCopyIsDeep: mutating the patterns Patterns returns must
 // not reach the model, so a later Save writes the same bytes.
 func TestPatternsCopyIsDeep(t *testing.T) {
