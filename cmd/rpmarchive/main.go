@@ -38,19 +38,17 @@
 // depend on it; pass -workers 1 when the wall times themselves are the
 // experiment (Table 2), since concurrent datasets share the machine.
 // Progress goes to stderr, one line per finished dataset. -report
-// json|text prints each dataset's instrumentation report (stage
-// timings, pipeline counters, worker-pool usage) after a paper
-// experiment's output; resumed datasets have none. -debug-addr serves
-// /debug/pprof/*, /debug/vars (the live snapshot under "rpm_obs") and
-// /debug/obs (?format=text for a human view) for the duration of the
-// run; all datasets then record into one registry, so per-dataset
-// reports show cumulative-to-date values.
+// json|text prints, after each run's output, the training report
+// (stage timings, pipeline counters, worker-pool usage) of every RPM
+// row, labelled dataset / method; baseline and resumed rows have none.
+// -debug-addr serves /debug/pprof/* and /debug/vars for the duration of
+// the run.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"expvar"
+	_ "expvar" // registers /debug/vars on the default mux
 	"flag"
 	"fmt"
 	"net/http"
@@ -67,20 +65,19 @@ import (
 	"rpm"
 	"rpm/internal/experiments"
 	"rpm/internal/experiments/archive"
-	"rpm/internal/obs"
 )
 
 // commonFlags are read by every run; runFlags lists, per run, what it
 // reads on top. -exp all is the runs main, tau, rotation and alarm.
-const commonFlags = "exp out seed workers shard timeout resume json deterministic strict debug-addr"
+const commonFlags = "exp out seed workers shard timeout resume json deterministic strict report debug-addr"
 
 var runFlags = map[string]string{
 	"rpm":      "dir datasets mode window paa alpha sample-rate sample-seed bags",
-	"main":     "dir datasets quick svg report",
-	"tau":      "dir datasets quick svg report",
-	"rotation": "quick report",
-	"alarm":    "quick report",
-	"ablate":   "dir datasets quick report",
+	"main":     "dir datasets quick svg",
+	"tau":      "dir datasets quick svg",
+	"rotation": "quick",
+	"alarm":    "quick",
+	"ablate":   "dir datasets quick",
 }
 
 // run is one method list over one source (nil: the suite). render
@@ -112,8 +109,8 @@ func main() {
 	bags := flag.Int("bags", 0, "bagged-ensemble width (>1 requires -sample-rate)")
 	quick := flag.Bool("quick", false, "paper experiments: use reduced parameter-search budgets")
 	svgDir := flag.String("svg", "", "also render the figures as SVG files into this directory")
-	report := flag.String("report", "", "print per-dataset instrumentation reports after the run: json or text")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address (e.g. localhost:6060) for the duration of the run")
+	report := flag.String("report", "", "print each RPM row's training report after the run's output: json or text")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060) for the duration of the run")
 	resume := flag.Bool("resume", false, "serve datasets with valid checkpoints from disk")
 	asJSON := flag.Bool("json", false, "emit each run's result as JSON instead of a text table")
 	deterministic := flag.Bool("deterministic", false, "strip wall times and resume marks so outputs of identical configs compare byte for byte")
@@ -172,18 +169,12 @@ func main() {
 		suite.Shard, suite.Shards = k, n
 	}
 	if *debugAddr != "" {
-		// One shared live registry for the whole run: the debug endpoints
-		// watch training progress while it happens.
-		shared := obs.NewRegistry()
-		suite.Obs = shared
-		http.Handle("/debug/obs", obs.Handler(shared))
-		expvar.Publish("rpm_obs", expvar.Func(func() any { return shared.Snapshot() }))
 		go func() {
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "rpmarchive: debug server:", err)
 			}
 		}()
-		progress(fmt.Sprintf("rpmarchive: debug server on http://%s/debug/pprof/ (also /debug/vars, /debug/obs)", *debugAddr))
+		progress(fmt.Sprintf("rpmarchive: debug server on http://%s/debug/pprof/ (also /debug/vars)", *debugAddr))
 	}
 
 	opts := rpm.DefaultOptions()
@@ -200,7 +191,7 @@ func main() {
 	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers}
 	all := experiments.AllMethods()
 	runs := map[string]run{
-		"rpm": {methods: []archive.Method{archive.RPM(opts)}},
+		"rpm": {methods: []archive.Method{archive.RPM("RPM", opts)}},
 		"main": {methods: experiments.Methods(cfg, all...), render: func(rows []archive.Outcome) []string {
 			return []string{experiments.FormatTable1(rows, all), experiments.FormatTable2(rows),
 				experiments.FormatFig7(rows, all), experiments.FormatFig8(rows)}
@@ -278,17 +269,18 @@ func main() {
 	}
 }
 
-// emitReports prints the per-dataset instrumentation snapshots in the
-// requested format ("" = off). A dataset's rows share one snapshot.
+// emitReports prints the training report of every row that has one in
+// the requested format ("" = off), labelled dataset / method.
 func emitReports(rows []archive.Outcome, format string) error {
 	type item struct {
-		Dataset string        `json:"dataset"`
-		Report  *obs.Snapshot `json:"report"`
+		Dataset string           `json:"dataset"`
+		Method  string           `json:"method"`
+		Report  *rpm.TrainReport `json:"report"`
 	}
-	var items []item
-	for i, r := range rows {
-		if i == 0 || rows[i-1].Dataset != r.Dataset {
-			items = append(items, item{Dataset: r.Dataset, Report: r.Report})
+	items := []item{}
+	for _, r := range rows {
+		if r.Report != nil {
+			items = append(items, item{r.Dataset, r.Method, r.Report})
 		}
 	}
 	switch format {
@@ -300,7 +292,7 @@ func emitReports(rows []archive.Outcome, format string) error {
 		fmt.Println(string(b))
 	case "text":
 		for _, it := range items {
-			fmt.Printf("== %s ==\n%s", it.Dataset, it.Report.Text())
+			fmt.Printf("== %s / %s ==\n%s", it.Dataset, it.Method, it.Report)
 		}
 	}
 	return nil

@@ -79,9 +79,26 @@ func main() {
 	)
 	flag.Parse()
 	if *models == "" {
-		fmt.Fprintln(os.Stderr, "rpmserved: -models is required (a directory of *.json snapshots)")
-		flag.Usage()
-		os.Exit(2)
+		usage("-models is required (a directory of *.json snapshots)")
+	}
+	// The serving layer replaces an out-of-range value with its default;
+	// a flag given out of range is a usage error instead.
+	for _, c := range []struct {
+		name string
+		ok   bool
+		want string
+	}{
+		{"queue", *queueSize > 0, "positive"},
+		{"timeout", *timeout > 0, "positive"},
+		{"max-streams", *maxStreams > 0 || *maxStreams == -1, "positive, or -1 for unbounded"},
+		{"stream-chunk", *streamChunk > 0, "positive"},
+		{"stream-confirm", *streamK > 0, "positive"},
+		{"stream-refractory", *streamDead >= 0, "non-negative"},
+		{"drain-timeout", *drainTimeout > 0, "positive"},
+	} {
+		if !c.ok {
+			usage(fmt.Sprintf("-%s %s: must be %s", c.name, flag.Lookup(c.name).Value, c.want))
+		}
 	}
 	inj, err := faults.New(*faultSeed, *faultSpec)
 	if err != nil {
@@ -101,6 +118,13 @@ func main() {
 	if err := run(*addr, cfg, *drainTimeout, !*noDebug, inj); err != nil {
 		log.Fatalf("rpmserved: %v", err)
 	}
+}
+
+// usage reports a flag error and exits 2, as the flag package does.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "rpmserved:", msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func run(addr string, cfg serve.Config, drainTimeout time.Duration, debug bool, inj *faults.Injector) error {

@@ -49,7 +49,7 @@ func TrainBaggedContext(ctx context.Context, train ts.Dataset, opts Options) (*E
 		return nil, err
 	}
 	defer opts.span.End()
-	opts.Obs.Counter(CtrBagMembers).Add(int64(opts.Bags))
+	opts.reg.Counter(CtrBagMembers).Add(int64(opts.Bags))
 	classes := train.Classes()
 	perClass, err := chooseParams(ctx, train, classes, opts)
 	if err != nil {
@@ -111,8 +111,8 @@ func (e *Ensemble) NumPatterns() int {
 
 // TrainSnapshot returns the shared instrumentation snapshot of the
 // bagged training run (all members record into the same registry), or
-// nil when the ensemble trained without Options.Obs.
-func (e *Ensemble) TrainSnapshot() *obs.Snapshot { return e.opts.Obs.Snapshot() }
+// nil when the ensemble trained without Instrument.
+func (e *Ensemble) TrainSnapshot() *obs.Snapshot { return e.opts.reg.Snapshot() }
 
 // Predict classifies one series by majority vote over the members.
 // Like Classifier.Predict it is total over its input.
@@ -132,7 +132,7 @@ func (e *Ensemble) Predict(v []float64) int {
 func (e *Ensemble) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]int, error) {
 	e.ensureTransformers()
 	out := make([]int, len(test))
-	if err := parallel.For(ctx, len(test), e.opts.Workers, e.opts.Obs.Pool(PoolPredict), func(i int) {
+	if err := parallel.For(ctx, len(test), e.opts.Workers, e.opts.reg.Pool(PoolPredict), func(i int) {
 		out[i] = e.Predict(test[i].Values)
 	}); err != nil {
 		return nil, err

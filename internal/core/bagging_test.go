@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rpm/internal/datagen"
-	"rpm/internal/obs"
 )
 
 // baggedOpts is the shared ensemble configuration: three members, each
@@ -117,14 +116,14 @@ func TestBaggedSingleEqualsTrain(t *testing.T) {
 func TestBaggedObs(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
 	o := baggedOpts(2)
-	o.Obs = obs.NewRegistry()
+	o.Instrument = true
 	e, err := TrainBaggedContext(context.Background(), split.Train, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := e.TrainSnapshot()
 	if s == nil {
-		t.Fatal("nil snapshot with live registry")
+		t.Fatal("nil snapshot with Instrument set")
 	}
 	if got := s.Counter(CtrBagMembers); got != 3 {
 		t.Fatalf("%s = %d, want 3", CtrBagMembers, got)

@@ -139,9 +139,9 @@ func discretizeSeries(concat ts.Concatenated, class int, p sax.Params, opts Opti
 		}
 		out[i] = sax.Discretize(concat.Values[start:start+concat.Lens[i]], p, opts.NumerosityReduction, skip)
 	}
-	if sampled && opts.Obs != nil {
-		opts.Obs.Counter(CtrSampleWindowsKept).Add(kept)
-		opts.Obs.Counter(CtrSampleWindowsDropped).Add(dropped)
+	if sampled && opts.reg != nil {
+		opts.reg.Counter(CtrSampleWindowsKept).Add(kept)
+		opts.reg.Counter(CtrSampleWindowsDropped).Add(dropped)
 	}
 	return out
 }
@@ -238,7 +238,7 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options) []mo
 	// writers and the matrix is identical for any worker count. The
 	// dynamic index hand-out in parallel.For load-balances the shrinking
 	// rows.
-	_ = parallel.For(context.Background(), n, opts.Workers, opts.Obs.Pool(PoolRefine), func(i int) {
+	_ = parallel.For(context.Background(), n, opts.Workers, opts.reg.Pool(PoolRefine), func(i int) {
 		for j := i + 1; j < n; j++ {
 			// slide the shorter occurrence inside the longer one
 			var dd float64
@@ -252,8 +252,8 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options) []mo
 		}
 	})
 	groups := cluster.SplitRefine(d, splitMinFrac)
-	ctrKept := opts.Obs.Counter(CtrClustersKept)
-	ctrDropped := opts.Obs.Counter(CtrClustersDropped)
+	ctrKept := opts.reg.Counter(CtrClustersKept)
+	ctrDropped := opts.reg.Counter(CtrClustersDropped)
 	var out []motifGroup
 	for _, g := range groups {
 		// support = distinct source instances (requirement (i) of §3.2)

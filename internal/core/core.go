@@ -123,25 +123,17 @@ type Options struct {
 	// Seed drives the parameter-search splits and the SVM's coordinate
 	// permutation (default 1).
 	Seed int64
-	// Instrument records the run (stage timings for the paper's three
-	// steps and the search, pipeline counters, worker-pool usage) into a
-	// fresh registry when Obs is nil; TrainSnapshot reads it back. Off by
-	// default, never serialized, and it never changes the trained model.
+	// Instrument records the run into a fresh registry of its own: stage
+	// spans (obsnames.go), per-class candidate counters, γ/τ pruning
+	// counters, parameter-search cache hit/miss counters and worker-pool
+	// usage; TrainSnapshot reads it back. Off (the default), every record
+	// call is a nil-handle no-op. Never serialized, and the trained model
+	// is byte-identical either way (DESIGN.md §9).
 	Instrument bool `json:"-"`
-	// Obs, when non-nil, receives the training pipeline's
-	// instrumentation: stage spans (obsnames.go), per-class candidate
-	// counters, γ/τ pruning counters, parameter-search cache hit/miss
-	// counters and worker-pool usage. A nil Obs without Instrument (the
-	// default) is the zero-overhead off switch: every record call is a
-	// nil-handle no-op and training is byte-identical either way (see
-	// DESIGN.md §9).
-	// It lets a caller inside this module (internal/experiments) share
-	// one registry across runs; its type is internal, so code outside
-	// the module sets Instrument instead. Never serialized with the
-	// model.
-	Obs *obs.Registry `json:"-"`
-	// span handles threaded through the pipeline internals; set by
-	// TrainContext/trainWithParams, always nil when Obs is nil.
+	// reg is the run's registry, opened by begin when Instrument is set.
+	// The span handles are threaded through the pipeline internals by
+	// TrainContext/trainWithParams; all are nil when reg is nil.
+	reg       *obs.Registry
 	span      *obs.Span
 	spanStep1 *obs.Span
 	spanStep2 *obs.Span
@@ -229,7 +221,7 @@ func (c *Classifier) SetWorkers(n int) { c.opts.Workers = n }
 // search's own cost is captured by SpanParamSearch and the
 // search.* counters/pools instead).
 func (o Options) withoutObs() Options {
-	o.Obs = nil
+	o.reg = nil
 	o.span = nil
 	o.spanStep1 = nil
 	o.spanStep2 = nil
@@ -237,10 +229,10 @@ func (o Options) withoutObs() Options {
 }
 
 // TrainSnapshot returns the instrumentation snapshot of the training
-// run, or nil when the classifier was trained without Options.Obs (or
+// run, or nil when the classifier was trained without Instrument (or
 // was loaded from disk). The snapshot is live: calling it again after
 // further PredictBatch traffic reflects the updated predict pool.
-func (c *Classifier) TrainSnapshot() *obs.Snapshot { return c.opts.Obs.Snapshot() }
+func (c *Classifier) TrainSnapshot() *obs.Snapshot { return c.opts.reg.Snapshot() }
 
 // NumPatterns returns the number of representative patterns.
 func (c *Classifier) NumPatterns() int { return len(c.Patterns) }
@@ -449,7 +441,7 @@ func (c *Classifier) PredictBatchContext(ctx context.Context, test ts.Dataset) (
 		c.ensureTransformer() // build once, outside the worker fan-out
 	}
 	out := make([]int, len(test))
-	if err := parallel.For(ctx, len(test), c.opts.Workers, c.opts.Obs.Pool(PoolPredict), func(i int) {
+	if err := parallel.For(ctx, len(test), c.opts.Workers, c.opts.reg.Pool(PoolPredict), func(i int) {
 		out[i] = c.Predict(test[i].Values)
 	}); err != nil {
 		return nil, err

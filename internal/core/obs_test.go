@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rpm/internal/datagen"
-	"rpm/internal/obs"
 )
 
 func saveBytes(t *testing.T, c *Classifier) []byte {
@@ -18,10 +17,10 @@ func saveBytes(t *testing.T, c *Classifier) []byte {
 	return b.Bytes()
 }
 
-// TestObsByteIdentity is the observability determinism regression: a
-// training run with a live Registry attached must produce a model that
-// is byte-identical (same Save serialization, same predictions) to one
-// trained with a nil Registry, at Workers 1 and Workers 8. Recording
+// TestObsByteIdentity is the observability determinism regression: an
+// Instrument training run must produce a model that is byte-identical
+// (same Save serialization, same predictions) to an uninstrumented one,
+// at Workers 1 and Workers 8. Recording
 // only reads clocks and bumps atomics; if it ever feeds back into the
 // computation this test catches it.
 func TestObsByteIdentity(t *testing.T) {
@@ -29,7 +28,7 @@ func TestObsByteIdentity(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		plainOpts := workersOpts(workers)
 		instrOpts := workersOpts(workers)
-		instrOpts.Obs = obs.NewRegistry()
+		instrOpts.Instrument = true
 
 		plain, err := Train(split.Train, plainOpts)
 		if err != nil {
@@ -55,7 +54,7 @@ func TestObsByteIdentity(t *testing.T) {
 func TestObsTrainRecords(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
 	opts := workersOpts(2)
-	opts.Obs = obs.NewRegistry()
+	opts.Instrument = true
 	c, err := Train(split.Train, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +64,7 @@ func TestObsTrainRecords(t *testing.T) {
 	}
 	snap := c.TrainSnapshot()
 	if snap == nil {
-		t.Fatal("TrainSnapshot returned nil with a live registry")
+		t.Fatal("TrainSnapshot returned nil with Instrument set")
 	}
 	for _, span := range []string{SpanTrain, SpanParamSearch, SpanCandidates, SpanStep1, SpanStep2, SpanStep3, SpanFit} {
 		s := snap.FindSpan(span)
@@ -126,7 +125,7 @@ func TestObsTrainRecords(t *testing.T) {
 func TestObsSnapshotStableJSON(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
 	opts := workersOpts(1)
-	opts.Obs = obs.NewRegistry()
+	opts.Instrument = true
 	c, err := Train(split.Train, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -150,13 +149,13 @@ func TestObsSnapshotStableJSON(t *testing.T) {
 // benchTrain is the shared body of the overhead benchmarks: one full
 // fixed-parameter training (search excluded so the measured work is the
 // instrumented pipeline itself, not the dominating DIRECT evaluations).
-func benchTrain(b *testing.B, reg func() *obs.Registry) {
+func benchTrain(b *testing.B, instrument bool) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
 	opts := workersOpts(1)
 	opts.Mode = ParamFixed
+	opts.Instrument = instrument
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts.Obs = reg()
 		if _, err := Train(split.Train, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -168,10 +167,10 @@ func benchTrain(b *testing.B, reg func() *obs.Registry) {
 // nil-path requirement is < 2%, i.e. this benchmark must not regress
 // when instrumentation code is added to the pipeline).
 func BenchmarkTrainNoRegistry(b *testing.B) {
-	benchTrain(b, func() *obs.Registry { return nil })
+	benchTrain(b, false)
 }
 
 // BenchmarkTrainLiveRegistry measures a full training with recording on.
 func BenchmarkTrainLiveRegistry(b *testing.B) {
-	benchTrain(b, obs.NewRegistry)
+	benchTrain(b, true)
 }

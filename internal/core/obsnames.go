@@ -1,9 +1,9 @@
 package core
 
 // Canonical span, counter, gauge and pool names recorded by the
-// training pipeline when Options.Obs is set. They are exported so the
-// public façade (rpm.TrainReport), cmd/rpmarchive and the tests can read
-// the snapshot without string drift.
+// training pipeline when Options.Instrument is set. They are exported so
+// the public façade (rpm.TrainReport), the archive runner and the tests can
+// read the snapshot without string drift.
 //
 // How the names map to the paper:
 //

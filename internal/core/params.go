@@ -91,11 +91,11 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 	e.mu.Lock()
 	if f, ok := e.cache[p]; ok {
 		e.mu.Unlock()
-		e.opts.Obs.Counter(CtrSearchCacheHits).Inc()
+		e.opts.reg.Counter(CtrSearchCacheHits).Inc()
 		return f, nil
 	}
 	e.mu.Unlock()
-	e.opts.Obs.Counter(CtrSearchCacheMiss).Inc()
+	e.opts.reg.Counter(CtrSearchCacheMiss).Inc()
 	// Inner split trainings run the full pipeline; strip the
 	// instrumentation handles so the report reflects the final training
 	// only (the search cost is on SpanParamSearch and the search.*
@@ -106,7 +106,7 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 	if err != nil {
 		return nil, err
 	}
-	perSplit, err := parallel.Map(ctx, len(e.splits), e.opts.Workers, e.opts.Obs.Pool(PoolSearchSplits), func(s int) []stats.ClassF1 {
+	perSplit, err := parallel.Map(ctx, len(e.splits), e.opts.Workers, e.opts.reg.Pool(PoolSearchSplits), func(s int) []stats.ClassF1 {
 		sp := e.splits[s]
 		perClass := map[int]sax.Params{}
 		for _, c := range e.classes {
@@ -157,7 +157,7 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 	e.evals++
 	e.cache[p] = acc
 	e.mu.Unlock()
-	e.opts.Obs.Counter(CtrSearchEvals).Inc()
+	e.opts.reg.Counter(CtrSearchEvals).Inc()
 	return acc, nil
 }
 
@@ -264,11 +264,11 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options) (map[int]
 			// original order.
 			kept, dropped := sampleGrid(grid, resolveSampleSeed(opts), opts.Sample.Rate)
 			grid = kept
-			opts.Obs.Counter(CtrSampleGridKept).Add(int64(len(kept)))
-			opts.Obs.Counter(CtrSampleGridDropped).Add(int64(dropped))
+			opts.reg.Counter(CtrSampleGridKept).Add(int64(len(kept)))
+			opts.reg.Counter(CtrSampleGridDropped).Add(int64(dropped))
 		}
 		gridSpan := opts.span.Start(SpanSearchGrid)
-		scores, err := parallel.Map(ctx, len(grid), opts.Workers, opts.Obs.Pool(PoolSearchGrid), func(i int) map[int]float64 {
+		scores, err := parallel.Map(ctx, len(grid), opts.Workers, opts.reg.Pool(PoolSearchGrid), func(i int) map[int]float64 {
 			fs, _ := e.fmeasures(ctx, grid[i]) // nil on cancel; Map reports it
 			return fs
 		})

@@ -29,17 +29,17 @@ func findDistinct(train ts.Dataset, cands []candidate, opts Options) ([]Pattern,
 	}
 	tau := computeTau(cands, opts.TauPercentile)
 	kept := removeSimilar(cands, tau, opts.Workers)
-	opts.Obs.Counter(CtrPruneKept).Add(int64(len(kept)))
-	opts.Obs.Counter(CtrPruneDropped).Add(int64(len(cands) - len(kept)))
+	opts.reg.Counter(CtrPruneKept).Add(int64(len(kept)))
+	opts.reg.Counter(CtrPruneDropped).Add(int64(len(cands) - len(kept)))
 	if len(kept) == 0 {
 		return nil, nil
 	}
 	// Transform the training data: feature j = closest-match distance to
 	// candidate j (Alg. 2 line 20).
 	pats := toPatterns(kept)
-	X := newTransformer(pats, opts.RotationInvariant).applyAll(train, opts.Workers, opts.Obs.Pool(PoolTransform))
-	selected := features.Select(X, train.Labels(), opts.Obs.Counter(CtrCFSExpansions))
-	opts.Obs.Counter(CtrCFSSelected).Add(int64(len(selected)))
+	X := newTransformer(pats, opts.RotationInvariant).applyAll(train, opts.Workers, opts.reg.Pool(PoolTransform))
+	selected := features.Select(X, train.Labels(), opts.reg.Counter(CtrCFSExpansions))
+	opts.reg.Counter(CtrCFSSelected).Add(int64(len(selected)))
 	if len(selected) == 0 {
 		return nil, nil
 	}

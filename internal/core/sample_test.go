@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rpm/internal/datagen"
-	"rpm/internal/obs"
 )
 
 // canonBytes serializes the classifier with the knob fields that are
@@ -106,11 +105,12 @@ func TestSampleCounters(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
 	o := sampleOpts(2, 0.3, 7)
 	o.Mode = ParamGrid
-	o.Obs = obs.NewRegistry()
-	if _, err := Train(split.Train, o); err != nil {
+	o.Instrument = true
+	c, err := Train(split.Train, o)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := o.Obs.Snapshot()
+	s := c.TrainSnapshot()
 	kept, dropped := s.Counter(CtrSampleWindowsKept), s.Counter(CtrSampleWindowsDropped)
 	if kept <= 0 || dropped <= 0 {
 		t.Fatalf("window sampling counters not both positive: kept=%d dropped=%d", kept, dropped)

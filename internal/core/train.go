@@ -42,9 +42,9 @@ func TrainContext(ctx context.Context, train ts.Dataset, opts Options) (*Classif
 // begin is the prologue TrainContext and TrainBaggedContext share: it
 // rejects an empty training set and out-of-range knobs — written as
 // !(in range) so NaN fails too — fills the search defaults, gives an
-// Instrument run without a registry a fresh one, and opens the run's
-// SpanTrain span, which the caller ends. Instrumentation is a no-op
-// when opts.Obs is nil; recording never feeds back into the
+// Instrument run a fresh registry (and any other run none), and opens
+// the run's SpanTrain span, which the caller ends. Instrumentation is a
+// no-op when opts.reg is nil; recording never feeds back into the
 // computation, so the trained model is byte-identical with or without a
 // registry.
 func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context, Options, error) {
@@ -69,11 +69,12 @@ func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context
 	if opts.MaxEvals <= 0 {
 		opts.MaxEvals = 60
 	}
-	if opts.Instrument && opts.Obs == nil {
-		opts.Obs = obs.NewRegistry()
+	opts.reg = nil
+	if opts.Instrument {
+		opts.reg = obs.NewRegistry()
 	}
-	opts.span = opts.Obs.StartSpan(SpanTrain)
-	opts.Obs.Gauge(GaugeWorkers).Set(int64(parallel.Workers(opts.Workers)))
+	opts.span = opts.reg.StartSpan(SpanTrain)
+	opts.reg.Gauge(GaugeWorkers).Set(int64(parallel.Workers(opts.Workers)))
 	return ctx, opts, nil
 }
 
@@ -211,7 +212,7 @@ func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, p
 	candSpan := opts.span.Start(SpanCandidates)
 	opts.spanStep1 = candSpan.Child(SpanStep1)
 	opts.spanStep2 = candSpan.Child(SpanStep2)
-	perClassCands, err := parallel.Map(ctx, len(classes), opts.Workers, opts.Obs.Pool(PoolCandidates), func(i int) []candidate {
+	perClassCands, err := parallel.Map(ctx, len(classes), opts.Workers, opts.reg.Pool(PoolCandidates), func(i int) []candidate {
 		class := classes[i]
 		return findCandidates(byClass[class], wordsByClass[class], class, perClass[class], opts)
 	})
@@ -219,11 +220,11 @@ func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, p
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Obs != nil {
-		total := opts.Obs.Counter(CtrCandidates)
+	if opts.reg != nil {
+		total := opts.reg.Counter(CtrCandidates)
 		for i, cc := range perClassCands {
 			total.Add(int64(len(cc)))
-			opts.Obs.Counter(fmt.Sprintf("%s%d", CtrCandidatesClass, classes[i])).Add(int64(len(cc)))
+			opts.reg.Counter(fmt.Sprintf("%s%d", CtrCandidatesClass, classes[i])).Add(int64(len(cc)))
 		}
 	}
 	var cands []candidate

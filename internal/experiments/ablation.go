@@ -5,7 +5,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"rpm/internal/core"
+	"rpm"
 	"rpm/internal/experiments/archive"
 )
 
@@ -14,21 +14,21 @@ import (
 // per variant, named after the variant. The runner trains a dataset's
 // variants back to back, so their times compare.
 func AblationMethods(cfg Config) []archive.Method {
-	variant := func(name string, mutate func(*core.Options)) archive.Method {
+	variant := func(name string, mutate func(*rpm.Options)) archive.Method {
 		o := rpmOptions(cfg)
 		mutate(&o)
-		return rpmMethod(name, o)
+		return archive.RPM(name, o)
 	}
 	return []archive.Method{
-		variant("default", func(o *core.Options) {}),
-		variant("no-numerosity", func(o *core.Options) { o.NumerosityReduction = false }),
-		variant("medoid", func(o *core.Options) { o.UseMedoid = true }),
-		variant("repair-gi", func(o *core.Options) { o.GI = core.GIRePair }),
-		variant("rot-invariant", func(o *core.Options) { o.RotationInvariant = true }),
-		variant("gamma-0.1", func(o *core.Options) { o.Gamma = 0.1 }),
-		variant("gamma-0.4", func(o *core.Options) { o.Gamma = 0.4 }),
-		variant("grid-search", func(o *core.Options) { o.Mode = core.ParamGrid }),
-		variant("fixed-params", func(o *core.Options) { o.Mode = core.ParamFixed }),
+		variant("default", func(o *rpm.Options) {}),
+		variant("no-numerosity", func(o *rpm.Options) { o.NumerosityReduction = false }),
+		variant("medoid", func(o *rpm.Options) { o.UseMedoid = true }),
+		variant("repair-gi", func(o *rpm.Options) { o.GI = rpm.GIRePair }),
+		variant("rot-invariant", func(o *rpm.Options) { o.RotationInvariant = true }),
+		variant("gamma-0.1", func(o *rpm.Options) { o.Gamma = 0.1 }),
+		variant("gamma-0.4", func(o *rpm.Options) { o.Gamma = 0.4 }),
+		variant("grid-search", func(o *rpm.Options) { o.Mode = rpm.ParamGrid }),
+		variant("fixed-params", func(o *rpm.Options) { o.Mode = rpm.ParamFixed }),
 	}
 }
 

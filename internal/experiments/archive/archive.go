@@ -21,7 +21,6 @@ import (
 
 	"rpm"
 	"rpm/internal/core"
-	"rpm/internal/obs"
 	"rpm/internal/parallel"
 )
 
@@ -115,10 +114,8 @@ type Method struct {
 	// values that change only wall-clock time (worker counts) stay out:
 	// resuming at a different worker count is legal.
 	Settings any
-	// Train fits the method on a training split. reg is the dataset's
-	// instrumentation registry (Config.Obs, or one per dataset); a
-	// method records its stage spans and counters into it or ignores it.
-	Train func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (Model, error)
+	// Train fits the method on a training split.
+	Train func(ctx context.Context, train rpm.Dataset) (Model, error)
 }
 
 // Model is a trained method as Run scores it.
@@ -129,19 +126,22 @@ type Model struct {
 	// method has no patterns or members).
 	Patterns, Bags int
 	// TrainReport, when non-nil, is the training run's instrumentation;
-	// the row keeps its worker-independent counters (tableCounters).
+	// the row keeps it as Report, and its worker-independent counters
+	// (tableCounters) as Counters.
 	TrainReport *rpm.TrainReport
 }
 
-// RPM is the RPM method trained through the public API: one
-// classifier, or a bagged ensemble when opts.Bags > 1. Training is
-// always instrumented so the rows carry the pipeline counters; Workers
-// stays out of the fingerprint, and Instrument and Obs never serialize.
-func RPM(opts rpm.Options) Method {
+// RPM returns the method, labelled name, that trains RPM with opts
+// through the public API: one classifier, or a bagged ensemble when
+// opts.Bags > 1. Training is
+// always instrumented so the rows carry the report and its pipeline
+// counters; Workers stays out of the fingerprint, and Instrument never
+// serializes.
+func RPM(name string, opts rpm.Options) Method {
 	settings := opts
 	settings.Workers = 0
 	opts.Instrument = true
-	return Method{Name: "RPM", Settings: settings, Train: func(ctx context.Context, train rpm.Dataset, _ *obs.Registry) (Model, error) {
+	return Method{Name: name, Settings: settings, Train: func(ctx context.Context, train rpm.Dataset) (Model, error) {
 		if opts.Bags > 1 {
 			e, err := rpm.TrainEnsembleContext(ctx, train, opts)
 			if err != nil {
@@ -190,10 +190,6 @@ type Config struct {
 	// Methods are trained and scored on every dataset, in order; each
 	// dataset yields one row per method.
 	Methods []Method
-	// Obs, when non-nil, is the one registry every dataset records
-	// into (a live view of the whole run); nil gives each dataset its
-	// own registry.
-	Obs *obs.Registry
 	// Progress, when non-nil, receives one line per finished dataset
 	// (serialized, in completion order).
 	Progress func(string)
@@ -233,12 +229,12 @@ type Outcome struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 
 	// Resumed marks rows served from a checkpoint, and Report is the
-	// snapshot of the registry the dataset's methods recorded into.
+	// method's training report (nil when it has none, or when resumed).
 	// Both are in-memory only: they must not reach the checkpoint or
 	// the deterministic table, where interrupted and uninterrupted runs
 	// have to agree byte for byte.
-	Resumed bool          `json:"-"`
-	Report  *obs.Snapshot `json:"-"`
+	Resumed bool             `json:"-"`
+	Report  *rpm.TrainReport `json:"-"`
 }
 
 // ErrorRate is the fraction of test instances misclassified,
@@ -501,8 +497,7 @@ func (cfg Config) failAll(name string, err error) []Outcome {
 }
 
 // evaluate loads one dataset and runs every method on it in order, so
-// the methods' times are measured back to back, all recording into one
-// registry.
+// the methods' times are measured back to back.
 func (cfg Config) evaluate(ctx context.Context, name string) []Outcome {
 	split, err := cfg.Source.Load(name)
 	if err != nil {
@@ -513,28 +508,20 @@ func (cfg Config) evaluate(ctx context.Context, name string) []Outcome {
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	rows := make([]Outcome, len(cfg.Methods))
 	for i, m := range cfg.Methods {
-		rows[i] = trainEval(ctx, Outcome{Dataset: name, Method: m.Name}, split, m, reg)
-	}
-	report := reg.Snapshot()
-	for i := range rows {
-		rows[i].Report = report
+		rows[i] = trainEval(ctx, Outcome{Dataset: name, Method: m.Name}, split, m)
 	}
 	return rows
 }
 
 // trainEval trains one method on a split, predicts the test split and
 // scores the predictions, timing the two phases.
-func trainEval(ctx context.Context, oc Outcome, split rpm.Split, m Method, reg *obs.Registry) Outcome {
+func trainEval(ctx context.Context, oc Outcome, split rpm.Split, m Method) Outcome {
 	oc.Status = "ok"
 	oc.TrainSize, oc.TestSize = len(split.Train), len(split.Test)
 	t0 := time.Now()
-	model, err := m.Train(ctx, split.Train, reg)
+	model, err := m.Train(ctx, split.Train)
 	trainTime := time.Since(t0)
 	if err != nil {
 		return failed(oc, err)
@@ -545,7 +532,7 @@ func trainEval(ctx context.Context, oc Outcome, split rpm.Split, m Method, reg *
 	if err != nil {
 		return failed(oc, err)
 	}
-	oc.Bags, oc.Patterns = model.Bags, model.Patterns
+	oc.Bags, oc.Patterns, oc.Report = model.Bags, model.Patterns, model.TrainReport
 	oc.TrainMillis = float64(trainTime) / float64(time.Millisecond)
 	oc.PredictMillis = float64(predictTime) / float64(time.Millisecond)
 	correct := 0

@@ -13,7 +13,6 @@ import (
 
 	"rpm"
 	"rpm/internal/dataset"
-	"rpm/internal/obs"
 	"rpm/internal/stats"
 )
 
@@ -41,7 +40,7 @@ func testConfig(t *testing.T) Config {
 		Datasets: smokeDatasets,
 		Seed:     3,
 		Workers:  2,
-		Methods:  []Method{RPM(testOptions())},
+		Methods:  []Method{RPM("RPM", testOptions())},
 	}
 }
 
@@ -204,7 +203,7 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	changed := cfg
 	opts := testOptions()
 	opts.Gamma = 0.3
-	changed.Methods = []Method{RPM(opts)}
+	changed.Methods = []Method{RPM("RPM", opts)}
 	if mustHash(t, cfg) == mustHash(t, changed) {
 		t.Fatal("config hash ignores Gamma")
 	}
@@ -217,7 +216,7 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	opts = testOptions()
 	opts.Workers = 7
 	opts.Instrument = true
-	rewired.Methods = []Method{RPM(opts)}
+	rewired.Methods = []Method{RPM("RPM", opts)}
 	if mustHash(t, cfg) != mustHash(t, rewired) {
 		t.Fatal("config hash depends on Workers/Instrument")
 	}
@@ -309,7 +308,7 @@ func TestBaggedArchive(t *testing.T) {
 	opts.MaxEvals = 8
 	opts.Sample = rpm.SampleOptions{Rate: 0.2, Seed: 5}
 	opts.Bags = 3
-	cfg.Methods = []Method{RPM(opts)}
+	cfg.Methods = []Method{RPM("RPM", opts)}
 	cfg.Datasets = []string{"SynItalyPower"}
 	res := mustRun(t, cfg)
 	oc := res.Outcomes[0]
@@ -397,9 +396,9 @@ func TestBadConfigNonFinite(t *testing.T) {
 		opts.Gamma = v
 		sampled := testOptions()
 		sampled.Sample.Rate = v
-		custom := RPM(testOptions())
+		custom := RPM("RPM", testOptions())
 		custom.Settings = struct{ Threshold float64 }{v}
-		for name, m := range map[string]Method{"gamma": RPM(opts), "sample rate": RPM(sampled), "method settings": custom} {
+		for name, m := range map[string]Method{"gamma": RPM("RPM", opts), "sample rate": RPM("RPM", sampled), "method settings": custom} {
 			cfg := testConfig(t)
 			cfg.Methods = []Method{m}
 			if _, err := Run(context.Background(), cfg); !errors.Is(err, ErrBadConfig) {
@@ -430,18 +429,17 @@ func TestErrorRateMatchesStats(t *testing.T) {
 	}
 }
 
-// TestMethodRows runs two methods per dataset: one row per (dataset,
-// method) in dataset-major, method-list order, each dataset's methods
-// recording into one registry, and a byte-identical resume.
+// TestMethodRows runs three methods per dataset: one row per (dataset,
+// method) in dataset-major, method-list order, each RPM row carrying its
+// own training report and the reportless method none, and a
+// byte-identical resume.
 func TestMethodRows(t *testing.T) {
 	cfg := testConfig(t)
 	other := testOptions()
 	other.Gamma = 0.4
-	second := RPM(other)
-	second.Name = "RPM-gamma-0.4"
+	second := RPM("RPM-gamma-0.4", other)
 	var lines []string
-	recording := Method{Name: "recording", Train: func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (Model, error) {
-		reg.Counter("test.trained").Add(1)
+	recording := Method{Name: "recording", Train: func(ctx context.Context, train rpm.Dataset) (Model, error) {
 		return Model{Predict: func(_ context.Context, test rpm.Dataset) ([]int, error) {
 			return make([]int, len(test)), nil
 		}}, nil
@@ -458,8 +456,8 @@ func TestMethodRows(t *testing.T) {
 		if oc.Dataset != wantDS || oc.Method != wantM || oc.Status != "ok" {
 			t.Fatalf("row %d = (%s, %s, %s), want (%s, %s, ok)", i, oc.Dataset, oc.Method, oc.Status, wantDS, wantM)
 		}
-		if oc.Report == nil || len(oc.Report.Counters) != 1 || oc.Report.Counters[0].Value != 1 {
-			t.Fatalf("row %d: dataset report %+v, want the recording method's one counter", i, oc.Report)
+		if hasReport := oc.Report.Counter(rpm.CounterCandidates) > 0; hasReport != (wantM != "recording") {
+			t.Fatalf("row %d (%s): report %+v", i, wantM, oc.Report)
 		}
 	}
 	cfg.Resume = true

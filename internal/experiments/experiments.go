@@ -19,12 +19,10 @@ import (
 	"slices"
 
 	"rpm"
-	"rpm/internal/core"
 	"rpm/internal/experiments/archive"
 	"rpm/internal/fastshapelets"
 	"rpm/internal/learnshapelets"
 	"rpm/internal/nn"
-	"rpm/internal/obs"
 	"rpm/internal/saxvsm"
 	"rpm/internal/stats"
 	"rpm/internal/ts"
@@ -69,7 +67,7 @@ func Methods(cfg Config, names ...string) []archive.Method {
 	out := make([]archive.Method, 0, len(names))
 	for _, name := range names {
 		if name == MethodRPM {
-			out = append(out, rpmMethod(MethodRPM, rpmOptions(cfg)))
+			out = append(out, archive.RPM(MethodRPM, rpmOptions(cfg)))
 			continue
 		}
 		out = append(out, archive.Method{
@@ -78,15 +76,17 @@ func Methods(cfg Config, names ...string) []archive.Method {
 				Seed  int64
 				Quick bool
 			}{cfg.Seed, cfg.Quick},
-			Train: func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (archive.Model, error) {
+			Train: func(ctx context.Context, train rpm.Dataset) (archive.Model, error) {
 				if err := ctx.Err(); err != nil {
 					return archive.Model{}, err
 				}
-				p, err := trainBaseline(ctx, name, train, cfg, reg)
+				p, err := trainBaseline(ctx, name, train, cfg)
 				if err != nil {
 					return archive.Model{}, err
 				}
-				return model(p, 0), nil
+				return archive.Model{Predict: func(_ context.Context, test rpm.Dataset) ([]int, error) {
+					return p.PredictBatch(test), nil
+				}}, nil
 			},
 		})
 	}
@@ -96,14 +96,14 @@ func Methods(cfg Config, names ...string) []archive.Method {
 // trainBaseline trains one of the Table 1 rivals of RPM. ctx cancels
 // the NN-DTWB window search mid-flight; the other baselines run to
 // completion once started.
-func trainBaseline(ctx context.Context, name string, train ts.Dataset, cfg Config, reg *obs.Registry) (predictor, error) {
+func trainBaseline(ctx context.Context, name string, train ts.Dataset, cfg Config) (predictor, error) {
 	switch name {
 	case MethodNNED:
 		ed := nn.NewED(train)
 		ed.Workers = cfg.Workers
 		return ed, nil
 	case MethodNNDTWB:
-		w, err := nn.BestWindow(ctx, train, 0.2, cfg.Workers, reg)
+		w, err := nn.BestWindow(ctx, train, 0.2, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -125,8 +125,8 @@ func trainBaseline(ctx context.Context, name string, train ts.Dataset, cfg Confi
 }
 
 // rpmOptions returns the RPM configuration used throughout the harness.
-func rpmOptions(cfg Config) core.Options {
-	o := core.DefaultOptions()
+func rpmOptions(cfg Config) rpm.Options {
+	o := rpm.DefaultOptions()
 	o.Seed = cfg.Seed
 	if cfg.Quick {
 		o.Splits = 2
@@ -137,28 +137,6 @@ func rpmOptions(cfg Config) core.Options {
 	}
 	o.Workers = cfg.Workers
 	return o
-}
-
-// rpmMethod trains RPM with o, recording into the dataset's registry.
-func rpmMethod(name string, o core.Options) archive.Method {
-	settings := o
-	settings.Workers = 0
-	return archive.Method{Name: name, Settings: settings, Train: func(ctx context.Context, train rpm.Dataset, reg *obs.Registry) (archive.Model, error) {
-		o := o
-		o.Obs = reg
-		clf, err := core.TrainContext(ctx, train, o)
-		if err != nil {
-			return archive.Model{}, err
-		}
-		return model(clf, clf.NumPatterns()), nil
-	}}
-}
-
-// model wraps a trained classifier for the runner.
-func model(p predictor, patterns int) archive.Model {
-	return archive.Model{Patterns: patterns, Predict: func(_ context.Context, test rpm.Dataset) ([]int, error) {
-		return p.PredictBatch(test), nil
-	}}
 }
 
 // SourceOrder returns the rows of a run of cfg, which the runner

@@ -174,11 +174,23 @@ func TestBestCounts(t *testing.T) {
 	}
 }
 
+// requireReports asserts every row of an RPM-only run carries its own
+// training report and the pipeline counters taken from it.
+func requireReports(t *testing.T, rows []archive.Outcome) {
+	t.Helper()
+	for _, r := range rows {
+		if r.Report == nil || r.Counters[rpm.CounterCandidates] <= 0 {
+			t.Errorf("%s/%s: report %v, counters %v", r.Dataset, r.Method, r.Report, r.Counters)
+		}
+	}
+}
+
 func TestTauSweepAndTables(t *testing.T) {
 	rows := evaluate(t, 0, TauMethods(quickCfg), "SynItalyPower")
 	if len(rows) != len(TauPercentiles) {
 		t.Fatalf("sweep shape: %+v", rows)
 	}
+	requireReports(t, rows)
 	t3 := FormatTable3(rows)
 	if !strings.Contains(t3, "Running Time Change") || !strings.Contains(t3, "10%-30%") {
 		t.Errorf("Table3 malformed:\n%s", t3)
@@ -196,7 +208,7 @@ func TestTauMethodsCancel(t *testing.T) {
 	cancel()
 	split := rpm.GenerateDataset("SynItalyPower", 1)
 	for _, m := range TauMethods(quickCfg) {
-		if _, err := m.Train(ctx, split.Train, nil); !errors.Is(err, context.Canceled) {
+		if _, err := m.Train(ctx, split.Train); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", m.Name, err)
 		}
 	}
@@ -360,7 +372,7 @@ func TestRotationShapeReproduces(t *testing.T) {
 	methods := RotationMethods(Config{Seed: 3, Quick: true})
 	errRate := func(m archive.Method) float64 {
 		ctx := context.Background()
-		model, err := m.Train(ctx, split.Train, nil)
+		model, err := m.Train(ctx, split.Train)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,6 +403,7 @@ func TestAblationRunAndFormat(t *testing.T) {
 	if len(rows) != len(methods) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(methods))
 	}
+	requireReports(t, rows)
 	for i, r := range rows {
 		if e := r.ErrorRate(); e < 0 || e > 1 {
 			t.Errorf("%s: error %v", r.Method, e)

@@ -24,7 +24,7 @@ var rotationColumns = []string{MethodNNED, MethodNNDTWB, MethodSAXVSM, MethodLS,
 func RotationMethods(cfg Config) []archive.Method {
 	o := rpmOptions(cfg)
 	o.RotationInvariant = true
-	return append(Methods(cfg, rotationColumns[:len(rotationColumns)-1]...), rpmMethod(MethodRPM, o))
+	return append(Methods(cfg, rotationColumns[:len(rotationColumns)-1]...), archive.RPM(MethodRPM, o))
 }
 
 // RotateDataset returns a copy of d with every series circularly shifted

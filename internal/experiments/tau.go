@@ -20,7 +20,7 @@ func TauMethods(cfg Config) []archive.Method {
 	for _, pct := range TauPercentiles {
 		o := rpmOptions(cfg)
 		o.TauPercentile = pct
-		out = append(out, rpmMethod(tauMethod(pct), o))
+		out = append(out, archive.RPM(tauMethod(pct), o))
 	}
 	return out
 }

@@ -7,11 +7,9 @@ package nn
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"rpm/internal/dist"
-	"rpm/internal/obs"
 	"rpm/internal/parallel"
 	"rpm/internal/ts"
 )
@@ -150,13 +148,7 @@ func (c *DTWClassifier) PredictBatch(test ts.Dataset) []int {
 // independent 1NN query and the correct-count an integer sum, so the
 // selected window is identical for any worker count. Once ctx is done
 // the scan stops scheduling held-out instances and returns ctx.Err().
-//
-// With a non-nil registry the whole sweep runs under the SpanLOOCV span,
-// every candidate window gets a SpanLOOCVWindow child recording its wall
-// time, and the fan-out is attributed to PoolLOOCV. A nil registry
-// yields nil handles whose methods are no-ops; recording never feeds
-// back into the scan.
-func BestWindow(ctx context.Context, train ts.Dataset, maxFrac float64, workers int, reg *obs.Registry) (int, error) {
+func BestWindow(ctx context.Context, train ts.Dataset, maxFrac float64, workers int) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -166,9 +158,6 @@ func BestWindow(ctx context.Context, train ts.Dataset, maxFrac float64, workers 
 	if maxFrac <= 0 {
 		maxFrac = 0.2
 	}
-	sweep := reg.StartSpan(SpanLOOCV)
-	defer sweep.End()
-	pool := reg.Pool(PoolLOOCV)
 	m := train.MinLen()
 	maxW := int(maxFrac * float64(m))
 	step := m / 100
@@ -178,16 +167,14 @@ func BestWindow(ctx context.Context, train ts.Dataset, maxFrac float64, workers 
 	bestW := 0
 	bestAcc := -1.0
 	for w := 0; w <= maxW; w += step {
-		wSpan := sweep.Start(fmt.Sprintf("%s%d", SpanLOOCVWindow, w))
 		c := NewDTW(train, w)
-		counts, err := parallel.Map(ctx, len(train), workers, pool,
+		counts, err := parallel.Map(ctx, len(train), workers, nil,
 			func(i int) int {
 				if c.predictSkip(train[i].Values, i) == train[i].Label {
 					return 1
 				}
 				return 0
 			})
-		wSpan.End()
 		if err != nil {
 			return 0, err
 		}
@@ -207,6 +194,6 @@ func BestWindow(ctx context.Context, train ts.Dataset, maxFrac float64, workers 
 // NewDTWBest is the NN-DTWB baseline: learn the window, build the
 // classifier.
 func NewDTWBest(train ts.Dataset) *DTWClassifier {
-	w, _ := BestWindow(context.Background(), train, 0.2, 0, nil)
+	w, _ := BestWindow(context.Background(), train, 0.2, 0)
 	return NewDTW(train, w)
 }

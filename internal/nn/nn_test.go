@@ -81,7 +81,7 @@ func TestBestWindowOnAlignedDataIsSmall(t *testing.T) {
 	// SynCoffee patterns are aligned; window 0 (ED) should already be
 	// optimal or near-optimal, so the learned window must be small.
 	s := datagen.MustByName("SynCoffee").Generate(3)
-	w, _ := BestWindow(context.Background(), s.Train, 0.2, 0, nil)
+	w, _ := BestWindow(context.Background(), s.Train, 0.2, 0)
 	if w > s.Train.MinLen()/5 {
 		t.Errorf("BestWindow = %d, suspiciously large", w)
 	}
@@ -112,5 +112,5 @@ func TestBestWindowPanicsOnEmpty(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	_, _ = BestWindow(context.Background(), nil, 0.2, 0, nil)
+	_, _ = BestWindow(context.Background(), nil, 0.2, 0)
 }

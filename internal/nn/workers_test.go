@@ -36,12 +36,12 @@ func TestPredictBatchWorkersDeterminism(t *testing.T) {
 // worker-count independent (the correct-count is an integer sum).
 func TestBestWindowWorkersDeterminism(t *testing.T) {
 	s := datagen.MustByName("SynCoffee").Generate(2)
-	w1, _ := BestWindow(context.Background(), s.Train, 0.2, 1, nil)
-	w8, _ := BestWindow(context.Background(), s.Train, 0.2, 8, nil)
+	w1, _ := BestWindow(context.Background(), s.Train, 0.2, 1)
+	w8, _ := BestWindow(context.Background(), s.Train, 0.2, 8)
 	if w1 != w8 {
 		t.Fatalf("BestWindow diverges: w=1 → %d, w=8 → %d", w1, w8)
 	}
-	if w0, _ := BestWindow(context.Background(), s.Train, 0.2, 0, nil); w0 != w1 {
+	if w0, _ := BestWindow(context.Background(), s.Train, 0.2, 0); w0 != w1 {
 		t.Fatalf("BestWindow(all cores) = %d, sequential = %d", w0, w1)
 	}
 }

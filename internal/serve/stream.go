@@ -55,9 +55,10 @@ type streamAppendResponse struct {
 // boundModel reads the model a stream was created against.
 func boundModel(st *stream.Stream) *Model { return st.Tag.(*Model) }
 
-func stateOf(st *stream.Stream) streamState {
+// stateOf is a stream's view after res, the result of its last append
+// or its current State.
+func stateOf(st *stream.Stream, res stream.AppendResult) streamState {
 	m := boundModel(st)
-	res := st.State()
 	out := streamState{
 		ID:      st.ID,
 		Model:   m.Name,
@@ -154,24 +155,12 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.streamSamples.Add(int64(len(req.Values)))
 	s.streamEvents.Add(int64(len(res.Events)))
-	out := streamAppendResponse{
-		streamState: streamState{
-			ID:      st.ID,
-			Model:   m.Name,
-			Version: m.Version,
-			Seen:    res.Seen,
-			Warm:    res.Warm,
-			Events:  res.Seq,
-		},
-		Created:   created,
-		Appended:  len(req.Values),
-		NewEvents: res.Events,
-	}
-	if res.Started {
-		l := res.Label
-		out.Label = &l
-	}
-	s.writeResult(w, out)
+	s.writeResult(w, streamAppendResponse{
+		streamState: stateOf(st, res),
+		Created:     created,
+		Appended:    len(req.Values),
+		NewEvents:   res.Events,
+	})
 }
 
 // getStream resolves a live stream or writes the 404 envelope.
@@ -190,7 +179,7 @@ func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, stateOf(st))
+	writeJSON(w, stateOf(st, st.State()))
 }
 
 // handleStreamDelete serves DELETE /v1/streams/{id}: close and drop the
@@ -213,7 +202,7 @@ func (s *Server) handleStreamList(w http.ResponseWriter, r *http.Request) {
 	out := make([]streamState, 0, len(ids))
 	for _, id := range ids {
 		if st, ok := s.streams.Get(id); ok {
-			out = append(out, stateOf(st))
+			out = append(out, stateOf(st, st.State()))
 		}
 	}
 	writeJSON(w, map[string]any{"streams": out, "bytes": s.streams.Bytes()})

@@ -103,10 +103,9 @@ const (
 // Sample, seeded subsampling of candidate mining, exhaustive at Rate 0
 // or 1 (DESIGN.md §15); Bags, TrainEnsembleContext's member count, where
 // Bags > 1 requires Sample.Rate in (0,1); Seed (1); Instrument, record
-// the run for Classifier.TrainReport without changing the model; Obs, a
-// registry of an internal type that only this module's experiment
-// runner sets; and Workers, the concurrency bound of training and
-// PredictBatch (0 every core, 1 sequential), which never changes results.
+// the run for Classifier.TrainReport without changing the model; and
+// Workers, the concurrency bound of training and PredictBatch (0 every
+// core, 1 sequential), which never changes results.
 type Options = core.Options
 
 // SampleOptions configures the seeded candidate-pool subsampling of

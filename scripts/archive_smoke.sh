@@ -9,7 +9,8 @@
 # which ran uninterrupted at a different worker count — covering
 # crash-safety and worker-independence in one diff. Run A must also
 # match testdata/archive/fixed_seed3.json byte for byte, which pins the
-# archive output (config hash included) across commits.
+# archive output (config hash included) across commits. A one-dataset
+# rpm run with -report text must then print its training report.
 #
 # A paper table resumes the same way: an ablation run is repeated with
 # -resume, and its rendered table, wall times included, must be
@@ -40,6 +41,18 @@ echo "== run A (uninterrupted, workers=2)"
 echo "== diff run A against the pinned output"
 if ! diff -u testdata/archive/fixed_seed3.json "$work/a.json"; then
     echo "archive smoke FAILED: run A differs from testdata/archive/fixed_seed3.json" >&2
+    exit 1
+fi
+
+echo "== training report of an rpm run (-report text)"
+"$work/rpmarchive" -out "$work/r" -exp rpm -datasets SynItalyPower -mode fixed -window 12 -paa 4 -alpha 4 \
+    -report text > "$work/report.txt" 2> "$work/report.log" || {
+    cat "$work/report.log" >&2
+    echo "archive smoke FAILED: rpmarchive -exp rpm -report text exited non-zero" >&2
+    exit 1
+}
+if ! grep -q '^  train\.candidates ' "$work/report.txt"; then
+    echo "archive smoke FAILED: -report text printed no train.candidates line" >&2
     exit 1
 fi
 
