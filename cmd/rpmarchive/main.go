@@ -41,6 +41,7 @@
 // json|text prints, after each run's output, the training report
 // (stage timings, pipeline counters, worker-pool usage) of every RPM
 // row, labelled dataset / method; baseline and resumed rows have none.
+// Under -json, -report json makes them the JSON output's "reports" field.
 // -debug-addr serves /debug/pprof/* and /debug/vars for the duration of
 // the run.
 package main
@@ -214,6 +215,8 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
 	for _, name := range runNames {
 		start, r, c := time.Now(), runs[name], suite
 		c.OutDir, c.Methods = filepath.Join(*out, name), r.methods
@@ -231,13 +234,24 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		reports := []reportItem{}
+		for _, row := range rows {
+			if row.Report != nil {
+				reports = append(reports, reportItem{row.Dataset, row.Method, row.Report})
+			}
+		}
 		switch {
 		case *asJSON:
-			blob, err := res.JSON()
-			if err != nil {
+			doc := struct {
+				*archive.Result
+				Reports []reportItem `json:"reports,omitempty"`
+			}{Result: res}
+			if *report == "json" {
+				doc.Reports = reports
+			}
+			if err := enc.Encode(doc); err != nil {
 				fatal(err)
 			}
-			os.Stdout.Write(blob)
 		case r.render == nil:
 			if err := res.WriteTable(os.Stdout, *deterministic); err != nil {
 				fatal(err)
@@ -263,39 +277,24 @@ func main() {
 				}
 			}
 		}
-		if err := emitReports(rows, *report); err != nil {
-			fatal(err)
+		switch {
+		case *report == "text":
+			for _, it := range reports {
+				fmt.Printf("== %s / %s ==\n%s", it.Dataset, it.Method, it.Report)
+			}
+		case *report == "json" && !*asJSON:
+			if err := enc.Encode(reports); err != nil {
+				fatal(err)
+			}
 		}
 	}
 }
 
-// emitReports prints the training report of every row that has one in
-// the requested format ("" = off), labelled dataset / method.
-func emitReports(rows []archive.Outcome, format string) error {
-	type item struct {
-		Dataset string           `json:"dataset"`
-		Method  string           `json:"method"`
-		Report  *rpm.TrainReport `json:"report"`
-	}
-	items := []item{}
-	for _, r := range rows {
-		if r.Report != nil {
-			items = append(items, item{r.Dataset, r.Method, r.Report})
-		}
-	}
-	switch format {
-	case "json":
-		b, err := json.MarshalIndent(items, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(b))
-	case "text":
-		for _, it := range items {
-			fmt.Printf("== %s / %s ==\n%s", it.Dataset, it.Method, it.Report)
-		}
-	}
-	return nil
+// reportItem is one RPM row's training report, labelled dataset / method.
+type reportItem struct {
+	Dataset string           `json:"dataset"`
+	Method  string           `json:"method"`
+	Report  *rpm.TrainReport `json:"report"`
 }
 
 // parseShard parses a "k/n" shard spec. Both halves must be whole

@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -167,7 +168,11 @@ func run(addr string, cfg serve.Config, drainTimeout time.Duration, debug bool, 
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: mux}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: mux}
 
 	// SIGHUP → hot reload; SIGTERM/SIGINT → graceful drain.
 	hup := make(chan os.Signal, 1)
@@ -189,8 +194,8 @@ func run(addr string, cfg serve.Config, drainTimeout time.Duration, debug bool, 
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("serving on %s (models=%s queue=%d maxStreams=%d)",
-			addr, cfg.ModelDir, cfg.QueueSize, cfg.MaxStreams)
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+			ln.Addr(), cfg.ModelDir, cfg.QueueSize, cfg.MaxStreams)
+		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
 	}()

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"strings"
@@ -67,7 +69,8 @@ func TestBadFlagValues(t *testing.T) {
 }
 
 // TestUnboundedStreamsStarts: -max-streams -1 is the documented
-// unbounded setting, so the server starts with it.
+// unbounded setting, so the server starts with it, logs the address it
+// bound (a real port, not the requested :0) and answers there.
 func TestUnboundedStreamsStarts(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -83,9 +86,27 @@ func TestUnboundedStreamsStarts(t *testing.T) {
 	defer cmd.Process.Kill()
 	sc := bufio.NewScanner(stderr)
 	for sc.Scan() {
-		if strings.Contains(sc.Text(), "serving on 127.0.0.1:0") {
-			return
+		_, rest, ok := strings.Cut(sc.Text(), "serving on ")
+		if !ok {
+			continue
 		}
+		addr, _, _ := strings.Cut(rest, " ")
+		if _, port, err := net.SplitHostPort(addr); err != nil || port == "0" {
+			t.Fatalf("logged address %q is not a bound host:port", addr)
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET /healthz at the logged address: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /healthz at %s: status %d, want 200", addr, resp.StatusCode)
+		}
+		return
 	}
 	t.Fatal("server exited or timed out before serving")
 }

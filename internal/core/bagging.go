@@ -25,6 +25,7 @@ type Ensemble struct {
 	// their sampled candidate pools.
 	Members []*Classifier
 	opts    Options
+	reg     *obs.Registry // as Classifier.reg, shared by every member
 }
 
 // TrainBaggedContext learns an Options.Bags-member bagged ensemble:
@@ -42,16 +43,16 @@ func TrainBaggedContext(ctx context.Context, train ts.Dataset, opts Options) (*E
 		if err != nil {
 			return nil, err
 		}
-		return &Ensemble{Members: []*Classifier{c}, opts: c.opts}, nil
+		return &Ensemble{Members: []*Classifier{c}, opts: c.opts, reg: c.reg}, nil
 	}
-	ctx, opts, err := begin(ctx, train, opts)
+	ctx, opts, r, err := begin(ctx, train, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer opts.span.End()
-	opts.reg.Counter(CtrBagMembers).Add(int64(opts.Bags))
+	defer r.span.End()
+	r.reg.Counter(CtrBagMembers).Add(int64(opts.Bags))
 	classes := train.Classes()
-	perClass, err := chooseParams(ctx, train, classes, opts)
+	perClass, err := chooseParams(ctx, train, classes, opts, r)
 	if err != nil {
 		return nil, err
 	}
@@ -60,15 +61,15 @@ func TrainBaggedContext(ctx context.Context, train ts.Dataset, opts Options) (*E
 	for b := 0; b < opts.Bags; b++ {
 		mopts := opts
 		mopts.Sample.Seed = memberSampleSeed(baseSeed, b)
-		mopts.span = opts.span.Start(fmt.Sprintf("%s%d", SpanBagMember, b))
-		m, err := trainRetry(ctx, train, classes, perClass, mopts)
-		mopts.span.End()
+		member := r.span.Start(fmt.Sprintf("%s%d", SpanBagMember, b))
+		m, err := trainRetry(ctx, train, classes, perClass, mopts, run{reg: r.reg, span: member}.stages(""))
+		member.End()
 		if err != nil {
 			return nil, err
 		}
 		members = append(members, m)
 	}
-	return &Ensemble{Members: members, opts: opts}, nil
+	return &Ensemble{Members: members, opts: opts, reg: r.reg}, nil
 }
 
 // cloneParams copies a per-class parameter map, which trainWithParams
@@ -112,7 +113,7 @@ func (e *Ensemble) NumPatterns() int {
 // TrainSnapshot returns the shared instrumentation snapshot of the
 // bagged training run (all members record into the same registry), or
 // nil when the ensemble trained without Instrument.
-func (e *Ensemble) TrainSnapshot() *obs.Snapshot { return e.opts.reg.Snapshot() }
+func (e *Ensemble) TrainSnapshot() *obs.Snapshot { return e.reg.Snapshot() }
 
 // Predict classifies one series by majority vote over the members.
 // Like Classifier.Predict it is total over its input.
@@ -132,7 +133,7 @@ func (e *Ensemble) Predict(v []float64) int {
 func (e *Ensemble) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]int, error) {
 	e.ensureTransformers()
 	out := make([]int, len(test))
-	if err := parallel.For(ctx, len(test), e.opts.Workers, e.opts.reg.Pool(PoolPredict), func(i int) {
+	if err := parallel.For(ctx, len(test), e.opts.Workers, e.reg.Pool(PoolPredict), func(i int) {
 		out[i] = e.Predict(test[i].Values)
 	}); err != nil {
 		return nil, err

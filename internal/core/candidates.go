@@ -34,10 +34,10 @@ type occurrence struct {
 }
 
 // findCandidates implements Algorithm 1 for a single class, reducing each
-// discovered motif group to its prototype candidate. seriesWords is
-// findMotifGroups'.
-func findCandidates(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options) []candidate {
-	groups := findMotifGroups(classTrain, seriesWords, class, p, opts)
+// discovered motif group to its prototype candidate. seriesWords and r
+// are findMotifGroups'.
+func findCandidates(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options, r run) []candidate {
+	groups := findMotifGroups(classTrain, seriesWords, class, p, opts, r)
 	out := make([]candidate, 0, len(groups))
 	for _, g := range groups {
 		out = append(out, g.toCandidate())
@@ -53,7 +53,7 @@ func findCandidates(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int
 // supported cluster. seriesWords, when non-nil, holds each series' own
 // SAX words under p (the parameter search's word cache); nil discretizes
 // them here.
-func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options) []motifGroup {
+func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options, r run) []motifGroup {
 	if len(classTrain) == 0 {
 		return nil
 	}
@@ -66,10 +66,10 @@ func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class in
 	// Workers > 1 the span's busy total can exceed the candidates wall.
 	t0 := time.Now()
 	if seriesWords == nil {
-		seriesWords = discretizeSeries(concat, class, p, opts)
+		seriesWords = discretizeSeries(concat, class, p, opts, r)
 	}
 	words := joinWords(seriesWords, concat.Starts)
-	opts.spanStep1.Add(time.Since(t0))
+	r.step1.Add(time.Since(t0))
 	if len(words) < 2 {
 		return nil
 	}
@@ -105,9 +105,9 @@ func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class in
 		if len(occs) < minSupport {
 			continue
 		}
-		out = append(out, refineRule(occs, class, minSupport, opts)...)
+		out = append(out, refineRule(occs, class, minSupport, opts, r)...)
 	}
-	opts.spanStep2.Add(time.Since(t1))
+	r.step2.Add(time.Since(t1))
 	return out
 }
 
@@ -117,7 +117,7 @@ func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class in
 // skipped by the seeded per-class sampler — a pure (seed, position in
 // concat) decision, so the surviving word sequence is identical for any
 // worker count (DESIGN.md §15).
-func discretizeSeries(concat ts.Concatenated, class int, p sax.Params, opts Options) [][]sax.WordAt {
+func discretizeSeries(concat ts.Concatenated, class int, p sax.Params, opts Options, r run) [][]sax.WordAt {
 	sampled := opts.Sample.active()
 	var ws windowSampler
 	if sampled {
@@ -139,9 +139,9 @@ func discretizeSeries(concat ts.Concatenated, class int, p sax.Params, opts Opti
 		}
 		out[i] = sax.Discretize(concat.Values[start:start+concat.Lens[i]], p, opts.NumerosityReduction, skip)
 	}
-	if sampled && opts.reg != nil {
-		opts.reg.Counter(CtrSampleWindowsKept).Add(kept)
-		opts.reg.Counter(CtrSampleWindowsDropped).Add(dropped)
+	if sampled && r.reg != nil {
+		r.reg.Counter(CtrSampleWindowsKept).Add(kept)
+		r.reg.Counter(CtrSampleWindowsDropped).Add(dropped)
 	}
 	return out
 }
@@ -225,7 +225,7 @@ func ruleOccurrences(spans []sequitur.Span, words []sax.WordAt, concat ts.Concat
 // found by grammar induction may contain more than one group of similar
 // patterns") and turns every sufficiently supported cluster into a motif
 // group.
-func refineRule(occs []occurrence, class int, minSupport int, opts Options) []motifGroup {
+func refineRule(occs []occurrence, class int, minSupport int, opts Options, r run) []motifGroup {
 	n := len(occs)
 	d := make([][]float64, n)
 	matchers := make([]*dist.Matcher, n)
@@ -238,7 +238,7 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options) []mo
 	// writers and the matrix is identical for any worker count. The
 	// dynamic index hand-out in parallel.For load-balances the shrinking
 	// rows.
-	_ = parallel.For(context.Background(), n, opts.Workers, opts.reg.Pool(PoolRefine), func(i int) {
+	_ = parallel.For(context.Background(), n, opts.Workers, r.reg.Pool(PoolRefine), func(i int) {
 		for j := i + 1; j < n; j++ {
 			// slide the shorter occurrence inside the longer one
 			var dd float64
@@ -252,8 +252,8 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options) []mo
 		}
 	})
 	groups := cluster.SplitRefine(d, splitMinFrac)
-	ctrKept := opts.reg.Counter(CtrClustersKept)
-	ctrDropped := opts.reg.Counter(CtrClustersDropped)
+	ctrKept := r.reg.Counter(CtrClustersKept)
+	ctrDropped := r.reg.Counter(CtrClustersDropped)
 	var out []motifGroup
 	for _, g := range groups {
 		// support = distinct source instances (requirement (i) of §3.2)

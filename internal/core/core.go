@@ -124,19 +124,12 @@ type Options struct {
 	// permutation (default 1).
 	Seed int64
 	// Instrument records the run into a fresh registry of its own: stage
-	// spans (obsnames.go), per-class candidate counters, γ/τ pruning
-	// counters, parameter-search cache hit/miss counters and worker-pool
+	// spans of the final fit and the search's inner fits (obsnames.go),
+	// candidate, γ/τ pruning and parameter-search counters and worker-pool
 	// usage; TrainSnapshot reads it back. Off (the default), every record
 	// call is a nil-handle no-op. Never serialized, and the trained model
 	// is byte-identical either way (DESIGN.md §9).
 	Instrument bool `json:"-"`
-	// reg is the run's registry, opened by begin when Instrument is set.
-	// The span handles are threaded through the pipeline internals by
-	// TrainContext/trainWithParams; all are nil when reg is nil.
-	reg       *obs.Registry
-	span      *obs.Span
-	spanStep1 *obs.Span
-	spanStep2 *obs.Span
 	// Workers bounds the concurrency of every parallel stage (the
 	// transform matrix, the parameter-search cross-validation, batch
 	// prediction, and candidate pruning): 0 means use
@@ -192,6 +185,7 @@ type Classifier struct {
 	PerClassParams map[int]sax.Params
 	model          *svm.Model
 	opts           Options
+	reg            *obs.Registry // the Instrument run's; nil for Load and inner fits
 	tf             *transformer
 	// tfOnce guards the lazy construction of tf: Predict/Transform on a
 	// classifier that came out of Load (or was never trained) build the
@@ -214,25 +208,11 @@ func (c *Classifier) Options() Options { return c.opts }
 // concurrently with prediction — configure before serving traffic.
 func (c *Classifier) SetWorkers(n int) { c.opts.Workers = n }
 
-// withoutObs returns a copy of o with every instrumentation handle
-// cleared. The parameter-search evaluator trains throwaway models on
-// cross-validation splits through the same trainWithParams pipeline;
-// stripping the handles keeps those inner runs out of the report (the
-// search's own cost is captured by SpanParamSearch and the
-// search.* counters/pools instead).
-func (o Options) withoutObs() Options {
-	o.reg = nil
-	o.span = nil
-	o.spanStep1 = nil
-	o.spanStep2 = nil
-	return o
-}
-
 // TrainSnapshot returns the instrumentation snapshot of the training
 // run, or nil when the classifier was trained without Instrument (or
 // was loaded from disk). The snapshot is live: calling it again after
 // further PredictBatch traffic reflects the updated predict pool.
-func (c *Classifier) TrainSnapshot() *obs.Snapshot { return c.opts.reg.Snapshot() }
+func (c *Classifier) TrainSnapshot() *obs.Snapshot { return c.reg.Snapshot() }
 
 // NumPatterns returns the number of representative patterns.
 func (c *Classifier) NumPatterns() int { return len(c.Patterns) }
@@ -441,7 +421,7 @@ func (c *Classifier) PredictBatchContext(ctx context.Context, test ts.Dataset) (
 		c.ensureTransformer() // build once, outside the worker fan-out
 	}
 	out := make([]int, len(test))
-	if err := parallel.For(ctx, len(test), c.opts.Workers, c.opts.reg.Pool(PoolPredict), func(i int) {
+	if err := parallel.For(ctx, len(test), c.opts.Workers, c.reg.Pool(PoolPredict), func(i int) {
 		out[i] = c.Predict(test[i].Values)
 	}); err != nil {
 		return nil, err

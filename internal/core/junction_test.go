@@ -37,7 +37,7 @@ func TestPropDiscretizeSkipsJunctions(t *testing.T) {
 		d := randJunctionDataset(rng, 2+rng.Intn(4))
 		concat := ts.ConcatDataset(d)
 		p := sax.Params{Window: 8 + rng.Intn(12), PAA: 4, Alphabet: 4}
-		words := joinWords(discretizeSeries(concat, 0, p, DefaultOptions()), concat.Starts)
+		words := joinWords(discretizeSeries(concat, 0, p, DefaultOptions(), run{}), concat.Starts)
 		for _, w := range words {
 			si := concat.SeriesIndex(w.Offset)
 			sj := concat.SeriesIndex(w.Offset + p.Window - 1)

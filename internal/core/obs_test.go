@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rpm/internal/datagen"
+	"rpm/internal/obs"
 )
 
 func saveBytes(t *testing.T, c *Classifier) []byte {
@@ -107,8 +109,8 @@ func TestObsTrainRecords(t *testing.T) {
 	if kept, dropped, total := snap.Counter(CtrPruneKept), snap.Counter(CtrPruneDropped), snap.Counter(CtrCandidates); kept+dropped != total {
 		t.Errorf("prune kept %d + dropped %d != candidates %d", kept, dropped, total)
 	}
-	// The report never leaks the inner split trainings: exactly one train
-	// span root (plus nothing else at root level from this package).
+	// The inner split trainings record under param_search, never as
+	// roots of their own: exactly one train span root.
 	trains := 0
 	for _, s := range snap.Spans {
 		if s.Name == SpanTrain {
@@ -116,7 +118,65 @@ func TestObsTrainRecords(t *testing.T) {
 		}
 	}
 	if trains != 1 {
-		t.Errorf("got %d %q root spans, want exactly 1 (inner search trainings must be stripped)", trains, SpanTrain)
+		t.Errorf("got %d %q root spans, want exactly 1 (inner search fits must record under %q)", trains, SpanTrain, SpanParamSearch)
+	}
+}
+
+// TestObsSearchStages pins where the parameter search's inner fits
+// report: their stages sum into the search.* spans under param_search,
+// with one search.candidates interval per distinct evaluation and split,
+// and a search.validate interval only for the fits that kept patterns.
+func TestObsSearchStages(t *testing.T) {
+	split := datagen.MustByName("SynItalyPower").Generate(3)
+	for _, workers := range []int{1, 8} {
+		opts := workersOpts(workers)
+		opts.Instrument = true
+		c, err := Train(split.Train, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := c.TrainSnapshot()
+		// parentOf maps each search.* span name to its parent's name.
+		parentOf := map[string]string{}
+		var walk func(s obs.SpanSnapshot, parent string)
+		walk = func(s obs.SpanSnapshot, parent string) {
+			if strings.HasPrefix(s.Name, searchPrefix) {
+				if _, dup := parentOf[s.Name]; dup {
+					t.Errorf("workers=%d: span %q appears twice", workers, s.Name)
+				}
+				parentOf[s.Name] = parent
+			}
+			for _, ch := range s.Children {
+				walk(ch, s.Name)
+			}
+		}
+		for _, s := range snap.Spans {
+			walk(s, "")
+		}
+		candidates := searchPrefix + SpanCandidates
+		for name, parent := range map[string]string{
+			candidates:                  SpanParamSearch,
+			searchPrefix + SpanStep1:    candidates,
+			searchPrefix + SpanStep2:    candidates,
+			searchPrefix + SpanStep3:    SpanParamSearch,
+			searchPrefix + SpanFit:      SpanParamSearch,
+			searchPrefix + spanValidate: SpanParamSearch,
+		} {
+			if got, ok := parentOf[name]; !ok || got != parent {
+				t.Errorf("workers=%d: span %q under %q (present %v), want under %q", workers, name, got, ok, parent)
+			}
+		}
+		splits := int64(len(newEvaluator(split.Train, opts, run{}).splits))
+		fits := snap.Counter(CtrSearchEvals) * splits
+		if fits == 0 {
+			t.Fatalf("workers=%d: degenerate fixture, no inner fits", workers)
+		}
+		if got := snap.FindSpan(candidates).Count; got != fits {
+			t.Errorf("workers=%d: %q count %d, want %s × %d splits = %d", workers, candidates, got, CtrSearchEvals, splits, fits)
+		}
+		if got := snap.FindSpan(searchPrefix + spanValidate).Count; got > fits {
+			t.Errorf("workers=%d: %q count %d exceeds the %d inner fits", workers, searchPrefix+spanValidate, got, fits)
+		}
 	}
 }
 

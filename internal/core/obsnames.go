@@ -17,7 +17,8 @@ package core
 //   - SpanStep3 is §3.2.3 / Algorithm 2 (τ-threshold near-duplicate
 //     removal, the candidate-space transform and CFS selection).
 //   - SpanParamSearch is §4 / Algorithm 3 (grid or DIRECT SAX-parameter
-//     search over cross-validation splits).
+//     search over cross-validation splits). searchPrefix + a stage name
+//     under it sums that stage of every inner fit the search trains.
 //   - CtrCandidates is |candidates| before pruning — the quantity the
 //     paper's Table 2 cost model is driven by; CtrCandidatesClass+"<c>"
 //     is its per-class breakdown.
@@ -47,6 +48,9 @@ const (
 	// minimization.
 	SpanSearchGrid  = "grid"
 	SpanDirectClass = "direct.class."
+	// searchPrefix + spanValidate times the inner fits' validation.
+	searchPrefix = "search."
+	spanValidate = "validate"
 
 	CtrCandidates      = "train.candidates"
 	CtrCandidatesClass = "train.candidates.class." // + class label

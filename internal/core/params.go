@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"time"
 
 	"rpm/internal/direct"
+	"rpm/internal/obs"
 	"rpm/internal/parallel"
 	"rpm/internal/sax"
 	"rpm/internal/stats"
@@ -34,20 +36,26 @@ type evaluator struct {
 	train   ts.Dataset
 	classes []int
 	splits  []splitPair
-	// mu guards cache and evals: grid mode evaluates parameter vectors
-	// from several goroutines at once.
+	// r is the search's own run. Each inner fit records into inner (the
+	// search.* stages, no registry) and its validation into validate.
+	r, inner run
+	validate *obs.Span
+	// mu guards cache: grid mode evaluates parameter vectors from
+	// several goroutines at once.
 	mu    sync.Mutex
 	cache map[sax.Params]map[int]float64
-	evals int
 }
 
-func newEvaluator(train ts.Dataset, opts Options) *evaluator {
+func newEvaluator(train ts.Dataset, opts Options, r run) *evaluator {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	e := &evaluator{
-		opts:    opts,
-		train:   train,
-		classes: train.Classes(),
-		cache:   map[sax.Params]map[int]float64{},
+		opts:     opts,
+		train:    train,
+		classes:  train.Classes(),
+		r:        r,
+		inner:    run{span: r.span}.stages(searchPrefix),
+		validate: r.span.Child(searchPrefix + spanValidate),
+		cache:    map[sax.Params]map[int]float64{},
 	}
 	for s := 0; s < opts.Splits; s++ {
 		tr, va := stats.StratifiedSplit(train, trainFrac, rng)
@@ -91,22 +99,16 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 	e.mu.Lock()
 	if f, ok := e.cache[p]; ok {
 		e.mu.Unlock()
-		e.opts.reg.Counter(CtrSearchCacheHits).Inc()
+		e.r.reg.Counter(CtrSearchCacheHits).Inc()
 		return f, nil
 	}
 	e.mu.Unlock()
-	e.opts.reg.Counter(CtrSearchCacheMiss).Inc()
-	// Inner split trainings run the full pipeline; strip the
-	// instrumentation handles so the report reflects the final training
-	// only (the search cost is on SpanParamSearch and the search.*
-	// counters/pools).
-	fixed := e.opts.withoutObs()
-	fixed.Mode = ParamFixed
+	e.r.reg.Counter(CtrSearchCacheMiss).Inc()
 	words, err := e.wordCache(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	perSplit, err := parallel.Map(ctx, len(e.splits), e.opts.Workers, e.opts.reg.Pool(PoolSearchSplits), func(s int) []stats.ClassF1 {
+	perSplit, err := parallel.Map(ctx, len(e.splits), e.opts.Workers, e.r.reg.Pool(PoolSearchSplits), func(s int) []stats.ClassF1 {
 		sp := e.splits[s]
 		perClass := map[int]sax.Params{}
 		for _, c := range e.classes {
@@ -119,11 +121,13 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 				splitWords[i] = words[id]
 			}
 		}
-		clf, err := trainWithParams(ctx, sp.train, splitWords, perClass, fixed)
+		clf, err := trainWithParams(ctx, sp.train, splitWords, perClass, e.opts, e.inner)
 		if err != nil || len(clf.Patterns) == 0 {
 			return nil // canceled or no candidate: contributes 0 to every class
 		}
+		t := time.Now()
 		preds, err := clf.PredictBatchContext(ctx, sp.validate)
+		e.validate.Add(time.Since(t))
 		if err != nil {
 			return nil // canceled mid-validate; Map reports it
 		}
@@ -154,10 +158,9 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 		e.mu.Unlock()
 		return f, nil
 	}
-	e.evals++
 	e.cache[p] = acc
 	e.mu.Unlock()
-	e.opts.reg.Counter(CtrSearchEvals).Inc()
+	e.r.reg.Counter(CtrSearchEvals).Inc()
 	return acc, nil
 }
 
@@ -234,8 +237,8 @@ func clampInt(v, lo, hi int) int {
 // after cancellation (the optimizer's own evaluation sequence is serial
 // and cheap once the objective no longer mines), so selectParams returns
 // ctx.Err() within roughly one full evaluation of the cancel.
-func selectParams(ctx context.Context, train ts.Dataset, opts Options) (map[int]sax.Params, error) {
-	e := newEvaluator(train, opts)
+func selectParams(ctx context.Context, train ts.Dataset, opts Options, r run) (map[int]sax.Params, error) {
+	e := newEvaluator(train, opts, r)
 	m := train.MinLen()
 	bestF := map[int]float64{}
 	bestP := map[int]sax.Params{}
@@ -264,11 +267,11 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options) (map[int]
 			// original order.
 			kept, dropped := sampleGrid(grid, resolveSampleSeed(opts), opts.Sample.Rate)
 			grid = kept
-			opts.reg.Counter(CtrSampleGridKept).Add(int64(len(kept)))
-			opts.reg.Counter(CtrSampleGridDropped).Add(int64(dropped))
+			r.reg.Counter(CtrSampleGridKept).Add(int64(len(kept)))
+			r.reg.Counter(CtrSampleGridDropped).Add(int64(dropped))
 		}
-		gridSpan := opts.span.Start(SpanSearchGrid)
-		scores, err := parallel.Map(ctx, len(grid), opts.Workers, opts.reg.Pool(PoolSearchGrid), func(i int) map[int]float64 {
+		gridSpan := r.span.Start(SpanSearchGrid)
+		scores, err := parallel.Map(ctx, len(grid), opts.Workers, r.reg.Pool(PoolSearchGrid), func(i int) map[int]float64 {
 			fs, _ := e.fmeasures(ctx, grid[i]) // nil on cancel; Map reports it
 			return fs
 		})
@@ -292,7 +295,7 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options) (map[int]
 		}
 		for _, c := range e.classes {
 			class := c
-			classSpan := opts.span.Start(fmt.Sprintf("%s%d", SpanDirectClass, class))
+			classSpan := r.span.Start(fmt.Sprintf("%s%d", SpanDirectClass, class))
 			direct.Minimize(func(x []float64) float64 {
 				if ctx.Err() != nil {
 					return 1 // worst objective; evaluation is now O(1)

@@ -23,23 +23,23 @@ import (
 // pattern's closest-match distance, which neither the transform's other
 // patterns nor its scan seeds change — so the SVM is fitted on them
 // without transforming the training set a second time.
-func findDistinct(train ts.Dataset, cands []candidate, opts Options) ([]Pattern, [][]float64) {
+func findDistinct(train ts.Dataset, cands []candidate, opts Options, r run) ([]Pattern, [][]float64) {
 	if len(cands) == 0 {
 		return nil, nil
 	}
 	tau := computeTau(cands, opts.TauPercentile)
 	kept := removeSimilar(cands, tau, opts.Workers)
-	opts.reg.Counter(CtrPruneKept).Add(int64(len(kept)))
-	opts.reg.Counter(CtrPruneDropped).Add(int64(len(cands) - len(kept)))
+	r.reg.Counter(CtrPruneKept).Add(int64(len(kept)))
+	r.reg.Counter(CtrPruneDropped).Add(int64(len(cands) - len(kept)))
 	if len(kept) == 0 {
 		return nil, nil
 	}
 	// Transform the training data: feature j = closest-match distance to
 	// candidate j (Alg. 2 line 20).
 	pats := toPatterns(kept)
-	X := newTransformer(pats, opts.RotationInvariant).applyAll(train, opts.Workers, opts.reg.Pool(PoolTransform))
-	selected := features.Select(X, train.Labels(), opts.reg.Counter(CtrCFSExpansions))
-	opts.reg.Counter(CtrCFSSelected).Add(int64(len(selected)))
+	X := newTransformer(pats, opts.RotationInvariant).applyAll(train, opts.Workers, r.reg.Pool(PoolTransform))
+	selected := features.Select(X, train.Labels(), r.reg.Counter(CtrCFSExpansions))
+	r.reg.Counter(CtrCFSSelected).Add(int64(len(selected)))
 	if len(selected) == 0 {
 		return nil, nil
 	}

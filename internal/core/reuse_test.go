@@ -44,15 +44,15 @@ func TestFitMatrixEqualsTransform(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			opts := workersOpts(workers)
 			cfg.mod(&opts)
-			ctx, opts, err := begin(context.Background(), train, opts)
+			ctx, opts, r, err := begin(context.Background(), train, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			perClass, err := chooseParams(ctx, train, train.Classes(), opts)
+			perClass, err := chooseParams(ctx, train, train.Classes(), opts, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			patterns, X, err := minePatterns(ctx, train, nil, cloneParams(perClass), opts)
+			patterns, X, err := minePatterns(ctx, train, nil, cloneParams(perClass), opts, r.stages(""))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestPropJoinedSeriesWordsEqualConcatDiscretize(t *testing.T) {
 
 		opts := DefaultOptions()
 		opts.NumerosityReduction = c.reduce
-		got := joinWords(discretizeSeries(concat, 0, c.p, opts), concat.Starts)
+		got := joinWords(discretizeSeries(concat, 0, c.p, opts, run{}), concat.Starts)
 		want := sax.Discretize(concat.Values, c.p, c.reduce, junction)
 		if len(got) != 0 || len(want) != 0 {
 			if !reflect.DeepEqual(got, want) {
@@ -146,7 +146,7 @@ func TestPropJoinedSeriesWordsEqualConcatDiscretize(t *testing.T) {
 
 		opts.Sample = SampleOptions{Rate: 0.5, Seed: seed}
 		ws := newWindowSampler(resolveSampleSeed(opts), 0, c.p.Window, opts.Sample.Rate)
-		got = joinWords(discretizeSeries(concat, 0, c.p, opts), concat.Starts)
+		got = joinWords(discretizeSeries(concat, 0, c.p, opts, run{}), concat.Starts)
 		want = sax.Discretize(concat.Values, c.p, c.reduce, func(start int) bool {
 			return junction(start) || !ws.keep(start)
 		})
@@ -181,7 +181,7 @@ func TestSearchWordCache(t *testing.T) {
 		{"sampled", sampleOpts(2, 0.3, 7), "90b248cc767663ab404130c52a9e243b0d0a34584fa4b0acfd6851f0e2fd5ba3"},
 	}
 	for _, tc := range cases {
-		e := newEvaluator(split.Train, tc.opts)
+		e := newEvaluator(split.Train, tc.opts, run{})
 		for _, p := range []sax.Params{{Window: 8, PAA: 4, Alphabet: 4}, {Window: 6, PAA: 3, Alphabet: 3}, {Window: 12, PAA: 5, Alphabet: 6}} {
 			words, err := e.wordCache(ctx, p)
 			if err != nil {
@@ -211,7 +211,7 @@ func TestSearchWordCache(t *testing.T) {
 				for _, c := range e.classes {
 					perClass[c] = p
 				}
-				clf, err := trainWithParams(ctx, sp.train, nil, perClass, fixed)
+				clf, err := trainWithParams(ctx, sp.train, nil, perClass, fixed, run{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"rpm/internal/obs"
 	"rpm/internal/parallel"
@@ -26,42 +27,59 @@ func Train(train ts.Dataset, opts Options) (*Classifier, error) {
 // is never canceled the trained classifier is byte-identical to Train's
 // for any Options.Workers value.
 func TrainContext(ctx context.Context, train ts.Dataset, opts Options) (*Classifier, error) {
-	ctx, opts, err := begin(ctx, train, opts)
+	ctx, opts, r, err := begin(ctx, train, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer opts.span.End()
+	defer r.span.End()
 	classes := train.Classes()
-	perClass, err := chooseParams(ctx, train, classes, opts)
+	perClass, err := chooseParams(ctx, train, classes, opts, r)
 	if err != nil {
 		return nil, err
 	}
-	return trainRetry(ctx, train, classes, perClass, opts)
+	return trainRetry(ctx, train, classes, perClass, opts, r.stages(""))
+}
+
+// run is what the pipeline records into: a registry for counters and
+// pools, the span the work sits under, and the stage spans of its fits.
+// Every handle of the zero run, or of an uninstrumented one, is nil.
+type run struct {
+	reg                                  *obs.Registry
+	span                                 *obs.Span
+	candidates, step1, step2, step3, fit *obs.Span
+}
+
+// stages returns r with fit stage spans named prefix + stage under
+// r.span. Each fit handed the result adds its time to them.
+func (r run) stages(prefix string) run {
+	r.candidates = r.span.Child(prefix + SpanCandidates)
+	r.step1 = r.candidates.Child(prefix + SpanStep1)
+	r.step2 = r.candidates.Child(prefix + SpanStep2)
+	r.step3 = r.span.Child(prefix + SpanStep3)
+	r.fit = r.span.Child(prefix + SpanFit)
+	return r
 }
 
 // begin is the prologue TrainContext and TrainBaggedContext share: it
 // rejects an empty training set and out-of-range knobs — written as
-// !(in range) so NaN fails too — fills the search defaults, gives an
-// Instrument run a fresh registry (and any other run none), and opens
-// the run's SpanTrain span, which the caller ends. Instrumentation is a
-// no-op when opts.reg is nil; recording never feeds back into the
-// computation, so the trained model is byte-identical with or without a
-// registry.
-func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context, Options, error) {
+// !(in range) so NaN fails too — fills the search defaults, and returns
+// the run, with a registry only under Instrument, whose SpanTrain span
+// the caller ends. Recording never feeds back into the computation.
+func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context, Options, run, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(train) == 0 {
-		return nil, opts, errors.New("core: empty training set")
+		return nil, opts, run{}, errors.New("core: empty training set")
 	}
 	if !(opts.Gamma > 0 && opts.Gamma <= 1) {
-		return nil, opts, fmt.Errorf("core: gamma %v outside (0,1]", opts.Gamma)
+		return nil, opts, run{}, fmt.Errorf("core: gamma %v outside (0,1]", opts.Gamma)
 	}
 	if !(opts.TauPercentile >= 0 && opts.TauPercentile <= 100) {
-		return nil, opts, fmt.Errorf("core: tau percentile %v outside [0,100]", opts.TauPercentile)
+		return nil, opts, run{}, fmt.Errorf("core: tau percentile %v outside [0,100]", opts.TauPercentile)
 	}
 	if !(opts.Sample.Rate >= 0 && opts.Sample.Rate <= 1) {
-		return nil, opts, fmt.Errorf("core: sample rate %v outside [0,1]", opts.Sample.Rate)
+		return nil, opts, run{}, fmt.Errorf("core: sample rate %v outside [0,1]", opts.Sample.Rate)
 	}
 	if opts.Splits <= 0 {
 		opts.Splits = 5
@@ -69,13 +87,13 @@ func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context
 	if opts.MaxEvals <= 0 {
 		opts.MaxEvals = 60
 	}
-	opts.reg = nil
+	var r run
 	if opts.Instrument {
-		opts.reg = obs.NewRegistry()
+		r.reg = obs.NewRegistry()
 	}
-	opts.span = opts.reg.StartSpan(SpanTrain)
-	opts.reg.Gauge(GaugeWorkers).Set(int64(parallel.Workers(opts.Workers)))
-	return ctx, opts, nil
+	r.span = r.reg.StartSpan(SpanTrain)
+	r.reg.Gauge(GaugeWorkers).Set(int64(parallel.Workers(opts.Workers)))
+	return ctx, opts, r, nil
 }
 
 // trainRetry trains one model on the given per-class parameters. The
@@ -84,8 +102,8 @@ func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context
 // it retries once with the heuristic defaults before accepting the 1NN
 // fallback. The map is copied first, so callers sharing it (bag
 // members) never alias each other's view.
-func trainRetry(ctx context.Context, train ts.Dataset, classes []int, perClass map[int]sax.Params, opts Options) (*Classifier, error) {
-	c, err := trainWithParams(ctx, train, nil, cloneParams(perClass), opts)
+func trainRetry(ctx context.Context, train ts.Dataset, classes []int, perClass map[int]sax.Params, opts Options, r run) (*Classifier, error) {
+	c, err := trainWithParams(ctx, train, nil, cloneParams(perClass), opts, r)
 	if err != nil || len(c.Patterns) > 0 || opts.Mode == ParamFixed {
 		return c, err
 	}
@@ -93,7 +111,7 @@ func trainRetry(ctx context.Context, train ts.Dataset, classes []int, perClass m
 	for _, cl := range classes {
 		retry[cl] = HeuristicParams(train.MinLen())
 	}
-	c2, err := trainWithParams(ctx, train, nil, retry, opts)
+	c2, err := trainWithParams(ctx, train, nil, retry, opts, r)
 	if err != nil {
 		return nil, err
 	}
@@ -106,9 +124,9 @@ func trainRetry(ctx context.Context, train ts.Dataset, classes []int, perClass m
 // chooseParams resolves the per-class SAX parameters for the
 // configured Mode: the fixed triple (or the heuristic default) for
 // ParamFixed, otherwise the grid/DIRECT search of §4 under its own
-// SpanParamSearch span. Shared by TrainContext and TrainBaggedContext —
-// a bagged ensemble searches once and re-mines per member.
-func chooseParams(ctx context.Context, train ts.Dataset, classes []int, opts Options) (map[int]sax.Params, error) {
+// SpanParamSearch span under r.span. Shared by TrainContext and
+// TrainBaggedContext: a bagged ensemble searches once, mines per member.
+func chooseParams(ctx context.Context, train ts.Dataset, classes []int, opts Options, r run) (map[int]sax.Params, error) {
 	switch opts.Mode {
 	case ParamFixed:
 		p := opts.Params
@@ -121,14 +139,9 @@ func chooseParams(ctx context.Context, train ts.Dataset, classes []int, opts Opt
 		}
 		return perClass, nil
 	case ParamGrid, ParamDIRECT:
-		searchOpts := opts
-		searchOpts.span = opts.span.Start(SpanParamSearch)
-		perClass, err := selectParams(ctx, train, searchOpts)
-		searchOpts.span.End()
-		if err != nil {
-			return nil, err
-		}
-		return perClass, nil
+		search := r.span.Start(SpanParamSearch)
+		defer search.End()
+		return selectParams(ctx, train, opts, run{reg: r.reg, span: search})
 	default:
 		return nil, fmt.Errorf("core: unknown parameter mode %v", opts.Mode)
 	}
@@ -157,17 +170,17 @@ func HeuristicParams(m int) sax.Params {
 // training rows findDistinct already transformed. words, when non-nil,
 // holds each training instance's SAX words under the one parameter
 // vector every class shares (the search's word cache, aligned with
-// train); nil discretizes. The only possible error is ctx.Err():
-// cancellation is checked between pipeline stages (and inside the
-// per-class fan-out), so a canceled context aborts between stages rather
-// than mid-computation.
-func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options) (*Classifier, error) {
+// train); nil discretizes. The fit records into r. The only possible
+// error is ctx.Err(): cancellation is checked between pipeline stages
+// (and inside the per-class fan-out), so a canceled context aborts
+// between stages rather than mid-computation.
+func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options, r run) (*Classifier, error) {
 	for _, class := range train.Classes() {
 		if _, ok := perClass[class]; !ok {
 			perClass[class] = HeuristicParams(train.MinLen())
 		}
 	}
-	patterns, X, err := minePatterns(ctx, train, words, perClass, opts)
+	patterns, X, err := minePatterns(ctx, train, words, perClass, opts, r)
 	if err != nil {
 		return nil, err
 	}
@@ -175,17 +188,18 @@ func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt
 		Patterns:       patterns,
 		PerClassParams: perClass,
 		opts:           opts,
+		reg:            r.reg,
 		fallback:       train,
 	}
 	if len(patterns) == 0 {
 		return c, nil
 	}
-	fit := opts.span.Start(SpanFit)
-	defer fit.End()
+	t := time.Now()
 	// Built eagerly, as Load does, so the first Predict pays no
 	// transformer construction.
 	c.ensureTransformer()
 	c.model = svm.Train(X, train.Labels(), opts.Seed)
+	r.fit.Add(time.Since(t))
 	return c, nil
 }
 
@@ -195,8 +209,8 @@ func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt
 // Candidate generation fans out across classes on Options.Workers
 // goroutines; the per-class slices are concatenated in class order, so
 // the pooled candidate list is identical to the sequential path. words
-// is trainWithParams'.
-func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options) ([]Pattern, [][]float64, error) {
+// and r are trainWithParams'.
+func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options, r run) ([]Pattern, [][]float64, error) {
 	byClass := train.ByClass()
 	var wordsByClass map[int][][]sax.WordAt
 	if words != nil {
@@ -207,33 +221,28 @@ func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, p
 	}
 	classes := train.Classes()
 	// Candidate generation (Steps 1+2): the candidates span measures the
-	// fan-out's wall; the two aggregate stage spans accumulate each
-	// class's SAX vs. grammar/cluster time from inside findMotifGroups.
-	candSpan := opts.span.Start(SpanCandidates)
-	opts.spanStep1 = candSpan.Child(SpanStep1)
-	opts.spanStep2 = candSpan.Child(SpanStep2)
-	perClassCands, err := parallel.Map(ctx, len(classes), opts.Workers, opts.reg.Pool(PoolCandidates), func(i int) []candidate {
+	// fan-out's wall; the step1 and step2 spans accumulate each class's
+	// SAX vs. grammar/cluster time from inside findMotifGroups.
+	t0 := time.Now()
+	perClassCands, err := parallel.Map(ctx, len(classes), opts.Workers, r.reg.Pool(PoolCandidates), func(i int) []candidate {
 		class := classes[i]
-		return findCandidates(byClass[class], wordsByClass[class], class, perClass[class], opts)
+		return findCandidates(byClass[class], wordsByClass[class], class, perClass[class], opts, r)
 	})
-	candSpan.End()
+	r.candidates.Add(time.Since(t0))
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.reg != nil {
-		total := opts.reg.Counter(CtrCandidates)
-		for i, cc := range perClassCands {
-			total.Add(int64(len(cc)))
-			opts.reg.Counter(fmt.Sprintf("%s%d", CtrCandidatesClass, classes[i])).Add(int64(len(cc)))
+	var cands []candidate
+	for i, cc := range perClassCands {
+		cands = append(cands, cc...)
+		if r.reg != nil {
+			r.reg.Counter(CtrCandidates).Add(int64(len(cc)))
+			r.reg.Counter(fmt.Sprintf("%s%d", CtrCandidatesClass, classes[i])).Add(int64(len(cc)))
 		}
 	}
-	var cands []candidate
-	for _, cc := range perClassCands {
-		cands = append(cands, cc...)
-	}
-	step3 := opts.span.Start(SpanStep3)
-	patterns, X := findDistinct(train, cands, opts)
-	step3.End()
+	t1 := time.Now()
+	patterns, X := findDistinct(train, cands, opts, r)
+	r.step3.Add(time.Since(t1))
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

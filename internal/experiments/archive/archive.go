@@ -604,7 +604,6 @@ func (r *Result) Deterministic() *Result {
 		oc.TrainMillis = 0
 		oc.PredictMillis = 0
 		oc.Resumed = false
-		oc.Report = nil
 		out.Outcomes[i] = oc
 	}
 	return &out

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +107,31 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "SynCoffee") || !strings.Contains(tbl.String(), "DATASET") {
 		t.Fatalf("table missing expected content:\n%s", tbl.String())
+	}
+}
+
+// TestDeterministicKeepsReports: the deterministic projection keeps each
+// RPM row's training report (for -report), which its JSON never carries.
+func TestDeterministicKeepsReports(t *testing.T) {
+	det := mustRun(t, testConfig(t)).Deterministic()
+	stripped := *det
+	stripped.Outcomes = slices.Clone(det.Outcomes)
+	for i, oc := range det.Outcomes {
+		if oc.Report == nil || oc.Report.Counter("train.candidates") <= 0 {
+			t.Errorf("%s: deterministic row has report %v, want the training report", oc.Dataset, oc.Report)
+		}
+		stripped.Outcomes[i].Report = nil
+	}
+	got, err := det.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stripped.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the rows' reports change the deterministic JSON:\n%s\nwithout them:\n%s", got, want)
 	}
 }
 

@@ -10,7 +10,9 @@
 # crash-safety and worker-independence in one diff. Run A must also
 # match testdata/archive/fixed_seed3.json byte for byte, which pins the
 # archive output (config hash included) across commits. A one-dataset
-# rpm run with -report text must then print its training report.
+# -deterministic rpm run with the default DIRECT search and -report text
+# must then print its training report, the search's inner-fit stages
+# included.
 #
 # A paper table resumes the same way: an ablation run is repeated with
 # -resume, and its rendered table, wall times included, must be
@@ -44,8 +46,8 @@ if ! diff -u testdata/archive/fixed_seed3.json "$work/a.json"; then
     exit 1
 fi
 
-echo "== training report of an rpm run (-report text)"
-"$work/rpmarchive" -out "$work/r" -exp rpm -datasets SynItalyPower -mode fixed -window 12 -paa 4 -alpha 4 \
+echo "== training report of a deterministic DIRECT rpm run (-report text)"
+"$work/rpmarchive" -out "$work/r" -exp rpm -datasets SynItalyPower -deterministic \
     -report text > "$work/report.txt" 2> "$work/report.log" || {
     cat "$work/report.log" >&2
     echo "archive smoke FAILED: rpmarchive -exp rpm -report text exited non-zero" >&2
@@ -53,6 +55,10 @@ echo "== training report of an rpm run (-report text)"
 }
 if ! grep -q '^  train\.candidates ' "$work/report.txt"; then
     echo "archive smoke FAILED: -report text printed no train.candidates line" >&2
+    exit 1
+fi
+if ! grep -q '^ *search\.candidates  *wall=' "$work/report.txt"; then
+    echo "archive smoke FAILED: -report text printed no search.candidates stage line" >&2
     exit 1
 fi
 
