@@ -109,13 +109,16 @@ bench:
 # Boundary fuzzers: arbitrary bytes into the UCR reader, the model
 # loader, and the serving layer's HTTP decode+validation boundary must
 # yield a typed error or a working result — never a panic, and (for the
-# HTTP surface) never a 500. One target per invocation (a Go fuzzing
-# constraint).
+# HTTP surface) never a 500. FuzzRequestDecode is differential: the
+# serving layer's canonical request decoder must decline or agree with
+# encoding/json, value for value and response for response. One target
+# per invocation (a Go fuzzing constraint).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDatasetRead -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run xxx -fuzz FuzzLoadClassifier -fuzztime $(FUZZTIME) .
 	$(GO) test -run xxx -fuzz FuzzPredictRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzStreamAppend -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzRequestDecode -fuzztime $(FUZZTIME) ./internal/serve
 
 # Total test coverage over COVER_PKGS, enforced against COVER_FLOOR.
 # `go tool cover -func` prints a trailing "total:" line; awk compares it

@@ -41,7 +41,8 @@
 // json|text prints, after each run's output, the training report
 // (stage timings, pipeline counters, worker-pool usage) of every RPM
 // row, labelled dataset / method; baseline and resumed rows have none.
-// Under -json, -report json makes them the JSON output's "reports" field.
+// Under -json, -report json makes them the JSON output's "reports" field,
+// and -report text is a usage error.
 // -debug-addr serves /debug/pprof/* and /debug/vars for the duration of
 // the run.
 package main
@@ -136,6 +137,10 @@ func main() {
 	})
 	if *report != "" && *report != "json" && *report != "text" {
 		usage(fmt.Errorf("unknown -report format %q (want json or text)", *report))
+	}
+	if *report == "text" && *asJSON {
+		// Text after the JSON document would break every reader of it.
+		usage(fmt.Errorf("-json takes -report json, not text"))
 	}
 	if *out == "" {
 		fatal(fmt.Errorf("-out is required"))

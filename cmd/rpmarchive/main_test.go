@@ -83,3 +83,23 @@ func TestParseShard(t *testing.T) {
 		}
 	}
 }
+
+// TestJSONWithTextReportIsUsageError: -json -report text would print the
+// text reports after the JSON document, which no JSON reader accepts;
+// it exits 2 with a usage message, as an unknown -report format does,
+// before any training runs.
+func TestJSONWithTextReportIsUsageError(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-out", t.TempDir(), "-exp", "rpm", "-datasets", "SynItalyPower",
+		"-json", "-report", "text")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	stdout, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2\nstderr: %s", err, stderr.String())
+	}
+	if len(stdout) != 0 || !strings.Contains(stderr.String(), "-report json, not text") {
+		t.Errorf("stdout %q, stderr %q: want no output and the usage message", stdout, stderr.String())
+	}
+}

@@ -125,7 +125,9 @@ func TestObsTrainRecords(t *testing.T) {
 // TestObsSearchStages pins where the parameter search's inner fits
 // report: their stages sum into the search.* spans under param_search,
 // with one search.candidates interval per distinct evaluation and split,
-// and a search.validate interval only for the fits that kept patterns.
+// search.step1_sax holding each evaluation's word cache besides the
+// fits' per-class discretization, and a search.validate interval only
+// for the fits that kept patterns.
 func TestObsSearchStages(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
 	for _, workers := range []int{1, 8} {
@@ -173,6 +175,13 @@ func TestObsSearchStages(t *testing.T) {
 		}
 		if got := snap.FindSpan(candidates).Count; got != fits {
 			t.Errorf("workers=%d: %q count %d, want %s × %d splits = %d", workers, candidates, got, CtrSearchEvals, splits, fits)
+		}
+		// search.step1_sax: one add per evaluation's word cache, then one
+		// per class of every inner fit.
+		evals, classes := snap.Counter(CtrSearchEvals), int64(len(split.Train.Classes()))
+		if got, want := snap.FindSpan(searchPrefix+SpanStep1).Count, evals+fits*classes; got != want {
+			t.Errorf("workers=%d: %q count %d, want %d evaluations + %d fits × %d classes = %d",
+				workers, searchPrefix+SpanStep1, got, evals, fits, classes, want)
 		}
 		if got := snap.FindSpan(searchPrefix + spanValidate).Count; got > fits {
 			t.Errorf("workers=%d: %q count %d exceeds the %d inner fits", workers, searchPrefix+spanValidate, got, fits)

@@ -19,6 +19,10 @@ package core
 //   - SpanParamSearch is §4 / Algorithm 3 (grid or DIRECT SAX-parameter
 //     search over cross-validation splits). searchPrefix + a stage name
 //     under it sums that stage of every inner fit the search trains.
+//     searchPrefix + SpanStep1 also holds the search's shared word
+//     cache: each distinct evaluation discretizes the training set
+//     once (the wall time of that parallel pass) and adds one to the
+//     stage's Count, beside the per-class adds of its inner fits.
 //   - CtrCandidates is |candidates| before pruning — the quantity the
 //     paper's Table 2 cost model is driven by; CtrCandidatesClass+"<c>"
 //     is its per-class breakdown.

@@ -167,11 +167,15 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 // wordCache returns the SAX words under p of every instance of the full
 // training set, indexed like it, or nil when the inner fits must
 // discretize for themselves: under Options.Sample, or for a p that
-// Discretize cannot take.
+// Discretize cannot take. This is the search's Step-1 work, so an
+// instrumented run adds its wall time to the inner fits' step1 stage
+// (search.step1_sax), one Add per evaluation; without Instrument the
+// cost is one clock read per evaluation, none per inner fit.
 func (e *evaluator) wordCache(ctx context.Context, p sax.Params) ([][]sax.WordAt, error) {
 	if e.opts.Sample.active() || p.Validate(0) != nil {
 		return nil, nil
 	}
+	t0 := time.Now()
 	words := make([][]sax.WordAt, len(e.train))
 	err := parallel.For(ctx, len(e.train), e.opts.Workers, nil, func(i int) {
 		words[i] = sax.Discretize(e.train[i].Values, p, e.opts.NumerosityReduction, nil)
@@ -179,6 +183,7 @@ func (e *evaluator) wordCache(ctx context.Context, p sax.Params) ([][]sax.WordAt
 	if err != nil {
 		return nil, err
 	}
+	e.inner.step1.Add(time.Since(t0)) // nil, a no-op, without Instrument
 	return words, nil
 }
 

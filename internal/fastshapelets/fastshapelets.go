@@ -124,6 +124,7 @@ func majority(d ts.Dataset) (label int, pure bool) {
 		counts[in.Label]++
 	}
 	best, bestC := 0, -1
+	//rpmlint:ignore detmap argmax under the total order (count desc, label asc) is order-free
 	for l, c := range counts {
 		if c > bestC || (c == bestC && l < best) {
 			best, bestC = l, c
@@ -144,6 +145,7 @@ type wordInfo struct {
 // bestShapelet runs the FS candidate generation and exact evaluation for
 // one tree node and returns the winning shapelet and split threshold.
 func bestShapelet(d ts.Dataset, lengths []int, rng *rand.Rand) ([]float64, float64, bool) {
+	classes := d.Classes()
 	classSizes := map[int]int{}
 	for _, in := range d {
 		classSizes[in.Label]++
@@ -160,7 +162,7 @@ func bestShapelet(d ts.Dataset, lengths []int, rng *rand.Rand) ([]float64, float
 		if len(words) == 0 {
 			continue
 		}
-		scoreWords(words, classSizes, rng)
+		scoreWords(words, classes, classSizes, rng)
 		cands := topK(words, topKWords)
 		for _, wi := range cands {
 			sub := d[wi.series].Values[wi.offset : wi.offset+L]
@@ -213,8 +215,9 @@ func collectWords(d ts.Dataset, L int) map[string]*wordInfo {
 // scoreWords estimates each word's distinguishing power with random
 // masking: words that collide under a mask share their class counts; a
 // word whose accumulated collision profile is skewed toward one class is
-// likely discriminative.
-func scoreWords(words map[string]*wordInfo, classSizes map[int]int, rng *rand.Rand) {
+// likely discriminative. classes lists classSizes' keys in the order the
+// per-word score sums them.
+func scoreWords(words map[string]*wordInfo, classes []int, classSizes map[int]int, rng *rand.Rand) {
 	keys := make([]string, 0, len(words))
 	for w := range words {
 		keys = append(keys, w)
@@ -240,6 +243,7 @@ func scoreWords(words map[string]*wordInfo, classSizes map[int]int, rng *rand.Ra
 			mw := string(masked)
 			groups[mw] = append(groups[mw], w)
 		}
+		//rpmlint:ignore detmap each group adds integer-valued counts (far below 2^53), exact in any order
 		for _, group := range groups {
 			total := map[int]float64{}
 			for _, w := range group {
@@ -259,8 +263,8 @@ func scoreWords(words map[string]*wordInfo, classSizes map[int]int, rng *rand.Ra
 		// normalize by class size and score by deviation from uniform
 		var fracs []float64
 		var sum float64
-		for c, size := range classSizes {
-			f := proj[w][c] / float64(size)
+		for _, c := range classes {
+			f := proj[w][c] / float64(classSizes[c])
 			fracs = append(fracs, f)
 			sum += f
 		}
@@ -300,24 +304,36 @@ func bestSplit(dists []float64, labels []int) (gain, threshold, gap float64) {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return dists[idx[a]] < dists[idx[b]] })
-	total := map[int]int{}
-	for _, l := range labels {
-		total[l]++
+	// Class counts are slices indexed by each label's first-appearance
+	// rank, so every entropy sums its terms in one fixed order.
+	rank := map[int]int{}
+	cls := make([]int, n)
+	for i, l := range labels {
+		r, ok := rank[l]
+		if !ok {
+			r = len(rank)
+			rank[l] = r
+		}
+		cls[i] = r
+	}
+	total := make([]int, len(rank))
+	for _, r := range cls {
+		total[r]++
 	}
 	h := entropyOf(total, n)
-	left := map[int]int{}
+	left := make([]int, len(rank))
+	right := make([]int, len(rank))
 	bestGain, bestThr, bestGap := -1.0, 0.0, 0.0
 	for i := 0; i < n-1; i++ {
-		left[labels[idx[i]]]++
+		left[cls[idx[i]]]++
 		//rpmlint:ignore floateq adjacent sorted values: no threshold exists strictly between equal stored values
 		if dists[idx[i]] == dists[idx[i+1]] {
 			continue // no valid threshold between equal distances
 		}
 		nl := i + 1
 		nr := n - nl
-		right := map[int]int{}
-		for l, c := range total {
-			right[l] = c - left[l]
+		for r, c := range total {
+			right[r] = c - left[r]
 		}
 		g := h - (float64(nl)/float64(n))*entropyOf(left, nl) - (float64(nr)/float64(n))*entropyOf(right, nr)
 		gp := dists[idx[i+1]] - dists[idx[i]]
@@ -331,7 +347,9 @@ func bestSplit(dists []float64, labels []int) (gain, threshold, gap float64) {
 	return bestGain, bestThr, bestGap
 }
 
-func entropyOf(counts map[int]int, n int) float64 {
+// entropyOf is the Shannon entropy (bits) of n objects split into the
+// class counts.
+func entropyOf(counts []int, n int) float64 {
 	if n == 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package fastshapelets
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"rpm/internal/datagen"
@@ -73,15 +74,20 @@ func TestShapeletsAccessor(t *testing.T) {
 	}
 }
 
+// TestDeterministicWithSeed: five trainings with one seed predict
+// identically. SynMedicalImages (10 classes) used to split them: the
+// entropy and word-score sums ran in map order.
 func TestDeterministicWithSeed(t *testing.T) {
-	s := datagen.MustByName("SynItalyPower").Generate(4)
-	m1 := Train(s.Train, 5)
-	m2 := Train(s.Train, 5)
-	p1 := m1.PredictBatch(s.Test)
-	p2 := m2.PredictBatch(s.Test)
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("same seed produced different predictions")
+	for _, tc := range []struct {
+		name            string
+		data, trainSeed int64
+	}{{"SynItalyPower", 4, 5}, {"SynMedicalImages", 1, 1}} {
+		s := datagen.MustByName(tc.name).Generate(tc.data)
+		want := Train(s.Train, tc.trainSeed).PredictBatch(s.Test)
+		for run := 1; run < 5; run++ {
+			if got := Train(s.Train, tc.trainSeed).PredictBatch(s.Test); !slices.Equal(got, want) {
+				t.Fatalf("%s: run %d predicted differently with the same seed", tc.name, run)
+			}
 		}
 	}
 }

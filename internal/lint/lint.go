@@ -112,6 +112,8 @@ func Defaults() Config {
 			"rpm/internal/dist",
 			"rpm/internal/paa",
 			"rpm/internal/stream",
+			"rpm/internal/fastshapelets",
+			"rpm/internal/saxvsm",
 		},
 		ObsPkg: "rpm/internal/obs",
 		ErrTaxonomyPkgs: []string{

@@ -10,6 +10,7 @@ package saxvsm
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"rpm/internal/sax"
 	"rpm/internal/stats"
@@ -56,8 +57,8 @@ func Train(train ts.Dataset, p sax.Params) *Model {
 	for _, bag := range bags {
 		wv := make(map[string]float64, len(bag))
 		var norm float64
-		for w, f := range bag {
-			tf := 1 + math.Log(f)
+		for _, w := range sortedKeys(bag) {
+			tf := 1 + math.Log(bag[w])
 			idf := math.Log(nc / float64(df[w]))
 			x := tf * idf
 			if x > 0 {
@@ -69,6 +70,16 @@ func Train(train ts.Dataset, p sax.Params) *Model {
 		m.norms = append(m.norms, math.Sqrt(norm))
 	}
 	return m
+}
+
+// sortedKeys returns m's words in increasing order.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for w := range m {
+		keys = append(keys, w)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // wordsOf discretizes one series with numerosity reduction. Series
@@ -91,9 +102,12 @@ func (m *Model) Predict(query []float64) int {
 	for _, w := range wordsOf(query, m.params) {
 		tfq[w.Word]++
 	}
+	// The norm and dot products sum in sorted word order, so a query
+	// scores identically on every run.
+	words := sortedKeys(tfq)
 	var qnorm float64
-	for w, f := range tfq {
-		tfq[w] = 1 + math.Log(f)
+	for _, w := range words {
+		tfq[w] = 1 + math.Log(tfq[w])
 		qnorm += tfq[w] * tfq[w]
 	}
 	qnorm = math.Sqrt(qnorm)
@@ -101,9 +115,9 @@ func (m *Model) Predict(query []float64) int {
 	label := m.classes[0]
 	for k, class := range m.classes {
 		var dotP float64
-		for w, qf := range tfq {
+		for _, w := range words {
 			if cw, ok := m.weights[k][w]; ok {
-				dotP += qf * cw
+				dotP += tfq[w] * cw
 			}
 		}
 		sim := 0.0

@@ -1,6 +1,7 @@
 package saxvsm
 
 import (
+	"slices"
 	"testing"
 
 	"rpm/internal/datagen"
@@ -86,5 +87,18 @@ func TestSelectParamsDeterministic(t *testing.T) {
 	p2 := SelectParams(s.Train, 3)
 	if p1 != p2 {
 		t.Errorf("same seed selected %v and %v", p1, p2)
+	}
+}
+
+// TestTrainAutoDeterministic: five parameter searches and trainings
+// with one seed predict identically. The tf·idf norms and cosine sums
+// used to run in map order, so equal-similarity classes could swap.
+func TestTrainAutoDeterministic(t *testing.T) {
+	s := datagen.MustByName("SynMedicalImages").Generate(1)
+	want := TrainAuto(s.Train, 1).PredictBatch(s.Test)
+	for run := 1; run < 5; run++ {
+		if got := TrainAuto(s.Train, 1).PredictBatch(s.Test); !slices.Equal(got, want) {
+			t.Fatalf("run %d predicted differently with the same seed", run)
+		}
 	}
 }

@@ -20,11 +20,12 @@ import (
 	serveclient "rpm/internal/serve/client"
 )
 
-func FuzzPredictRequest(f *testing.F) {
-	// Seeds: the valid shapes, then progressively broken ones — cut-off
-	// JSON, wrong types, non-finite floats, deep nesting, huge values,
-	// duplicate keys, null floods.
-	seeds := []string{
+// predictRequestSeeds are FuzzPredictRequest's seeds, which
+// FuzzRequestDecode shares: the valid shapes, then progressively broken
+// ones — cut-off JSON, wrong types, non-finite floats, deep nesting,
+// huge values, duplicate keys, null floods.
+func predictRequestSeeds() []string {
+	return []string{
 		`{"model":"cbf","values":[1,2,3]}`,
 		`{"values":[0.5,-0.5,0.25]}`,
 		`{"model":"ghost","values":[1]}`,
@@ -50,7 +51,10 @@ func FuzzPredictRequest(f *testing.F) {
 		"\x00\x01\x02",
 		`{"values":[1,2,3],"extra":{"deep":[[[[[1]]]]]}}`,
 	}
-	for _, s := range seeds {
+}
+
+func FuzzPredictRequest(f *testing.F) {
+	for _, s := range predictRequestSeeds() {
 		f.Add([]byte(s))
 	}
 

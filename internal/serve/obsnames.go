@@ -24,6 +24,13 @@ package serve
 //     Predict call (the benchmark's serve.flush_us_per_item reads it).
 //   - SpanServe is the root span (its wall is server uptime); per-
 //     endpoint aggregate child spans fold in request handling time.
+//     Each request endpoint's span has per-stage aggregate children
+//     that split that time into consecutive stages (DESIGN.md §9):
+//     SpanPredict into SpanDecode, SpanValidate, SpanAdmit,
+//     SpanCompute and SpanEncode; SpanPredictBatch and SpanStream into
+//     SpanDecode and SpanCompute. A stage's Count is the number of
+//     requests that entered it, and the stages of one endpoint sum to
+//     at most its span's wall.
 const (
 	CtrRequests        = "serve.requests"
 	CtrRequestsPredict = "serve.requests.predict"
@@ -73,4 +80,19 @@ const (
 	SpanPredictBatch = "predict_batch"
 	SpanReload       = "reload"
 	SpanStream       = "stream_append"
+
+	// SpanDecode is reading and decoding the request body (decode.go).
+	SpanDecode = "decode"
+	// SpanValidate is /v1/predict's series validation.
+	SpanValidate = "validate"
+	// SpanAdmit is /v1/predict's admission: the slot, the test gate,
+	// any injected stall and the deadline check.
+	SpanAdmit = "admit"
+	// SpanCompute is the model work: on /v1/predict the model lookup and
+	// Predict; on /v1/predict:batch validation, lookup and
+	// PredictBatchContext; on a stream append chunk validation, stream
+	// resolution and Append.
+	SpanCompute = "compute"
+	// SpanEncode is writing /v1/predict's response.
+	SpanEncode = "encode"
 )

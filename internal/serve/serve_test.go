@@ -170,6 +170,40 @@ func TestPredictHappyPath(t *testing.T) {
 	}
 }
 
+// TestPredictStageSpans: after N successful /v1/predict requests each
+// stage span under predict has Count N, and the stages, which split
+// each request's handling time, sum to at most the predict span's wall.
+func TestPredictStageSpans(t *testing.T) {
+	s, ts, _ := newTestServer(t, nil)
+	for i, in := range fixProbe {
+		if resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("cbf", in.Values)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("probe %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	n := int64(len(fixProbe))
+	predict := s.reg.Snapshot().FindSpan(SpanPredict)
+	if predict == nil || predict.Count != n {
+		t.Fatalf("predict span = %+v, want count %d", predict, n)
+	}
+	stages := map[string]bool{}
+	var busy int64
+	for _, c := range predict.Children {
+		stages[c.Name] = true
+		if c.Count != n {
+			t.Errorf("stage %s: count %d, want %d", c.Name, c.Count, n)
+		}
+		busy += c.WallNS
+	}
+	for _, name := range []string{SpanDecode, SpanValidate, SpanAdmit, SpanCompute, SpanEncode} {
+		if !stages[name] {
+			t.Errorf("predict has no %s stage (children %v)", name, stages)
+		}
+	}
+	if busy > predict.WallNS {
+		t.Errorf("stages sum to %d ns, more than predict's %d ns", busy, predict.WallNS)
+	}
+}
+
 // TestPredictBatchEndpoint: /v1/predict:batch answers with the same
 // labels as direct PredictBatch, outside /v1/predict's admission and
 // task accounting.

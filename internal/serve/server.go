@@ -105,6 +105,11 @@ type Server struct {
 	// channel is closed. It exists for tests that need requests held
 	// between admission and prediction; it is nil in production.
 	predictGate chan chan struct{}
+	// refDecode, when true, decodes every request body with
+	// encoding/json alone, skipping the canonical pass (decode.go). It
+	// exists for the differential fuzz target, which compares the two
+	// paths through the handlers; it is false in production.
+	refDecode bool
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -135,6 +140,30 @@ type Server struct {
 	spanBatch   *obs.Span
 	spanReload  *obs.Span
 	spanStream  *obs.Span
+
+	// Per-stage aggregate children of spanPredict, spanBatch and
+	// spanStream (obsnames.go): each handler folds its stages' wall
+	// time in with a stageClock.
+	predictDecode, predictValidate, predictAdmit, predictCompute, predictEncode *obs.Span
+	batchDecode, batchCompute                                                   *obs.Span
+	streamDecode, streamCompute                                                 *obs.Span
+}
+
+// stageClock splits one request's handling time into consecutive
+// stages: enter ends the current stage, folding its wall time into its
+// span, and starts the next; enter(nil) ends the last one. A request
+// that fails inside a stage leaves that stage's span holding the time
+// up to the handler's return, its error write included. It lives on
+// the handler's stack and allocates nothing.
+type stageClock struct {
+	last  time.Time
+	stage *obs.Span
+}
+
+func (c *stageClock) enter(next *obs.Span) {
+	now := time.Now()
+	c.stage.Add(now.Sub(c.last))
+	c.last, c.stage = now, next
 }
 
 // New builds a Server over cfg.ModelDir, performing the initial load.
@@ -181,6 +210,15 @@ func New(cfg Config) (*Server, error) {
 	s.spanBatch = root.Child(SpanPredictBatch)
 	s.spanReload = root.Child(SpanReload)
 	s.spanStream = root.Child(SpanStream)
+	s.predictDecode = s.spanPredict.Child(SpanDecode)
+	s.predictValidate = s.spanPredict.Child(SpanValidate)
+	s.predictAdmit = s.spanPredict.Child(SpanAdmit)
+	s.predictCompute = s.spanPredict.Child(SpanCompute)
+	s.predictEncode = s.spanPredict.Child(SpanEncode)
+	s.batchDecode = s.spanBatch.Child(SpanDecode)
+	s.batchCompute = s.spanBatch.Child(SpanCompute)
+	s.streamDecode = s.spanStream.Child(SpanDecode)
+	s.streamCompute = s.spanStream.Child(SpanCompute)
 	if _, err := s.store.Reload(); err != nil {
 		return nil, err
 	}
@@ -383,27 +421,15 @@ func (s *Server) guarded(fn http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// decodeBody decodes a JSON request body under the size cap.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return err
-		}
-		return fmt.Errorf("%w: decoding request: %v", rpm.ErrBadInput, err)
-	}
-	return nil
-}
-
 // handlePredict serves POST /v1/predict: one series in, one label out,
 // computed on the handler's own goroutine once the request holds an
 // admission slot.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	clock := stageClock{last: time.Now(), stage: s.predictDecode}
+	start := clock.last
 	defer func() {
-		d := time.Since(start)
+		clock.enter(nil)
+		d := clock.last.Sub(start)
 		s.latPredict.Observe(d)
 		s.spanPredict.Add(d)
 	}()
@@ -413,10 +439,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorFor(w, err)
 		return
 	}
+	clock.enter(s.predictValidate)
 	if err := rpm.ValidateSeries(req.Values); err != nil {
 		s.writeErrorFor(w, err)
 		return
 	}
+	clock.enter(s.predictAdmit)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	// Injected deadline exhaustion (faults.SiteDeadline): the request's
@@ -454,6 +482,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolved once, after admission, so a reload redirects the very next
 	// computation.
+	clock.enter(s.predictCompute)
 	m, err := s.store.Get(req.Model)
 	if err != nil {
 		s.writeErrorFor(w, err)
@@ -466,6 +495,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.taskItems.Inc()
 	s.taskPool.WorkerTask(0, d)
 	s.taskPool.RunDone(1, d)
+	clock.enter(s.predictEncode)
 	s.writeResult(w, serveclient.PredictResult{Model: m.Name, Version: m.Version, Label: label})
 }
 
@@ -488,9 +518,11 @@ func (s *Server) tryAdmit() bool {
 // goes to one PredictBatchContext call, fanned out over Config.Workers,
 // under the request deadline.
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	clock := stageClock{last: time.Now(), stage: s.batchDecode}
+	start := clock.last
 	defer func() {
-		d := time.Since(start)
+		clock.enter(nil)
+		d := clock.last.Sub(start)
 		s.latBatch.Observe(d)
 		s.spanBatch.Add(d)
 	}()
@@ -500,6 +532,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorFor(w, err)
 		return
 	}
+	clock.enter(s.batchCompute)
 	if len(req.Series) == 0 {
 		s.writeError(w, http.StatusBadRequest, "bad_input", "empty series batch")
 		return
@@ -527,6 +560,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorFor(w, err)
 		return
 	}
+	clock.enter(nil)
 	s.writeResult(w, serveclient.BatchResult{Model: m.Name, Version: m.Version, Labels: labels})
 }
 

@@ -95,9 +95,11 @@ func (s *Server) validateChunk(values []float64) error {
 // handleStreamAppend serves POST /v1/streams/{id}: append a chunk to
 // the stream, creating it against the resolved model on first touch.
 func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	clock := stageClock{last: time.Now(), stage: s.streamDecode}
+	start := clock.last
 	defer func() {
-		d := time.Since(start)
+		clock.enter(nil)
+		d := clock.last.Sub(start)
 		s.latStream.Observe(d)
 		s.spanStream.Add(d)
 	}()
@@ -110,6 +112,7 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorFor(w, err)
 		return
 	}
+	clock.enter(s.streamCompute)
 	if err := s.validateChunk(req.Values); err != nil {
 		s.writeErrorFor(w, err)
 		return
@@ -155,6 +158,7 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.streamSamples.Add(int64(len(req.Values)))
 	s.streamEvents.Add(int64(len(res.Events)))
+	clock.enter(nil)
 	s.writeResult(w, streamAppendResponse{
 		streamState: stateOf(st, res),
 		Created:     created,
