@@ -186,12 +186,12 @@ func main() {
 	opts := rpm.DefaultOptions()
 	opts.Seed, opts.Workers, opts.Bags = *seed, *workers, *bags
 	opts.Sample = rpm.SampleOptions{Rate: *sampleRate, Seed: *sampleSeed}
-	modes := map[string]rpm.ParamMode{"direct": rpm.ParamDIRECT, "grid": rpm.ParamGrid, "fixed": rpm.ParamFixed}
-	m, ok := modes[*mode]
-	if !ok {
+	modes := []rpm.ParamMode{rpm.ParamDIRECT, rpm.ParamGrid, rpm.ParamFixed}
+	i := slices.IndexFunc(modes, func(m rpm.ParamMode) bool { return m.String() == *mode })
+	if i < 0 {
 		fatal(fmt.Errorf("unknown -mode %q (direct, grid, fixed)", *mode))
 	}
-	if opts.Mode = m; m == rpm.ParamFixed {
+	if opts.Mode = modes[i]; opts.Mode == rpm.ParamFixed {
 		opts.Params = rpm.SAXParams{Window: *window, PAA: *paa, Alphabet: *alpha}
 	}
 	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers}

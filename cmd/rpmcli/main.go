@@ -30,19 +30,20 @@ import (
 )
 
 func main() {
+	def := rpm.DefaultOptions()
 	trainPath := flag.String("train", "", "UCR-format training file (required)")
 	testPath := flag.String("test", "", "UCR-format test file (required unless -motifs)")
-	mode := flag.String("mode", "direct", "parameter selection: direct, grid, fixed")
+	mode := flag.String("mode", def.Mode.String(), "parameter selection: direct, grid, fixed")
 	window := flag.Int("window", 0, "SAX window (fixed mode)")
 	paa := flag.Int("paa", 0, "SAX PAA size (fixed mode)")
 	alpha := flag.Int("alpha", 0, "SAX alphabet size (fixed mode)")
-	gamma := flag.Float64("gamma", 0.2, "minimum pattern support fraction")
-	tau := flag.Float64("tau", 30, "similar-pattern threshold percentile")
+	gamma := flag.Float64("gamma", def.Gamma, "minimum pattern support fraction")
+	tau := flag.Float64("tau", def.TauPercentile, "similar-pattern threshold percentile")
 	rotInv := flag.Bool("rotinv", false, "rotation-invariant classification")
 	medoid := flag.Bool("medoid", false, "use cluster medoids instead of centroids")
-	seed := flag.Int64("seed", 1, "random seed")
-	splits := flag.Int("splits", 5, "train/validate splits per parameter evaluation")
-	maxEvals := flag.Int("maxevals", 60, "parameter-search evaluations per class")
+	seed := flag.Int64("seed", def.Seed, "random seed")
+	splits := flag.Int("splits", def.Splits, "train/validate splits per parameter evaluation")
+	maxEvals := flag.Int("maxevals", def.MaxEvals, "parameter-search evaluations per class")
 	showPatterns := flag.Bool("patterns", false, "print the representative patterns")
 	znorm := flag.Bool("znorm", false, "z-normalize instances before training")
 	saveModel := flag.String("save", "", "write the trained model to this file")
@@ -95,7 +96,7 @@ func main() {
 		rpm.ZNormalize(train)
 	}
 
-	opts := rpm.DefaultOptions()
+	opts := def
 	opts.Gamma = *gamma
 	opts.TauPercentile = *tau
 	opts.RotationInvariant = *rotInv
@@ -104,16 +105,13 @@ func main() {
 	opts.Splits = *splits
 	opts.MaxEvals = *maxEvals
 	opts.Instrument = *report != ""
-	switch *mode {
-	case "direct":
-		opts.Mode = rpm.ParamDIRECT
-	case "grid":
-		opts.Mode = rpm.ParamGrid
-	case "fixed":
-		opts.Mode = rpm.ParamFixed
-		opts.Params = rpm.SAXParams{Window: *window, PAA: *paa, Alphabet: *alpha}
-	default:
+	modes := []rpm.ParamMode{rpm.ParamDIRECT, rpm.ParamGrid, rpm.ParamFixed}
+	i := slices.IndexFunc(modes, func(m rpm.ParamMode) bool { return m.String() == *mode })
+	if i < 0 {
 		fatal(fmt.Errorf("unknown mode %q", *mode))
+	}
+	if opts.Mode = modes[i]; opts.Mode == rpm.ParamFixed {
+		opts.Params = rpm.SAXParams{Window: *window, PAA: *paa, Alphabet: *alpha}
 	}
 
 	if *motifsOnly {

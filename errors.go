@@ -191,47 +191,3 @@ func validateTrainingSet(op string, d Dataset, minLen int, requireTwoClasses boo
 	}
 	return nil
 }
-
-// validateOptions checks the user-settable knobs that core would
-// otherwise reject later (or silently reinterpret). minLen is the
-// shortest training series, for the fixed-parameter window check. Range
-// checks are written !(in range) so NaN is rejected too.
-func validateOptions(op string, o Options, minLen int) error {
-	if !(o.Gamma >= 0 && o.Gamma <= 1) {
-		return apiErrf(op, ErrBadInput, "Gamma %v outside [0,1] (0 means default)", o.Gamma)
-	}
-	if !(o.TauPercentile >= 0 && o.TauPercentile <= 100) {
-		return apiErrf(op, ErrBadInput, "TauPercentile %v outside [0,100] (0 means default)", o.TauPercentile)
-	}
-	if o.Splits < 0 {
-		return apiErrf(op, ErrBadInput, "Splits %d negative", o.Splits)
-	}
-	if o.MaxEvals < 0 {
-		return apiErrf(op, ErrBadInput, "MaxEvals %d negative", o.MaxEvals)
-	}
-	switch o.Mode {
-	case ParamDIRECT, ParamGrid, ParamFixed:
-	default:
-		return apiErrf(op, ErrBadInput, "unknown ParamMode %d", int(o.Mode))
-	}
-	switch o.GI {
-	case GISequitur, GIRePair:
-	default:
-		return apiErrf(op, ErrBadInput, "unknown GIAlgorithm %d", int(o.GI))
-	}
-	if !(o.Sample.Rate >= 0 && o.Sample.Rate <= 1) {
-		return apiErrf(op, ErrBadInput, "Sample.Rate %v outside [0,1] (0 and 1 mean exhaustive)", o.Sample.Rate)
-	}
-	if o.Bags < 0 {
-		return apiErrf(op, ErrBadInput, "Bags %d negative", o.Bags)
-	}
-	if o.Bags > 1 && !(o.Sample.Rate > 0 && o.Sample.Rate < 1) {
-		return apiErrf(op, ErrBadInput, "Bags %d requires Sample.Rate in (0,1): with exhaustive mining every member is identical", o.Bags)
-	}
-	if o.Mode == ParamFixed && o.Params != (SAXParams{}) {
-		if err := o.Params.Validate(minLen); err != nil {
-			return apiErr(op, ErrBadInput, err)
-		}
-	}
-	return nil
-}

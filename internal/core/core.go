@@ -11,6 +11,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -76,9 +77,9 @@ func (g GIAlgorithm) String() string {
 }
 
 // Options configures RPM training; package rpm re-exports it. Start from
-// DefaultOptions: this package rejects a zero Gamma, and the zero Mode
-// is ParamFixed. Package rpm's entry points fill a zero Gamma,
-// TauPercentile, Splits, MaxEvals or Seed from DefaultOptions.
+// DefaultOptions: a zero Gamma, TauPercentile, Splits, MaxEvals or Seed
+// takes its default, and the zero Mode is ParamFixed. Training and
+// DiscoverMotifs check and default every field in one place, resolve.
 type Options struct {
 	// Gamma is the minimum pattern support as a fraction of the class's
 	// training instances (paper §3.2, default 0.2 as in §5.2).
@@ -159,6 +160,47 @@ func DefaultOptions() Options {
 		MaxEvals:            60,
 		Seed:                1,
 	}
+}
+
+// resolve is the one owner of the Options rules, applied by every
+// training entry point and by DiscoverMotifs. It rejects out-of-range
+// knobs (written !(in range) so NaN fails too), an unknown Mode or GI,
+// Bags > 1 without active sampling, and fixed Params that do not fit
+// series of minLen points. It then fills each zero Gamma,
+// TauPercentile, Splits, MaxEvals and Seed from DefaultOptions.
+func (o Options) resolve(minLen int) (Options, error) {
+	switch {
+	case !(o.Gamma >= 0 && o.Gamma <= 1):
+		return o, fmt.Errorf("Gamma %v outside [0,1] (0 means default)", o.Gamma)
+	case !(o.TauPercentile >= 0 && o.TauPercentile <= 100):
+		return o, fmt.Errorf("TauPercentile %v outside [0,100] (0 means default)", o.TauPercentile)
+	case o.Splits < 0:
+		return o, fmt.Errorf("Splits %d negative", o.Splits)
+	case o.MaxEvals < 0:
+		return o, fmt.Errorf("MaxEvals %d negative", o.MaxEvals)
+	case o.Mode != ParamFixed && o.Mode != ParamGrid && o.Mode != ParamDIRECT:
+		return o, fmt.Errorf("unknown ParamMode %d", int(o.Mode))
+	case o.GI != GISequitur && o.GI != GIRePair:
+		return o, fmt.Errorf("unknown GIAlgorithm %d", int(o.GI))
+	case !(o.Sample.Rate >= 0 && o.Sample.Rate <= 1):
+		return o, fmt.Errorf("Sample.Rate %v outside [0,1] (0 and 1 mean exhaustive)", o.Sample.Rate)
+	case o.Bags < 0:
+		return o, fmt.Errorf("Bags %d negative", o.Bags)
+	case o.Bags > 1 && !o.Sample.active():
+		return o, fmt.Errorf("Bags %d requires Sample.Rate in (0,1): with exhaustive mining every member is identical", o.Bags)
+	}
+	if o.Mode == ParamFixed && o.Params != (sax.Params{}) {
+		if err := o.Params.Validate(minLen); err != nil {
+			return o, err
+		}
+	}
+	d := DefaultOptions()
+	o.Gamma = cmp.Or(o.Gamma, d.Gamma)
+	o.TauPercentile = cmp.Or(o.TauPercentile, d.TauPercentile)
+	o.Splits = cmp.Or(o.Splits, d.Splits)
+	o.MaxEvals = cmp.Or(o.MaxEvals, d.MaxEvals)
+	o.Seed = cmp.Or(o.Seed, d.Seed)
+	return o, nil
 }
 
 // Pattern is one representative pattern: a z-normalized prototype

@@ -197,9 +197,9 @@ func TestTrainErrors(t *testing.T) {
 	}
 	s := datagen.MustByName("SynItalyPower").Generate(10)
 	o := DefaultOptions()
-	o.Gamma = 0
+	o.Gamma = -0.1
 	if _, err := Train(s.Train, o); err == nil {
-		t.Error("expected error for gamma 0")
+		t.Error("expected error for negative gamma")
 	}
 	o = DefaultOptions()
 	o.Gamma = 1.5
@@ -210,6 +210,24 @@ func TestTrainErrors(t *testing.T) {
 	o.Mode = ParamMode(99)
 	if _, err := Train(s.Train, o); err == nil {
 		t.Error("expected error for unknown mode")
+	}
+}
+
+// TestResolveFillsZeroDefaults pins the zero-means-default rule of
+// Options.resolve: a zero Gamma, TauPercentile, Splits, MaxEvals and
+// Seed take DefaultOptions' values, and every field set passes through.
+func TestResolveFillsZeroDefaults(t *testing.T) {
+	got, err := Options{Workers: 3, Bags: 1}.resolve(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Options{Gamma: 0.2, TauPercentile: 30, Splits: 5, MaxEvals: 60, Seed: 1, Workers: 3, Bags: 1}
+	if got != want {
+		t.Fatalf("resolve(zero) = %+v, want %+v", got, want)
+	}
+	set := Options{Gamma: 0.5, TauPercentile: 10, Splits: 2, MaxEvals: 7, Seed: 9, Mode: ParamGrid}
+	if got, err := set.resolve(10); err != nil || got != set {
+		t.Fatalf("resolve(set) = %+v, %v; want %+v unchanged", got, err, set)
 	}
 }
 

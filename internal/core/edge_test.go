@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rpm/internal/datagen"
 	"rpm/internal/sax"
 	"rpm/internal/ts"
 )
@@ -140,17 +141,10 @@ func TestTrainVeryShortSeries(t *testing.T) {
 
 func TestTrainWindowLargerThanSeriesFails(t *testing.T) {
 	d := edgeDataset(8, 32, 5)
-	// fixed params with window > series length: candidate generation
-	// yields nothing (Validate fails per class), fallback must engage
-	c, err := Train(d, fixedOpts(sax.Params{Window: 64, PAA: 4, Alphabet: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumPatterns() != 0 {
-		t.Error("window > length should yield no patterns")
-	}
-	if got := c.Predict(d[0].Values); got != d[0].Label {
-		t.Error("fallback misclassifies training instance")
+	// fixed params with window > series length cannot fit any series:
+	// training rejects them up front rather than mining nothing
+	if _, err := Train(d, fixedOpts(sax.Params{Window: 64, PAA: 4, Alphabet: 3})); err == nil {
+		t.Fatal("window > series length accepted")
 	}
 }
 
@@ -207,6 +201,27 @@ func TestTrainRejectsNonFiniteOptions(t *testing.T) {
 					t.Errorf("%s=%v bags=%d: training accepted it", name, v, bags)
 				}
 			}
+		}
+	}
+}
+
+// TestPredictRepeatableOnOverflowingSeries: a series whose values reach
+// ±1e308 overflows the window statistics (NaN distances past the
+// overflow), yet Predict must give it one label however the pooled
+// scratch's carried seeds were left by the query before.
+func TestPredictRepeatableOnOverflowingSeries(t *testing.T) {
+	s := datagen.MustByName("SynCBF").Generate(1)
+	c, err := Train(s.Train, fixedOpts(sax.Params{Window: 40, PAA: 6, Alphabet: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := append([]float64(nil), s.Test[0].Values...)
+	v[50], v[90] = 1e308, -1e308
+	want := c.Predict(v)
+	for i := 0; i < 300; i++ {
+		c.Predict(s.Test[i%len(s.Test)].Values)
+		if got := c.Predict(v); got != want {
+			t.Fatalf("call %d: label %d, first call gave %d", i, got, want)
 		}
 	}
 }

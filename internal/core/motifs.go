@@ -38,12 +38,18 @@ type Motif struct {
 // and returns each class's motifs with their full occurrence lists, sorted
 // by support (descending). Unlike Train, no discrimination-based pruning
 // happens: this is frequent-pattern discovery, the paper's "class-specific
-// subspace motifs".
+// subspace motifs". opts goes through the same checks and defaults as
+// Train's (Options.resolve); options Train rejects find no motif, so
+// every class's entry is empty.
 func DiscoverMotifs(train ts.Dataset, p sax.Params, opts Options) map[int][]Motif {
+	opts, err := opts.resolve(train.MinLen())
 	out := map[int][]Motif{}
 	byClass := train.ByClass()
 	for _, class := range train.Classes() {
-		groups := findMotifGroups(byClass[class], nil, class, p, opts, run{})
+		var groups []motifGroup
+		if err == nil {
+			groups = findMotifGroups(byClass[class], nil, class, p, opts, run{})
+		}
 		motifs := make([]Motif, 0, len(groups))
 		for _, g := range groups {
 			motifs = append(motifs, g.toMotif())

@@ -61,8 +61,7 @@ func (r run) stages(prefix string) run {
 }
 
 // begin is the prologue TrainContext and TrainBaggedContext share: it
-// rejects an empty training set and out-of-range knobs — written as
-// !(in range) so NaN fails too — fills the search defaults, and returns
+// rejects an empty training set, applies Options.resolve, and returns
 // the run, with a registry only under Instrument, whose SpanTrain span
 // the caller ends. Recording never feeds back into the computation.
 func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context, Options, run, error) {
@@ -72,20 +71,9 @@ func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context
 	if len(train) == 0 {
 		return nil, opts, run{}, errors.New("core: empty training set")
 	}
-	if !(opts.Gamma > 0 && opts.Gamma <= 1) {
-		return nil, opts, run{}, fmt.Errorf("core: gamma %v outside (0,1]", opts.Gamma)
-	}
-	if !(opts.TauPercentile >= 0 && opts.TauPercentile <= 100) {
-		return nil, opts, run{}, fmt.Errorf("core: tau percentile %v outside [0,100]", opts.TauPercentile)
-	}
-	if !(opts.Sample.Rate >= 0 && opts.Sample.Rate <= 1) {
-		return nil, opts, run{}, fmt.Errorf("core: sample rate %v outside [0,1]", opts.Sample.Rate)
-	}
-	if opts.Splits <= 0 {
-		opts.Splits = 5
-	}
-	if opts.MaxEvals <= 0 {
-		opts.MaxEvals = 60
+	opts, err := opts.resolve(train.MinLen())
+	if err != nil {
+		return nil, opts, run{}, err
 	}
 	var r run
 	if opts.Instrument {
@@ -138,12 +126,10 @@ func chooseParams(ctx context.Context, train ts.Dataset, classes []int, opts Opt
 			perClass[c] = p
 		}
 		return perClass, nil
-	case ParamGrid, ParamDIRECT:
+	default: // ParamGrid or ParamDIRECT; resolve rejected every other Mode
 		search := r.span.Start(SpanParamSearch)
 		defer search.End()
 		return selectParams(ctx, train, opts, run{reg: r.reg, span: search})
-	default:
-		return nil, fmt.Errorf("core: unknown parameter mode %v", opts.Mode)
 	}
 }
 

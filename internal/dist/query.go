@@ -159,12 +159,15 @@ func (m *Matcher) scanStats(series []float64, st *WindowStats, seedPos int) Matc
 	nw := len(series) - n + 1
 	best := math.Inf(1)
 	bestPos := -1
+	// The seed is taken on the scan's own rule, d < best: a NaN or +Inf
+	// seed distance (overflowed window stats) is one the unseeded scan
+	// never picks, so it is scanned like any other window instead.
 	if seedPos >= 0 && seedPos < nw {
-		best = m.windowDist(series[seedPos:seedPos+n], st.mean[seedPos], st.inv[seedPos], math.Inf(1))
-		bestPos = seedPos
-	} else {
-		seedPos = -1
+		if d := m.windowDist(series[seedPos:seedPos+n], st.mean[seedPos], st.inv[seedPos], best); d < best {
+			best, bestPos = d, seedPos
+		}
 	}
+	seedPos = bestPos // -1 unless the seed was taken
 	means, invs := st.mean, st.inv
 	// Two-pass scan: a coarse stride pass first, then the skipped
 	// windows. Window distances vary smoothly with position, so the

@@ -206,6 +206,27 @@ func TestBestQuerySeededTieHeavy(t *testing.T) {
 	}
 }
 
+// TestBestQuerySeededOverflow: once a window's sum of squares overflows
+// (values near ±1e308), the rolling recurrence yields NaN window stats
+// and NaN distances from there on. Best never picks such a window, so a
+// seed there must not stick as the best either: every seed resolves to
+// Best's Match.
+func TestBestQuerySeededOverflow(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	series := makeSeries(rng, 83)
+	series[40], series[60] = 1e308, -1e308
+	q := NewQuery(series)
+	for _, n := range []int{3, 10, 24} {
+		m := NewMatcher(makeSeries(rng, n))
+		want := m.Best(series)
+		for sp := -1; sp <= len(series)-n; sp++ {
+			if got := m.BestQuerySeeded(q, sp); got != want {
+				t.Errorf("len %d seed %d: %+v != Best %+v", n, sp, got, want)
+			}
+		}
+	}
+}
+
 // TestBestQueryGroupBitIdentical pins the group entry point: every
 // matcher's result must equal the oracle kernel's bit for bit, whatever
 // its seed (valid, invalid or -1) and with nil seeds meaning all

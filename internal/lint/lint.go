@@ -114,6 +114,12 @@ func Defaults() Config {
 			"rpm/internal/stream",
 			"rpm/internal/fastshapelets",
 			"rpm/internal/saxvsm",
+			"rpm/internal/learnshapelets",
+			"rpm/internal/nn",
+			"rpm/internal/stats",
+			"rpm/internal/datagen",
+			"rpm/internal/repair",
+			"rpm/internal/ts",
 		},
 		ObsPkg: "rpm/internal/obs",
 		ErrTaxonomyPkgs: []string{

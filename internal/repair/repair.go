@@ -86,6 +86,7 @@ func mostFrequentDigram(seq []int) ([2]int, int) {
 	}
 	var best [2]int
 	bestC := 0
+	//rpmlint:ignore detmap argmax under the total order (count desc, pair asc) is order-free
 	for p, c := range counts {
 		if c > bestC || (c == bestC && less(p, best)) {
 			best = p

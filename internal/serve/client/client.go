@@ -6,9 +6,8 @@
 // healthy ones. cmd/rpmload (-retries) and cmd/rpmcli (-remote) are the
 // command-line surfaces.
 //
-// Retry policy matrix (only requests marked idempotent are ever
-// retried; Predict/PredictBatch/Ready are pure functions of their
-// input, hence idempotent):
+// Retry policy matrix of Predict and PredictBatch (pure functions of
+// their input, hence idempotent and safe to retry):
 //
 //	outcome               retried   breaker    backoff
 //	transport error       yes       failure    jittered
@@ -227,7 +226,7 @@ func (c *Client) Predict(ctx context.Context, model string, values []float64) (P
 	if err != nil {
 		return PredictResult{}, fmt.Errorf("serveclient: marshal: %w", err)
 	}
-	data, err := c.do(ctx, model, "/v1/predict", body, true)
+	data, err := c.do(ctx, model, "/v1/predict", body)
 	if err != nil {
 		return PredictResult{}, err
 	}
@@ -244,7 +243,7 @@ func (c *Client) PredictBatch(ctx context.Context, model string, series [][]floa
 	if err != nil {
 		return BatchResult{}, fmt.Errorf("serveclient: marshal: %w", err)
 	}
-	data, err := c.do(ctx, model, "/v1/predict:batch", body, true)
+	data, err := c.do(ctx, model, "/v1/predict:batch", body)
 	if err != nil {
 		return BatchResult{}, err
 	}
@@ -294,8 +293,9 @@ func (c *Client) WaitReady(ctx context.Context, budget time.Duration) error {
 // Core retry loop
 
 // do runs one logical POST through the model's breaker and the retry
-// policy, returning the 200 body or the terminal error.
-func (c *Client) do(ctx context.Context, model, path string, body []byte, idempotent bool) ([]byte, error) {
+// policy, returning the 200 body or the terminal error. Every POST the
+// client sends is idempotent, so every one may be retried.
+func (c *Client) do(ctx context.Context, model, path string, body []byte) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.OverallTimeout)
 	defer cancel()
 	br := c.breakerFor(model)
@@ -319,10 +319,11 @@ func (c *Client) do(ctx context.Context, model, path string, body []byte, idempo
 			return data, nil
 		case err != nil:
 			// Transport failure: the server's health is unknown and the
-			// request may or may not have run — retry only if idempotent.
+			// request may or may not have run, which an idempotent
+			// request can afford.
 			br.record(false, c.now())
 			lastErr = err
-			if !idempotent || ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return nil, err
 			}
 		default:
@@ -332,7 +333,7 @@ func (c *Client) do(ctx context.Context, model, path string, body []byte, idempo
 				br.record(true, c.now())
 			}
 			lastErr = apiErr
-			if !idempotent || !retryableStatus(apiErr.Status) {
+			if !retryableStatus(apiErr.Status) {
 				return nil, apiErr
 			}
 		}

@@ -229,15 +229,6 @@ func (m *Model) Predict(x []float64) int {
 	return best
 }
 
-// PredictBatch classifies every row of X.
-func (m *Model) PredictBatch(X [][]float64) []int {
-	out := make([]int, len(X))
-	for i, x := range X {
-		out[i] = m.Predict(x)
-	}
-	return out
-}
-
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {

@@ -143,22 +143,6 @@ func TestDecisionValuesOrdered(t *testing.T) {
 	}
 }
 
-func TestPredictBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	X, y := linearlySeparable(rng, 40)
-	m := Train(X, y, 0)
-	preds := m.PredictBatch(X)
-	if len(preds) != len(X) {
-		t.Fatal("batch size mismatch")
-	}
-	for i := range preds {
-		if preds[i] != m.Predict(X[i]) {
-			t.Fatal("batch and single predictions differ")
-		}
-	}
-	_ = y
-}
-
 func TestTrainDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	X, y := linearlySeparable(rng, 50)

@@ -24,7 +24,8 @@ type Motif = core.Motif
 // Every class of train has an entry, empty when it has no motif.
 // params are the SAX parameters; opts controls gamma, numerosity
 // reduction, the GI algorithm and the prototype choice — its parameter-
-// search fields are ignored.
+// search fields are ignored. opts is checked and defaulted as Train
+// does; options Train rejects find no motif for any class.
 func DiscoverMotifs(train Dataset, params SAXParams, opts Options) map[int][]Motif {
-	return core.DiscoverMotifs(train, params, withDefaults(opts))
+	return core.DiscoverMotifs(train, params, opts)
 }

@@ -1,6 +1,9 @@
 package rpm
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestDiscoverMotifs(t *testing.T) {
 	split := GenerateDataset("SynCBF", 1)
@@ -59,6 +62,32 @@ func TestDiscoverMotifsSaveLoadIndependence(t *testing.T) {
 	for class := range m1 {
 		if len(m1[class]) != len(m2[class]) {
 			t.Errorf("class %d: motif counts differ with unrelated options", class)
+		}
+	}
+}
+
+// TestDiscoverMotifsOptionRules: DiscoverMotifs takes Train's option
+// rules. A zero Gamma means the default one, so it finds exactly
+// DefaultOptions' motifs; an option Train rejects finds none, leaving
+// every class's entry empty.
+func TestDiscoverMotifsOptionRules(t *testing.T) {
+	split := GenerateDataset("SynCBF", 1)
+	p := SAXParams{Window: 40, PAA: 6, Alphabet: 4}
+	zero := DefaultOptions()
+	zero.Gamma = 0
+	want := DiscoverMotifs(split.Train, p, DefaultOptions())
+	if got := DiscoverMotifs(split.Train, p, zero); !reflect.DeepEqual(got, want) {
+		t.Fatal("zero Gamma found different motifs than DefaultOptions")
+	}
+	bad := DefaultOptions()
+	bad.MaxEvals = -1
+	got := DiscoverMotifs(split.Train, p, bad)
+	if len(got) != len(want) {
+		t.Fatalf("rejected options: %d class entries, want %d", len(got), len(want))
+	}
+	for class, ms := range got {
+		if len(ms) != 0 {
+			t.Errorf("rejected options: class %d has %d motifs", class, len(ms))
 		}
 	}
 }

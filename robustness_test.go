@@ -23,9 +23,10 @@ func smallTrainSet() Dataset {
 	return GenerateDataset("SynGunPoint", 1).Train[:10]
 }
 
-// TestTrainHostileInputs is the hostile-input matrix of ISSUE.md: every
-// malformed training set or option must come back as a typed *Error
-// matching the right sentinel, never a panic.
+// TestTrainHostileInputs is the hostile-input matrix: every malformed
+// training set or option must come back from both Train and
+// TrainEnsembleContext as a typed *Error matching the right sentinel,
+// never a panic.
 func TestTrainHostileInputs(t *testing.T) {
 	good := smallTrainSet()
 	nanSet := append(Dataset{}, good...)
@@ -82,21 +83,30 @@ func TestTrainHostileInputs(t *testing.T) {
 		{"negative splits", good, negSplits, ErrBadInput},
 		{"negative max evals", good, negEvals, ErrBadInput},
 	}
+	fits := map[string]func(Dataset, Options) error{
+		"Train": func(d Dataset, o Options) error { _, err := Train(d, o); return err },
+		"TrainEnsembleContext": func(d Dataset, o Options) error {
+			_, err := TrainEnsembleContext(context.Background(), d, o)
+			return err
+		},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clf, err := Train(tc.train, tc.opts)
-			if err == nil {
-				t.Fatalf("Train accepted hostile input (got %d patterns)", len(clf.Patterns()))
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("err = %v, want errors.Is(err, %v)", err, tc.want)
-			}
-			var e *Error
-			if !errors.As(err, &e) {
-				t.Fatalf("err %T is not a *rpm.Error", err)
-			}
-			if e.Op != "Train" {
-				t.Fatalf("Op = %q, want Train", e.Op)
+			for op, fit := range fits {
+				err := fit(tc.train, tc.opts)
+				if err == nil {
+					t.Fatalf("%s accepted hostile input", op)
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("%s: err = %v, want errors.Is(err, %v)", op, err, tc.want)
+				}
+				var e *Error
+				if !errors.As(err, &e) {
+					t.Fatalf("%s: err %T is not a *rpm.Error", op, err)
+				}
+				if e.Op != op {
+					t.Fatalf("Op = %q, want %s", e.Op, op)
+				}
 			}
 		})
 	}

@@ -105,7 +105,10 @@ const (
 // Bags > 1 requires Sample.Rate in (0,1); Seed (1); Instrument, record
 // the run for Classifier.TrainReport without changing the model; and
 // Workers, the concurrency bound of training and PredictBatch (0 every
-// core, 1 sequential), which never changes results.
+// core, 1 sequential), which never changes results. Train,
+// TrainEnsembleContext and DiscoverMotifs check and default Options by
+// the same rules, owned by internal/core; Train reports a value out of
+// range as ErrBadInput.
 type Options = core.Options
 
 // SampleOptions configures the seeded candidate-pool subsampling of
@@ -156,20 +159,19 @@ func TrainContext(ctx context.Context, train Dataset, opts Options) (*Classifier
 }
 
 // trainBoundary is the public boundary shared by TrainContext and
-// TrainEnsembleContext: it validates the training set and options, then
-// runs fit under guard with its errors typed by wrapCoreErr.
+// TrainEnsembleContext: it validates the training set, then runs fit
+// under guard with its errors typed by wrapCoreErr. Options are checked
+// and defaulted by fit itself (internal/core), and a rejected option
+// comes back as ErrBadInput like every other core error.
 func trainBoundary[T any](ctx context.Context, op string, train Dataset, opts Options,
 	fit func(context.Context, ts.Dataset, core.Options) (T, error)) (T, error) {
 	var out T
 	if err := validateTrainingSet(op, train, MinSeriesLen, true); err != nil {
 		return out, err
 	}
-	if err := validateOptions(op, opts, train.MinLen()); err != nil {
-		return out, err
-	}
 	err := guard(op, func() error {
 		var err error
-		out, err = fit(ctx, train, withDefaults(opts))
+		out, err = fit(ctx, train, opts)
 		return wrapCoreErr(op, err)
 	})
 	return out, err
@@ -364,26 +366,3 @@ func ZNormalize(d Dataset) { ts.ZNormInstance(d) }
 // Rotate returns a copy of values circularly shifted at the cut point, the
 // distortion used in the paper's rotation-invariance study (§6.1).
 func Rotate(values []float64, cut int) []float64 { return ts.Rotate(values, cut) }
-
-// withDefaults fills each zero Gamma, TauPercentile, Splits, MaxEvals
-// and Seed from DefaultOptions, the façade's zero-means-default rule;
-// every other field passes through.
-func withDefaults(o Options) Options {
-	d := core.DefaultOptions()
-	if o.Gamma == 0 {
-		o.Gamma = d.Gamma
-	}
-	if o.TauPercentile == 0 {
-		o.TauPercentile = d.TauPercentile
-	}
-	if o.Splits == 0 {
-		o.Splits = d.Splits
-	}
-	if o.MaxEvals == 0 {
-		o.MaxEvals = d.MaxEvals
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}

@@ -43,10 +43,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestZeroOptionsTakeDefaults pins the façade's zero-means-default rule:
-// training with a zero Gamma, TauPercentile and Seed saves the same
-// bytes as DefaultOptions, and withDefaults also fills a zero Splits and
-// MaxEvals (which fixed mode never reads) while passing the rest through.
+// TestZeroOptionsTakeDefaults pins the zero-means-default rule through
+// the public API: training with a zero Gamma, TauPercentile and Seed
+// saves the same bytes as DefaultOptions. internal/core's
+// TestResolveFillsZeroDefaults pins the rule field by field.
 func TestZeroOptionsTakeDefaults(t *testing.T) {
 	split := GenerateDataset("SynCBF", 1)
 	save := func(o Options) []byte {
@@ -68,16 +68,6 @@ func TestZeroOptionsTakeDefaults(t *testing.T) {
 	zero.Gamma, zero.TauPercentile, zero.Seed = 0, 0, 0
 	if !bytes.Equal(save(def), save(zero)) {
 		t.Fatal("zero Gamma, TauPercentile and Seed saved a different model than DefaultOptions")
-	}
-
-	got := withDefaults(Options{Workers: 3, Bags: 2})
-	want := Options{Gamma: 0.2, TauPercentile: 30, Splits: 5, MaxEvals: 60, Seed: 1, Workers: 3, Bags: 2}
-	if got != want {
-		t.Fatalf("withDefaults(zero) = %+v, want %+v", got, want)
-	}
-	set := Options{Gamma: 0.5, TauPercentile: 10, Splits: 2, MaxEvals: 7, Seed: 9}
-	if got := withDefaults(set); got != set {
-		t.Fatalf("withDefaults changed set fields: %+v, want %+v", got, set)
 	}
 }
 
