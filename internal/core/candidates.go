@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rpm/internal/cluster"
-	"rpm/internal/dist"
 	"rpm/internal/parallel"
 	"rpm/internal/repair"
 	"rpm/internal/sax"
@@ -35,9 +34,12 @@ type occurrence struct {
 
 // findCandidates implements Algorithm 1 for a single class, reducing each
 // discovered motif group to its prototype candidate. seriesWords and r
-// are findMotifGroups'.
+// are findMotifGroups'; the scratch comes from r.scratch and goes back
+// once the groups, which point into it, are reduced.
 func findCandidates(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options, r run) []candidate {
-	groups := findMotifGroups(classTrain, seriesWords, class, p, opts, r)
+	sc := r.scratch.get()
+	defer r.scratch.put(sc)
+	groups := findMotifGroups(classTrain, seriesWords, class, p, opts, r, sc)
 	out := make([]candidate, 0, len(groups))
 	for _, g := range groups {
 		out = append(out, g.toCandidate())
@@ -52,12 +54,18 @@ func findCandidates(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int
 // recursive 2-way clustering, and emit a motif group per sufficiently
 // supported cluster. seriesWords, when non-nil, holds each series' own
 // SAX words under p (the parameter search's word cache); nil discretizes
-// them here.
-func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options, r run) []motifGroup {
+// them here. The concatenation, words, tokens, rule occurrences and the
+// returned groups live in sc, so the groups' occurrences point into it.
+func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class int, p sax.Params, opts Options, r run, sc *fitScratch) []motifGroup {
 	if len(classTrain) == 0 {
 		return nil
 	}
-	concat := ts.ConcatDataset(classTrain)
+	sc.series = grow(sc.series, len(classTrain))
+	for i, in := range classTrain {
+		sc.series[i] = in.Values
+	}
+	sc.concat = ts.ConcatInto(sc.concat, sc.series...)
+	concat := sc.concat
 	if p.Validate(len(concat.Values)) != nil {
 		return nil
 	}
@@ -68,14 +76,20 @@ func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class in
 	if seriesWords == nil {
 		seriesWords = discretizeSeries(concat, class, p, opts, r)
 	}
-	words := joinWords(seriesWords, concat.Starts)
+	sc.words = joinWords(sc.words[:0], seriesWords, concat.Starts)
+	words := sc.words
 	r.step1.Add(time.Since(t0))
 	if len(words) < 2 {
 		return nil
 	}
 	// Intern words as integer tokens for the grammar.
-	tokens := make([]int, len(words))
-	intern := map[string]int{}
+	sc.tokens = grow(sc.tokens, len(words))
+	tokens := sc.tokens
+	if sc.intern == nil {
+		sc.intern = map[string]int{}
+	}
+	intern := sc.intern
+	clear(intern)
 	for i, w := range words {
 		id, ok := intern[w.Word]
 		if !ok {
@@ -88,7 +102,7 @@ func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class in
 	// recursive 2-way cluster refinement, timed into the aggregate step2
 	// span with the same summed-across-classes semantics as step 1.
 	t1 := time.Now()
-	rules := inferRules(tokens, opts.GI)
+	rules := inferRules(tokens, opts.GI, sc)
 	minSupport := int(opts.Gamma * float64(len(classTrain)))
 	if minSupport < 2 {
 		minSupport = 2
@@ -99,16 +113,16 @@ func findMotifGroups(classTrain ts.Dataset, seriesWords [][]sax.WordAt, class in
 		// meaning is preserved; the absolute floor of 2 still holds).
 		minSupport = sampledMinSupport(minSupport, opts.Sample.Rate)
 	}
-	var out []motifGroup
+	sc.groups = sc.groups[:0]
 	for _, rule := range rules {
-		occs := ruleOccurrences(rule.spans, words, concat, p.Window)
-		if len(occs) < minSupport {
+		sc.occs = ruleOccurrences(sc.occs[:0], rule.spans, words, concat, p.Window)
+		if len(sc.occs) < minSupport {
 			continue
 		}
-		out = append(out, refineRule(occs, class, minSupport, opts, r)...)
+		sc.groups = refineRule(sc.groups, sc.occs, class, minSupport, opts, r, sc)
 	}
 	r.step2.Add(time.Since(t1))
-	return out
+	return sc.groups
 }
 
 // discretizeSeries returns the SAX words of each series of concat, each
@@ -146,19 +160,16 @@ func discretizeSeries(concat ts.Concatenated, class int, p sax.Params, opts Opti
 	return out
 }
 
-// joinWords concatenates per-series SAX words into the word sequence of
-// the concatenated series, shifting each series' offsets by its start.
+// joinWords appends to dst the per-series SAX words joined into the word
+// sequence of the concatenated series, shifting each series' offsets by
+// its start.
 // That is Discretize over the concatenation with every junction-spanning
 // window skipped: a window (Window ≥ 2) starting on a series' last point
 // always spans the junction, so at least one skipped window separates
 // two series' words, and the skip resets numerosity reduction exactly
 // where a fresh per-series Discretize starts.
-func joinWords(seriesWords [][]sax.WordAt, starts []int) []sax.WordAt {
-	n := 0
-	for _, ws := range seriesWords {
-		n += len(ws)
-	}
-	out := make([]sax.WordAt, 0, n)
+func joinWords(dst []sax.WordAt, seriesWords [][]sax.WordAt, starts []int) []sax.WordAt {
+	out := dst
 	for i, ws := range seriesWords {
 		for _, w := range ws {
 			out = append(out, sax.WordAt{Word: w.Word, Offset: w.Offset + starts[i]})
@@ -174,8 +185,8 @@ type grammarRule struct {
 }
 
 // inferRules runs the configured grammar-induction algorithm and returns
-// the rules in a uniform shape.
-func inferRules(tokens []int, gi GIAlgorithm) []grammarRule {
+// the rules in a uniform shape. Sequitur infers into sc's grammar.
+func inferRules(tokens []int, gi GIAlgorithm, sc *fitScratch) []grammarRule {
 	switch gi {
 	case GIRePair:
 		g := repair.Infer(tokens)
@@ -186,8 +197,8 @@ func inferRules(tokens []int, gi GIAlgorithm) []grammarRule {
 		}
 		return out
 	default:
-		g := sequitur.Infer(tokens)
-		rules := g.Rules()
+		sc.grammar = sequitur.InferInto(sc.grammar, tokens)
+		rules := sc.grammar.Rules()
 		out := make([]grammarRule, len(rules))
 		for i, r := range rules {
 			out[i] = grammarRule{spans: r.Spans}
@@ -196,11 +207,12 @@ func inferRules(tokens []int, gi GIAlgorithm) []grammarRule {
 	}
 }
 
-// ruleOccurrences maps a grammar rule's token spans back to raw
-// subsequences of the concatenated series, dropping occurrences that span
-// junctions between training instances (concatenation artifacts, §3.2.2).
-func ruleOccurrences(spans []sequitur.Span, words []sax.WordAt, concat ts.Concatenated, window int) []occurrence {
-	var out []occurrence
+// ruleOccurrences appends to dst a grammar rule's token spans mapped
+// back to raw subsequences of the concatenated series, dropping
+// occurrences that span junctions between training instances
+// (concatenation artifacts, §3.2.2).
+func ruleOccurrences(dst []occurrence, spans []sequitur.Span, words []sax.WordAt, concat ts.Concatenated, window int) []occurrence {
+	out := dst
 	for _, span := range spans {
 		startOff := words[span.Start].Offset
 		endOff := words[span.End].Offset + window - 1
@@ -223,15 +235,15 @@ func ruleOccurrences(spans []sequitur.Span, words []sax.WordAt, concat ts.Concat
 
 // refineRule clusters one rule's occurrences (paper: "a candidate motif
 // found by grammar induction may contain more than one group of similar
-// patterns") and turns every sufficiently supported cluster into a motif
-// group.
-func refineRule(occs []occurrence, class int, minSupport int, opts Options, r run) []motifGroup {
+// patterns") and appends to out a motif group per sufficiently supported
+// cluster. The pairwise matrix and the occurrences' matchers live in sc.
+func refineRule(out []motifGroup, occs []occurrence, class int, minSupport int, opts Options, r run, sc *fitScratch) []motifGroup {
 	n := len(occs)
-	d := make([][]float64, n)
-	matchers := make([]*dist.Matcher, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		matchers[i] = dist.NewMatcher(occs[i].values)
+	d := sc.matrix(n)
+	sc.matchers = grow(sc.matchers, n)
+	matchers := sc.matchers
+	for i := range matchers {
+		matchers[i].Reset(occs[i].values)
 	}
 	// The O(n²) pairwise closest-match matrix fans out by row: row i owns
 	// every cell (i, j) with j > i (and its mirror), so no cell has two
@@ -254,14 +266,10 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options, r ru
 	groups := cluster.SplitRefine(d, splitMinFrac)
 	ctrKept := r.reg.Counter(CtrClustersKept)
 	ctrDropped := r.reg.Counter(CtrClustersDropped)
-	var out []motifGroup
 	for _, g := range groups {
 		// support = distinct source instances (requirement (i) of §3.2)
-		seen := map[int]bool{}
-		for _, idx := range g {
-			seen[occs[idx].series] = true
-		}
-		if len(seen) < minSupport {
+		support := sc.countSeries(occs, g)
+		if support < minSupport {
 			ctrDropped.Inc()
 			continue
 		}
@@ -270,9 +278,10 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options, r ru
 		if opts.UseMedoid {
 			proto = medoid(occs, g, d)
 		} else {
-			proto = centroid(occs, g)
+			proto = centroid(occs, g, sc)
 		}
-		var intra []float64
+		ts.ZNormInto(proto, proto)
+		intra := make([]float64, 0, len(g)*(len(g)-1)/2)
 		groupOccs := make([]occurrence, 0, len(g))
 		for a := 0; a < len(g); a++ {
 			groupOccs = append(groupOccs, occs[g[a]])
@@ -282,8 +291,8 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options, r ru
 		}
 		out = append(out, motifGroup{
 			class:      class,
-			prototype:  ts.ZNorm(proto),
-			support:    len(seen),
+			prototype:  proto,
+			support:    support,
 			occs:       groupOccs,
 			intraDists: intra,
 		})
@@ -291,19 +300,45 @@ func refineRule(occs []occurrence, class int, minSupport int, opts Options, r ru
 	return out
 }
 
+// countSeries returns the number of distinct source series among the
+// group's occurrences, marking them in sc.seen and clearing the marks
+// again.
+func (sc *fitScratch) countSeries(occs []occurrence, group []int) int {
+	n := 0
+	for _, idx := range group {
+		s := occs[idx].series
+		if s >= len(sc.seen) {
+			sc.seen = append(sc.seen, make([]bool, s+1-len(sc.seen))...)
+		}
+		if !sc.seen[s] {
+			sc.seen[s] = true
+			n++
+		}
+	}
+	for _, idx := range group {
+		sc.seen[occs[idx].series] = false
+	}
+	return n
+}
+
 // centroid averages the cluster members after resampling them to the
 // median member length (rule occurrences vary in length, paper Fig. 4).
-func centroid(occs []occurrence, group []int) []float64 {
-	lens := make([]int, len(group))
+// Each member is resampled and z-normalized in sc's one buffer; only the
+// returned average is fresh.
+func centroid(occs []occurrence, group []int, sc *fitScratch) []float64 {
+	sc.lens = grow(sc.lens, len(group))
+	lens := sc.lens
 	for i, idx := range group {
 		lens[i] = len(occs[idx].values)
 	}
 	sort.Ints(lens)
 	L := lens[len(lens)/2]
 	sum := make([]float64, L)
+	sc.resampled = grow(sc.resampled, L)
+	z := sc.resampled
 	for _, idx := range group {
-		r := ts.Resample(occs[idx].values, L)
-		z := ts.ZNorm(r)
+		ts.ResampleInto(z, occs[idx].values)
+		ts.ZNormInto(z, z)
 		for l := range sum {
 			sum[l] += z[l]
 		}
@@ -315,7 +350,8 @@ func centroid(occs []occurrence, group []int) []float64 {
 	return sum
 }
 
-// medoid returns the member minimizing the summed distance to the rest.
+// medoid returns a copy of the member minimizing the summed distance to
+// the rest.
 func medoid(occs []occurrence, group []int, d [][]float64) []float64 {
 	best := group[0]
 	bestSum := sumRow(d, group, group[0])

@@ -319,10 +319,18 @@ type transformScratch struct {
 }
 
 func newTransformer(patterns []Pattern, rotInv bool) *transformer {
-	t := &transformer{rotInv: rotInv}
-	for _, p := range patterns {
-		t.matchers = append(t.matchers, dist.NewMatcher(p.Values))
+	matchers := make([]*dist.Matcher, len(patterns))
+	for i, p := range patterns {
+		matchers[i] = dist.NewMatcher(p.Values)
 	}
+	return newTransformerFrom(matchers, rotInv)
+}
+
+// newTransformerFrom builds a transformer over matchers already made
+// from the patterns, feature k's from pattern k; it keeps the slice, and
+// the matchers are only read.
+func newTransformerFrom(matchers []*dist.Matcher, rotInv bool) *transformer {
+	t := &transformer{matchers: matchers, rotInv: rotInv}
 	t.ordered, t.featOf, t.groups = dist.GroupByLen(t.matchers)
 	t.scratches.New = func() any {
 		k := len(t.matchers)

@@ -37,7 +37,7 @@ func TestPropDiscretizeSkipsJunctions(t *testing.T) {
 		d := randJunctionDataset(rng, 2+rng.Intn(4))
 		concat := ts.ConcatDataset(d)
 		p := sax.Params{Window: 8 + rng.Intn(12), PAA: 4, Alphabet: 4}
-		words := joinWords(discretizeSeries(concat, 0, p, DefaultOptions(), run{}), concat.Starts)
+		words := joinWords(nil, discretizeSeries(concat, 0, p, DefaultOptions(), run{}), concat.Starts)
 		for _, w := range words {
 			si := concat.SeriesIndex(w.Offset)
 			sj := concat.SeriesIndex(w.Offset + p.Window - 1)
@@ -76,7 +76,7 @@ func TestPropRuleOccurrencesWithinInstance(t *testing.T) {
 		}
 		g := sequitur.Infer(tokens)
 		for _, rule := range g.Rules() {
-			occs := ruleOccurrences(rule.Spans, words, concat, p.Window)
+			occs := ruleOccurrences(nil, rule.Spans, words, concat, p.Window)
 			for _, occ := range occs {
 				if occ.series < 0 || occ.series >= len(d) {
 					t.Fatalf("it %d: occurrence series %d out of range", it, occ.series)
@@ -120,7 +120,7 @@ func TestRuleOccurrencesDropCrossJunction(t *testing.T) {
 		{Start: 1, End: 1}, // tokens[1]: raw [17, 23) — crosses the junction at 20
 		{Start: 2, End: 2}, // tokens[2]: raw [22, 28) — inside instance 1
 	}
-	occs := ruleOccurrences(spans, words, concat, window)
+	occs := ruleOccurrences(nil, spans, words, concat, window)
 	if len(occs) != 2 {
 		t.Fatalf("got %d occurrences, want 2 (junction occurrence dropped): %+v", len(occs), occs)
 	}

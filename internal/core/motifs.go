@@ -48,7 +48,7 @@ func DiscoverMotifs(train ts.Dataset, p sax.Params, opts Options) map[int][]Moti
 	for _, class := range train.Classes() {
 		var groups []motifGroup
 		if err == nil {
-			groups = findMotifGroups(byClass[class], nil, class, p, opts, run{})
+			groups = findMotifGroups(byClass[class], nil, class, p, opts, run{}, &fitScratch{})
 		}
 		motifs := make([]Motif, 0, len(groups))
 		for _, g := range groups {

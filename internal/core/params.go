@@ -37,7 +37,9 @@ type evaluator struct {
 	classes []int
 	splits  []splitPair
 	// r is the search's own run. Each inner fit records into inner (the
-	// search.* stages, no registry) and its validation into validate.
+	// search.* stages, no registry), draws its working memory from
+	// inner's scratch list, which the evaluator owns, and records its
+	// validation into validate.
 	r, inner run
 	validate *obs.Span
 	// mu guards cache: grid mode evaluates parameter vectors from
@@ -53,7 +55,7 @@ func newEvaluator(train ts.Dataset, opts Options, r run) *evaluator {
 		train:    train,
 		classes:  train.Classes(),
 		r:        r,
-		inner:    run{span: r.span}.stages(searchPrefix),
+		inner:    run{span: r.span, scratch: &scratchList{}}.stages(searchPrefix),
 		validate: r.span.Child(searchPrefix + spanValidate),
 		cache:    map[sax.Params]map[int]float64{},
 	}

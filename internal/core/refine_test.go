@@ -50,7 +50,7 @@ func TestRemoveSimilarKeepsMoreFrequent(t *testing.T) {
 		mkCandidate(2, 9, sine2, nil), // same shape, more frequent
 		mkCandidate(1, 5, ramp, nil),
 	}
-	kept := removeSimilar(cands, 0.5, 4)
+	kept := removeSimilar(cands, 0.5)
 	if len(kept) != 2 {
 		t.Fatalf("kept %d candidates, want 2", len(kept))
 	}
@@ -78,7 +78,7 @@ func TestRemoveSimilarZeroTauKeepsAll(t *testing.T) {
 	}
 	cands := []candidate{mkCandidate(1, 2, a, nil), mkCandidate(2, 2, b, nil)}
 	// τ = 0: nothing is "similar" under strict <
-	if kept := removeSimilar(cands, 0, 1); len(kept) != 2 {
+	if kept := removeSimilar(cands, 0); len(kept) != 2 {
 		t.Errorf("kept %d with tau=0, want 2", len(kept))
 	}
 }
@@ -94,7 +94,7 @@ func TestRemoveSimilarDifferentLengths(t *testing.T) {
 		mkCandidate(1, 8, long, nil),
 		mkCandidate(1, 2, short, nil),
 	}
-	kept := removeSimilar(cands, 0.4, 0)
+	kept := removeSimilar(cands, 0.4)
 	if len(kept) != 1 {
 		t.Fatalf("embedded sub-pattern should be removed, kept %d", len(kept))
 	}
@@ -104,7 +104,7 @@ func TestRemoveSimilarDifferentLengths(t *testing.T) {
 }
 
 func TestFindDistinctEmptyInput(t *testing.T) {
-	if got, X := findDistinct(nil, nil, DefaultOptions(), run{}); got != nil || X != nil {
-		t.Errorf("findDistinct(empty) = %v, %v", got, X)
+	if got, ms, X := findDistinct(nil, nil, DefaultOptions(), run{}); got != nil || ms != nil || X != nil {
+		t.Errorf("findDistinct(empty) = %v, %v, %v", got, ms, X)
 	}
 }

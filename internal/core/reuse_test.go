@@ -52,7 +52,7 @@ func TestFitMatrixEqualsTransform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			patterns, X, err := minePatterns(ctx, train, nil, cloneParams(perClass), opts, r.stages(""))
+			patterns, _, X, err := minePatterns(ctx, train, nil, cloneParams(perClass), opts, r.stages(""))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestPropJoinedSeriesWordsEqualConcatDiscretize(t *testing.T) {
 
 		opts := DefaultOptions()
 		opts.NumerosityReduction = c.reduce
-		got := joinWords(discretizeSeries(concat, 0, c.p, opts, run{}), concat.Starts)
+		got := joinWords(nil, discretizeSeries(concat, 0, c.p, opts, run{}), concat.Starts)
 		want := sax.Discretize(concat.Values, c.p, c.reduce, junction)
 		if len(got) != 0 || len(want) != 0 {
 			if !reflect.DeepEqual(got, want) {
@@ -146,7 +146,7 @@ func TestPropJoinedSeriesWordsEqualConcatDiscretize(t *testing.T) {
 
 		opts.Sample = SampleOptions{Rate: 0.5, Seed: seed}
 		ws := newWindowSampler(resolveSampleSeed(opts), 0, c.p.Window, opts.Sample.Rate)
-		got = joinWords(discretizeSeries(concat, 0, c.p, opts, run{}), concat.Starts)
+		got = joinWords(nil, discretizeSeries(concat, 0, c.p, opts, run{}), concat.Starts)
 		want = sax.Discretize(concat.Values, c.p, c.reduce, func(start int) bool {
 			return junction(start) || !ws.keep(start)
 		})
@@ -243,11 +243,11 @@ func TestSearchWordCache(t *testing.T) {
 	}
 }
 
-// TestRemoveSimilarAllocs pins removeSimilar's allocations exactly: 5
-// per call plus 4 per candidate — 2 for its matcher and 2 for its scan
-// of the kept set — and none per compared pair, though every pair is
-// compared (τ = 0 keeps all) and the lengths alternate, so both sides'
-// matchers slide.
+// TestRemoveSimilarAllocs pins removeSimilar's allocations exactly: 4
+// per call plus 2 per candidate, for its matcher, and none per compared
+// pair, though every pair is scanned (a τ of 1e-9, which no pair of
+// these random candidates comes within, keeps all) and the lengths
+// alternate, so both sides' matchers slide.
 func TestRemoveSimilarAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -262,8 +262,11 @@ func TestRemoveSimilarAllocs(t *testing.T) {
 	}
 	for _, n := range []int{4, 8, 16} {
 		cands := mk(n)
-		allocs := testing.AllocsPerRun(20, func() { removeSimilar(cands, 0, 1) })
-		if want := float64(5 + 4*n); allocs != want {
+		if kept := removeSimilar(cands, 1e-9); len(kept) != n {
+			t.Fatalf("removeSimilar(%d candidates, 1e-9) kept %d", n, len(kept))
+		}
+		allocs := testing.AllocsPerRun(20, func() { removeSimilar(cands, 1e-9) })
+		if want := float64(4 + 2*n); allocs != want {
 			t.Errorf("removeSimilar(%d candidates) allocates %v per call, want %v", n, allocs, want)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"rpm/internal/dist"
 	"rpm/internal/obs"
 	"rpm/internal/parallel"
 	"rpm/internal/sax"
@@ -43,10 +44,14 @@ func TrainContext(ctx context.Context, train ts.Dataset, opts Options) (*Classif
 // run is what the pipeline records into: a registry for counters and
 // pools, the span the work sits under, and the stage spans of its fits.
 // Every handle of the zero run, or of an uninstrumented one, is nil.
+// It also carries the free list its fits draw working memory from: the
+// parameter search's evaluator sets one for its inner fits, and every
+// other run's is nil, so each fit allocates its own (scratch.go).
 type run struct {
 	reg                                  *obs.Registry
 	span                                 *obs.Span
 	candidates, step1, step2, step3, fit *obs.Span
+	scratch                              *scratchList
 }
 
 // stages returns r with fit stage spans named prefix + stage under
@@ -166,7 +171,7 @@ func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt
 			perClass[class] = HeuristicParams(train.MinLen())
 		}
 	}
-	patterns, X, err := minePatterns(ctx, train, words, perClass, opts, r)
+	patterns, matchers, X, err := minePatterns(ctx, train, words, perClass, opts, r)
 	if err != nil {
 		return nil, err
 	}
@@ -182,8 +187,9 @@ func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt
 	}
 	t := time.Now()
 	// Built eagerly, as Load does, so the first Predict pays no
-	// transformer construction.
-	c.ensureTransformer()
+	// transformer construction, and from the matchers findDistinct
+	// already built for these patterns.
+	c.tfOnce.Do(func() { c.tf = newTransformerFrom(matchers, opts.RotationInvariant) })
 	c.model = svm.Train(X, train.Labels(), opts.Seed)
 	r.fit.Add(time.Since(t))
 	return c, nil
@@ -191,12 +197,13 @@ func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt
 
 // minePatterns runs Steps 1–3 (§4.3: candidates from every class's own
 // parameter set are pooled, then pruned together) and returns the
-// selected patterns with the training set's rows in their feature space.
+// selected patterns, their matchers and the training set's rows in their
+// feature space.
 // Candidate generation fans out across classes on Options.Workers
 // goroutines; the per-class slices are concatenated in class order, so
 // the pooled candidate list is identical to the sequential path. words
 // and r are trainWithParams'.
-func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options, r run) ([]Pattern, [][]float64, error) {
+func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options, r run) ([]Pattern, []*dist.Matcher, [][]float64, error) {
 	byClass := train.ByClass()
 	var wordsByClass map[int][][]sax.WordAt
 	if words != nil {
@@ -216,9 +223,13 @@ func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, p
 	})
 	r.candidates.Add(time.Since(t0))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	var cands []candidate
+	n := 0
+	for _, cc := range perClassCands {
+		n += len(cc)
+	}
+	cands := make([]candidate, 0, n)
 	for i, cc := range perClassCands {
 		cands = append(cands, cc...)
 		if r.reg != nil {
@@ -227,10 +238,10 @@ func minePatterns(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, p
 		}
 	}
 	t1 := time.Now()
-	patterns, X := findDistinct(train, cands, opts, r)
+	patterns, matchers, X := findDistinct(train, cands, opts, r)
 	r.step3.Add(time.Since(t1))
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return patterns, X, nil
+	return patterns, matchers, X, nil
 }

@@ -75,12 +75,27 @@ func NewMatcher(pattern []float64) *Matcher {
 }
 
 func newMatcher(pattern []float64) Matcher {
-	zp := ts.ZNorm(pattern)
+	var m Matcher
+	m.Reset(pattern)
+	return m
+}
+
+// Reset re-prepares m for pattern exactly as NewMatcher would, writing
+// the z-normalized copy into m's own buffer when it is long enough, so
+// a caller that matches many short-lived patterns in turn (the
+// clustering of one grammar rule's occurrences) keeps one buffer per
+// matcher. A matcher must not be reset while another goroutine reads it.
+func (m *Matcher) Reset(pattern []float64) {
+	if cap(m.zp) < len(pattern) {
+		m.zp = make([]float64, len(pattern))
+	}
+	m.zp = m.zp[:len(pattern)]
+	ts.ZNormInto(m.zp, pattern)
 	var zpSq float64
-	for _, x := range zp {
+	for _, x := range m.zp {
 		zpSq += x * x
 	}
-	return Matcher{zp: zp, zpSq: zpSq}
+	m.zpSq = zpSq
 }
 
 // Len returns the pattern length.
@@ -99,9 +114,50 @@ func (m *Matcher) Best(series []float64) Match {
 	}
 	if len(m.zp) > len(series) {
 		// Short query: hoisted swap — zp is reused as the haystack.
-		return NewMatcher(series).scan(m.zp)
+		return NewMatcher(series).scan(m.zp, math.Inf(1))
 	}
-	return m.scan(series)
+	return m.scan(series, math.Inf(1))
+}
+
+// Within reports whether the pattern's closest match in series is
+// closer than tau: exactly Best(series).Dist < tau, for every tau,
+// including 0, +Inf and NaN. It is Best's scan started from the
+// squared-distance bound tau admits instead of +Inf, so a window that
+// cannot come below tau is abandoned as soon as its partial sum passes
+// that bound; the similar-pattern removal step only needs this answer,
+// not the distance.
+//
+// Why the answer is Best's: the scan's final bound is the smaller of
+// the start bound and the smallest exact window distance, because a
+// window below the running bound is never abandoned. When that
+// smallest distance is below the start bound, both scans end on it and
+// test the same number against tau. Otherwise the bounded scan ends on
+// the start bound, which sqBound chose so that sqrt(b/n) >= tau, and
+// Best's distance is no smaller, since division and sqrt round
+// monotonically: both answers are false.
+func (m *Matcher) Within(series []float64, tau float64) bool {
+	// Best's distance is +Inf or a square root, never NaN or negative,
+	// so no tau at or below 0 (nor NaN) exceeds it.
+	if len(m.zp) == 0 || len(series) == 0 || !(tau > 0) {
+		return false
+	}
+	if len(m.zp) > len(series) {
+		s := NewMatcher(series)
+		return s.scan(m.zp, sqBound(tau, len(series))).Dist < tau
+	}
+	return m.scan(series, sqBound(tau, len(m.zp))).Dist < tau
+}
+
+// sqBound returns a squared distance b, over windows of n samples, with
+// sqrt(b/n) >= tau: tau²·n, rounded up until the scan's own conversion
+// to a distance reaches tau (a step or two of rounding error at most).
+func sqBound(tau float64, n int) float64 {
+	fn := float64(n)
+	b := tau * tau * fn
+	for math.Sqrt(b/fn) < tau {
+		b = math.Nextafter(b, math.Inf(1))
+	}
+	return b
 }
 
 // ClosestMatch slides pattern over series and returns the minimal
@@ -129,15 +185,17 @@ func ClosestMatch(pattern, series []float64) Match {
 // windowSums, its distance from windowDist and a strict-improvement
 // update — the steps the stream Detector runs sample by sample through
 // RollingStats and StreamEval, so Best and a stream fed the same samples
-// agree by construction.
-func (m *Matcher) scan(series []float64) Match {
+// agree by construction. limit is the squared distance the scan starts
+// from: Best passes +Inf; Within passes its bound, and a scan that finds
+// no window below it returns Dist sqrt(limit/n) and Pos -1.
+func (m *Matcher) scan(series []float64, limit float64) Match {
 	n := len(m.zp)
 	fn := float64(n)
 	var sums windowSums
 	for _, x := range series[:n] {
 		sums = sums.add(x)
 	}
-	best, bestPos := math.Inf(1), -1
+	best, bestPos := limit, -1
 	for i := 0; ; i++ {
 		mean, inv := sums.stats(fn)
 		if d := m.windowDist(series[i:i+n], mean, inv, best); d < best {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // Property tests: randomized (fixed-seed, so reproducible) checks of the
@@ -204,5 +205,56 @@ func TestPropClosestMatchSelf(t *testing.T) {
 		if m.Dist > 1e-9 {
 			t.Fatalf("it %d: self-match dist = %v at pos %d", it, m.Dist, m.Pos)
 		}
+	}
+}
+
+// TestPropWithinIsBestBelow: Within(s, τ) is exactly Best(s).Dist < τ,
+// for random patterns and series (either one the longer), at the τ
+// values where the bounded scan's start bound decides: the distance
+// itself and its neighbouring floats, 0, +Inf, NaN and a subnormal.
+// Series may hold constant runs, a copy of the pattern, and samples near
+// ±1e308, whose window sums overflow.
+func TestPropWithinIsBestBelow(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		gen := func(n int) []float64 {
+			v := randSeries(rng, n)
+			switch rng.Intn(4) {
+			case 0: // a constant run
+				lo := rng.Intn(n)
+				hi := lo + rng.Intn(n-lo) + 1
+				c := rng.NormFloat64()
+				for i := lo; i < hi; i++ {
+					v[i] = c
+				}
+			case 1: // samples near the float64 limit
+				for k := rng.Intn(3) + 1; k > 0; k-- {
+					v[rng.Intn(n)] = math.Copysign(1e308, rng.NormFloat64())
+				}
+			}
+			return v
+		}
+		p := gen(1 + rng.Intn(24))
+		s := gen(1 + rng.Intn(80))
+		if len(s) >= len(p) && rng.Intn(3) == 0 { // embed a scaled copy
+			at := rng.Intn(len(s) - len(p) + 1)
+			for i, x := range p {
+				s[at+i] = 3*x + 1
+			}
+		}
+		m := NewMatcher(p)
+		d := m.Best(s).Dist
+		taus := []float64{d, math.Nextafter(d, math.Inf(1)), math.Nextafter(d, math.Inf(-1)),
+			0, math.Inf(1), math.NaN(), -1, 5e-324, rng.Float64() * 2}
+		for _, tau := range taus {
+			if got, want := m.Within(s, tau), d < tau; got != want {
+				t.Logf("seed %d: Within(len %d in len %d, τ=%v) = %v, Best.Dist %v", seed, len(p), len(s), tau, got, d)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -15,7 +15,6 @@
 package features
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -89,6 +88,10 @@ func newSUCache(X [][]float64, y []int) *suCache {
 	}
 	hy, maxy := entropy(sc.y), maxCode(sc.y)
 	col := make([]float64, n)
+	rff := make([]float64, d*d)
+	for j := range rff {
+		rff[j] = math.NaN()
+	}
 	for f := 0; f < d; f++ {
 		for i := range X {
 			col[i] = X[i][f]
@@ -97,10 +100,7 @@ func newSUCache(X [][]float64, y []int) *suCache {
 		sc.h[f] = entropy(sc.disc[f])
 		sc.maxc[f] = maxCode(sc.disc[f])
 		sc.rcf[f] = su(sc.h[f], hy, jointEntropy(sc.disc[f], sc.y, sc.maxc[f], maxy))
-		sc.rff[f] = make([]float64, d)
-		for j := range sc.rff[f] {
-			sc.rff[f][j] = math.NaN()
-		}
+		sc.rff[f] = rff[f*d : (f+1)*d : (f+1)*d]
 	}
 	return sc
 }
@@ -189,54 +189,103 @@ func meritFromSums(k int, rcfSum, rffSum float64) float64 {
 	return fk * rcf / den
 }
 
+// nodeHeap is the open list, a max-heap on merit. push and pop are
+// container/heap's Push and Pop, the same sift steps and comparisons
+// without boxing each node in an interface, so nodes of equal merit pop
+// in the order container/heap gave them.
 type nodeHeap []searchNode
 
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].merit > h[j].merit } // max-heap
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(searchNode)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+func (h nodeHeap) less(i, j int) bool { return h[i].merit > h[j].merit }
+
+func (h *nodeHeap) push(x searchNode) {
+	*h = append(*h, x)
+	// sift up (container/heap's up)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *nodeHeap) pop() searchNode {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	// sift down over s[:n] (container/heap's down)
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	x := s[n]
+	*h = s[:n]
 	return x
 }
 
-func subsetKey(s []int) string {
-	b := make([]byte, 0, len(s)*3)
-	for _, v := range s {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16))
+// childKey writes into key the visited-set key of the sorted subset
+// sub ∪ {f} (sub sorted, f not in it): three little-endian bytes per
+// feature index, in increasing order.
+func childKey(key []byte, sub []int, f int) []byte {
+	key = key[:0]
+	put := func(v int) { key = append(key, byte(v), byte(v>>8), byte(v>>16)) }
+	done := false
+	for _, v := range sub {
+		if !done && f < v {
+			put(f)
+			done = true
+		}
+		put(v)
 	}
-	return string(b)
+	if !done {
+		put(f)
+	}
+	return key
 }
 
 // bestFirst runs Hall's best-first forward search over feature subsets.
-// expansions, when non-nil, counts popped-and-expanded nodes.
+// expansions, when non-nil, counts popped-and-expanded nodes. A child's
+// key is built in one reused buffer, and its subset only once the key is
+// new.
 func bestFirst(sc *suCache, d int, expansions *obs.Counter) []int {
-	open := &nodeHeap{}
-	heap.Init(open)
+	var open nodeHeap
 	visited := map[string]bool{}
 	start := searchNode{subset: nil, merit: 0}
-	heap.Push(open, start)
-	visited[subsetKey(nil)] = true
+	open.push(start)
+	visited[""] = true // the empty subset's key
+	var key []byte
 	best := start
 	stale := 0
-	for open.Len() > 0 && stale < maxStale {
-		cur := heap.Pop(open).(searchNode)
+	for len(open) > 0 && stale < maxStale {
+		cur := open.pop()
 		expansions.Inc()
 		improved := false
 		for f := 0; f < d; f++ {
 			if slices.Contains(cur.subset, f) {
 				continue
 			}
-			child := append(append([]int{}, cur.subset...), f)
-			sort.Ints(child)
-			k := subsetKey(child)
-			if visited[k] {
+			key = childKey(key, cur.subset, f)
+			if visited[string(key)] {
 				continue
 			}
-			visited[k] = true
+			visited[string(key)] = true
+			child := make([]int, len(cur.subset)+1)
+			copy(child, cur.subset)
+			child[len(cur.subset)] = f
+			slices.Sort(child)
 			rcfSum := cur.rcfSum + sc.rcf[f]
 			rffSum := cur.rffSum
 			for _, g := range cur.subset {
@@ -244,7 +293,7 @@ func bestFirst(sc *suCache, d int, expansions *obs.Counter) []int {
 			}
 			m := meritFromSums(len(child), rcfSum, rffSum)
 			node := searchNode{subset: child, merit: m, rcfSum: rcfSum, rffSum: rffSum}
-			heap.Push(open, node)
+			open.push(node)
 			if m > best.merit+1e-12 {
 				best = node
 				improved = true
@@ -270,37 +319,55 @@ func bestFirst(sc *suCache, d int, expansions *obs.Counter) []int {
 }
 
 // discretize maps values to equal-frequency bins (at most bins distinct
-// codes). Ties at bin boundaries collapse into the lower bin, so constant
-// features become a single code.
+// codes): the value at rank r of the sorted order gets bin r/(n/bins).
+// Ties at bin boundaries collapse into the lower bin — equal values (==,
+// so -0 and +0 are one value) all take the bin of the first of them in
+// sorted order — so constant features become a single code. NaN equals
+// nothing and keeps its own rank's bin.
 func discretize(values []float64, bins int) []int {
 	n := len(values)
 	if bins < 1 {
 		bins = 1
 	}
-	idx := make([]int, n)
+	per := float64(n) / float64(bins)
+	bin := func(rank int) int { return min(int(float64(rank)/per), bins-1) }
+	out := make([]int, n)
+	if slices.ContainsFunc(values, math.IsNaN) {
+		discretizeNaN(values, bin, out)
+		return out
+	}
+	// Without NaN, < orders the values, so the first of the values equal
+	// to v sits at the rank that counts the values below v.
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	for i, v := range values {
+		below, _ := slices.BinarySearch(sorted, v)
+		out[i] = bin(below)
+	}
+	return out
+}
+
+// discretizeNaN is discretize for values holding NaN. < is then no
+// order: the sort leaves the values in an order of its own, equal values
+// need not be adjacent in it, and the first of them is found by scanning
+// the ranks before (quadratic, but features are distances, which are
+// never NaN, so this path only keeps the definition total).
+func discretizeNaN(values []float64, bin func(int) int, out []int) {
+	idx := make([]int, len(values))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return values[idx[a]] < values[idx[b]] })
-	out := make([]int, n)
-	per := float64(n) / float64(bins)
 	for rank, i := range idx {
-		b := int(float64(rank) / per)
-		if b >= bins {
-			b = bins - 1
-		}
-		out[i] = b
-	}
-	// merge bins that share boundary values: equal inputs must get equal codes
-	codeOf := map[float64]int{}
-	for _, i := range idx {
-		if c, ok := codeOf[values[i]]; ok {
-			out[i] = c
-		} else {
-			codeOf[values[i]] = out[i]
+		out[i] = bin(rank)
+		for _, j := range idx[:rank] {
+			//rpmlint:ignore floateq equal values share a code by definition; == is the equality that definition means
+			if values[j] == values[i] {
+				out[i] = out[j]
+				break
+			}
 		}
 	}
-	return out
 }
 
 // entropy computes the Shannon entropy (nats) of the code sequence.

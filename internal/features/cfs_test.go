@@ -319,14 +319,16 @@ func TestMeritPrefersGoodSubsets(t *testing.T) {
 
 // TestSelectAllocs pins Select's allocations on a fixed matrix exactly.
 // Feature-feature symmetrical uncertainties count into a stack array,
-// so the count does not grow with the number of pairs scored.
+// so the count does not grow with the number of pairs scored; the
+// search allocates a subset and a key only for a child it has not
+// visited, and discretize no map.
 func TestSelectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rng := rand.New(rand.NewSource(7))
 	X, y := buildData(rng, 40, 6, []int{1, 4})
-	if allocs := testing.AllocsPerRun(20, func() { Select(X, y, nil) }); allocs != 242 {
-		t.Errorf("Select allocates %v per call, want %v", allocs, 242)
+	if allocs := testing.AllocsPerRun(20, func() { Select(X, y, nil) }); allocs != 91 {
+		t.Errorf("Select allocates %v per call, want %v", allocs, 91)
 	}
 }

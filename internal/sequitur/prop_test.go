@@ -1,6 +1,7 @@
 package sequitur
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -160,4 +161,44 @@ func TestPropRuleCoverageBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPropInferIntoMatchesInfer: one grammar reused through InferInto
+// for a run of streams of every regime and of lengths on both sides of
+// the slab's size infers, stream by stream, the rules and the grammar
+// Infer does, and rules taken before a reuse keep their contents.
+func TestPropInferIntoMatchesInfer(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var g *Grammar
+	var prev []*Rule
+	var prevWant string
+	for it := 0; it < 120; it++ {
+		sg := streamGens[rng.Intn(len(streamGens))]
+		tokens := sg.gen(rng, 1+rng.Intn(600))
+		want := Infer(tokens)
+		g = InferInto(g, tokens)
+		if got, w := g.String(), want.String(); got != w {
+			t.Fatalf("%s it %d: reused grammar\n%s\nfresh\n%s", sg.name, it, got, w)
+		}
+		if got, w := fmt.Sprint(rulesView(g.Rules())), fmt.Sprint(rulesView(want.Rules())); got != w {
+			t.Fatalf("%s it %d: reused rules %s, fresh %s", sg.name, it, got, w)
+		}
+		if err := g.checkInvariants(); err != nil {
+			t.Fatalf("%s it %d: %v", sg.name, it, err)
+		}
+		if prev != nil && fmt.Sprint(rulesView(prev)) != prevWant {
+			t.Fatalf("it %d: rules taken before InferInto changed", it)
+		}
+		prev = g.Rules()
+		prevWant = fmt.Sprint(rulesView(prev))
+	}
+}
+
+// rulesView dereferences rules for printing.
+func rulesView(rules []*Rule) []Rule {
+	out := make([]Rule, len(rules))
+	for i, r := range rules {
+		out[i] = *r
+	}
+	return out
 }

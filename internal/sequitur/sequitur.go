@@ -59,22 +59,63 @@ type Grammar struct {
 	rules   []*rule // all live rules, root first; holes are nil after inlining
 	digrams map[[2]int64]*symbol
 	length  int // number of input tokens consumed
+	// slab is the chunk symbols are carved from. A symbol lives as long
+	// as the grammar, so one allocation serves many; a full slab is
+	// replaced by a fresh chunk and stays alive through its symbols.
+	slab []symbol
 }
 
 // New returns an empty grammar ready for Append.
-func New() *Grammar {
-	g := &Grammar{digrams: make(map[[2]int64]*symbol)}
-	g.root = g.newRule()
-	return g
-}
+func New() *Grammar { return InferInto(nil, nil) }
 
 // Infer builds the grammar of the whole token sequence.
-func Infer(tokens []int) *Grammar {
-	g := New()
+func Infer(tokens []int) *Grammar { return InferInto(nil, tokens) }
+
+// InferInto is Infer reusing g's memory: g's grammar is discarded, and
+// its symbol slab and digram index serve the new one, so a caller that
+// infers many grammars in turn keeps one of each. A nil g allocates, as
+// Infer does. Rules returns copies, so what it returned before stays
+// valid; g itself must no longer be used by anyone else.
+//
+// The digram index is presized for n = len(tokens) digrams and the slab
+// for 2n symbols: the n terminals and the rules' guards, copies and
+// references. SAX word sequences of the training mix make about 1.5
+// symbols and 0.8 digrams per token.
+func InferInto(g *Grammar, tokens []int) *Grammar {
+	n := len(tokens)
+	if g == nil {
+		g = &Grammar{digrams: make(map[[2]int64]*symbol, n)}
+	} else {
+		clear(g.digrams)
+		clear(g.rules)
+		g.rules = g.rules[:0]
+		g.length = 0
+	}
+	if need := max(2*n, minSlab); cap(g.slab) < need {
+		g.slab = make([]symbol, 0, need)
+	} else {
+		g.slab = g.slab[:0]
+		clear(g.slab[:cap(g.slab)])
+	}
+	g.root = g.newRule()
 	for _, t := range tokens {
 		g.Append(t)
 	}
 	return g
+}
+
+// minSlab is the smallest symbol slab.
+const minSlab = 256
+
+// newSymbol returns a zeroed symbol from the slab, which is zero past
+// its length. A full slab is replaced by a fresh one of the same size;
+// the full one stays alive through its symbols.
+func (g *Grammar) newSymbol() *symbol {
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]symbol, 0, max(cap(g.slab), minSlab))
+	}
+	g.slab = g.slab[:len(g.slab)+1]
+	return &g.slab[len(g.slab)-1]
 }
 
 // Len returns the number of tokens consumed so far.
@@ -82,7 +123,8 @@ func (g *Grammar) Len() int { return g.length }
 
 func (g *Grammar) newRule() *rule {
 	r := &rule{id: len(g.rules)}
-	gd := &symbol{guard: true, r: r}
+	gd := g.newSymbol()
+	gd.guard, gd.r = true, r
 	gd.next, gd.prev = gd, gd
 	r.guard = gd
 	g.rules = append(g.rules, r)
@@ -96,7 +138,8 @@ func (g *Grammar) Append(token int) {
 		panic(fmt.Sprintf("sequitur: negative token %d", token))
 	}
 	g.length++
-	s := &symbol{token: token}
+	s := g.newSymbol()
+	s.token = token
 	g.insertAfter(g.root.last(), s)
 	if g.root.first() != s {
 		g.check(s.prev)
@@ -218,11 +261,13 @@ func (g *Grammar) match(s, m *symbol) {
 // copySymbol clones a symbol's identity (not its links), bumping rule
 // reference counts.
 func (g *Grammar) copySymbol(s *symbol) *symbol {
+	c := g.newSymbol()
+	c.token = s.token
 	if s.isNonTerminal() {
 		s.r.count++
-		return &symbol{token: s.token, r: s.r}
+		c.r = s.r
 	}
-	return &symbol{token: s.token}
+	return c
 }
 
 // substitute replaces the digram starting at s with a reference to rule r.
@@ -231,7 +276,8 @@ func (g *Grammar) substitute(s *symbol, r *rule) {
 	g.removeSymbol(s.next)
 	g.removeSymbol(s)
 	r.count++
-	nt := &symbol{r: r}
+	nt := g.newSymbol()
+	nt.r = r
 	g.insertAfter(q, nt)
 	if !g.check(q) {
 		g.check(nt)
@@ -289,11 +335,12 @@ func (s Span) Len() int { return s.End - s.Start + 1 }
 // live non-root rule together with its terminal yield and every occurrence
 // span. The walk is linear in the input length.
 func (g *Grammar) Rules() []*Rule {
-	out := map[int]*Rule{}
-	yieldCache := map[int][]int{}
+	// Both tables are indexed by rule id; a rule's yield is never empty.
+	out := make([]*Rule, len(g.rules))
+	yieldCache := make([][]int, len(g.rules))
 	var yieldOf func(r *rule) []int
 	yieldOf = func(r *rule) []int {
-		if y, ok := yieldCache[r.id]; ok {
+		if y := yieldCache[r.id]; y != nil {
 			return y
 		}
 		var y []int
@@ -313,8 +360,8 @@ func (g *Grammar) Rules() []*Rule {
 			if s.isNonTerminal() {
 				sub := s.r
 				n := len(yieldOf(sub))
-				rec, ok := out[sub.id]
-				if !ok {
+				rec := out[sub.id]
+				if rec == nil {
 					rec = &Rule{ID: sub.id, Yield: yieldOf(sub), RHS: g.ruleRHS(sub)}
 					out[sub.id] = rec
 				}
@@ -328,12 +375,12 @@ func (g *Grammar) Rules() []*Rule {
 		return pos
 	}
 	walk(g.root, 0)
-	res := make([]*Rule, 0, len(out))
+	var res []*Rule
 	for _, r := range g.rules {
 		if r == nil || r == g.root {
 			continue
 		}
-		if rec, ok := out[r.id]; ok {
+		if rec := out[r.id]; rec != nil {
 			res = append(res, rec)
 		}
 	}

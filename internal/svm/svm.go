@@ -57,8 +57,15 @@ func Train(X [][]float64, y []int, seed int64) *Model {
 		m.weights = [][]float64{make([]float64, d+1)}
 		return m
 	}
-	for _, class := range m.classes {
-		yb := make([]float64, n)
+	// One source serves every one-vs-rest fit, re-seeded after the
+	// first: Seed(seed) restarts exactly the sequence NewSource(seed)
+	// gives.
+	rng := rand.New(rand.NewSource(seed))
+	yb := make([]float64, n)
+	for k, class := range m.classes {
+		if k > 0 {
+			rng.Seed(seed)
+		}
 		for i, lab := range y {
 			if lab == class {
 				yb[i] = 1
@@ -66,7 +73,7 @@ func Train(X [][]float64, y []int, seed int64) *Model {
 				yb[i] = -1
 			}
 		}
-		m.weights = append(m.weights, trainBinary(Xs, yb, seed))
+		m.weights = append(m.weights, trainBinary(Xs, yb, rng))
 	}
 	return m
 }
@@ -77,8 +84,8 @@ func Train(X [][]float64, y []int, seed int64) *Model {
 //
 // by coordinate descent over randomly permuted coordinates, maintaining
 // w = Σ α_i y_i x_i. Inputs are pre-scaled and already augmented with the
-// bias feature.
-func trainBinary(X [][]float64, y []float64, seed int64) []float64 {
+// bias feature. rng draws the permutations.
+func trainBinary(X [][]float64, y []float64, rng *rand.Rand) []float64 {
 	n := len(X)
 	d := len(X[0])
 	w := make([]float64, d)
@@ -89,7 +96,6 @@ func trainBinary(X [][]float64, y []float64, seed int64) []float64 {
 			qii[i] += v * v
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i

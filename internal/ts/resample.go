@@ -8,9 +8,17 @@ func Resample(v []float64, n int) []float64 {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]float64, n)
+	return ResampleInto(make([]float64, n), v)
+}
+
+// ResampleInto is Resample writing len(out) (> 0) points into out, which
+// must not overlap v. It returns out. Centroid computation resamples
+// every cluster member into one buffer through it.
+func ResampleInto(out, v []float64) []float64 {
+	n := len(out)
 	switch {
 	case len(v) == 0:
+		clear(out)
 		return out
 	case len(v) == 1:
 		for i := range out {

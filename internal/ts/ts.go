@@ -217,15 +217,20 @@ type Concatenated struct {
 }
 
 // Concat joins the given series. The inputs are copied.
-func Concat(series ...[]float64) Concatenated {
+func Concat(series ...[]float64) Concatenated { return ConcatInto(Concatenated{}, series...) }
+
+// ConcatInto is Concat writing into dst's slices, each reallocated only
+// when its capacity is short, and returning the result. The previous
+// contents of dst are overwritten, so nothing may still read them.
+func ConcatInto(dst Concatenated, series ...[]float64) Concatenated {
 	var total int
 	for _, s := range series {
 		total += len(s)
 	}
 	c := Concatenated{
-		Values: make([]float64, 0, total),
-		Starts: make([]int, len(series)),
-		Lens:   make([]int, len(series)),
+		Values: resize(dst.Values, 0, total),
+		Starts: resize(dst.Starts, len(series), len(series)),
+		Lens:   resize(dst.Lens, len(series), len(series)),
 	}
 	for i, s := range series {
 		c.Starts[i] = len(c.Values)
@@ -242,6 +247,15 @@ func ConcatDataset(d Dataset) Concatenated {
 		series[i] = in.Values
 	}
 	return Concat(series...)
+}
+
+// resize returns s with length n and capacity at least c, reallocating
+// only when s's capacity is short.
+func resize[T any](s []T, n, c int) []T {
+	if cap(s) < c {
+		return make([]T, n, c)
+	}
+	return s[:n]
 }
 
 // SeriesIndex returns the index of the constituent series containing
