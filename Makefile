@@ -59,7 +59,7 @@ COVER_PKGS = . \
 	./internal/obs
 
 .PHONY: all build test race vet fmt-check lint lint-drill bench fuzz cover check \
-	bench-json bench-gate bench-baseline load-smoke stream-smoke chaos \
+	bench-json bench-gate bench-baseline served-smoke chaos \
 	archive-smoke perfbench-check examples-check
 
 all: check
@@ -148,19 +148,16 @@ bench-gate: bench-json
 bench-baseline:
 	$(BENCH_GATE_RUN) | $(GO) run ./cmd/benchjson -o $(BENCH_BASELINE)
 
-# Sustained-load smoke: train a model, serve it with rpmserved, drive it
-# with rpmload (closed loop, strict) for LOAD_SMOKE_DURATION. Fails on
-# zero completed requests or any error envelope / transport error.
-LOAD_SMOKE_DURATION ?= 2s
-load-smoke:
-	./scripts/load_smoke.sh $(LOAD_SMOKE_DURATION)
-
-# Streaming smoke: serve a trained model and drive the streaming ingest
-# path (rpmload -streams: chunked appends round-robin over live
-# streams), then spot-check the registry listing and SSE framing.
-STREAM_SMOKE_DURATION ?= 2s
-stream-smoke:
-	./scripts/stream_smoke.sh $(STREAM_SMOKE_DURATION)
+# Served smoke: build, train a model and serve it once with rpmserved,
+# then drive it with rpmload under -strict: closed-loop predict traffic
+# for SERVED_SMOKE_DURATION, 2s of open-loop traffic at 200 req/s, and
+# streaming ingest (chunked appends round-robin over live streams) for
+# SERVED_SMOKE_DURATION, then spot-check the stream registry listing and
+# SSE framing. Fails on zero completed requests or any error envelope /
+# transport error, and when retraining changes rpmcli's output.
+SERVED_SMOKE_DURATION ?= 2s
+served-smoke:
+	./scripts/served_smoke.sh $(SERVED_SMOKE_DURATION)
 
 # Chaos gate (DESIGN.md §13): the scripted fault-injection scenarios
 # (TestChaos*, each run twice with the same seed — identical injected
@@ -208,4 +205,4 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -short ./...
 
-check: fmt-check build vet lint lint-drill test race cover fuzz load-smoke stream-smoke archive-smoke perfbench-check examples-check
+check: fmt-check build vet lint lint-drill test race cover fuzz served-smoke archive-smoke perfbench-check examples-check

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 
 	"rpm/internal/obs"
 	"rpm/internal/parallel"
-	"rpm/internal/sax"
 	"rpm/internal/ts"
 )
 
@@ -72,16 +70,6 @@ func TrainBaggedContext(ctx context.Context, train ts.Dataset, opts Options) (*E
 	return &Ensemble{Members: members, opts: opts, reg: r.reg}, nil
 }
 
-// cloneParams copies a per-class parameter map, which trainWithParams
-// fills in place with any missing class, so a nil map clones to an
-// empty one.
-func cloneParams(perClass map[int]sax.Params) map[int]sax.Params {
-	if perClass == nil {
-		return map[int]sax.Params{}
-	}
-	return maps.Clone(perClass)
-}
-
 // memberSampleSeed derives member b's sampling seed from the resolved
 // base seed. Member 0 keeps the base seed, so a 1-bag ensemble mines
 // exactly the model TrainContext would; later members get independent
@@ -131,7 +119,6 @@ func (e *Ensemble) Predict(v []float64) int {
 // member order, so the labels are byte-identical to the sequential
 // path.
 func (e *Ensemble) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]int, error) {
-	e.ensureTransformers()
 	out := make([]int, len(test))
 	if err := parallel.For(ctx, len(test), e.opts.Workers, e.reg.Pool(PoolPredict), func(i int) {
 		out[i] = e.Predict(test[i].Values)
@@ -139,17 +126,6 @@ func (e *Ensemble) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]
 		return nil, err
 	}
 	return out, nil
-}
-
-// ensureTransformers builds every member's transformer outside the
-// prediction fan-out (the same build-once-then-share discipline as
-// Classifier.PredictBatch).
-func (e *Ensemble) ensureTransformers() {
-	for _, m := range e.Members {
-		if len(m.Patterns) > 0 {
-			m.ensureTransformer()
-		}
-	}
 }
 
 // majorityLabel returns the most frequent label; ties break toward the

@@ -60,7 +60,7 @@ func TestSearchEvalAllocs(t *testing.T) {
 	}
 	e, p := searchEvalFixture(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(5, func() { uncachedEval(t, e, p) }); allocs != 17216 {
-		t.Errorf("one uncached evaluation allocates %v, want %v", allocs, 17216)
+	if allocs := testing.AllocsPerRun(5, func() { uncachedEval(t, e, p) }); allocs != 17201 {
+		t.Errorf("one uncached evaluation allocates %v, want %v", allocs, 17201)
 	}
 }

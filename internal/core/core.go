@@ -14,10 +14,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"rpm/internal/dist"
+	"rpm/internal/nn"
 	"rpm/internal/obs"
 	"rpm/internal/parallel"
 	"rpm/internal/sax"
@@ -99,8 +99,10 @@ type Options struct {
 	RotationInvariant bool
 	// GI selects the grammar-induction algorithm (default GISequitur).
 	GI GIAlgorithm
-	// Mode selects the parameter search; Params is used when Mode is
-	// ParamFixed (and as a fallback when a search finds nothing).
+	// Mode selects the parameter search; Params is used only when Mode
+	// is ParamFixed (zero Params: HeuristicParams). A search whose
+	// parameters leave no pattern retries with HeuristicParams, not
+	// Params.
 	Mode   ParamMode
 	Params sax.Params
 	// Splits is the number of random train/validate splits per parameter
@@ -229,14 +231,33 @@ type Classifier struct {
 	opts           Options
 	reg            *obs.Registry // the Instrument run's; nil for Load and inner fits
 	tf             *transformer
-	// tfOnce guards the lazy construction of tf: Predict/Transform on a
-	// classifier that came out of Load (or was never trained) build the
-	// transformer on first use, and PredictBatch calls Predict from many
-	// goroutines, so the build must be once-only.
-	tfOnce sync.Once
 	// fallback handles the degenerate case where no patterns survive:
-	// 1-nearest-neighbor on the raw training series.
+	// 1-nearest-neighbor on the raw training series. Nil when the model
+	// has patterns.
 	fallback ts.Dataset
+}
+
+// newClassifier is the one constructor of a Classifier, shared by
+// training and Load. It takes what a snapshot holds: the patterns, the
+// per-class SAX parameters, the options, the SVM (nil without patterns)
+// and the 1NN fallback, kept only when there is no pattern. It builds
+// the transformer eagerly, so the predict path reads only immutable
+// state; matchers, when non-nil, are the patterns' matchers training
+// already built (feature k's from pattern k), reused instead of
+// z-normalizing every pattern again.
+func newClassifier(patterns []Pattern, perClass map[int]sax.Params, opts Options, model *svm.Model, fallback ts.Dataset, matchers []*dist.Matcher) *Classifier {
+	c := &Classifier{Patterns: patterns, PerClassParams: perClass, opts: opts, model: model}
+	if len(patterns) == 0 {
+		c.fallback = fallback
+	}
+	if matchers == nil {
+		matchers = make([]*dist.Matcher, len(patterns))
+		for i, p := range patterns {
+			matchers[i] = dist.NewMatcher(p.Values)
+		}
+	}
+	c.tf = newTransformerFrom(matchers, opts.RotationInvariant)
+	return c
 }
 
 // Options returns the options the classifier was trained with.
@@ -266,17 +287,7 @@ func (c *Classifier) NumPatterns() int { return len(c.Patterns) }
 // (§6.1).
 // Transform is safe for concurrent use.
 func (c *Classifier) Transform(v []float64) []float64 {
-	c.ensureTransformer()
 	return c.tf.apply(v)
-}
-
-// ensureTransformer builds the cached transformer exactly once, whether
-// triggered eagerly by training/Load or lazily by the first (possibly
-// concurrent) Transform call.
-func (c *Classifier) ensureTransformer() {
-	c.tfOnce.Do(func() {
-		c.tf = newTransformer(c.Patterns, c.opts.RotationInvariant)
-	})
 }
 
 // transformer caches per-pattern matchers so the pattern z-normalization
@@ -316,14 +327,6 @@ type transformScratch struct {
 	rotSeeds []int
 	outs     []dist.Match
 	feat     []float64
-}
-
-func newTransformer(patterns []Pattern, rotInv bool) *transformer {
-	matchers := make([]*dist.Matcher, len(patterns))
-	for i, p := range patterns {
-		matchers[i] = dist.NewMatcher(p.Values)
-	}
-	return newTransformerFrom(matchers, rotInv)
 }
 
 // newTransformerFrom builds a transformer over matchers already made
@@ -439,13 +442,15 @@ func (t *transformer) applyAll(d ts.Dataset, workers int, pool *obs.Pool) [][]fl
 // non-finite) still yields a deterministic label — the closest-match
 // kernel slides the shorter of (pattern, series) inside the longer one
 // and reports +Inf only for empty input, and the SVM argmax breaks ties
-// toward the smaller label. Callers that want degenerate inputs rejected
-// instead should validate first (the public rpm façade does).
+// toward the smaller label. A model without patterns classifies by 1NN
+// Euclidean over its fallback set (nn.Nearest), which is total too.
+// Callers that want degenerate inputs rejected instead should validate
+// first (the public rpm façade's ValidateSeries and PredictBatchContext
+// do).
 func (c *Classifier) Predict(v []float64) int {
-	if len(c.Patterns) == 0 || len(v) == 0 {
-		return c.predictFallback(v)
+	if len(c.Patterns) == 0 {
+		return nn.Nearest(c.fallback, v)
 	}
-	c.ensureTransformer()
 	sc := c.tf.getScratch()
 	c.tf.applyInto(sc.feat, v, sc)
 	label := c.model.Predict(sc.feat)
@@ -467,9 +472,6 @@ func (c *Classifier) PredictBatch(test ts.Dataset) []int {
 // further query is scheduled, in-flight queries drain, and ctx.Err() is
 // returned.
 func (c *Classifier) PredictBatchContext(ctx context.Context, test ts.Dataset) ([]int, error) {
-	if len(c.Patterns) > 0 {
-		c.ensureTransformer() // build once, outside the worker fan-out
-	}
 	out := make([]int, len(test))
 	if err := parallel.For(ctx, len(test), c.opts.Workers, c.reg.Pool(PoolPredict), func(i int) {
 		out[i] = c.Predict(test[i].Values)
@@ -491,25 +493,4 @@ func (c *Classifier) PredictBatchContext(ctx context.Context, test ts.Dataset) (
 // validates both once at stream-creation time.
 func (c *Classifier) PredictVector(feat []float64) int {
 	return c.model.Predict(feat)
-}
-
-// predictFallback is 1NN-ED over the raw training set, used only when the
-// pattern pool came out empty (e.g. pathological parameters on tiny data).
-func (c *Classifier) predictFallback(v []float64) int {
-	best := math.Inf(1)
-	label := 0
-	for _, in := range c.fallback {
-		if len(in.Values) != len(v) {
-			continue
-		}
-		d := dist.SqEuclideanEarly(in.Values, v, best)
-		if d < best {
-			best = d
-			label = in.Label
-		}
-	}
-	if math.IsInf(best, 1) && len(c.fallback) > 0 {
-		label = c.fallback[0].Label
-	}
-	return label
 }

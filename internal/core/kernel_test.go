@@ -47,7 +47,7 @@ func TestTransformerKernelEquivalence(t *testing.T) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			pats := randPatterns(rng, 2+rng.Intn(6), 40)
-			tf := newTransformer(pats, rotInv)
+			tf := transformerOf(pats, rotInv)
 			sc := tf.getScratch()
 			defer tf.putScratch(sc)
 			got := make([]float64, len(pats))
@@ -85,7 +85,7 @@ func TestTransformerKernelEquivalence(t *testing.T) {
 func TestTransformerGrouping(t *testing.T) {
 	rng := newTestRand(5)
 	pats := randPatterns(rng, 9, 30)
-	tf := newTransformer(pats, false)
+	tf := transformerOf(pats, false)
 	if len(tf.ordered) != len(pats) || len(tf.featOf) != len(pats) {
 		t.Fatalf("ordered/featOf sizes %d/%d, want %d", len(tf.ordered), len(tf.featOf), len(pats))
 	}
@@ -131,7 +131,7 @@ func TestPredictAllocsSteadyState(t *testing.T) {
 	rng := newTestRand(11)
 	for _, rotInv := range []bool{false, true} {
 		pats := randPatterns(rng, 6, 24)
-		tf := newTransformer(pats, rotInv)
+		tf := transformerOf(pats, rotInv)
 		v := randSeries(rng, 100)
 		sc := tf.getScratch()
 		out := make([]float64, len(pats))
@@ -180,7 +180,7 @@ func TestPredictBatchAllocs(t *testing.T) {
 func TestApplyAllSlabRows(t *testing.T) {
 	rng := newTestRand(23)
 	pats := randPatterns(rng, 5, 24)
-	tf := newTransformer(pats, false)
+	tf := transformerOf(pats, false)
 	d := make(ts.Dataset, 40)
 	for i := range d {
 		d[i] = ts.Instance{Values: randSeries(rng, 64), Label: i % 2}

@@ -77,23 +77,17 @@ func Load(r io.Reader) (*Classifier, error) {
 	if err := validateSnapshot(&s); err != nil {
 		return nil, err
 	}
-	c := &Classifier{
-		Patterns:       s.Patterns,
-		PerClassParams: s.PerClassParams,
-		opts:           s.Options,
-		fallback:       s.Fallback,
-	}
+	var model *svm.Model
 	if len(s.Patterns) > 0 {
 		m, err := svm.FromSnapshot(*s.SVM)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w: %w", ErrCorrupt, err)
 		}
-		c.model = m
-		// Safe to build only now: every pattern has been validated
-		// non-empty and finite.
-		c.ensureTransformer()
+		model = m
 	}
-	return c, nil
+	// Safe to build only now: every pattern has been validated
+	// non-empty and finite.
+	return newClassifier(s.Patterns, s.PerClassParams, s.Options, model, s.Fallback, nil), nil
 }
 
 // validateSnapshot checks every structural invariant a trained classifier

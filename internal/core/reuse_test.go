@@ -52,14 +52,14 @@ func TestFitMatrixEqualsTransform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			patterns, _, X, err := minePatterns(ctx, train, nil, cloneParams(perClass), opts, r.stages(""))
+			patterns, _, X, err := minePatterns(ctx, train, nil, perClass, opts, r.stages(""))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(patterns) == 0 {
 				t.Fatalf("%s/w%d: degenerate fixture, no patterns", cfg.name, workers)
 			}
-			want := newTransformer(patterns, opts.RotationInvariant).applyAll(train, workers, nil)
+			want := transformerOf(patterns, opts.RotationInvariant).applyAll(train, workers, nil)
 			if len(X) != len(want) {
 				t.Fatalf("%s/w%d: %d fit rows, want %d", cfg.name, workers, len(X), len(want))
 			}

@@ -93,10 +93,10 @@ func begin(ctx context.Context, train ts.Dataset, opts Options) (context.Context
 // searched parameters can fail to generalize from the evaluation splits
 // to the full training set (tiny datasets); when they leave no pattern
 // it retries once with the heuristic defaults before accepting the 1NN
-// fallback. The map is copied first, so callers sharing it (bag
-// members) never alias each other's view.
+// fallback. perClass holds every class of train and is only read, so
+// bag members may share it.
 func trainRetry(ctx context.Context, train ts.Dataset, classes []int, perClass map[int]sax.Params, opts Options, r run) (*Classifier, error) {
-	c, err := trainWithParams(ctx, train, nil, cloneParams(perClass), opts, r)
+	c, err := trainWithParams(ctx, train, nil, perClass, opts, r)
 	if err != nil || len(c.Patterns) > 0 || opts.Mode == ParamFixed {
 		return c, err
 	}
@@ -157,40 +157,27 @@ func HeuristicParams(m int) sax.Params {
 }
 
 // trainWithParams runs the candidate/refine/select pipeline with known
-// per-class SAX parameters (minePatterns) and fits the SVM on the
-// training rows findDistinct already transformed. words, when non-nil,
-// holds each training instance's SAX words under the one parameter
-// vector every class shares (the search's word cache, aligned with
-// train); nil discretizes. The fit records into r. The only possible
+// per-class SAX parameters (minePatterns; perClass must hold every class
+// of train, and the classifier keeps it unwritten) and fits the SVM on
+// the training rows findDistinct already transformed. words, when
+// non-nil, holds each training instance's SAX words under the one
+// parameter vector every class shares (the search's word cache, aligned
+// with train); nil discretizes. The fit records into r. The only possible
 // error is ctx.Err(): cancellation is checked between pipeline stages
 // (and inside the per-class fan-out), so a canceled context aborts
 // between stages rather than mid-computation.
 func trainWithParams(ctx context.Context, train ts.Dataset, words [][]sax.WordAt, perClass map[int]sax.Params, opts Options, r run) (*Classifier, error) {
-	for _, class := range train.Classes() {
-		if _, ok := perClass[class]; !ok {
-			perClass[class] = HeuristicParams(train.MinLen())
-		}
-	}
 	patterns, matchers, X, err := minePatterns(ctx, train, words, perClass, opts, r)
 	if err != nil {
 		return nil, err
 	}
-	c := &Classifier{
-		Patterns:       patterns,
-		PerClassParams: perClass,
-		opts:           opts,
-		reg:            r.reg,
-		fallback:       train,
-	}
-	if len(patterns) == 0 {
-		return c, nil
-	}
 	t := time.Now()
-	// Built eagerly, as Load does, so the first Predict pays no
-	// transformer construction, and from the matchers findDistinct
-	// already built for these patterns.
-	c.tfOnce.Do(func() { c.tf = newTransformerFrom(matchers, opts.RotationInvariant) })
-	c.model = svm.Train(X, train.Labels(), opts.Seed)
+	var model *svm.Model
+	if len(patterns) > 0 {
+		model = svm.Train(X, train.Labels(), opts.Seed)
+	}
+	c := newClassifier(patterns, perClass, opts, model, train, matchers)
+	c.reg = r.reg
 	r.fit.Add(time.Since(t))
 	return c, nil
 }

@@ -70,7 +70,6 @@ func BenchmarkTransformParallel(b *testing.B) {
 // unlike absolute ns/op against a committed baseline.
 func BenchmarkTransformKernels(b *testing.B) {
 	clf, data := benchFixture(b)
-	clf.ensureTransformer()
 	t := clf.tf
 	b.Run("naive", func(b *testing.B) {
 		out := make([]float64, len(t.matchers))
@@ -100,7 +99,6 @@ func BenchmarkTransformKernels(b *testing.B) {
 // scratch) — the per-query cost floor of the predict path.
 func BenchmarkTransformInto(b *testing.B) {
 	clf, data := benchFixture(b)
-	clf.ensureTransformer()
 	sc := clf.tf.getScratch()
 	defer clf.tf.putScratch(sc)
 	out := make([]float64, len(clf.tf.matchers))

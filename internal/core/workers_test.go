@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -88,32 +89,34 @@ func TestWorkersDeterminismGrid(t *testing.T) {
 	}
 }
 
-// TestConcurrentTransformAfterLoad locks in the sync.Once fix: a loaded
-// (or never-trained) classifier builds its transformer lazily, and many
-// goroutines hitting Predict at once must not race. Run under -race to
-// see the old bug.
+// TestConcurrentTransformAfterLoad runs a real Save→Load and then a
+// PredictBatch fanned out over 8 workers on the loaded classifier: every
+// goroutine reads the transformer Load built, and the labels must equal
+// the trained classifier's. Run under -race to check the predict path
+// writes no shared state.
 func TestConcurrentTransformAfterLoad(t *testing.T) {
 	split := datagen.MustByName("SynItalyPower").Generate(3)
-	o := workersOpts(0)
+	o := workersOpts(8)
 	o.Mode = ParamFixed
 	clf, err := Train(split.Train, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(clf.Patterns) == 0 {
-		t.Skip("no patterns with fixed heuristic params")
+		t.Fatal("degenerate fixture: no patterns with fixed heuristic params")
 	}
-	// Simulate a freshly deserialized classifier: same state, no tf yet.
-	loaded := &Classifier{
-		Patterns:       clf.Patterns,
-		PerClassParams: clf.PerClassParams,
-		model:          clf.model,
-		opts:           clf.opts,
-		fallback:       clf.fallback,
+	var buf bytes.Buffer
+	if err := clf.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.SetWorkers(8)
 	want := clf.PredictBatch(split.Test)
-	got := loaded.PredictBatch(split.Test) // fans out; builds tf concurrently
+	got := loaded.PredictBatch(split.Test)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("lazy transformer predictions diverge from trained classifier")
+		t.Fatal("loaded classifier's concurrent predictions diverge from the trained classifier's")
 	}
 }

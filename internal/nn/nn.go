@@ -32,12 +32,25 @@ func NewED(train ts.Dataset) *EDClassifier {
 	return &EDClassifier{train: train}
 }
 
-// Predict returns the label of the nearest training instance, with early
-// abandoning on the squared distance.
+// Predict returns the label of the nearest training instance
+// (Nearest).
 func (c *EDClassifier) Predict(query []float64) int {
+	return Nearest(c.train, query)
+}
+
+// Nearest is 1NN under Euclidean distance, early-abandoning on the
+// squared distance: it returns the label of the instance of train
+// nearest to query. It is total over query: instances of another length
+// are skipped, and when none compares (no instance of query's length is
+// at a finite distance) it returns train[0].Label. train must not be
+// empty.
+func Nearest(train ts.Dataset, query []float64) int {
 	best := math.Inf(1)
-	label := c.train[0].Label
-	for _, in := range c.train {
+	label := train[0].Label
+	for _, in := range train {
+		if len(in.Values) != len(query) {
+			continue
+		}
 		d := dist.SqEuclideanEarly(in.Values, query, best)
 		if d < best {
 			best = d

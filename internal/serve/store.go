@@ -218,63 +218,26 @@ func (s *Store) Reload() (ReloadReport, error) {
 		path := filepath.Join(s.dir, e.Name())
 		seen[name] = true
 		out := ReloadOutcome{Name: name, File: e.Name()}
-		data, err := os.ReadFile(path)
-		if err == nil {
-			// Injected model-load I/O failure (faults.SiteStoreLoad):
-			// indistinguishable from a real read error, so the KeptOld /
-			// Rejected fallback below is exactly what a chaos run proves.
-			if ferr := s.faults.Err(faults.SiteStoreLoad); ferr != nil {
-				s.injected.Inc()
-				err = ferr
-			}
-		}
-		if err != nil {
+		prev := old.models[name]
+		m, err := s.load(name, path, prev)
+		switch {
+		case err != nil:
+			// The previously serving version, if any, keeps serving.
 			out.Err = err.Error()
-			if prev, ok := old.models[name]; ok {
+			if prev != nil {
 				next.models[name] = prev
 				rep.KeptOld = append(rep.KeptOld, out)
 			} else {
 				rep.Rejected = append(rep.Rejected, out)
 			}
 			s.rejected.Inc()
-			continue
-		}
-		sum := sha256.Sum256(data)
-		if prev, ok := old.models[name]; ok && prev.sum == sum {
+		case m == prev:
 			next.models[name] = prev
 			rep.Unchanged = append(rep.Unchanged, out)
-			continue
+		default:
+			next.models[name] = m
+			rep.Loaded = append(rep.Loaded, out)
 		}
-		clf, err := rpm.LoadClassifier(bytes.NewReader(data))
-		if err != nil {
-			// Corrupt snapshot: rpm.ErrCorruptModel (or read junk). The
-			// previously serving version, if any, keeps serving.
-			out.Err = err.Error()
-			if prev, ok := old.models[name]; ok {
-				next.models[name] = prev
-				rep.KeptOld = append(rep.KeptOld, out)
-			} else {
-				rep.Rejected = append(rep.Rejected, out)
-			}
-			s.rejected.Inc()
-			continue
-		}
-		clf.SetWorkers(s.workers)
-		version := 1
-		if prev, ok := old.models[name]; ok {
-			version = prev.Version + 1
-		}
-		next.models[name] = &Model{
-			Name:        name,
-			Version:     version,
-			Path:        path,
-			LoadedAt:    time.Now(),
-			NumPatterns: clf.NumPatterns(),
-			Classes:     classesOf(clf),
-			clf:         clf,
-			sum:         sum,
-		}
-		rep.Loaded = append(rep.Loaded, out)
 	}
 	for name, prev := range old.models {
 		if !seen[name] {
@@ -293,6 +256,48 @@ func (s *Store) Reload() (ReloadReport, error) {
 	s.gaugeModels.Set(int64(len(next.names)))
 	rep.Models = len(next.names)
 	return rep, nil
+}
+
+// load reads and decodes the model file at path, the next version of
+// prev (nil: a new model). It returns prev itself when the file's bytes
+// are unchanged. Its error is a read failure, real or injected at
+// faults.SiteStoreLoad (indistinguishable from a real one, so the
+// KeptOld / Rejected fallback is exactly what a chaos run proves), or a
+// corrupt snapshot (rpm.ErrCorruptModel).
+func (s *Store) load(name, path string, prev *Model) (*Model, error) {
+	data, err := os.ReadFile(path)
+	if err == nil {
+		if ferr := s.faults.Err(faults.SiteStoreLoad); ferr != nil {
+			s.injected.Inc()
+			err = ferr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(data)
+	if prev != nil && prev.sum == sum {
+		return prev, nil
+	}
+	clf, err := rpm.LoadClassifier(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	clf.SetWorkers(s.workers)
+	version := 1
+	if prev != nil {
+		version = prev.Version + 1
+	}
+	return &Model{
+		Name:        name,
+		Version:     version,
+		Path:        path,
+		LoadedAt:    time.Now(),
+		NumPatterns: clf.NumPatterns(),
+		Classes:     classesOf(clf),
+		clf:         clf,
+		sum:         sum,
+	}, nil
 }
 
 // classesOf lists a classifier's class labels, sorted. Degenerate

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -370,6 +371,48 @@ func TestBaselineConstructorValidation(t *testing.T) {
 	}
 }
 
+// TestBaselinePredictTotal: the nearest-neighbour baselines answer any
+// query, on a uniform and on a ragged training set, with a training
+// label and without a panic: empty, length 1, shorter and longer than
+// every training series.
+func TestBaselinePredictTotal(t *testing.T) {
+	builders := map[string]func(Dataset) (Model, error){
+		"NewNNEuclidean": func(d Dataset) (Model, error) { return NewNNEuclidean(d) },
+		"NewNNDTWBest":   func(d Dataset) (Model, error) { return NewNNDTWBest(d) },
+	}
+	uniform := smallTrainSet()
+	ragged := make(Dataset, len(uniform))
+	for i, in := range uniform {
+		ragged[i] = Instance{Label: in.Label, Values: in.Values[:len(in.Values)-7*(i%3)]}
+	}
+	n := len(uniform[0].Values)
+	long := make([]float64, 2*n)
+	for i := range long {
+		long[i] = math.Sin(float64(i) / 5)
+	}
+	queries := map[string][]float64{
+		"empty":    nil,
+		"length 1": {0.5},
+		"shorter":  long[:n/3],
+		"longer":   long,
+		"equal":    long[:n],
+	}
+	for name, build := range builders {
+		for dname, train := range map[string]Dataset{"uniform": uniform, "ragged": ragged} {
+			m, err := build(train)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, dname, err)
+			}
+			for qname, q := range queries {
+				label := m.Predict(q)
+				if !slices.Contains(train.Classes(), label) {
+					t.Errorf("%s on %s, %s query: label %d is not a training label", name, dname, qname, label)
+				}
+			}
+		}
+	}
+}
+
 func TestErrorTypeShape(t *testing.T) {
 	cause := errors.New("the cause")
 	e := &Error{Op: "Train", Kind: ErrBadInput, Err: cause}
@@ -393,7 +436,8 @@ func TestErrorTypeShape(t *testing.T) {
 
 // FuzzLoadClassifier asserts the snapshot-loading contract: arbitrary
 // bytes either fail with an error or produce a classifier whose Predict
-// and Transform are total — never a panic either way.
+// and Transform are total — never a panic either way — and which, saved
+// and loaded once more, predicts the same labels.
 func FuzzLoadClassifier(f *testing.F) {
 	clf, err := Train(GenerateDataset("SynGunPoint", 1).Train[:6], fixedTrainOpts())
 	if err != nil {
@@ -420,10 +464,20 @@ func FuzzLoadClassifier(f *testing.F) {
 			}
 			return
 		}
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil {
+			t.Fatalf("a loaded snapshot does not save: %v", err)
+		}
+		reloaded, err := LoadClassifier(&again)
+		if err != nil {
+			t.Fatalf("a saved snapshot does not load: %v", err)
+		}
 		// Whatever loaded must predict without panicking, on degenerate
-		// and on ordinary queries alike.
+		// and on ordinary queries alike, and as its round trip does.
 		for _, q := range [][]float64{nil, {0}, {1, 2, 3}, make([]float64, 64)} {
-			_ = loaded.Predict(q)
+			if got, want := reloaded.Predict(q), loaded.Predict(q); got != want {
+				t.Fatalf("query of length %d: %d after one more Save/Load, %d before", len(q), got, want)
+			}
 			_ = loaded.Transform(q)
 		}
 	})

@@ -178,9 +178,9 @@ func trainBoundary[T any](ctx context.Context, op string, train Dataset, opts Op
 }
 
 // Predict classifies one series. It is total: any input — empty,
-// non-finite, shorter than every pattern — yields a deterministic label
-// without panicking (degenerate queries fall back to the training set's
-// nearest-neighbor behavior). A request boundary that must reject
+// non-finite, shorter than every pattern — yields a deterministic label,
+// one of the model's classes, without panicking, and a loaded model
+// answers as the one that was saved. A request boundary that must reject
 // degenerate input with a typed error runs ValidateSeries first.
 func (c *Classifier) Predict(values []float64) int { return c.inner.Predict(values) }
 
