@@ -60,7 +60,7 @@ COVER_PKGS = . \
 
 .PHONY: all build test race vet fmt-check lint lint-drill bench fuzz cover check \
 	bench-json bench-gate bench-baseline served-smoke chaos \
-	archive-smoke perfbench-check examples-check
+	archive-smoke perfbench-check examples-check golden-check golden-update
 
 all: check
 
@@ -198,6 +198,17 @@ examples-check:
 	done
 	@echo "examples-check: $(words $(EXAMPLES)) programs match testdata/examples"
 
+# Cross-commit model ledger (ROADMAP item 1): TestGolden trains every
+# cell of GOLDEN.json at Workers 1 and 8 and fails when the two disagree
+# or when a model or prediction digest moved. `make golden-update`
+# rewrites the file and is deliberate, like `bench-baseline`: a change
+# that moves a digest on purpose says why in CHANGES.md.
+golden-check:
+	$(GO) test -count 1 -run '^TestGolden$$' ./internal/core
+
+golden-update:
+	$(GO) test -count 1 -run '^TestGolden$$' ./internal/core -args -golden.update
+
 # The repo benchmark (perfbench/, run by perfbench/run.sh) is its own Go
 # module built against this one, so `go test ./...` never compiles it.
 # Vet and short-test it so a change to an API it uses fails the check.
@@ -205,4 +216,4 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -short ./...
 
-check: fmt-check build vet lint lint-drill test race cover fuzz served-smoke archive-smoke perfbench-check examples-check
+check: fmt-check build vet lint lint-drill test race cover fuzz served-smoke archive-smoke perfbench-check examples-check golden-check

@@ -19,8 +19,9 @@ func instrumentedOpts() Options {
 // surface: training with Options.Instrument yields a report whose
 // headline counters are all positive on a non-trivial dataset, whose
 // stage tree covers the paper's steps, and whose JSON round-trips.
+// SynControl's search runs its whole budget, so it records cache hits.
 func TestTrainReport(t *testing.T) {
-	split := GenerateDataset("SynItalyPower", 3)
+	split := GenerateDataset("SynControl", 3)
 	clf, err := Train(split.Train, instrumentedOpts())
 	if err != nil {
 		t.Fatal(err)
