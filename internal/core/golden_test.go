@@ -34,26 +34,25 @@ type goldenCell struct {
 	Predictions string `json:"predictions_sha256"`
 }
 
+// goldenConfig is one cell's training: Options on a generated split.
+type goldenConfig struct {
+	name, dataset string
+	seed          int64
+	opts          Options
+}
+
 // goldenCells are the ledger's training configurations. The four DIRECT
 // cells under DefaultOptions are perfbench's train mix at its seed:
 // SynItalyPower, SynGunPoint and SynSymbols have every class at mean
 // F = 1 within two evaluations, SynCBF only late in its search. The
 // small-budget SynControl search never gets there, and the grid cell
 // covers the other search mode.
-func goldenCells() []struct {
-	name, dataset string
-	seed          int64
-	opts          Options
-} {
+func goldenCells() []goldenConfig {
 	small := DefaultOptions()
 	small.Splits, small.MaxEvals = 2, 8
 	grid := DefaultOptions()
 	grid.Mode = ParamGrid
-	return []struct {
-		name, dataset string
-		seed          int64
-		opts          Options
-	}{
+	return []goldenConfig{
 		{"direct/SynItalyPower/1", "SynItalyPower", 1, DefaultOptions()},
 		{"direct/SynCBF/1", "SynCBF", 1, DefaultOptions()},
 		{"direct/SynGunPoint/1", "SynGunPoint", 1, DefaultOptions()},

@@ -191,6 +191,46 @@ func TestObsSearchStages(t *testing.T) {
 	}
 }
 
+// TestSearchStopsAtSaturation pins where the DIRECT search stops, as
+// exact counts at Workers 1 and 8. On SynItalyPower seed 3 every class
+// reaches mean F = 1 at DIRECT's first sample, so the search makes that
+// one evaluation and asks for nothing more. SynControl seed 3 never gets
+// there: it makes the 7 distinct evaluations and 35 cache hits of its
+// whole budget, as the search did before it could stop, and records no
+// saturation point.
+func TestSearchStopsAtSaturation(t *testing.T) {
+	for _, tc := range []struct {
+		dataset                  string
+		evals, hits, saturatedAt int64
+	}{
+		{"SynItalyPower", 1, 0, 1},
+		{"SynControl", 7, 35, 0},
+	} {
+		split := datagen.MustByName(tc.dataset).Generate(3)
+		for _, workers := range []int{1, 8} {
+			opts := workersOpts(workers)
+			opts.Instrument = true
+			c, err := Train(split.Train, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := c.TrainSnapshot()
+			evals, hits, at := snap.Counter(CtrSearchEvals), snap.Counter(CtrSearchCacheHits), snap.Counter(CtrSearchSaturatedAt)
+			if evals != tc.evals || hits != tc.hits || at != tc.saturatedAt {
+				t.Errorf("%s workers=%d: %d evaluations, %d cache hits, saturated at %d; want %d, %d, %d",
+					tc.dataset, workers, evals, hits, at, tc.evals, tc.hits, tc.saturatedAt)
+			}
+			present := false
+			for _, ctr := range snap.Counters {
+				present = present || ctr.Name == CtrSearchSaturatedAt
+			}
+			if present != (tc.saturatedAt > 0) {
+				t.Errorf("%s workers=%d: %q present %v, want %v", tc.dataset, workers, CtrSearchSaturatedAt, present, tc.saturatedAt > 0)
+			}
+		}
+	}
+}
+
 // TestObsSnapshotStableJSON locks the snapshot's JSON encoding shape:
 // two snapshots of the same registry state encode identically.
 func TestObsSnapshotStableJSON(t *testing.T) {

@@ -68,6 +68,12 @@ const (
 	CtrCFSExpansions   = "train.cfs.expansions"
 	CtrCFSSelected     = "train.cfs.selected"
 
+	// CtrSearchSaturatedAt is the number of distinct evaluations made
+	// when the last class reached mean F = 1, where the DIRECT search
+	// stops (selectParams). It is absent when the search never gets
+	// there, and in grid mode, which evaluates every point.
+	CtrSearchSaturatedAt = "search.saturated_at"
+
 	// Sampled-training counters (DESIGN.md §15): sliding-window blocks
 	// kept/skipped by the Step-1 sampler, search grid points surviving
 	// the seeded thinning, and the number of bagged members trained.

@@ -166,6 +166,13 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 	return acc, nil
 }
 
+// distinct returns the number of distinct evaluations made so far.
+func (e *evaluator) distinct() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.cache)
+}
+
 // wordCache returns the SAX words under p of every instance of the full
 // training set, indexed like it, or nil when the inner fits must
 // discretize for themselves: under Options.Sample, or for a p that
@@ -238,6 +245,16 @@ func clampInt(v, lo, hi int) int {
 // selectParams learns the best SAX parameters per class with either the
 // exhaustive grid (Algorithm 3) or per-class DIRECT searches (§4.2).
 //
+// Saturation: consider replaces a class's parameters only on a strictly
+// higher mean F, and a mean F is at most 1: each split's F1 is at most 1,
+// and rounding is monotone, so a sum of n of them is at most n and its
+// mean at most 1. Once every class has reached 1, bestP is final, so the
+// DIRECT search stops there: its objective returns at once, as after
+// cancellation, and no later class's run starts. The model is the one
+// the whole budget gives; only evaluations that cannot change it are
+// skipped. Grid mode evaluates every point before it applies consider,
+// and is unchanged.
+//
 // Cancellation: both modes observe ctx at parameter-evaluation
 // granularity. Grid mode stops scheduling grid points once ctx is done;
 // DIRECT's objective short-circuits to the worst value for every sample
@@ -253,14 +270,19 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options, r run) (m
 		bestF[c] = -1
 		bestP[c] = HeuristicParams(m)
 	}
+	saturated := 0 // classes whose bestF has reached 1
 	consider := func(p sax.Params, fs map[int]float64) {
 		for _, c := range e.classes {
 			if f := fs[c]; f > bestF[c] {
+				if f >= 1 {
+					saturated++
+				}
 				bestF[c] = f
 				bestP[c] = p
 			}
 		}
 	}
+	done := func() bool { return saturated == len(e.classes) }
 	switch opts.Mode {
 	case ParamGrid:
 		// The grid points are independent full evaluations (~60 of
@@ -301,10 +323,13 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options, r run) (m
 			maxEvals = sampledMaxEvals(maxEvals, opts.Sample.Rate)
 		}
 		for _, c := range e.classes {
+			if done() {
+				break
+			}
 			class := c
 			classSpan := r.span.Start(fmt.Sprintf("%s%d", SpanDirectClass, class))
 			direct.Minimize(func(x []float64) float64 {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || done() {
 					return 1 // worst objective; evaluation is now O(1)
 				}
 				p := clampParams(x, m)
@@ -313,6 +338,9 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options, r run) (m
 					return 1
 				}
 				consider(p, fs)
+				if done() {
+					r.reg.Counter(CtrSearchSaturatedAt).Add(int64(e.distinct()))
+				}
 				return 1 - fs[class]
 			}, lo, hi, maxEvals)
 			classSpan.End()

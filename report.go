@@ -37,6 +37,11 @@ const (
 	CounterCacheMisses     = core.CtrSearchCacheMiss // parameter-cache misses
 	CounterCFSExpansions   = core.CtrCFSExpansions   // CFS best-first node expansions
 	CounterCFSSelected     = core.CtrCFSSelected     // patterns CFS kept
+
+	// CounterSearchSaturatedAt is the number of distinct evaluations made
+	// when the last class reached mean F = 1 and the DIRECT search
+	// stopped; it is absent when the search never did.
+	CounterSearchSaturatedAt = core.CtrSearchSaturatedAt
 )
 
 // StageTiming is one node of the training timing tree. Wall is the
