@@ -22,7 +22,7 @@ FUZZTIME ?= 10s
 # (benchjson aggregates -count samples by min). Both the selection regex and the package list
 # are overridable (`make bench-json BENCH_GATE_RE=...`) so one-off runs
 # can benchmark a subset without editing this file.
-BENCH_GATE_RE ?= ^Benchmark(RPMTrainFixed|RPMPredict|TransformParallel|TransformInto|PredictBatchParallel|ServePredict|NNEDParallel|NNDTWParallel|MatcherBestShort|StreamAppend)$$
+BENCH_GATE_RE ?= ^Benchmark(RPMTrainFixed|RPMPredict|TransformParallel|TransformInto|PredictBatchParallel|ServePredict|NNEDParallel|NNDTWParallel|MatcherBestShort|StreamAppend|StreamAppendServed)$$
 BENCH_GATE_PKGS ?= . ./internal/core ./internal/nn ./internal/dist ./internal/serve ./internal/stream
 BENCH_BASELINE = BENCH_PR8.json
 BENCH_CURRENT = $(OUT_DIR)/BENCH_PR8.tmp.json

@@ -191,8 +191,8 @@ func TestObsSearchStages(t *testing.T) {
 	}
 }
 
-// TestSearchStopsAtSaturation pins where the DIRECT search stops, as
-// exact counts at Workers 1 and 8. On SynItalyPower seed 3 every class
+// TestSearchStopsAtSaturation pins where the DIRECT and grid searches
+// stop, as exact counts at Workers 1 and 8. On SynItalyPower seed 3 every class
 // reaches mean F = 1 at DIRECT's first sample, so the search makes that
 // one evaluation and asks for nothing more. SynControl seed 3 never gets
 // there: it makes the 7 distinct evaluations and 35 cache hits of its
@@ -227,6 +227,26 @@ func TestSearchStopsAtSaturation(t *testing.T) {
 			if present != (tc.saturatedAt > 0) {
 				t.Errorf("%s workers=%d: %q present %v, want %v", tc.dataset, workers, CtrSearchSaturatedAt, present, tc.saturatedAt > 0)
 			}
+		}
+	}
+
+	// Grid mode stops at the 9th of SynItalyPower's 52 seed-1 grid
+	// points. It scores the grid one point per worker at a time, so at
+	// Workers 8 the chunk holding that point (points 9–16) is scored in
+	// full; the model is the same either way (GOLDEN.json's grid cell).
+	split := datagen.MustByName("SynItalyPower").Generate(1)
+	for _, tc := range []struct{ workers, evals int64 }{{1, 9}, {8, 16}} {
+		opts := DefaultOptions()
+		opts.Mode = ParamGrid
+		opts.Workers = int(tc.workers)
+		opts.Instrument = true
+		c, err := Train(split.Train, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := c.TrainSnapshot()
+		if evals, at := snap.Counter(CtrSearchEvals), snap.Counter(CtrSearchSaturatedAt); evals != tc.evals || at != 9 {
+			t.Errorf("grid workers=%d: %d evaluations, saturated at grid point %d; want %d, 9", tc.workers, evals, at, tc.evals)
 		}
 	}
 }

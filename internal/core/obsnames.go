@@ -68,10 +68,11 @@ const (
 	CtrCFSExpansions   = "train.cfs.expansions"
 	CtrCFSSelected     = "train.cfs.selected"
 
-	// CtrSearchSaturatedAt is the number of distinct evaluations made
-	// when the last class reached mean F = 1, where the DIRECT search
-	// stops (selectParams). It is absent when the search never gets
-	// there, and in grid mode, which evaluates every point.
+	// CtrSearchSaturatedAt is where the parameter search stopped
+	// because the last class reached mean F = 1 (selectParams): in
+	// DIRECT mode the number of distinct evaluations made by then, in
+	// grid mode the 1-based grid position of the saturating point. It
+	// is absent when the search never gets there.
 	CtrSearchSaturatedAt = "search.saturated_at"
 
 	// Sampled-training counters (DESIGN.md §15): sliding-window blocks

@@ -252,8 +252,9 @@ func clampInt(v, lo, hi int) int {
 // DIRECT search stops there: its objective returns at once, as after
 // cancellation, and no later class's run starts. The model is the one
 // the whole budget gives; only evaluations that cannot change it are
-// skipped. Grid mode evaluates every point before it applies consider,
-// and is unchanged.
+// skipped. Grid mode scores the grid in consecutive chunks of one point
+// per worker, applies consider in grid order after each chunk, and stops
+// at the point that saturates the last class.
 //
 // Cancellation: both modes observe ctx at parameter-evaluation
 // granularity. Grid mode stops scheduling grid points once ctx is done;
@@ -299,18 +300,31 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options, r run) (m
 			r.reg.Counter(CtrSampleGridKept).Add(int64(len(kept)))
 			r.reg.Counter(CtrSampleGridDropped).Add(int64(dropped))
 		}
+		// Chunks of one point per worker keep the scoring parallel while
+		// consider, applied in grid order after each chunk, can stop the
+		// grid at the point that saturates the last class.
 		gridSpan := r.span.Start(SpanSearchGrid)
-		scores, err := parallel.Map(ctx, len(grid), opts.Workers, r.reg.Pool(PoolSearchGrid), func(i int) map[int]float64 {
-			fs, _ := e.fmeasures(ctx, grid[i]) // nil on cancel; Map reports it
-			return fs
-		})
+		chunk := parallel.Workers(opts.Workers)
+	grid:
+		for lo := 0; lo < len(grid); lo += chunk {
+			part := grid[lo:min(lo+chunk, len(grid))]
+			scores, err := parallel.Map(ctx, len(part), opts.Workers, r.reg.Pool(PoolSearchGrid), func(i int) map[int]float64 {
+				fs, _ := e.fmeasures(ctx, part[i]) // nil on cancel; Map reports it
+				return fs
+			})
+			if err != nil {
+				gridSpan.End()
+				return nil, err
+			}
+			for i, p := range part {
+				consider(p, scores[i])
+				if done() {
+					r.reg.Counter(CtrSearchSaturatedAt).Add(int64(lo + i + 1))
+					break grid
+				}
+			}
+		}
 		gridSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		for i, p := range grid {
-			consider(p, scores[i])
-		}
 	default: // ParamDIRECT
 		wLo, wHi, paaLo, paaHi, aLo, aHi := paramBounds(m)
 		lo := []float64{float64(wLo), float64(paaLo), float64(aLo)}

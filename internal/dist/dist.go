@@ -63,6 +63,9 @@ type Matcher struct {
 	// zpSq is Σzp², accumulated in index order: the distance of any
 	// constant window, whose z-normalization is the zero vector.
 	zpSq float64
+	// margin is relMargin(len(zp)), the factor the filtered scans'
+	// phase 1 scales best by.
+	margin float64
 }
 
 // NewMatcher prepares a matcher for the given pattern (which is copied and
@@ -96,6 +99,7 @@ func (m *Matcher) Reset(pattern []float64) {
 		zpSq += x * x
 	}
 	m.zpSq = zpSq
+	m.margin = relMargin(len(pattern))
 }
 
 // Len returns the pattern length.

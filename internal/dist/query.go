@@ -177,42 +177,22 @@ func (m *Matcher) scanStats(series []float64, st *WindowStats, seedPos int) Matc
 	// and order-independent, abandoned windows (partial sum > best) can
 	// never update best, and the tie rule keeps the lowest position
 	// regardless of when it is visited.
-	// Each window goes through two phases.
-	//
-	// Phase 1 — margin filter: the squared distance is re-derived with
-	// FOUR independent accumulators, which breaks the serial add
-	// dependency chain that caps the exact kernel at one element per
-	// ~4-cycle add latency. A reordered sum is NOT bit-identical to the
-	// in-order sum, so it is never reported; it is only compared against
-	// thresh = best·relMargin, where relMargin covers the worst-case
-	// relative spread between any two floating-point summations of the
-	// same n non-negative terms (≤ ~2(n+4)u each vs the real value, u =
-	// 2⁻⁵³; relMargin grows with n and exceeds that bound by >100×).
-	// If the reordered partial exceeds thresh, the real value exceeds
-	// best strictly, and the in-order full sum — which is monotone
-	// non-decreasing, fl(d+t) ≥ d for t ≥ 0 — exceeds best too: the
-	// window can neither update best nor tie it, so rejecting it cannot
-	// change the result. NaN inputs compare false and fall through to
-	// phase 2, which handles them exactly as the sequential scan does.
-	//
-	// Phase 2 — exact evaluation: survivors (near-optimal windows and
-	// ties; the margin makes false rejection impossible, false survival
-	// merely costs this re-evaluation) are re-accumulated in strict
-	// index order with the per-element abandon test by windowDist, the
-	// sequential scan's evaluator. Only phase 2 updates best/bestPos.
-	relMargin := 1 + 1e-12 + float64(n)*1e-15
-	thresh := best * relMargin
+	// Each window goes through two phases: phase 1 is marginReject, the
+	// margin filter shared with StreamEval; phase 2, for the survivors,
+	// is the exact in-order windowDist with the per-element abandon
+	// test, the sequential scan's evaluator. Only phase 2 updates
+	// best/bestPos.
+	thresh := best * m.margin
 	// Streaming prepass: the filter's first four terms are computed for
 	// EVERY window in one branch-free sequential sweep (zp[0..3] live in
 	// registers, means/invs/lb stream), so the scan below rejects the
 	// common far-from-matching window with a single load-and-compare
 	// instead of a window setup plus a filter iteration. lb[i] is a
 	// floating-point sum of a subset of window i's terms in some
-	// association — exactly what the margin analysis above covers — and
+	// association — exactly what marginReject's margin analysis covers — and
 	// for a constant window (inv = 0) its terms degrade to zp[j]², a
 	// subset of the Σzp² that window compares, so one uniform test is
-	// sound for both paths. Survivors resume the filter at element 4
-	// with s0 seeded from lb[i] (again just a different association).
+	// sound for both paths.
 	var lb []float64
 	preN := 0
 	if n >= 4 {
@@ -232,7 +212,6 @@ func (m *Matcher) scanStats(series []float64, st *WindowStats, seedPos int) Matc
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
-	scan:
 		for i := 0; i < nw; i++ {
 			if pass == 0 {
 				if i%scanStride != 0 {
@@ -250,48 +229,24 @@ func (m *Matcher) scanStats(series []float64, st *WindowStats, seedPos int) Matc
 			if i == seedPos {
 				continue // exact distance known: best <= it, no update possible
 			}
-			mean, inv := means[i], invs[i]
 			w := series[i : i+n]
-			if inv != 0 && !math.IsInf(thresh, 1) {
-				// Phase 1 on a non-constant window (a constant one goes
-				// straight to phase 2, which returns the precomputed
-				// Σzp²). An infinite thresh (no best yet) can never
-				// reject; skip straight to the exact pass in that case
-				// rather than paying both.
-				zpw := zp[:len(w)] // BCE hint: len(zpw) == len(w)
-				var s0, s1, s2, s3 float64
-				j := 0
-				if lb != nil {
-					s0 = lb[i]
-					j = preN
-				}
-				for ; j+3 < len(w); j += 4 {
-					e0 := (w[j]-mean)*inv - zpw[j]
-					s0 += e0 * e0
-					e1 := (w[j+1]-mean)*inv - zpw[j+1]
-					s1 += e1 * e1
-					e2 := (w[j+2]-mean)*inv - zpw[j+2]
-					s2 += e2 * e2
-					e3 := (w[j+3]-mean)*inv - zpw[j+3]
-					s3 += e3 * e3
-					if s0+s1+s2+s3 > thresh {
-						continue scan
-					}
-				}
-				for ; j < len(w); j++ {
-					et := (w[j]-mean)*inv - zpw[j]
-					s0 += et * et
-				}
-				if s0+s1+s2+s3 > thresh {
-					continue scan
-				}
+			mean, inv := means[i], invs[i]
+			// Survivors of the prepass resume the filter at element preN
+			// with s0 seeded from lb[i] (again just a different
+			// association).
+			var s0 float64
+			if lb != nil {
+				s0 = lb[i]
+			}
+			if m.marginReject(w, mean, inv, thresh, s0, preN) {
+				continue
 			}
 			// Survivor: exact in-order evaluation.
 			d := m.windowDist(w, mean, inv, best)
 			if d < best {
 				best = d
 				bestPos = i
-				thresh = best * relMargin
+				thresh = best * m.margin
 				continue
 			}
 			//rpmlint:ignore floateq scan tie rule: an exact distance tie must resolve to the lowest position whatever the visit order, mirroring the naive first-strict-improvement scan
@@ -305,6 +260,58 @@ func (m *Matcher) scanStats(series []float64, st *WindowStats, seedPos int) Matc
 
 // scanStride is the coarse-pass step of the two-pass window scan.
 const scanStride = 8
+
+// relMargin is the factor phase 1 scales best by for an n-element
+// window: it covers the worst-case relative spread between any two
+// floating-point summations of the same n non-negative terms (≤ ~2(n+4)u
+// each vs the real value, u = 2⁻⁵³), grows with n, and exceeds that
+// bound by >100×.
+func relMargin(n int) float64 { return 1 + 1e-12 + float64(n)*1e-15 }
+
+// marginReject is phase 1 of the filtered scans, scanStats and
+// StreamEval: it reports that window w (with its recurrence mean and
+// inv) cannot improve on or tie the best squared distance, thresh being
+// best·m.margin (relMargin(m.Len())). The squared distance is
+// re-derived with FOUR independent accumulators, which breaks the serial
+// add dependency chain that caps windowDist at one element per ~4-cycle
+// add latency. A reordered sum is NOT bit-identical to the in-order sum,
+// so it is never reported; it is only compared against thresh. If the
+// reordered partial exceeds thresh, the real value exceeds best strictly, and the
+// in-order full sum — which is monotone non-decreasing, fl(d+t) ≥ d for
+// t ≥ 0 — exceeds best too: the window can neither update best nor tie
+// it, so rejecting it cannot change the result. NaN inputs compare false
+// and fall through to windowDist, which handles them exactly as the
+// sequential scan does; ties always reach it. A constant window (inv 0;
+// windowDist returns the precomputed Σzp²) and an infinite thresh (no
+// best yet, nothing can be rejected) are never filtered.
+//
+// The first j terms are already summed into s0 (scanStats' prepass; a
+// caller without one passes 0, 0).
+func (m *Matcher) marginReject(w []float64, mean, inv, thresh, s0 float64, j int) bool {
+	if inv == 0 || math.IsInf(thresh, 1) {
+		return false
+	}
+	zpw := m.zp[:len(w)] // BCE hint: len(zpw) == len(w)
+	var s1, s2, s3 float64
+	for ; j+3 < len(w); j += 4 {
+		e0 := (w[j]-mean)*inv - zpw[j]
+		s0 += e0 * e0
+		e1 := (w[j+1]-mean)*inv - zpw[j+1]
+		s1 += e1 * e1
+		e2 := (w[j+2]-mean)*inv - zpw[j+2]
+		s2 += e2 * e2
+		e3 := (w[j+3]-mean)*inv - zpw[j+3]
+		s3 += e3 * e3
+		if s0+s1+s2+s3 > thresh {
+			return true
+		}
+	}
+	for ; j < len(w); j++ {
+		et := (w[j]-mean)*inv - zpw[j]
+		s0 += et * et
+	}
+	return s0+s1+s2+s3 > thresh
+}
 
 // BestQueryGroup matches every matcher of ms — which must all share one
 // pattern length — against q, writing out[k] =

@@ -118,13 +118,22 @@ func (s *StreamScan) Reset() {
 
 // StreamEval folds one window into the scan: window is the raw samples
 // series[pos : pos+m.Len()], (mean, inv) its RollingStats output. The
-// window is evaluated by windowDist against the current best and kept
-// on a strict improvement; positions only grow, so the first of tied
-// windows wins: the sequential scan's per-window step.
-func (m *Matcher) StreamEval(s *StreamScan, window []float64, mean, inv float64, pos int) {
+// window first goes through marginReject, the filtered batch scan's
+// phase 1, against the current best; a survivor is evaluated by
+// windowDist and kept on a strict improvement. Positions only grow, so
+// the first of tied windows wins: the sequential scan's per-window step
+// (the filter only drops windows whose exact distance exceeds best).
+// improved reports that the scan changed, exact that the window reached
+// windowDist.
+func (m *Matcher) StreamEval(s *StreamScan, window []float64, mean, inv float64, pos int) (improved, exact bool) {
+	if m.marginReject(window, mean, inv, s.best*m.margin, 0, 0) {
+		return false, false
+	}
 	if d := m.windowDist(window, mean, inv, s.best); d < s.best {
 		*s = StreamScan{d, pos}
+		return true, true
 	}
+	return false, true
 }
 
 // StreamMatch reads the scan as a Match in Best's units: the length-

@@ -53,12 +53,19 @@ const (
 	// appends, CtrStreamSamples the samples those appends carried,
 	// CtrStreamEvents the committed class-change events, and
 	// CtrStreamsCreated / CtrStreamsClosed the stream lifecycle (their
-	// difference is GaugeStreams).
-	CtrRequestsStream = "serve.requests.stream"
-	CtrStreamSamples  = "serve.stream.samples"
-	CtrStreamEvents   = "serve.stream.events"
-	CtrStreamsCreated = "serve.streams.created"
-	CtrStreamsClosed  = "serve.streams.closed"
+	// difference is GaugeStreams). The detectors' work (stream.Work)
+	// folds in per append: CtrStreamWindows the pattern windows scored,
+	// CtrStreamWindowsExact those that passed the margin filter to the
+	// exact window evaluator, CtrStreamClassify the classifier calls
+	// (a detector classifies only when a pattern's best match moved).
+	CtrRequestsStream     = "serve.requests.stream"
+	CtrStreamSamples      = "serve.stream.samples"
+	CtrStreamEvents       = "serve.stream.events"
+	CtrStreamWindows      = "serve.stream.windows"
+	CtrStreamWindowsExact = "serve.stream.windows_exact"
+	CtrStreamClassify     = "serve.stream.classify"
+	CtrStreamsCreated     = "serve.streams.created"
+	CtrStreamsClosed      = "serve.streams.closed"
 
 	GaugeModels = "serve.models"
 	// GaugeStreams is the number of live streams; GaugeStreamBytes their

@@ -125,12 +125,15 @@ type Server struct {
 	taskItems  *obs.Counter
 	taskPool   *obs.Pool
 
-	streamSamples *obs.Counter
-	streamEvents  *obs.Counter
-	streamsMade   *obs.Counter
-	streamsClosed *obs.Counter
-	gaugeStreams  *obs.Gauge
-	gaugeStrBytes *obs.Gauge
+	streamSamples  *obs.Counter
+	streamEvents   *obs.Counter
+	streamWindows  *obs.Counter
+	streamExact    *obs.Counter
+	streamClassify *obs.Counter
+	streamsMade    *obs.Counter
+	streamsClosed  *obs.Counter
+	gaugeStreams   *obs.Gauge
+	gaugeStrBytes  *obs.Gauge
 
 	latPredict *obs.Summary
 	latBatch   *obs.Summary
@@ -194,12 +197,15 @@ func New(cfg Config) (*Server, error) {
 		taskItems:  reg.Counter(CtrBatchItems),
 		taskPool:   reg.Pool(PoolBatch),
 
-		streamSamples: reg.Counter(CtrStreamSamples),
-		streamEvents:  reg.Counter(CtrStreamEvents),
-		streamsMade:   reg.Counter(CtrStreamsCreated),
-		streamsClosed: reg.Counter(CtrStreamsClosed),
-		gaugeStreams:  reg.Gauge(GaugeStreams),
-		gaugeStrBytes: reg.Gauge(GaugeStreamBytes),
+		streamSamples:  reg.Counter(CtrStreamSamples),
+		streamEvents:   reg.Counter(CtrStreamEvents),
+		streamWindows:  reg.Counter(CtrStreamWindows),
+		streamExact:    reg.Counter(CtrStreamWindowsExact),
+		streamClassify: reg.Counter(CtrStreamClassify),
+		streamsMade:    reg.Counter(CtrStreamsCreated),
+		streamsClosed:  reg.Counter(CtrStreamsClosed),
+		gaugeStreams:   reg.Gauge(GaugeStreams),
+		gaugeStrBytes:  reg.Gauge(GaugeStreamBytes),
 
 		latPredict: reg.Summary(SumLatencyPredict),
 		latBatch:   reg.Summary(SumLatencyBatch),

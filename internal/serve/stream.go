@@ -158,6 +158,9 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.streamSamples.Add(int64(len(req.Values)))
 	s.streamEvents.Add(int64(len(res.Events)))
+	s.streamWindows.Add(res.Work.Windows)
+	s.streamExact.Add(res.Work.WindowsExact)
+	s.streamClassify.Add(res.Work.Classify)
 	clock.enter(nil)
 	s.writeResult(w, streamAppendResponse{
 		streamState: stateOf(st, res),

@@ -145,7 +145,7 @@ func eventfulSeries(t *testing.T, clf *rpm.Classifier, cfg Config, minEvents int
 // layer adds transport, not semantics.
 func TestStreamHappyPathEquivalence(t *testing.T) {
 	cfg := Config{Stream: stream.Config{ConfirmWindows: 1}}
-	_, ts, _ := newTestServer(t, func(c *Config) { c.Stream.ConfirmWindows = 1 })
+	s, ts, _ := newTestServer(t, func(c *Config) { c.Stream.ConfirmWindows = 1 })
 	series, wantEvents := eventfulSeries(t, fixClf1, cfg, 2)
 	ref := referenceDetector(t, fixClf1, cfg)
 
@@ -187,6 +187,18 @@ func TestStreamHappyPathEquivalence(t *testing.T) {
 	}
 	if fmt.Sprint(gotEvents) != fmt.Sprint(wantEvents) {
 		t.Fatalf("served events diverged from reference:\n%+v\nvs\n%+v", gotEvents, wantEvents)
+	}
+	// The detector's work folds into /debug/obs append by append.
+	snap := s.Obs().Snapshot()
+	work := ref.Work()
+	for name, want := range map[string]int64{
+		CtrStreamWindows:      work.Windows,
+		CtrStreamWindowsExact: work.WindowsExact,
+		CtrStreamClassify:     work.Classify,
+	} {
+		if got := snap.Counter(name); got != want || want <= 0 {
+			t.Fatalf("%s = %d, reference detector %d", name, got, want)
+		}
 	}
 
 	// GET state agrees with the last append; the list includes the stream.

@@ -176,8 +176,8 @@ type Stream struct {
 }
 
 // AppendResult is the post-append snapshot an Append observer needs:
-// totals, the committed label, and copies of the events this append
-// emitted.
+// totals, the committed label, copies of the events this append
+// emitted, and the detector work it did (zero from State).
 type AppendResult struct {
 	Seen    int64
 	Warm    bool
@@ -185,6 +185,7 @@ type AppendResult struct {
 	Started bool
 	Seq     int
 	Events  []Event
+	Work    Work
 }
 
 // Append feeds a chunk through the stream's detector and wakes
@@ -196,11 +197,13 @@ func (s *Stream) Append(chunk []float64) (AppendResult, error) {
 		s.mu.Unlock()
 		return AppendResult{}, ErrClosed
 	}
+	before := s.det.Work()
 	evs := s.det.Append(chunk)
 	res := AppendResult{
 		Seen: s.det.Seen(),
 		Warm: s.det.Warm(),
 		Seq:  s.det.EventSeq(),
+		Work: s.det.Work().Sub(before),
 	}
 	res.Label, res.Started = s.det.Label()
 	if len(evs) > 0 {

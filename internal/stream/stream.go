@@ -43,6 +43,12 @@ import (
 // Predictor turns a feature vector (closest-match distance per pattern,
 // in pattern order) into a class label. rpm.Classifier.PredictVector is
 // the production implementation; tests substitute trivial ones.
+//
+// Contract: PredictVector must be a pure function of the vector's
+// values — equal vectors get equal labels. A Detector relies on it: it
+// re-classifies only on samples where some pattern's best match, and
+// so some feature, changed, and reuses the previous raw label on every
+// other sample.
 type Predictor interface {
 	PredictVector(feat []float64) int
 }
@@ -159,10 +165,14 @@ type Detector struct {
 
 	stats []dist.RollingStats // one per group (distinct pattern length)
 	scans []dist.StreamScan   // one per matcher, grouped ordering
-	feat  []float64           // feature vector, pattern order
-	seen  int64
+	// feat is the feature vector in pattern order, maintained slot by
+	// slot: a slot is rewritten only when its pattern's scan improves.
+	feat []float64
+	seen int64
+	work Work
 
 	started        bool
+	raw            int // raw label of the last classification
 	label          int // committed label
 	cand           int
 	candRun        int
@@ -171,6 +181,20 @@ type Detector struct {
 	seq     int     // next event sequence number
 	ring    []Event // retained events; cap cfg.MaxEvents
 	scratch []Event // events emitted by the Append in progress; starts at scratchCap
+}
+
+// Work counts a Detector's closest-match and classification work since
+// construction: Windows are the windows scored (one per pattern per
+// completed window), WindowsExact those of them that passed the margin
+// filter and reached the exact window evaluator, and Classify the
+// Predictor calls.
+type Work struct {
+	Windows, WindowsExact, Classify int64
+}
+
+// Sub returns the work done since prev, an earlier reading.
+func (w Work) Sub(prev Work) Work {
+	return Work{w.Windows - prev.Windows, w.WindowsExact - prev.WindowsExact, w.Classify - prev.Classify}
 }
 
 // scratchCap is the event scratch's capacity at construction.
@@ -219,8 +243,11 @@ func (d *Detector) Append(chunk []float64) []Event {
 
 // push consumes one sample: slide the buffer, advance every length's
 // rolling stats, fold the completed windows into the per-pattern scans
-// (the bit-identical streaming Best), then classify and run the
-// hysteresis gate.
+// (the bit-identical streaming Best) and rewrite the feature slot of
+// every scan that improved, then classify and run the hysteresis gate.
+// The Predictor runs on the first warm sample and after any slot
+// changed; otherwise the feature vector, and by the Predictor contract
+// the raw label, are the previous sample's.
 func (d *Detector) push(x float64) {
 	t := d.seen
 	if len(d.buf) == cap(d.buf) {
@@ -229,6 +256,7 @@ func (d *Detector) push(x float64) {
 	}
 	d.buf = append(d.buf, x) //rpmlint:ignore hotpathalloc never grows: the ring slide above caps len at keep < cap
 	bl := len(d.buf)
+	changed := false
 	for gi := range d.m.groups {
 		g := &d.m.groups[gi]
 		rs := &d.stats[gi]
@@ -242,19 +270,31 @@ func (d *Detector) push(x float64) {
 		}
 		pos := int(t) + 1 - g.N
 		w := d.buf[bl-g.N : bl]
+		var exact int64
 		for a := g.Lo; a < g.Hi; a++ {
-			d.m.ordered[a].StreamEval(&d.scans[a], w, mean, inv, pos)
+			mt := d.m.ordered[a]
+			improved, ex := mt.StreamEval(&d.scans[a], w, mean, inv, pos)
+			if ex {
+				exact++
+			}
+			if improved {
+				d.feat[d.m.featOf[a]] = mt.StreamMatch(&d.scans[a]).Dist
+				changed = true
+			}
 		}
+		d.work.Windows += int64(g.Hi - g.Lo)
+		d.work.WindowsExact += exact
 	}
 	d.seen = t + 1
 	if !d.Warm() {
 		return
 	}
-	for a, mt := range d.m.ordered {
-		d.feat[d.m.featOf[a]] = mt.StreamMatch(&d.scans[a]).Dist
+	if changed || !d.started {
+		//rpmlint:ignore hotpathalloc Predictor is the svm adapter; svm.Model.Predict carries its own hotpath proof
+		d.raw = d.m.pred.PredictVector(d.feat)
+		d.work.Classify++
 	}
-	//rpmlint:ignore hotpathalloc Predictor is the svm adapter; svm.Model.Predict carries its own hotpath proof
-	raw := d.m.pred.PredictVector(d.feat)
+	raw := d.raw
 	if !d.started {
 		d.started = true
 		d.label = raw
@@ -356,10 +396,11 @@ func (d *Detector) Features(out []float64) {
 	if len(out) != d.m.k {
 		panic("stream: Features out length mismatch")
 	}
-	for a, mt := range d.m.ordered {
-		out[d.m.featOf[a]] = mt.StreamMatch(&d.scans[a]).Dist
-	}
+	copy(out, d.feat)
 }
+
+// Work returns the detector's work counts since construction.
+func (d *Detector) Work() Work { return d.work }
 
 // Bytes returns the detector's memory footprint in bytes as constructed
 // (the per-stream budget the Registry's byte gauge sums). It is fixed at

@@ -11,18 +11,72 @@ import (
 	"rpm/internal/dist"
 )
 
-// scriptPred replays a scripted label per classification call,
-// repeating the last one — full control over the raw-label sequence the
-// hysteresis gate sees, independent of any real model arithmetic.
-type scriptPred struct {
-	labels []int
-	i      int
+// vecIndex numbers feature vectors (of at most four features) in order
+// of first appearance. A predictor that labels by this number is a pure
+// function of the vector, as the Predictor contract requires, yet fully
+// scripted. Sized with room for hint vectors, it inserts without
+// allocating.
+type vecIndex map[[4]uint64]int
+
+func newVecIndex(hint int) vecIndex { return make(vecIndex, hint) }
+
+func (v vecIndex) of(feat []float64) int {
+	var key [4]uint64
+	if len(feat) > len(key) {
+		panic("vecIndex: more than four features")
+	}
+	for k, f := range feat {
+		key[k] = math.Float64bits(f)
+	}
+	i, ok := v[key]
+	if !ok {
+		i = len(v)
+		v[key] = i
+	}
+	return i
 }
 
-func (p *scriptPred) PredictVector([]float64) int {
-	l := p.labels[min(p.i, len(p.labels)-1)]
-	p.i++
-	return l
+// scriptPred gives the i-th distinct feature vector labels[i], repeating
+// the last label — full control over the raw-label sequence the
+// hysteresis gate sees, independent of any real model arithmetic, when
+// the input is one on which the feature vector changes at every sample
+// (improving).
+type scriptPred struct {
+	labels []int
+	seen   vecIndex
+}
+
+func (p *scriptPred) PredictVector(feat []float64) int {
+	if p.seen == nil {
+		p.seen = newVecIndex(len(p.labels))
+	}
+	return p.labels[min(p.seen.of(feat), len(p.labels)-1)]
+}
+
+// improving returns n samples on which every ramp-shaped pattern of
+// length 3 to 16 improves its best match at every sample (checked up to
+// 16,000 samples), so the detector classifies every warm sample: a ramp
+// plus an alternating term that shrinks as 1/(t+1), which brings each
+// window strictly closer to a straight line than the one before.
+func improving(n int) []float64 {
+	v := make([]float64, n)
+	for t := range v {
+		a := 0.5 / float64(t+1)
+		if t%2 == 1 {
+			a = -a
+		}
+		v[t] = float64(t) + a
+	}
+	return v
+}
+
+// classifiesEverySample fails the test unless d has classified every
+// warm sample — the premise of the scripted-label tests.
+func classifiesEverySample(t *testing.T, d *Detector) {
+	t.Helper()
+	if warm := d.Seen() - int64(d.m.maxLen) + 1; d.Work().Classify != warm {
+		t.Fatalf("classified %d of %d warm samples; the input must move the best match on every sample", d.Work().Classify, warm)
+	}
 }
 
 // argminPred labels by the index of the smallest feature (strict <, so
@@ -88,11 +142,8 @@ func TestHysteresisGate(t *testing.T) {
 	}}
 	m := mustModel(t, [][]float64{ramp(4)}, pred)
 	d := m.NewDetector(Config{ConfirmWindows: 3, MaxEvents: 16})
-	series := make([]float64, 12)
-	for i := range series {
-		series[i] = rand.New(rand.NewSource(int64(i))).NormFloat64() + float64(i)
-	}
-	evs := d.Append(series)
+	evs := d.Append(improving(12))
+	classifiesEverySample(t, d)
 	want := []Event{
 		{Seq: 0, Sample: 3, Label: 0, Prev: 0, Kind: KindStart},
 		{Seq: 1, Sample: 9, Label: 1, Prev: 0, Kind: KindChange},
@@ -119,7 +170,8 @@ func TestRefractory(t *testing.T) {
 	}}
 	m := mustModel(t, [][]float64{ramp(3)}, pred)
 	d := m.NewDetector(Config{ConfirmWindows: 2, Refractory: 3, MaxEvents: 16})
-	evs := d.Append(ramp(12))
+	evs := d.Append(improving(12))
+	classifiesEverySample(t, d)
 	want := []Event{
 		{Seq: 0, Sample: 2, Label: 0, Prev: 0, Kind: KindStart},
 		{Seq: 1, Sample: 4, Label: 1, Prev: 0, Kind: KindChange},
@@ -165,9 +217,10 @@ func TestEventsSinceRing(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		pred.labels = append(pred.labels, i%2)
 	}
-	m := mustModel(t, [][]float64{ramp(2)}, pred)
+	m := mustModel(t, [][]float64{ramp(3)}, pred)
 	d := m.NewDetector(Config{ConfirmWindows: 1, MaxEvents: 4})
-	d.Append(ramp(20)) // 19 classified samples → 19 events
+	d.Append(improving(21)) // 19 classified samples → 19 events
+	classifiesEverySample(t, d)
 	if d.EventSeq() != 19 {
 		t.Fatalf("EventSeq = %d, want 19", d.EventSeq())
 	}
@@ -271,9 +324,9 @@ func TestDetectorBytes(t *testing.T) {
 
 	// A label flip on every window commits an event per sample, growing
 	// the Append scratch far past its initial capacity; Bytes stays put.
-	flip := mustModel(t, [][]float64{ramp(4)}, &flipPred{}).NewDetector(Config{ConfirmWindows: 1})
+	flip := mustModel(t, [][]float64{ramp(4)}, newFlipPred()).NewDetector(Config{ConfirmWindows: 1})
 	before = flip.Bytes()
-	if evs := flip.Append(ramp(200)); len(evs) <= scratchCap {
+	if evs := flip.Append(improving(200)); len(evs) <= scratchCap {
 		t.Fatalf("flipping predictor emitted %d events, want > %d", len(evs), scratchCap)
 	}
 	if after := flip.Bytes(); after != before {
@@ -318,7 +371,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 	// A stream whose appends grow its detector's event scratch is
 	// released at exactly the charge it was created with.
-	flipM := mustModel(t, [][]float64{ramp(4)}, &flipPred{})
+	flipM := mustModel(t, [][]float64{ramp(4)}, newFlipPred())
 	r2 := NewRegistry(0)
 	f, _, err := r2.GetOrCreate("f", func() (*Detector, any, error) {
 		return flipM.NewDetector(Config{ConfirmWindows: 1}), nil, nil
@@ -327,7 +380,7 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	charged := r2.Bytes()
-	if res, err := f.Append(ramp(200)); err != nil || len(res.Events) <= scratchCap {
+	if res, err := f.Append(improving(200)); err != nil || len(res.Events) <= scratchCap {
 		t.Fatalf("flipping append: %d events, %v", len(res.Events), err)
 	}
 	if got := r2.Bytes(); got != charged {
@@ -366,7 +419,8 @@ func TestRegistryLifecycle(t *testing.T) {
 // concurrently (run under -race): Remove must not read the detector an
 // in-flight Append is mutating, and the gauge must end at zero.
 func TestRegistryAppendRemoveRace(t *testing.T) {
-	m := mustModel(t, [][]float64{ramp(4)}, &flipPred{})
+	m := mustModel(t, [][]float64{ramp(4)}, newFlipPred())
+	series := improving(500)
 	for i := 0; i < 20; i++ {
 		r := NewRegistry(0)
 		st, _, err := r.GetOrCreate("s", func() (*Detector, any, error) {
@@ -380,7 +434,7 @@ func TestRegistryAppendRemoveRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 10; k++ {
-				if _, err := st.Append(ramp(50)); err != nil && !errors.Is(err, ErrClosed) {
+				if _, err := st.Append(series[50*k : 50*(k+1)]); err != nil && !errors.Is(err, ErrClosed) {
 					t.Error(err)
 				}
 			}
@@ -401,7 +455,7 @@ func TestRegistryAppendRemoveRace(t *testing.T) {
 // exactly the new events, and Drain closes the channel without killing
 // the stream.
 func TestSubscribeNotify(t *testing.T) {
-	m := mustModel(t, [][]float64{ramp(2)}, &scriptPred{labels: []int{0, 1, 1, 0, 0}})
+	m := mustModel(t, [][]float64{ramp(3)}, &scriptPred{labels: []int{0, 1, 1, 0, 0}})
 	r := NewRegistry(0)
 	st, _, err := r.GetOrCreate("s", func() (*Detector, any, error) {
 		return m.NewDetector(Config{ConfirmWindows: 2, MaxEvents: 8}), nil, nil
@@ -413,7 +467,8 @@ func TestSubscribeNotify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Append(ramp(2)) // sample 1 classifies: start event
+	series := improving(8)
+	res, err := st.Append(series[:3]) // sample 2 classifies: start event
 	if err != nil || len(res.Events) != 1 {
 		t.Fatalf("append: %+v %v", res, err)
 	}
@@ -433,10 +488,10 @@ func TestSubscribeNotify(t *testing.T) {
 	cursor = evs[0].Seq
 	// Two appends committing one event each while nobody reads: tokens
 	// coalesce, EventsSince catches up in one read.
-	st.Append(ramp(1)) // raw 1, run 1
-	st.Append(ramp(1)) // raw 1, run 2 → change commits
-	st.Append(ramp(1)) // raw 0, run 1
-	st.Append(ramp(1)) // raw 0, run 2 → change commits
+	st.Append(series[3:4]) // raw 1, run 1
+	st.Append(series[4:5]) // raw 1, run 2 → change commits
+	st.Append(series[5:6]) // raw 0, run 1
+	st.Append(series[6:7]) // raw 0, run 2 → change commits
 	select {
 	case <-sub.Wait():
 	default:
@@ -451,7 +506,7 @@ func TestSubscribeNotify(t *testing.T) {
 		t.Fatal("Drain did not close the subscriber channel")
 	}
 	// Stream survives the drain: appends still work, new subscribers too.
-	if _, err := st.Append(ramp(1)); err != nil {
+	if _, err := st.Append(series[7:]); err != nil {
 		t.Fatalf("append after drain: %v", err)
 	}
 	sub.Close() // idempotent after detach

@@ -38,9 +38,11 @@ const (
 	CounterCFSExpansions   = core.CtrCFSExpansions   // CFS best-first node expansions
 	CounterCFSSelected     = core.CtrCFSSelected     // patterns CFS kept
 
-	// CounterSearchSaturatedAt is the number of distinct evaluations made
-	// when the last class reached mean F = 1 and the DIRECT search
-	// stopped; it is absent when the search never did.
+	// CounterSearchSaturatedAt is where the parameter search stopped
+	// because the last class reached mean F = 1: the distinct
+	// evaluations made by then (DIRECT) or the 1-based grid position of
+	// the saturating point (grid); it is absent when the search never
+	// did.
 	CounterSearchSaturatedAt = core.CtrSearchSaturatedAt
 )
 
