@@ -45,13 +45,24 @@ type goldenConfig struct {
 // cells under DefaultOptions are perfbench's train mix at its seed:
 // SynItalyPower, SynGunPoint and SynSymbols have every class at mean
 // F = 1 within two evaluations, SynCBF only late in its search. The
-// small-budget SynControl search never gets there, and the grid cell
-// covers the other search mode.
+// small-budget SynControl search never gets there. The grid cells cover
+// the other search mode: SynItalyPower saturates at its 9th grid point,
+// and the small SynControl grid never saturates, so it pins the order in
+// which the whole grid is considered. The fixed cells cover the medoid,
+// Re-Pair and rotation-invariant variants without a search.
 func goldenCells() []goldenConfig {
 	small := DefaultOptions()
 	small.Splits, small.MaxEvals = 2, 8
 	grid := DefaultOptions()
 	grid.Mode = ParamGrid
+	smallGrid := small
+	smallGrid.Mode = ParamGrid
+	fixed := func(set func(*Options)) Options {
+		o := DefaultOptions()
+		o.Mode = ParamFixed
+		set(&o)
+		return o
+	}
 	return []goldenConfig{
 		{"direct/SynItalyPower/1", "SynItalyPower", 1, DefaultOptions()},
 		{"direct/SynCBF/1", "SynCBF", 1, DefaultOptions()},
@@ -59,6 +70,10 @@ func goldenCells() []goldenConfig {
 		{"direct/SynSymbols/1", "SynSymbols", 1, DefaultOptions()},
 		{"direct-small/SynControl/3", "SynControl", 3, small},
 		{"grid/SynItalyPower/1", "SynItalyPower", 1, grid},
+		{"grid-small/SynControl/3", "SynControl", 3, smallGrid},
+		{"fixed-medoid/SynCBF/1", "SynCBF", 1, fixed(func(o *Options) { o.UseMedoid = true })},
+		{"fixed-repair/SynCBF/1", "SynCBF", 1, fixed(func(o *Options) { o.GI = GIRePair })},
+		{"fixed-rotation/SynCBF/1", "SynCBF", 1, fixed(func(o *Options) { o.RotationInvariant = true })},
 	}
 }
 
