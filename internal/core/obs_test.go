@@ -192,23 +192,39 @@ func TestObsSearchStages(t *testing.T) {
 }
 
 // TestSearchStopsAtSaturation pins where the DIRECT and grid searches
-// stop, as exact counts at Workers 1 and 8. On SynItalyPower seed 3 every class
-// reaches mean F = 1 at DIRECT's first sample, so the search makes that
-// one evaluation and asks for nothing more. SynControl seed 3 never gets
+// stop, as exact counts that must be the same at Workers 1 and 8: both
+// modes run one sequential loop, and only the splits inside one
+// evaluation run in parallel. On SynItalyPower seed 3 every class reaches
+// mean F = 1 at DIRECT's first sample, so the search makes that one
+// evaluation and asks for nothing more. SynControl seed 3 never gets
 // there: it makes the 7 distinct evaluations and 35 cache hits of its
 // whole budget, as the search did before it could stop, and records no
-// saturation point.
+// saturation point. Grid mode stops at the 9th of SynItalyPower's 52
+// seed-1 grid points; the small SynControl grid never saturates, so it
+// scores every point and records no saturation point.
 func TestSearchStopsAtSaturation(t *testing.T) {
+	grid := func(o Options) Options {
+		o.Mode = ParamGrid
+		return o
+	}
+	controlSplit := datagen.MustByName("SynControl").Generate(3)
+	controlGrid := int64(len(paramGrid(controlSplit.Train.MinLen(), workersOpts(1).MaxEvals)))
 	for _, tc := range []struct {
-		dataset                  string
+		name, dataset            string
+		seed                     int64
+		opts                     Options
 		evals, hits, saturatedAt int64
 	}{
-		{"SynItalyPower", 1, 0, 1},
-		{"SynControl", 7, 35, 0},
+		{"direct", "SynItalyPower", 3, workersOpts(1), 1, 0, 1},
+		{"direct", "SynControl", 3, workersOpts(1), 7, 35, 0},
+		{"grid", "SynItalyPower", 1, grid(DefaultOptions()), 9, 0, 9},
+		{"grid", "SynControl", 3, grid(workersOpts(1)), controlGrid, 0, 0},
 	} {
-		split := datagen.MustByName(tc.dataset).Generate(3)
+		split := datagen.MustByName(tc.dataset).Generate(tc.seed)
+		var counts [][3]int64
 		for _, workers := range []int{1, 8} {
-			opts := workersOpts(workers)
+			opts := tc.opts
+			opts.Workers = workers
 			opts.Instrument = true
 			c, err := Train(split.Train, opts)
 			if err != nil {
@@ -216,38 +232,25 @@ func TestSearchStopsAtSaturation(t *testing.T) {
 			}
 			snap := c.TrainSnapshot()
 			evals, hits, at := snap.Counter(CtrSearchEvals), snap.Counter(CtrSearchCacheHits), snap.Counter(CtrSearchSaturatedAt)
+			counts = append(counts, [3]int64{evals, hits, at})
 			if evals != tc.evals || hits != tc.hits || at != tc.saturatedAt {
-				t.Errorf("%s workers=%d: %d evaluations, %d cache hits, saturated at %d; want %d, %d, %d",
-					tc.dataset, workers, evals, hits, at, tc.evals, tc.hits, tc.saturatedAt)
+				t.Errorf("%s %s workers=%d: %d evaluations, %d cache hits, saturated at %d; want %d, %d, %d",
+					tc.name, tc.dataset, workers, evals, hits, at, tc.evals, tc.hits, tc.saturatedAt)
 			}
 			present := false
 			for _, ctr := range snap.Counters {
 				present = present || ctr.Name == CtrSearchSaturatedAt
 			}
 			if present != (tc.saturatedAt > 0) {
-				t.Errorf("%s workers=%d: %q present %v, want %v", tc.dataset, workers, CtrSearchSaturatedAt, present, tc.saturatedAt > 0)
+				t.Errorf("%s %s workers=%d: %q present %v, want %v", tc.name, tc.dataset, workers, CtrSearchSaturatedAt, present, tc.saturatedAt > 0)
 			}
 		}
+		if counts[0] != counts[1] {
+			t.Errorf("%s %s: (evals, cache hits, saturated at) %v at Workers 1, %v at Workers 8", tc.name, tc.dataset, counts[0], counts[1])
+		}
 	}
-
-	// Grid mode stops at the 9th of SynItalyPower's 52 seed-1 grid
-	// points. It scores the grid one point per worker at a time, so at
-	// Workers 8 the chunk holding that point (points 9–16) is scored in
-	// full; the model is the same either way (GOLDEN.json's grid cell).
-	split := datagen.MustByName("SynItalyPower").Generate(1)
-	for _, tc := range []struct{ workers, evals int64 }{{1, 9}, {8, 16}} {
-		opts := DefaultOptions()
-		opts.Mode = ParamGrid
-		opts.Workers = int(tc.workers)
-		opts.Instrument = true
-		c, err := Train(split.Train, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := c.TrainSnapshot()
-		if evals, at := snap.Counter(CtrSearchEvals), snap.Counter(CtrSearchSaturatedAt); evals != tc.evals || at != 9 {
-			t.Errorf("grid workers=%d: %d evaluations, saturated at grid point %d; want %d, 9", tc.workers, evals, at, tc.evals)
-		}
+	if controlGrid != 8 {
+		t.Errorf("the small SynControl grid has %d points, want the whole MaxEvals budget of 8", controlGrid)
 	}
 }
 

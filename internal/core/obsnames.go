@@ -47,7 +47,7 @@ const (
 	// (TrainBaggedContext); the shared parameter search sits beside
 	// the member spans under SpanTrain.
 	SpanBagMember = "bag.member."
-	// SpanSearchGrid wraps the parallel grid sweep of one parameter
+	// SpanSearchGrid wraps the grid sweep of one parameter
 	// search; SpanDirectClass + class label wraps one class's DIRECT
 	// minimization.
 	SpanSearchGrid  = "grid"
@@ -69,9 +69,8 @@ const (
 	CtrCFSSelected     = "train.cfs.selected"
 
 	// CtrSearchSaturatedAt is where the parameter search stopped
-	// because the last class reached mean F = 1 (selectParams): in
-	// DIRECT mode the number of distinct evaluations made by then, in
-	// grid mode the 1-based grid position of the saturating point. It
+	// because the last class reached mean F = 1 (selectParams): the
+	// number of distinct evaluations made by then, in either mode. It
 	// is absent when the search never gets there.
 	CtrSearchSaturatedAt = "search.saturated_at"
 
@@ -92,6 +91,5 @@ const (
 	PoolTransform    = "pool.transform"
 	PoolRefine       = "pool.refine"
 	PoolPredict      = "pool.predict"
-	PoolSearchGrid   = "pool.search.grid"
 	PoolSearchSplits = "pool.search.splits"
 )

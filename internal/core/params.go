@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"rpm/internal/direct"
@@ -30,7 +29,8 @@ type splitPair struct {
 // obtained on repeated train/validate splits. Evaluations are cached by
 // the (integer) parameter triple, so the per-class DIRECT searches share
 // work, mirroring the paper's observation that one full evaluation yields
-// F-measures for all classes at once.
+// F-measures for all classes at once. selectParams is its only caller and
+// scores one vector at a time.
 type evaluator struct {
 	opts    Options
 	train   ts.Dataset
@@ -42,10 +42,7 @@ type evaluator struct {
 	// validation into validate.
 	r, inner run
 	validate *obs.Span
-	// mu guards cache: grid mode evaluates parameter vectors from
-	// several goroutines at once.
-	mu    sync.Mutex
-	cache map[sax.Params]map[int]float64
+	cache    map[sax.Params]map[int]float64
 }
 
 func newEvaluator(train ts.Dataset, opts Options, r run) *evaluator {
@@ -84,8 +81,8 @@ func subset(d ts.Dataset, idx []int) ts.Dataset {
 // The splits are scored concurrently — each runs an independent full
 // mine-and-classify pipeline — and the per-split scores are folded in
 // split order, so the means are byte-identical to the sequential path.
-// Safe for concurrent callers (grid mode fans out over parameter
-// vectors); the cache is shared under e.mu.
+// That split fan-out, and each inner fit's own stages, are the search's
+// only parallelism: fmeasures itself is not safe for concurrent callers.
 //
 // Every split mines from its own subset of the training set, so each
 // instance is discretized once per evaluation, into a word cache keyed
@@ -98,13 +95,10 @@ func subset(d ts.Dataset, idx []int) ts.Dataset {
 // drains, and returns (nil, ctx.Err()); a partially evaluated vector is
 // never cached, so a later retry re-evaluates it from scratch.
 func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float64, error) {
-	e.mu.Lock()
 	if f, ok := e.cache[p]; ok {
-		e.mu.Unlock()
 		e.r.reg.Counter(CtrSearchCacheHits).Inc()
 		return f, nil
 	}
-	e.mu.Unlock()
 	e.r.reg.Counter(CtrSearchCacheMiss).Inc()
 	words, err := e.wordCache(ctx, p)
 	if err != nil {
@@ -155,22 +149,9 @@ func (e *evaluator) fmeasures(ctx context.Context, p sax.Params) (map[int]float6
 			acc[c] /= n
 		}
 	}
-	e.mu.Lock()
-	if f, ok := e.cache[p]; ok { // lost a duplicate-evaluation race
-		e.mu.Unlock()
-		return f, nil
-	}
 	e.cache[p] = acc
-	e.mu.Unlock()
 	e.r.reg.Counter(CtrSearchEvals).Inc()
 	return acc, nil
-}
-
-// distinct returns the number of distinct evaluations made so far.
-func (e *evaluator) distinct() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
 }
 
 // wordCache returns the SAX words under p of every instance of the full
@@ -243,21 +224,27 @@ func clampInt(v, lo, hi int) int {
 }
 
 // selectParams learns the best SAX parameters per class with either the
-// exhaustive grid (Algorithm 3) or per-class DIRECT searches (§4.2).
+// exhaustive grid (Algorithm 3) or per-class DIRECT searches (§4.2). Both
+// are one sequential loop over one objective, score, and differ only in
+// where the next parameter vector comes from: the grid in grid order, or
+// DIRECT's sampler. score evaluates the vector (fmeasures, cached) and
+// replaces a class's parameters only on a strictly higher mean F, so
+// ties keep the earliest vector in evaluation order.
 //
-// Saturation: consider replaces a class's parameters only on a strictly
-// higher mean F, and a mean F is at most 1: each split's F1 is at most 1,
-// and rounding is monotone, so a sum of n of them is at most n and its
-// mean at most 1. Once every class has reached 1, bestP is final, so the
-// DIRECT search stops there: its objective returns at once, as after
-// cancellation, and no later class's run starts. The model is the one
-// the whole budget gives; only evaluations that cannot change it are
-// skipped. Grid mode scores the grid in consecutive chunks of one point
-// per worker, applies consider in grid order after each chunk, and stops
-// at the point that saturates the last class.
+// Saturation: a mean F is at most 1: each split's F1 is at most 1, and
+// rounding is monotone, so a sum of n of them is at most n and its mean
+// at most 1. Once every class has reached 1, bestP is final, so the
+// search stops there: the grid loop breaks, DIRECT's objective returns at
+// once, as after cancellation, and no later class's run starts. The model
+// is the one the whole budget gives; only evaluations that cannot change
+// it are skipped. search.saturated_at records the distinct evaluations
+// made by then, which for the grid, whose points are distinct, is the
+// saturating point's grid position. The loop does not depend on
+// Options.Workers, so neither do search.evals, search.cache.hits and
+// search.saturated_at.
 //
 // Cancellation: both modes observe ctx at parameter-evaluation
-// granularity. Grid mode stops scheduling grid points once ctx is done;
+// granularity. The grid loop stops at the next point once ctx is done;
 // DIRECT's objective short-circuits to the worst value for every sample
 // after cancellation (the optimizer's own evaluation sequence is serial
 // and cheap once the objective no longer mines), so selectParams returns
@@ -272,7 +259,12 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options, r run) (m
 		bestP[c] = HeuristicParams(m)
 	}
 	saturated := 0 // classes whose bestF has reached 1
-	consider := func(p sax.Params, fs map[int]float64) {
+	done := func() bool { return saturated == len(e.classes) }
+	score := func(p sax.Params) (map[int]float64, error) {
+		fs, err := e.fmeasures(ctx, p)
+		if err != nil {
+			return nil, err
+		}
 		for _, c := range e.classes {
 			if f := fs[c]; f > bestF[c] {
 				if f >= 1 {
@@ -282,47 +274,29 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options, r run) (m
 				bestP[c] = p
 			}
 		}
+		if done() {
+			r.reg.Counter(CtrSearchSaturatedAt).Add(int64(len(e.cache)))
+		}
+		return fs, nil
 	}
-	done := func() bool { return saturated == len(e.classes) }
 	switch opts.Mode {
 	case ParamGrid:
-		// The grid points are independent full evaluations (~60 of
-		// them): score them concurrently, then apply consider in grid
-		// order so ties resolve exactly as in the sequential loop.
 		grid := paramGrid(m, opts.MaxEvals)
 		if opts.Sample.active() {
 			// Seeded grid thinning (DESIGN.md §15): a hash-ranked
-			// subsequence of the exhaustive grid, so the consider()
-			// tie-break below sees the surviving points in their
-			// original order.
+			// subsequence of the exhaustive grid, so score sees the
+			// surviving points in their original order.
 			kept, dropped := sampleGrid(grid, resolveSampleSeed(opts), opts.Sample.Rate)
 			grid = kept
 			r.reg.Counter(CtrSampleGridKept).Add(int64(len(kept)))
 			r.reg.Counter(CtrSampleGridDropped).Add(int64(dropped))
 		}
-		// Chunks of one point per worker keep the scoring parallel while
-		// consider, applied in grid order after each chunk, can stop the
-		// grid at the point that saturates the last class.
 		gridSpan := r.span.Start(SpanSearchGrid)
-		chunk := parallel.Workers(opts.Workers)
-	grid:
-		for lo := 0; lo < len(grid); lo += chunk {
-			part := grid[lo:min(lo+chunk, len(grid))]
-			scores, err := parallel.Map(ctx, len(part), opts.Workers, r.reg.Pool(PoolSearchGrid), func(i int) map[int]float64 {
-				fs, _ := e.fmeasures(ctx, part[i]) // nil on cancel; Map reports it
-				return fs
-			})
-			if err != nil {
-				gridSpan.End()
-				return nil, err
+		for _, p := range grid {
+			if ctx.Err() != nil || done() {
+				break
 			}
-			for i, p := range part {
-				consider(p, scores[i])
-				if done() {
-					r.reg.Counter(CtrSearchSaturatedAt).Add(int64(lo + i + 1))
-					break grid
-				}
-			}
+			score(p) // an error is ctx's, returned below
 		}
 		gridSpan.End()
 	default: // ParamDIRECT
@@ -346,14 +320,9 @@ func selectParams(ctx context.Context, train ts.Dataset, opts Options, r run) (m
 				if ctx.Err() != nil || done() {
 					return 1 // worst objective; evaluation is now O(1)
 				}
-				p := clampParams(x, m)
-				fs, err := e.fmeasures(ctx, p)
+				fs, err := score(clampParams(x, m))
 				if err != nil {
 					return 1
-				}
-				consider(p, fs)
-				if done() {
-					r.reg.Counter(CtrSearchSaturatedAt).Add(int64(e.distinct()))
 				}
 				return 1 - fs[class]
 			}, lo, hi, maxEvals)

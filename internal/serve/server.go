@@ -303,8 +303,8 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 }
 
-// Streams returns the server's live-stream registry (tests and
-// cmd/rpmserved introspection).
+// Streams returns the server's live-stream registry; the package's tests
+// read it to check stream lifecycle and byte accounting.
 func (s *Server) Streams() *stream.Registry { return s.streams }
 
 // ---------------------------------------------------------------------------

@@ -40,9 +40,8 @@ const (
 
 	// CounterSearchSaturatedAt is where the parameter search stopped
 	// because the last class reached mean F = 1: the distinct
-	// evaluations made by then (DIRECT) or the 1-based grid position of
-	// the saturating point (grid); it is absent when the search never
-	// did.
+	// evaluations made by then, in grid and DIRECT mode alike; it is
+	// absent when the search never did.
 	CounterSearchSaturatedAt = core.CtrSearchSaturatedAt
 )
 
